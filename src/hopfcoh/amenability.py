@@ -20,13 +20,13 @@ from typing import Optional
 
 from .comodule import (
     Bicomodule,
-    catalog_bicomodules,
     catalog_right_comodules,
     one_sided,
     unit_quotient_bicomodule,
     with_trivial_gamma,
 )
 from .cochain import (
+    Workspace,
     build_complex,
     cohomology,
     dual_coboundary,
@@ -279,7 +279,9 @@ class CheckOutcome:
         return self.passed
 
 
-def check_codiagonal_vanishing(h: HopfStarAlgebra, degree_cap: int = 3) -> CheckOutcome:
+def check_codiagonal_vanishing(
+    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
+) -> CheckOutcome:
     """Codiagonal existence against dual-cohomology vanishing.
 
     With a codiagonal: H^n_d = 0 (n = 1..cap-1) on every catalog bicomodule
@@ -289,12 +291,12 @@ def check_codiagonal_vanishing(h: HopfStarAlgebra, degree_cap: int = 3) -> Check
     """
     from .comodule import regular_right_coaction
 
+    ws = Workspace.ensure(workspace, h, degree_cap)
     details = []
     eps = counit_find(h)
     if eps.functional is None:
         reg = one_sided(regular_right_coaction(h))
-        cx = build_complex(reg, "dual", degree_cap)
-        h1 = cohomology(cx, 1).dim
+        h1 = ws.cohomology_of(reg, "dual", 1).dim
         details.append(f"counit absent (certificate held); H^1_d one-sided regular = {h1}")
         return CheckOutcome("codiagonal-vanishing", h1 != 0, tuple(details))
     search = find_codiagonal(h)
@@ -303,13 +305,13 @@ def check_codiagonal_vanishing(h: HopfStarAlgebra, degree_cap: int = 3) -> Check
         return CheckOutcome("codiagonal-vanishing", True, tuple(details))
     f = search.certificate.functional
     ok = True
-    for entry in catalog_bicomodules(h):
+    for entry in ws.catalog:
         if not entry.has_nondegenerate_side:
             continue
         side = "beta" if any(entry.beta_nondegenerate) else "gamma"
-        cx = build_complex(entry.bicomodule, "dual", degree_cap)
+        cx = ws.complex_of(entry.bicomodule, "dual")
         for n in range(1, degree_cap):
-            result = cohomology(cx, n)
+            result = ws.cohomology_of(entry.bicomodule, "dual", n)
             if result.dim != 0:
                 ok = False
                 details.append(f"{entry.name}: H^{n}_d = {result.dim} != 0")

@@ -31,8 +31,8 @@ def _add_common(p, suppress: bool):
     p.add_argument(
         "--degree-cap",
         type=int,
-        default=argparse.SUPPRESS if suppress else 3,
-        help="cochain spaces built up to C^cap",
+        default=d,
+        help="cochain spaces built up to C^cap (default 3, or the job file's)",
     )
     p.add_argument("--catalog", default=d, help="built-in algebra name (see 'hopfcoh list'), or 'all'")
     p.add_argument("--input", default=d, help="job file to run (overrides --catalog)")
@@ -88,7 +88,10 @@ def _tasks_for(args) -> tuple:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     log = sys.stderr if args.timing else None
+    cap = args.degree_cap
     try:
+        if cap is not None and cap < 1:
+            raise InputError("degree-cap must be >= 1")
         if args.verb == "list":
             body = "\n".join(catalog.algebra_names()) + "\n"
             fmt = "text"
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
             job = JobSpec(
                 algebra=job.algebra,
                 tasks=job.tasks,
-                degree_cap=args.degree_cap if args.degree_cap != 3 else job.degree_cap,
+                degree_cap=job.degree_cap if cap is None else cap,
                 format=args.format or job.format,
                 cayley=job.cayley,
                 comodules=job.comodules,
@@ -108,13 +111,13 @@ def main(argv=None) -> int:
         elif args.catalog == "all":
             report = run_suite(
                 [name for name, _ in catalog.default_suite()],
-                degree_cap=args.degree_cap,
+                degree_cap=cap or 3,
                 log=log,
             )
             fmt = args.format or "json"
         elif args.catalog:
             job = JobSpec(
-                algebra=args.catalog, tasks=_tasks_for(args), degree_cap=args.degree_cap
+                algebra=args.catalog, tasks=_tasks_for(args), degree_cap=cap or 3
             )
             report = run(job, log=log, include_timing=args.timing)
             fmt = args.format or "json"

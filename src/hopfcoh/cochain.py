@@ -15,25 +15,26 @@ complex and the transpose of the bar boundary agree entrywise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .comodule import (
     Bicomodule,
+    catalog_bicomodules,
     dual_bicomodule,
     module_from_coaction,
     module_from_left_coaction,
+    with_trivial_gamma,
 )
 from .hopf import dual_algebra_mult
 from .linalg import (
-    LinearSolver,
     Matrix,
-    SpanTracker,
     Vec,
     kernel_basis,
     kron,
     kron_all,
-    image_rank,
     rotation_sigma,
+    rref,
     tensor_permutation,
 )
 from .scalars import ONE, Scalar
@@ -179,6 +180,8 @@ class CochainComplex:
                 raise ValueError(f"chain property fails at degree {n}")
 
     def boundary(self, n: int) -> Matrix:
+        if not 0 <= n < len(self.boundaries):
+            raise ValueError(f"boundary D_{n} is not built below the degree cap")
         return self.boundaries[n]
 
 
@@ -223,54 +226,98 @@ class CohomologyResult:
 def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     """Exact H^n with canonical representatives and coboundary certificates.
 
-    Representatives are the RREF kernel basis vectors that certifiably
-    enlarge the span of Im D_{n-1} (an incremental augmented-rank check);
-    every remaining kernel vector is certified a coboundary mod the chosen
-    representatives by an explicit preimage.
+    One RREF of the augmented matrix [D_{n-1} | ker D_n] (kernel vectors as
+    columns, in RREF-basis order) decides H^n.  Its pivot columns are the
+    greedy choice: a basis of Im D_{n-1} first, then every kernel vector
+    that enlarges the span so far.  So the representatives are the pivot
+    kernel columns and dim Im D_{n-1} is the number of pivots among
+    D_{n-1}'s columns.  Each other kernel vector's RREF column writes it in
+    the pivot columns; its D_{n-1} part is the preimage, and all of them
+    are re-checked exactly with one sparse product.
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
-    dn = cx.boundaries[n]
-    kernel = kernel_basis(dn)
+    kernel = kernel_basis(cx.boundaries[n])
     if n == 0:
-        prev_cols = []
-        rank_prev = 0
-    else:
-        prev = cx.boundaries[n - 1]
-        prev_cols = [prev.col(j) for j in range(prev.cols)]
-        rank_prev = image_rank(prev)
-    span = SpanTracker(cx.degrees[n])
-    for c in prev_cols:
-        span.add(c)
-    assert span.rank == rank_prev
-    reps = []
-    pending = []
-    for v in kernel:
-        if span.add(v):
-            reps.append(v)
-        else:
-            pending.append(v)
-    dim_h = len(kernel) - rank_prev
-    assert len(reps) == dim_h, "rank bookkeeping failed"
-    preimages = []
-    if pending:
-        prev = cx.boundaries[n - 1]
-        entries = dict(prev.entries)
-        for k, r in enumerate(reps):
-            for i, val in enumerate(r):
-                if val:
-                    entries[(i, prev.cols + k)] = val
-        solver = LinearSolver(Matrix(prev.rows, prev.cols + len(reps), entries))
-        for v in pending:
-            res = solver.solve(v)
-            assert res.consistent, "kernel vector neither representative nor decomposable"
-            preimages.append((v, res.solution[: prev.cols]))
-    return CohomologyResult(n, len(kernel), rank_prev, tuple(reps), tuple(preimages))
+        return CohomologyResult(0, len(kernel), 0, tuple(kernel), ())
+    prev = cx.boundaries[n - 1]
+    m = prev.cols
+    aug = prev.augment(Matrix.from_cols(kernel, rows=prev.rows))
+    pivots, rows = rref(aug)
+    pivot_set = set(pivots)
+    rank_prev = sum(1 for p in pivots if p < m)
+    reps = tuple(v for k, v in enumerate(kernel) if m + k in pivot_set)
+    if len(reps) != len(kernel) - rank_prev:
+        raise AssertionError("rank bookkeeping failed")
+    pending = [k for k in range(len(kernel)) if m + k not in pivot_set]
+    slot = {m + k: j for j, k in enumerate(pending)}
+    coeffs = {}  # (pivot column, pending index) -> RREF entry
+    pre = [[Scalar(0)] * m for _ in pending]
+    for p, row in zip(pivots, rows):
+        for c, val in row.items():
+            j = slot.get(c)
+            if j is not None:
+                coeffs[(p, j)] = val
+                if p < m:
+                    pre[j][p] = val
+    combos = Matrix(aug.cols, len(pending), coeffs)
+    if aug @ combos != Matrix.from_cols([kernel[k] for k in pending], rows=prev.rows):
+        raise AssertionError("kernel vector neither representative nor decomposable")
+    preimages = tuple((kernel[k], tuple(pre[j])) for j, k in enumerate(pending))
+    return CohomologyResult(n, len(kernel), rank_prev, reps, preimages)
 
 
-def cohomology_dims(b: Bicomodule, kind: str, degrees, degree_cap: int = 3):
-    cx = build_complex(b, kind, degree_cap)
-    return {n: cohomology(cx, n).dim for n in degrees}
+# ---------------------------------------------------------------------------
+# the per-job workspace
+
+
+class Workspace:
+    """What one job computes once and shares between its tasks.
+
+    Holds the bicomodule catalog, one complex per (bicomodule, kind) and one
+    H^n per (bicomodule, kind, degree).  Entries are keyed by the bicomodule
+    object and keep it alive, so a key never passes to another bicomodule.
+    """
+
+    def __init__(self, h, degree_cap: int = 3, explicit=()):
+        self.hopf = h
+        self.degree_cap = degree_cap
+        self.explicit = tuple(explicit)  # (name, Bicomodule) pairs from the job file
+        self._memo: dict = {}
+
+    @staticmethod
+    def ensure(workspace, h, degree_cap: int) -> "Workspace":
+        """The given workspace, or a fresh one when None; one of another job is refused."""
+        ws = workspace or Workspace(h, degree_cap)
+        if ws.hopf is not h or ws.degree_cap != degree_cap:
+            raise ValueError("workspace belongs to another algebra or degree cap")
+        return ws
+
+    def _cached(self, what: str, b: Bicomodule, arg, make):
+        key = (what, id(b), arg)
+        if key not in self._memo:
+            self._memo[key] = (b, make())
+        return self._memo[key][1]
+
+    @cached_property
+    def catalog(self):
+        return catalog_bicomodules(self.hopf)
+
+    def bicomodules(self):
+        """(name, Bicomodule): the catalog, then the job's own comodules."""
+        return [(e.name, e.bicomodule) for e in self.catalog] + list(self.explicit)
+
+    def dual(self, b: Bicomodule) -> Bicomodule:
+        return self._cached("dual", b, None, lambda: dual_bicomodule(b))
+
+    def complex_of(self, b: Bicomodule, kind: str) -> CochainComplex:
+        """The complex of b; "restricted" is that of b's right coaction with gamma = 1 (x) id."""
+        if kind == "restricted":
+            b = self._cached("restricted", b, None, lambda: with_trivial_gamma(b.beta))
+        return self._cached("complex", b, kind, lambda: build_complex(b, kind, self.degree_cap))
+
+    def cohomology_of(self, b: Bicomodule, kind: str, n: int) -> CohomologyResult:
+        return self._cached("H", b, (kind, n), lambda: cohomology(self.complex_of(b, kind), n))
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +340,39 @@ def _hom_reshuffle(x: int, sn: int) -> Matrix:
     return tensor_permutation([x, sn], [1, 0])
 
 
-def identify_dual_with_natural(b: Bicomodule, n: int, degree_cap: int = 3) -> IdentificationReport:
+def identify_dual_with_natural(
+    b: Bicomodule, n: int, degree_cap: int = 3, workspace: Optional[Workspace] = None
+) -> IdentificationReport:
     """Dual complex of X vs natural complex of the dual bicomodule on X^*.
 
     Checks the chain-level sign identity  R d_n^{natural-dual} = (-1)^{n+1}
     d_n^{dual} R  entrywise (R the flattening reshuffle), then that the two
     H^n dimensions agree.
     """
+    ws = Workspace.ensure(workspace, b.hopf, degree_cap)
     x, s = b.space_dim, b.hopf.dim
-    dual_b = dual_bicomodule(b)
-    nat = natural_coboundary(dual_b, n, degree_cap)
-    dua = dual_coboundary(b, n, degree_cap)
+    dual_b = ws.dual(b)
+    nat = ws.complex_of(dual_b, "natural").boundary(n)
+    dua = ws.complex_of(b, "dual").boundary(n)
     r_n = _hom_reshuffle(x, _ipow(s, n))
     r_n1 = _hom_reshuffle(x, _ipow(s, n + 1))
     lhs = r_n1 @ nat
     rhs = (dua @ r_n).scale((-1) ** (n + 1))
     if lhs != rhs:
         return IdentificationReport(False, n, "sign identity fails entrywise")
-    cx_nat = build_complex(dual_b, "natural", degree_cap)
-    cx_dual = build_complex(b, "dual", degree_cap)
-    d_nat = cohomology(cx_nat, n).dim
-    d_dual = cohomology(cx_dual, n).dim
+    d_nat = ws.cohomology_of(dual_b, "natural", n).dim
+    d_dual = ws.cohomology_of(b, "dual", n).dim
     if d_nat != d_dual:
         return IdentificationReport(False, n, "H dimensions differ", (d_dual, d_nat))
     return IdentificationReport(True, n, "sign identity and H-dims agree", (d_dual, d_nat))
 
 
-def identify_dual_with_bar(b: Bicomodule, n: int, degree_cap: int = 3) -> IdentificationReport:
+def identify_dual_with_bar(
+    b: Bicomodule, n: int, degree_cap: int = 3, workspace: Optional[Workspace] = None
+) -> IdentificationReport:
     """Dual coboundary vs transpose of the bar boundary: must be bit-identical."""
-    dua = dual_coboundary(b, n, degree_cap)
-    bar = bar_dual_coboundary(b, n, degree_cap)
-    if dua != bar:
+    ws = Workspace.ensure(workspace, b.hopf, degree_cap)
+    if ws.complex_of(b, "dual").boundary(n) != ws.complex_of(b, "bar").boundary(n):
         return IdentificationReport(False, n, "matrices differ")
     return IdentificationReport(True, n, "matrices bit-identical")
 
@@ -353,16 +402,6 @@ def _certify_primitive(d_prev: Matrix, primitive: Vec, cocycle: Vec) -> int:
 def _require_cocycle(d_n: Matrix, v: Vec):
     if any(d_n.apply(v)):
         raise ValueError("input is not a cocycle")
-
-
-def _hom_compose_left(post: Matrix, t_vec: Vec, sn: int, x: int) -> Vec:
-    """vec(post o T) for T: X -> S^n given as a (sn*x)-vector."""
-    t_mat = Matrix(sn, x, {divmod(i, x): v for i, v in enumerate(t_vec) if v})
-    comp = post @ t_mat
-    out = [Scalar(0)] * (post.rows * x)
-    for (w, j), v in comp.entries.items():
-        out[w * x + j] = v
-    return tuple(out)
 
 
 def _vec_to_hom(t_vec: Vec, sn: int, x: int) -> Matrix:

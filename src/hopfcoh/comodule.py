@@ -124,48 +124,36 @@ def with_trivial_gamma(beta: RightCoaction) -> Bicomodule:
 # structure checks
 
 
+def _translates_span(h: HopfStarAlgebra, coaction: Matrix, x: int, s_leg_first: bool):
+    """(left, right): do the coaction's columns, with left resp. right
+    multiplication by each basis element t applied on the S leg, span the
+    whole of the (x*s)-dimensional target?"""
+    s = h.dim
+    ix, i_s = Matrix.identity(x), Matrix.identity(s)
+    out = []
+    for left in (True, False):
+        translates = Matrix.zero(x * s, 0)
+        for t in range(s):
+            et = Matrix.column(unit_vec(s, t))
+            mult_t = h.mult @ (kron(et, i_s) if left else kron(i_s, et))  # u -> t*u or u*t
+            on_leg = kron(mult_t, ix) if s_leg_first else kron(ix, mult_t)
+            translates = translates.augment(on_leg @ coaction)
+        out.append(image_rank(translates) == x * s)
+    return tuple(out)
+
+
 def check_nondegenerate(c: RightCoaction):
     """(left, right) span-equality non-degeneracy of a right coaction.
 
     right: span{ (id (x) R_s) beta(x) } = X (x) S with R_s right multiplication;
     left:  the same with left multiplication on the S leg.
     """
-    h, x, s = c.hopf, c.space_dim, c.hopf.dim
-    ix = Matrix.identity(x)
-    cols_r = []
-    cols_l = []
-    for j in range(x):
-        bj = c.beta.col(j)
-        for t in range(s):
-            et = Matrix.column(unit_vec(s, t))
-            r_t = h.mult @ kron(Matrix.identity(s), et)  # u -> u*t
-            l_t = h.mult @ kron(et, Matrix.identity(s))  # u -> t*u
-            cols_r.append(kron(ix, r_t).apply(bj))
-            cols_l.append(kron(ix, l_t).apply(bj))
-    full = x * s
-    right = image_rank(Matrix.from_cols(cols_r, rows=full)) == full
-    left = image_rank(Matrix.from_cols(cols_l, rows=full)) == full
-    return (left, right)
+    return _translates_span(c.hopf, c.beta, c.space_dim, s_leg_first=False)
 
 
 def check_nondegenerate_left(c: LeftCoaction):
     """Mirror of check_nondegenerate for left coactions (multiply the S leg)."""
-    h, x, s = c.hopf, c.space_dim, c.hopf.dim
-    ix = Matrix.identity(x)
-    cols_r = []
-    cols_l = []
-    for j in range(x):
-        gj = c.gamma.col(j)
-        for t in range(s):
-            et = Matrix.column(unit_vec(s, t))
-            r_t = h.mult @ kron(Matrix.identity(s), et)
-            l_t = h.mult @ kron(et, Matrix.identity(s))
-            cols_r.append(kron(r_t, ix).apply(gj))
-            cols_l.append(kron(l_t, ix).apply(gj))
-    full = x * s
-    right = image_rank(Matrix.from_cols(cols_r, rows=full)) == full
-    left = image_rank(Matrix.from_cols(cols_l, rows=full)) == full
-    return (left, right)
+    return _translates_span(c.hopf, c.gamma, c.space_dim, s_leg_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +335,10 @@ def module_from_left_coaction(c: LeftCoaction) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # catalog of bicomodules
+
+
+# the names catalog_bicomodules may use; a job's own comodules must differ
+CATALOG_NAMES = ("regular", "regular-trivial-left", "unit-quotient", "pair-graded")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .comodule import CATALOG_NAMES
 from .scalars import Scalar, format_scalar, parse_scalar
 
 TASK_TOKENS = (
@@ -150,7 +151,12 @@ def parse_input(text: str) -> JobSpec:
             elif kind == "comodule":
                 if len(block) != 2:
                     raise JobParseError(no, "comodule block needs a name")
-                comodules.append(_parse_comodule(lines, no, block[1]))
+                name = block[1]
+                if name in CATALOG_NAMES:
+                    raise JobParseError(no, f"comodule name {name!r} is taken by a catalog bicomodule")
+                if any(c.name == name for c in comodules):
+                    raise JobParseError(no, f"duplicate comodule name {name!r}")
+                comodules.append(_parse_comodule(lines, no, name))
             else:
                 raise JobParseError(no, f"unknown block {kind!r}")
             continue

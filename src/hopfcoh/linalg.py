@@ -29,25 +29,8 @@ def vec(entries) -> Vec:
     return tuple(as_scalar(x) for x in entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Scalar(0),) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else Scalar(0) for j in range(n))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = as_scalar(c)
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> Scalar:
@@ -57,10 +40,6 @@ def vec_dot(a: Vec, b: Vec) -> Scalar:
         if x and y:
             total = total + x * y
     return total
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +166,6 @@ class Matrix:
             if c == j:
                 out[r] = v
         return tuple(out)
-
-    def dense(self):
-        return [[self[(i, j)] for j in range(self.cols)] for i in range(self.rows)]
 
     @property
     def nnz(self) -> int:

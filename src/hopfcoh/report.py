@@ -19,17 +19,11 @@ from .amenability import (
     find_codiagonal,
     find_invariant_mean,
 )
-from .cochain import (
-    build_complex,
-    cohomology,
-    identify_dual_with_bar,
-    identify_dual_with_natural,
-)
+from .cochain import Workspace, identify_dual_with_bar, identify_dual_with_natural
 from .comodule import (
     Bicomodule,
     LeftCoaction,
     RightCoaction,
-    catalog_bicomodules,
     trivial_left_coaction,
     zero_left_coaction,
 )
@@ -155,15 +149,7 @@ def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
         report["aborted"] = "axioms failed"
         return report
 
-    bicomodules = None
-
-    def get_bicomodules():
-        nonlocal bicomodules
-        if bicomodules is None:
-            named = [(e.name, e.bicomodule) for e in catalog_bicomodules(h)]
-            bicomodules = named + explicit
-        return bicomodules
-
+    ws = Workspace(h, job.degree_cap, explicit)
     for task in job.tasks:
         t0 = time.monotonic()
         if task == "axioms":
@@ -235,19 +221,14 @@ def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
             _, kind, _span = task.split(":")
             degrees = [n for n in task_degrees(task) if n < job.degree_cap]
             table = {}
-            for name, bic in get_bicomodules():
-                if kind == "restricted":
-                    gamma_triv = trivial_left_coaction(h, bic.space_dim)
-                    use = Bicomodule(bic.beta, gamma_triv)
-                else:
-                    use = bic
-                cx = build_complex(use, kind, job.degree_cap)
-                table[name] = {
-                    str(n): cohomology(cx, n).dim for n in degrees
-                }
+            for name, bic in ws.bicomodules():
+                table[name] = {str(n): ws.cohomology_of(bic, kind, n).dim for n in degrees}
             tasks[task] = table
+        elif task in ("check-B20", "check-B18", "check-exist-im2") and job.degree_cap < 2:
+            # these read H^1, so they need cochains up to C^2
+            tasks[task] = {"applicable": False, "reason": "needs degree-cap >= 2"}
         elif task == "check-B20":
-            out = check_codiagonal_vanishing(h, job.degree_cap)
+            out = check_codiagonal_vanishing(h, job.degree_cap, ws)
             tasks[task] = {"passed": out.passed, "details": list(out.details)}
             report["consistent"] = report["consistent"] and out.passed
         elif task == "check-B18":
@@ -270,10 +251,10 @@ def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
         elif task == "check-C10":
             results = {}
             ok = True
-            for name, bic in get_bicomodules():
+            for name, bic in ws.bicomodules():
                 per = {}
                 for n in range(job.degree_cap):
-                    r = identify_dual_with_natural(bic, n, job.degree_cap)
+                    r = identify_dual_with_natural(bic, n, job.degree_cap, ws)
                     per[str(n)] = {"holds": r.holds, "detail": r.detail}
                     ok = ok and r.holds
                 results[name] = per
@@ -282,10 +263,10 @@ def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
         elif task == "check-C15":
             results = {}
             ok = True
-            for name, bic in get_bicomodules():
+            for name, bic in ws.bicomodules():
                 per = {}
                 for n in range(job.degree_cap):
-                    r = identify_dual_with_bar(bic, n, job.degree_cap)
+                    r = identify_dual_with_bar(bic, n, job.degree_cap, ws)
                     per[str(n)] = {"holds": r.holds, "detail": r.detail}
                     ok = ok and r.holds
                 results[name] = per

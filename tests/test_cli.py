@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -209,7 +211,7 @@ def test_failed_crosscheck_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         report_mod,
         "check_codiagonal_vanishing",
-        lambda h, cap=3: CheckOutcome("codiagonal-vanishing", False, ("forced failure",)),
+        lambda h, cap=3, workspace=None: CheckOutcome("codiagonal-vanishing", False, ("forced failure",)),
     )
     assert main(["--catalog", "group:Z2", "verify"]) == 1
     capsys.readouterr()
@@ -221,3 +223,106 @@ def test_timing_flag_adds_wall_clock(capsys):
     report = json.loads(captured.out)
     assert "wall_clock_seconds" in report
     assert "total" in captured.err
+
+
+SAMPLE_JOB = pathlib.Path(__file__).parent.parent / "sample.job"
+
+
+def test_report_digests_pinned(capsys):
+    # the bytes of two reports, as computed before the per-job workspace
+    body = render_json(run(parse_input(SAMPLE_JOB.read_text())))
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "1ca30de6ef60c324c5a3ee1674eb598581faad6aadb1a902129e7e2614805b89"
+    )
+    assert main(["--catalog", "group:Z3", "report"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b4b7feba574504a9b8d574be121fae7f765d3e33ec665a849e06479a75a42763"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--catalog", "group:Z2", "--degree-cap", "0", "check"],
+        ["--catalog", "group:Z2", "--degree-cap=-1", "cohomology"],
+        ["--catalog", "group:Z2", "cohomology", "--degree-cap", "0"],
+        ["--catalog", "all", "--degree-cap", "0", "verify"],
+    ],
+)
+def test_degree_cap_below_one_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree-cap must be >= 1" in captured.err
+
+
+def test_explicit_degree_cap_overrides_job_file(tmp_path, capsys):
+    job = tmp_path / "cap2.job"
+    job.write_text("algebra = group:Z2\ndegree-cap = 2\ntasks = axioms, cohomology:dual:0-2\n")
+    assert main(["--input", str(job), "report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["degree_cap"] == 2
+    assert report["tasks"]["cohomology:dual:0-2"]["regular"] == {"0": 2, "1": 0}
+    assert main(["--input", str(job), "--degree-cap", "3", "report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["degree_cap"] == 3
+    assert report["tasks"]["cohomology:dual:0-2"]["regular"] == {"0": 2, "1": 0, "2": 0}
+
+
+@pytest.mark.parametrize(
+    "algebra, task",
+    [
+        ("group:Z2", "check-B18"),
+        ("function:Z2", "check-exist-im2"),
+        ("function:leftzero2", "check-B20"),
+    ],
+)
+def test_cap_one_cross_checks_not_applicable(algebra, task, capsys):
+    assert main(["--catalog", algebra, "--degree-cap", "1", "verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["degree_cap"] == 1
+    assert report["tasks"][task] == {"applicable": False, "reason": "needs degree-cap >= 2"}
+    assert report["tasks"]["check-C10"]["passed"] is True
+
+
+CLASHING_COMODULE = """
+algebra = group:Z2
+tasks = axioms, cohomology:dual:0
+begin comodule {first}
+  dim = 1
+  begin beta
+    row 1
+    row 0
+  end
+end
+begin comodule {second}
+  dim = 1
+  begin beta
+    row 0
+    row 1
+  end
+end
+"""
+
+
+def test_comodule_name_clashes_rejected(tmp_path, capsys):
+    from hopfcoh.comodule import CATALOG_NAMES, catalog_bicomodules
+
+    for name in ("group:Z2", "function:Z2"):
+        assert {e.name for e in catalog_bicomodules(get_algebra(name))} <= set(CATALOG_NAMES)
+    parse_input(CLASHING_COMODULE.format(first="even", second="odd"))
+    with pytest.raises(JobParseError) as err:
+        parse_input(CLASHING_COMODULE.format(first="X", second="X"))
+    assert "line 11" in str(err.value)
+    assert "duplicate comodule name" in str(err.value)
+    for reserved in CATALOG_NAMES:
+        with pytest.raises(JobParseError) as err:
+            parse_input(CLASHING_COMODULE.format(first=reserved, second="odd"))
+        assert "line 4" in str(err.value)
+        assert "catalog bicomodule" in str(err.value)
+    job = tmp_path / "clash.job"
+    job.write_text(CLASHING_COMODULE.format(first="odd", second="regular"))
+    assert main(["--input", str(job), "report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 11" in captured.err

@@ -1,8 +1,9 @@
 import pytest
 
-from hopfcoh.catalog import get_algebra
+from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.cochain import (
     CochainComplex,
+    Workspace,
     bar_boundary,
     bar_dual_coboundary,
     build_complex,
@@ -18,6 +19,7 @@ from hopfcoh.cochain import (
 )
 from hopfcoh.comodule import (
     Bicomodule,
+    catalog_bicomodules,
     one_sided,
     pair_graded_bicomodule,
     regular_left_coaction,
@@ -25,7 +27,15 @@ from hopfcoh.comodule import (
     with_trivial_gamma,
 )
 from hopfcoh.hopf import haar_state
-from hopfcoh.linalg import Matrix, kernel_basis, kron, tensor_permutation, unit_vec
+from hopfcoh.linalg import (
+    Matrix,
+    SpanTracker,
+    image_rank,
+    kernel_basis,
+    kron,
+    tensor_permutation,
+    unit_vec,
+)
 from hopfcoh.scalars import ONE, Scalar
 
 
@@ -169,6 +179,66 @@ def test_coboundary_preimages_reconstruct():
         for r in reps:
             span.add(r)
         assert span.contains(rest)
+
+
+SMALL_ALGEBRAS = [name for name in algebra_names() if get_algebra(name).dim <= 4]
+
+
+@pytest.mark.parametrize("name", SMALL_ALGEBRAS)
+def test_cohomology_matches_reference_eliminations(name):
+    # the one augmented elimination against separate kernel, rank and
+    # incremental-span eliminations, on every catalog bicomodule
+    h = get_algebra(name)
+    for entry in catalog_bicomodules(h):
+        for kind in ("natural", "dual", "bar"):
+            cx = build_complex(entry.bicomodule, kind, 3)
+            for n in range(3):
+                res = cohomology(cx, n)
+                kernel = kernel_basis(cx.boundary(n))
+                span = SpanTracker(cx.degrees[n])
+                rank_prev = 0
+                if n:
+                    prev = cx.boundary(n - 1)
+                    rank_prev = image_rank(prev)
+                    for j in range(prev.cols):
+                        span.add(prev.col(j))
+                assert res.dim == len(kernel) - rank_prev
+                assert res.dim_image_prev == rank_prev
+                # each representative enlarges the span of Im D_{n-1} and the
+                # earlier representatives: the greedy choice over the kernel basis
+                assert all(span.add(v) for v in res.representatives)
+                assert all(span.contains(v) for v in kernel)
+                reps_span = SpanTracker(cx.degrees[n])
+                for v in res.representatives:
+                    reps_span.add(v)
+                assert len(res.representatives) + len(res.coboundary_preimages) == len(kernel)
+                for v, pre in res.coboundary_preimages:
+                    rest = tuple(a - b for a, b in zip(v, prev.apply(pre)))
+                    assert reps_span.contains(rest)
+
+
+def test_workspace_builds_each_complex_once(monkeypatch):
+    from hopfcoh import cochain
+
+    built = []
+    original = cochain.build_complex
+
+    def counting(b, kind, degree_cap=3):
+        built.append(kind)
+        return original(b, kind, degree_cap)
+
+    monkeypatch.setattr(cochain, "build_complex", counting)
+    h = get_algebra("group:Z2")
+    ws = Workspace(h, 3)
+    for _, b in ws.bicomodules():
+        for n in range(3):
+            assert identify_dual_with_natural(b, n, 3, ws).holds
+            assert identify_dual_with_bar(b, n, 3, ws).holds
+            assert ws.cohomology_of(b, "dual", n) is ws.cohomology_of(b, "dual", n)
+    # per bicomodule: dual, natural of the dual bicomodule, bar
+    assert sorted(built) == sorted(["dual", "natural", "bar"] * len(ws.bicomodules()))
+    with pytest.raises(ValueError):
+        identify_dual_with_bar(b, 0, 2, ws)
 
 
 def conjugacy_class_count(g):
