@@ -1,7 +1,7 @@
 """Codiagonals, invariant means, and the vanishing cross-checks.
 
 Everything here is a certificate: functionals come with their defining
-residuals recomputed and asserted exactly zero, infeasible systems come
+residuals recomputed and certified exactly zero, infeasible systems come
 with Farkas-style witnesses, and each cross-check recomputes both sides
 of the equivalence it claims.
 
@@ -20,28 +20,27 @@ from typing import Optional
 
 from .comodule import (
     Bicomodule,
-    catalog_right_comodules,
     one_sided,
+    regular_right_coaction,
     unit_quotient_bicomodule,
     with_trivial_gamma,
 )
 from .cochain import (
     Workspace,
-    build_complex,
-    cohomology,
+    _hom_to_vec,
     dual_coboundary,
     homotopy_from_codiagonal,
 )
 from .hopf import (
     HopfStarAlgebra,
     counit_find,
-    function_algebra,
     group_algebra,
 )
 from .linalg import (
     Matrix,
     PsdResult,
     Vec,
+    certify,
     kernel_basis,
     kron,
     psd_check,
@@ -66,8 +65,8 @@ class CodiagonalCertificate:
     positive_coordinates: Optional[bool] = None
 
     def __post_init__(self):
-        assert not any(self.counit_residual), "codiagonal fails F o delta = eps"
-        assert self.balance_residual.is_zero(), "codiagonal fails the balance identity"
+        certify(not any(self.counit_residual), "codiagonal fails F o delta = eps")
+        certify(self.balance_residual.is_zero(), "codiagonal fails the balance identity")
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,9 @@ class MeanCertificate:
     invariance_residuals: tuple  # all exactly zero
 
     def __post_init__(self):
-        assert self.normalization == 1
-        assert all(w >= 0 for w in self.weights)
-        assert not any(self.invariance_residuals)
+        certify(self.normalization == 1, "mean weights do not sum to 1")
+        certify(all(w >= 0 for w in self.weights), "mean has a negative weight")
+        certify(not any(self.invariance_residuals), "mean fails an invariance equality")
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def find_invariant_mean(m: FiniteMonoid) -> MeanSearch:
     rows, rhs = _mean_system(m)
     res = solve_equality_feasibility(rows, rhs)
     oracle = enumerate_feasibility(rows, rhs)
-    assert oracle == res.feasible, "simplex and enumeration oracle disagree"
+    certify(oracle == res.feasible, "simplex and enumeration oracle disagree")
     if not res.feasible:
         return MeanSearch(None, farkas=res.farkas)
     w = res.point
@@ -289,8 +288,6 @@ def check_codiagonal_vanishing(
     codiagonal homotopy applied to every kernel-basis cocycle).  Without a
     counit: H^1 of the one-sided regular comodule must be nonzero.
     """
-    from .comodule import regular_right_coaction
-
     ws = Workspace.ensure(workspace, h, degree_cap)
     details = []
     eps = counit_find(h)
@@ -318,10 +315,10 @@ def check_codiagonal_vanishing(
                 continue
             cocycles = [v for v, _ in result.coboundary_preimages]
             for t_vec in cocycles:
-                cert = homotopy_from_codiagonal(
+                # raises CertificateError unless D_{n-1}(primitive) = +-t_vec exactly
+                homotopy_from_codiagonal(
                     entry.bicomodule, n, t_vec, f, side=side, degree_cap=degree_cap, cx=cx
                 )
-                assert cert.sign in (1, -1)
             details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(cocycles)} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 
@@ -336,36 +333,43 @@ def canonical_mean_cocycle(h: HopfStarAlgebra):
         raise ValueError("needs a counital algebra")
     quot = unit_quotient_bicomodule(h)
     bic = with_trivial_gamma(quot.coaction)
-    d = h.dim
-    t_full = Matrix.identity(d) - h.unit_col @ h.counit_row
-    t_bar = t_full @ quot.section  # S-valued on X = S / C*1
-    x = quot.coaction.space_dim
-    t_vec = [Scalar(0)] * (d * x)
-    for (w, j), v in t_bar.entries.items():
-        t_vec[w * x + j] = v
-    t_vec = tuple(t_vec)
-    d1 = dual_coboundary(bic, 1)
-    assert not any(d1.apply(t_vec)), "canonical cocycle is not closed"
-    return bic, t_vec
+    return bic, _quotient_cocycle(h, quot, dual_coboundary(bic, 1))
 
 
-def check_mean_vs_cohomology(m: FiniteMonoid, degree_cap: int = 3) -> CheckOutcome:
+def _quotient_cocycle(h: HopfStarAlgebra, quot, d1: Matrix) -> Vec:
+    """T-bar, (id - eps(.)1) on X = S / C*1 through the quotient's section, certified closed under d1."""
+    t_vec = _hom_to_vec((Matrix.identity(h.dim) - h.unit_col @ h.counit_row) @ quot.section)
+    certify(not any(d1.apply(t_vec)), "canonical cocycle is not closed")
+    return t_vec
+
+
+def job_mean(ws: Workspace) -> MeanSearch:
+    """The invariant mean of the job's function algebra, found once per workspace."""
+    return ws.once("mean", lambda: find_invariant_mean(ws.hopf.monoid))
+
+
+def check_mean_vs_cohomology(
+    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
+) -> CheckOutcome:
     """Mean feasibility == coboundary status of the canonical cocycle ==
-    vanishing of restricted H^1 across the catalog right comodules."""
-    if not m.has_identity:
-        raise ValueError("the mean cross-check needs a monoid with identity")
-    h = function_algebra(m)
+    vanishing of restricted H^1 on the regular and unit-quotient comodules,
+    all read from the workspace: the job's mean and the catalog's complexes."""
+    if h.kind != "function" or not h.monoid.has_identity:
+        raise ValueError("the mean cross-check needs the function algebra of a monoid with identity")
+    ws = Workspace.ensure(workspace, h, degree_cap)
     details = []
-    mean = find_invariant_mean(m)
+    mean = job_mean(ws)
     details.append(f"invariant mean feasible: {mean.feasible}")
     if h.dim == 1:
         details.append("one-dimensional algebra: quotient is zero, nothing to compare")
         return CheckOutcome("mean-vs-cohomology", mean.feasible, tuple(details))
-    bic, t_vec = canonical_mean_cocycle(h)
-    d0 = dual_coboundary(bic, 0)
-    res = solve(d0, t_vec)
-    res_neg = solve(d0, tuple(-v for v in t_vec))
-    is_coboundary = res.consistent or res_neg.consistent
+    catalog = {e.name: e.bicomodule for e in ws.catalog}
+    bic = catalog["unit-quotient"]
+    cx = ws.complex_of(bic, "dual")
+    t_vec = _quotient_cocycle(h, unit_quotient_bicomodule(h), cx.boundary(1))
+    d0 = cx.boundary(0)
+    # Im d_0 is a subspace, so t_vec is a coboundary exactly when -t_vec is
+    is_coboundary = solve(d0, t_vec).consistent
     details.append(f"canonical cocycle is a coboundary: {is_coboundary}")
     ok = mean.feasible == is_coboundary
     if mean.feasible:
@@ -380,10 +384,8 @@ def check_mean_vs_cohomology(m: FiniteMonoid, degree_cap: int = 3) -> CheckOutco
         details.append(f"certified non-exact (augmented rank grows): {aug_ok}")
         ok = ok and aug_ok
     h1_all_zero = True
-    for name, coaction in catalog_right_comodules(h):
-        r_bic = with_trivial_gamma(coaction)
-        cx = build_complex(r_bic, "restricted", degree_cap)
-        h1 = cohomology(cx, 1).dim
+    for name in ("regular", "unit-quotient"):
+        h1 = ws.cohomology_of(catalog[name], "restricted", 1).dim
         details.append(f"restricted H^1 on {name}: {h1}")
         if h1 != 0:
             h1_all_zero = False
@@ -403,25 +405,28 @@ def _mean_primitive(bic: Bicomodule, phi: Vec, t_vec: Vec) -> Vec:
     return tuple(out)
 
 
-def check_graded_cocycles(g: FiniteGroup, degree_cap: int = 3) -> CheckOutcome:
+def check_graded_cocycles(
+    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
+) -> CheckOutcome:
     """Pointwise structure of 1-cocycles on the pair-graded bicomodule.
 
     Every kernel-basis cocycle alpha must satisfy, on the (s, t) component,
     alpha(x) = phi_t(alpha(x)) (u_t - u_s) and the mirrored identity, and
     the reconstructed functional f(x_{(s,t)}) = phi_s(alpha(x_{(s,t)}))
-    must satisfy d_0(f) = alpha exactly.
+    must satisfy d_0(f) = alpha exactly.  The complex and its H^1 are the
+    workspace's, of the catalog's pair-graded entry.
     """
-    from .comodule import pair_graded_bicomodule
-
-    h = group_algebra(g)
-    bic = pair_graded_bicomodule(h)
-    n_elems = g.order
+    if h.kind != "group":
+        raise ValueError("the graded-cocycle check needs a group algebra")
+    ws = Workspace.ensure(workspace, h, degree_cap)
+    bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
+    n_elems = h.dim
     x = bic.space_dim
-    d1 = dual_coboundary(bic, 1, degree_cap)
-    d0 = dual_coboundary(bic, 0, degree_cap)
+    d0 = ws.complex_of(bic, "dual").boundary(0)
+    h1 = ws.cohomology_of(bic, "dual", 1)
     details = []
     ok = True
-    cocycles = kernel_basis(d1)
+    cocycles = h1.representatives + tuple(v for v, _ in h1.coboundary_preimages)  # a basis of ker D_1
     details.append(f"1-cocycle space dimension: {len(cocycles)}")
     for idx, alpha in enumerate(cocycles):
         # alpha as Hom(X, S): column j holds alpha(x_j) in S

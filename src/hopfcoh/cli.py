@@ -1,29 +1,20 @@
 """Command-line front door.
 
 Verbs: check, cohomology, codiagonal, mean, verify, report.
-Exit codes: 0 all checks consistent, 1 a theorem cross-check failed,
-2 input error.
+Exit codes: 0 all checks consistent, 1 a theorem cross-check or a
+certificate check failed, 2 input error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import catalog
 from .jobfile import JobParseError, JobSpec, parse_input
+from .linalg import CertificateError
 from .report import InputError, render_json, render_markdown, run, run_suite
-
-VERIFY_TASKS = ("check-B20", "check-B18", "check-exist-im2", "check-C10", "check-C15")
-REPORT_TASKS = (
-    "axioms",
-    "saturation",
-    "counit",
-    "haar",
-    "codiagonal",
-    "mean",
-    "cohomology:dual:0-2",
-    "cohomology:natural:0-2",
-) + VERIFY_TASKS
+from .tasks import KINDS, for_verb
 
 
 def _add_common(p, suppress: bool):
@@ -42,7 +33,7 @@ def _add_common(p, suppress: bool):
         "--timing",
         action="store_true",
         default=argparse.SUPPRESS if suppress else False,
-        help="log per-task timings to stderr",
+        help="log per-task timings to stderr and add wall_clock_seconds to each report",
     )
 
 
@@ -60,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list built-in algebra names", parents=[common])
     sub.add_parser("check", help="axioms, saturation and counit", parents=[common])
     coh = sub.add_parser("cohomology", help="cohomology dimension table", parents=[common])
-    coh.add_argument("--kind", choices=("natural", "dual", "bar", "restricted"), default="dual")
+    coh.add_argument("--kind", choices=KINDS, default="dual")
     coh.add_argument("--degrees", default="0-2", help="degree span, e.g. 0-2")
     sub.add_parser("codiagonal", help="solve the codiagonal identities", parents=[common])
     sub.add_parser("mean", help="invariant-mean LP feasibility", parents=[common])
@@ -69,26 +60,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _tasks_for(args) -> tuple:
-    if args.verb == "check":
-        return ("axioms", "saturation", "counit")
-    if args.verb == "cohomology":
-        return ("axioms", f"cohomology:{args.kind}:{args.degrees}")
-    if args.verb == "codiagonal":
-        return ("axioms", "counit", "codiagonal")
-    if args.verb == "mean":
-        return ("axioms", "mean")
-    if args.verb == "verify":
-        return ("axioms",) + VERIFY_TASKS
-    if args.verb == "report":
-        return REPORT_TASKS
-    raise InputError(f"unknown verb {args.verb!r}")
+def _markdown(report: dict) -> str:
+    """One markdown section per algebra, of a single report or of a suite."""
+    reports = report["suite"].values() if "suite" in report else [report]
+    return "\n".join(render_markdown(r) for r in reports)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     log = sys.stderr if args.timing else None
     cap = args.degree_cap
+    if args.verb == "cohomology":
+        verb_tasks = for_verb("cohomology", kinds=(args.kind,), degrees=args.degrees)
+    else:
+        verb_tasks = for_verb(args.verb)
     try:
         if cap is not None and cap < 1:
             raise InputError("degree-cap must be >= 1")
@@ -98,28 +83,20 @@ def main(argv=None) -> int:
         elif args.input:
             with open(args.input, encoding="utf-8") as fh:
                 job = parse_input(fh.read())
-            job = JobSpec(
-                algebra=job.algebra,
-                tasks=job.tasks,
-                degree_cap=job.degree_cap if cap is None else cap,
-                format=args.format or job.format,
-                cayley=job.cayley,
-                comodules=job.comodules,
-            )
+            job = replace(job, degree_cap=cap or job.degree_cap, format=args.format or job.format)
             report = run(job, log=log)
             fmt = job.format
         elif args.catalog == "all":
             report = run_suite(
                 [name for name, _ in catalog.default_suite()],
                 degree_cap=cap or 3,
+                tasks=None if args.verb == "report" else verb_tasks,
                 log=log,
             )
             fmt = args.format or "json"
         elif args.catalog:
-            job = JobSpec(
-                algebra=args.catalog, tasks=_tasks_for(args), degree_cap=cap or 3
-            )
-            report = run(job, log=log, include_timing=args.timing)
+            job = JobSpec(algebra=args.catalog, tasks=verb_tasks, degree_cap=cap or 3)
+            report = run(job, log=log)
             fmt = args.format or "json"
         else:
             print("error: need --catalog NAME, --catalog all, or --input FILE", file=sys.stderr)
@@ -127,14 +104,14 @@ def main(argv=None) -> int:
     except (JobParseError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        return 1
 
     if args.verb == "list":
         out_text = body
     elif fmt == "markdown":
-        if "suite" in report:
-            out_text = "\n".join(render_markdown(r) for r in report["suite"].values())
-        else:
-            out_text = render_markdown(report)
+        out_text = _markdown(report)
     else:
         out_text = render_json(report)
     if args.output:
@@ -143,10 +120,7 @@ def main(argv=None) -> int:
         # the report verb dual-emits: JSON body plus a markdown summary
         if args.verb == "report" and fmt == "json":
             with open(args.output + ".md", "w", encoding="utf-8") as fh:
-                if "suite" in report:
-                    fh.write("\n".join(render_markdown(r) for r in report["suite"].values()))
-                else:
-                    fh.write(render_markdown(report))
+                fh.write(_markdown(report))
     else:
         sys.stdout.write(out_text)
     if args.verb == "list":

@@ -30,6 +30,7 @@ from .hopf import dual_algebra_mult
 from .linalg import (
     Matrix,
     Vec,
+    certify,
     kernel_basis,
     kron,
     kron_all,
@@ -247,8 +248,7 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     pivot_set = set(pivots)
     rank_prev = sum(1 for p in pivots if p < m)
     reps = tuple(v for k, v in enumerate(kernel) if m + k in pivot_set)
-    if len(reps) != len(kernel) - rank_prev:
-        raise AssertionError("rank bookkeeping failed")
+    certify(len(reps) == len(kernel) - rank_prev, "rank bookkeeping failed")
     pending = [k for k in range(len(kernel)) if m + k not in pivot_set]
     slot = {m + k: j for j, k in enumerate(pending)}
     coeffs = {}  # (pivot column, pending index) -> RREF entry
@@ -261,8 +261,8 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
                 if p < m:
                     pre[j][p] = val
     combos = Matrix(aug.cols, len(pending), coeffs)
-    if aug @ combos != Matrix.from_cols([kernel[k] for k in pending], rows=prev.rows):
-        raise AssertionError("kernel vector neither representative nor decomposable")
+    pending_cols = Matrix.from_cols([kernel[k] for k in pending], rows=prev.rows)
+    certify(aug @ combos == pending_cols, "kernel vector neither representative nor decomposable")
     preimages = tuple((kernel[k], tuple(pre[j])) for j, k in enumerate(pending))
     return CohomologyResult(n, len(kernel), rank_prev, reps, preimages)
 
@@ -274,9 +274,10 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
 class Workspace:
     """What one job computes once and shares between its tasks.
 
-    Holds the bicomodule catalog, one complex per (bicomodule, kind) and one
-    H^n per (bicomodule, kind, degree).  Entries are keyed by the bicomodule
-    object and keep it alive, so a key never passes to another bicomodule.
+    Holds the bicomodule catalog, one complex per (bicomodule, kind), one H^n
+    per (bicomodule, kind, degree) and what tasks share through `once` (the
+    invariant mean).  Entries are keyed by the bicomodule object and keep it
+    alive, so a key never passes to another bicomodule.
     """
 
     def __init__(self, h, degree_cap: int = 3, explicit=()):
@@ -293,11 +294,14 @@ class Workspace:
             raise ValueError("workspace belongs to another algebra or degree cap")
         return ws
 
-    def _cached(self, what: str, b: Bicomodule, arg, make):
-        key = (what, id(b), arg)
+    def once(self, key, make):
+        """make() the first time key is asked for, the same object after that."""
         if key not in self._memo:
-            self._memo[key] = (b, make())
-        return self._memo[key][1]
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def _cached(self, what: str, b: Bicomodule, arg, make):
+        return self.once((what, id(b), arg), lambda: (b, make()))[1]
 
     @cached_property
     def catalog(self):
@@ -394,9 +398,8 @@ def _certify_primitive(d_prev: Matrix, primitive: Vec, cocycle: Vec) -> int:
     image = d_prev.apply(primitive)
     if image == tuple(cocycle):
         return 1
-    if image == tuple(-v for v in cocycle):
-        return -1
-    raise AssertionError("homotopy primitive failed exact certification")
+    certify(image == tuple(-v for v in cocycle), "homotopy primitive failed exact certification")
+    return -1
 
 
 def _require_cocycle(d_n: Matrix, v: Vec):

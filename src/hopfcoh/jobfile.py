@@ -32,21 +32,7 @@ from typing import Optional
 
 from .comodule import CATALOG_NAMES
 from .scalars import Scalar, format_scalar, parse_scalar
-
-TASK_TOKENS = (
-    "axioms",
-    "saturation",
-    "counit",
-    "haar",
-    "codiagonal",
-    "mean",
-    "check-B20",
-    "check-B18",
-    "check-exist-im2",
-    "check-C10",
-    "check-C15",
-)
-COHOMOLOGY_KINDS = ("natural", "dual", "bar", "restricted")
+from .tasks import lookup, task_degrees  # noqa: F401  (bench/checks.py imports task_degrees from here)
 
 
 class JobParseError(ValueError):
@@ -77,41 +63,6 @@ class JobSpec:
     format: str = "json"
     cayley: Optional[CayleySpec] = None
     comodules: tuple = ()  # ComoduleSpec, in file order
-
-
-def _validate_task(token: str, line_no: int):
-    if token in TASK_TOKENS:
-        return
-    if token.startswith("cohomology:"):
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise JobParseError(line_no, f"cohomology task needs kind and degrees: {token!r}")
-        _, kind, span = parts
-        if kind not in COHOMOLOGY_KINDS:
-            raise JobParseError(line_no, f"unknown cohomology kind {kind!r}")
-        _parse_span(span, line_no)
-        return
-    raise JobParseError(line_no, f"unknown task {token!r}")
-
-
-def _parse_span(span: str, line_no: int):
-    try:
-        if "-" in span:
-            lo, hi = span.split("-")
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(span)
-    except ValueError:
-        raise JobParseError(line_no, f"malformed degree span {span!r}") from None
-    if lo < 0 or hi < lo:
-        raise JobParseError(line_no, f"bad degree span {span!r}")
-    return range(lo, hi + 1)
-
-
-def task_degrees(token: str):
-    """The degree range of a cohomology task token."""
-    span = token.split(":")[2]
-    return _parse_span(span, 0)
 
 
 def _strip(line: str) -> str:
@@ -179,7 +130,10 @@ def parse_input(text: str) -> JobSpec:
     tasks_value, tasks_line = keyed.pop("tasks", ("axioms", 0))
     tasks = tuple(t.strip() for t in tasks_value.split(",") if t.strip())
     for t in tasks:
-        _validate_task(t, tasks_line)
+        try:
+            lookup(t)
+        except ValueError as exc:
+            raise JobParseError(tasks_line, str(exc)) from None
     cap_value, cap_line = keyed.pop("degree-cap", ("3", 0))
     try:
         degree_cap = int(cap_value)

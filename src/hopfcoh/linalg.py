@@ -21,6 +21,16 @@ from .scalars import ONE, Scalar, as_scalar
 Vec = tuple  # tuple[Scalar, ...]
 
 
+class CertificateError(Exception):
+    """A certificate failed its exact re-check: a bug, never bad input."""
+
+
+def certify(ok: bool, what: str) -> None:
+    """Raise CertificateError(what) unless ok; unlike assert, runs under python -O."""
+    if not ok:
+        raise CertificateError(what)
+
+
 # ---------------------------------------------------------------------------
 # vectors
 
@@ -612,7 +622,7 @@ def psd_check(m: Matrix) -> PsdResult:
         for (i, j), val in m.entries.items():
             if v[i] and v[j]:
                 quad = quad + v[i].conjugate() * val * v[j]
-        assert quad.is_real and quad < 0, "internal error: witness failed verification"
+        certify(quad.is_real and quad < 0, "PSD witness failed verification")
         return PsdResult(False, witness=v)
 
     while active:

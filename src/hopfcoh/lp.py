@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from .linalg import certify
+
 
 @dataclass(frozen=True)
 class Feasibility:
@@ -84,12 +86,12 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         yb = Fraction(0)
         for i in range(m):
             yb += y[i] * Fraction(b[i])
-        assert yb > 0, "Farkas certificate lost its objective value"
+        certify(yb > 0, "Farkas certificate lost its objective value")
         for j in range(n):
             s = Fraction(0)
             for i in range(m):
                 s += y[i] * a[i][j]
-            assert s <= 0, "Farkas certificate fails y^T A <= 0"
+            certify(s <= 0, "Farkas certificate fails y^T A <= 0")
         # undo the row sign flips so the certificate applies to the input data
         signs = [1 if Fraction(x) >= 0 else -1 for x in b_col]
         y_orig = tuple(y[i] * signs[i] for i in range(m))
@@ -108,8 +110,8 @@ def _verify_point(a_rows, b_col, w):
         s = Fraction(0)
         for x, v in zip(row, w):
             s += Fraction(x) * v
-        assert s == Fraction(rhs), "feasible point fails equality re-check"
-    assert all(v >= 0 for v in w), "feasible point not nonnegative"
+        certify(s == Fraction(rhs), "feasible point fails equality re-check")
+    certify(all(v >= 0 for v in w), "feasible point not nonnegative")
 
 
 def enumerate_feasibility(a_rows, b_col) -> bool:

@@ -1,25 +1,18 @@
 """Execute a JobSpec and assemble a deterministic report.
 
 Reports are canonical: exact rationals rendered as "num/den", keys sorted,
-and nothing time-dependent in the body (timings go to the logger), so the
-same job always produces byte-identical output.
+and nothing time-dependent in the body unless a timing log is given, so the
+same job always produces byte-identical output.  What each task computes
+is declared in `hopfcoh.tasks`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import time
-from fractions import Fraction
 
 from . import catalog
-from .amenability import (
-    check_codiagonal_vanishing,
-    check_graded_cocycles,
-    check_mean_vs_cohomology,
-    find_codiagonal,
-    find_invariant_mean,
-)
-from .cochain import Workspace, identify_dual_with_bar, identify_dual_with_natural
+from .cochain import Workspace
 from .comodule import (
     Bicomodule,
     LeftCoaction,
@@ -27,27 +20,15 @@ from .comodule import (
     trivial_left_coaction,
     zero_left_coaction,
 )
-from .hopf import check_axioms, check_saturated, counit_find, haar_state, function_algebra, group_algebra
-from .jobfile import JobSpec, render, task_degrees
+from .hopf import function_algebra, group_algebra
+from .jobfile import JobSpec, render
 from .linalg import Matrix
 from .monoids import FiniteGroup, FiniteMonoid
-from .scalars import Scalar, format_scalar
+from .tasks import for_verb, lookup
 
 
 class InputError(ValueError):
     """Bad job input: unknown names, dimension mismatches, invalid tables."""
-
-
-def _scalar_json(x) -> str:
-    if isinstance(x, Scalar):
-        return format_scalar(x)
-    if isinstance(x, Fraction):
-        return format_scalar(Scalar(x))
-    return str(x)
-
-
-def _vec_json(v):
-    return [_scalar_json(x) for x in v]
 
 
 def resolve_algebra(job: JobSpec):
@@ -55,20 +36,11 @@ def resolve_algebra(job: JobSpec):
     if name in ("inline-function", "inline-group"):
         if job.cayley is None:
             raise InputError(f"algebra {name!r} needs a cayley block")
+        table = job.cayley.table
+        group = name == "inline-group"
+        monoid, build = (FiniteGroup, group_algebra) if group else (FiniteMonoid, function_algebra)
         try:
-            if name == "inline-group":
-                monoid = FiniteGroup(
-                    order=len(job.cayley.table),
-                    table=job.cayley.table,
-                    identity=job.cayley.identity,
-                )
-                return group_algebra(monoid)
-            monoid = FiniteMonoid(
-                order=len(job.cayley.table),
-                table=job.cayley.table,
-                identity=job.cayley.identity,
-            )
-            return function_algebra(monoid)
+            return build(monoid(order=len(table), table=table, identity=job.cayley.identity))
         except ValueError as exc:
             raise InputError(f"invalid cayley table: {exc}") from exc
     try:
@@ -82,45 +54,38 @@ def _explicit_bicomodules(job: JobSpec, h):
     s = h.dim
     for com in job.comodules:
         x = com.dim
-        if len(com.beta) != x * s or any(len(row) != x for row in com.beta):
-            raise InputError(
-                f"comodule {com.name!r}: beta must be {x * s} rows of {x} entries, "
-                f"got {len(com.beta)} rows"
-            )
-        beta = Matrix.from_rows(com.beta)
         try:
-            right = RightCoaction(x, h, beta)
-        except ValueError as exc:
-            raise InputError(f"comodule {com.name!r}: {exc}") from exc
-        if com.gamma == "trivial":
-            left = trivial_left_coaction(h, x)
-        elif com.gamma == "zero":
-            left = zero_left_coaction(h, x)
-        else:
-            if len(com.gamma) != s * x or any(len(row) != x for row in com.gamma):
-                raise InputError(
-                    f"comodule {com.name!r}: gamma must be {s * x} rows of {x} entries"
-                )
-            try:
+            if len(com.beta) != x * s or any(len(row) != x for row in com.beta):
+                raise ValueError(f"beta must be {x * s} rows of {x} entries, got {len(com.beta)} rows")
+            right = RightCoaction(x, h, Matrix.from_rows(com.beta))
+            if com.gamma == "trivial":
+                left = trivial_left_coaction(h, x)
+            elif com.gamma == "zero":
+                left = zero_left_coaction(h, x)
+            elif len(com.gamma) != s * x or any(len(row) != x for row in com.gamma):
+                raise ValueError(f"gamma must be {s * x} rows of {x} entries")
+            else:
                 left = LeftCoaction(x, h, Matrix.from_rows(com.gamma))
-            except ValueError as exc:
-                raise InputError(f"comodule {com.name!r}: {exc}") from exc
-        try:
             out.append((com.name, Bicomodule(right, left)))
         except ValueError as exc:
             raise InputError(f"comodule {com.name!r}: {exc}") from exc
     return out
 
 
-def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
-    """Execute the job's tasks in dependency order; returns the report dict.
+def run(job: JobSpec, log=None) -> dict:
+    """Execute the job's tasks in order; returns the report dict.
 
-    Timing is kept out of the body unless include_timing is set, so default
-    reports are byte-identical across runs.
+    With a log, each task's wall clock goes there and the total also into
+    the body as wall_clock_seconds; without one the body holds nothing
+    time-dependent, so the same job always gives the same bytes.
     """
     t_start = time.monotonic()
     h = resolve_algebra(job)
     explicit = _explicit_bicomodules(job, h)
+    try:
+        plan = [(token, lookup(token)) for token in job.tasks]
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     report = {
         "algebra": {"name": job.algebra, "dim": h.dim, "labels": list(h.labels)},
         "degree_cap": job.degree_cap,
@@ -128,156 +93,31 @@ def run(job: JobSpec, log=None, include_timing: bool = False) -> dict:
         "tasks": {},
         "consistent": True,
     }
-    tasks = report["tasks"]
-
-    def note(msg):
-        if log is not None:
-            print(msg, file=log)
-
+    entries = report["tasks"]
+    ws = Workspace(h, job.degree_cap, explicit)
     # axioms always run first; a failure aborts the remaining tasks
-    axiom_report = check_axioms(h)
-    if "axioms" in job.tasks or not axiom_report.ok:
-        tasks["axioms"] = {
-            "passed": axiom_report.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in axiom_report.checks
-            ],
-        }
-    if not axiom_report.ok:
+    axioms = lookup("axioms").run(ws, "axioms")
+    if "axioms" in job.tasks or not axioms["passed"]:
+        entries["axioms"] = axioms
+    if not axioms["passed"]:
         report["consistent"] = False
         report["aborted"] = "axioms failed"
         return report
 
-    ws = Workspace(h, job.degree_cap, explicit)
-    for task in job.tasks:
+    for token, task in plan:
         t0 = time.monotonic()
-        if task == "axioms":
-            pass  # already recorded
-        elif task == "saturation":
-            left, right = check_saturated(h)
-            tasks[task] = {"left": left, "right": right}
-        elif task == "counit":
-            c = counit_find(h)
-            tasks[task] = {
-                "exists": c.functional is not None,
-                "functional": _vec_json(c.functional) if c.functional else None,
-                "two_sided": c.two_sided,
-                "certificate": _vec_json(c.certificate) if c.certificate else None,
-                "provenance": "solve (eps (x) id) comult = id; right law re-verified"
-                if c.functional is not None
-                else "left-kernel certificate of the inconsistent linear system",
-            }
-        elif task == "haar":
-            s = haar_state(h)
-            tasks[task] = {
-                "exists": s.state is not None and bool(s.positive),
-                "state": _vec_json(s.state) if s.state else None,
-                "positive": s.positive,
-                "provenance": "affine solve of (phi (x) id) comult = phi(.) unit, "
-                "phi(unit) = 1; positivity per algebra family",
-            }
-        elif task == "codiagonal":
-            if h.counit is None:
-                tasks[task] = {"exists": False, "reason": "no counit"}
-            else:
-                c = find_codiagonal(h)
-                entry = {"exists": c.certificate is not None}
-                if c.certificate is not None:
-                    entry["functional"] = _vec_json(c.certificate.functional)
-                    entry["solution_space_dim"] = c.solution_space_dim
-                    entry["provenance"] = (
-                        "canonical particular solution of the two defining "
-                        "identities; residuals re-verified exactly zero"
-                    )
-                    entry["notes"] = (
-                        "at finite dimension, bounded approximate codiagonals and "
-                        "multiplier-extended codiagonals collapse to this exact one"
-                    )
-                    if c.certificate.positivity is not None:
-                        entry["gram_psd"] = bool(c.certificate.positivity)
-                    if c.certificate.positive_coordinates is not None:
-                        entry["positive_coordinates"] = c.certificate.positive_coordinates
-                else:
-                    entry["infeasibility"] = _vec_json(c.infeasibility)
-                tasks[task] = entry
-        elif task == "mean":
-            if h.monoid is None or h.kind != "function":
-                tasks[task] = {"applicable": False, "reason": "means are computed over function algebras"}
-            else:
-                m = find_invariant_mean(h.monoid)
-                entry = {"applicable": True, "feasible": m.feasible}
-                if m.feasible:
-                    entry["weights"] = _vec_json(m.certificate.weights)
-                    entry["provenance"] = (
-                        "exact phase-1 simplex (Bland) cross-checked by "
-                        "basic-solution enumeration"
-                    )
-                else:
-                    entry["farkas"] = _vec_json(m.farkas)
-                    entry["provenance"] = "Farkas certificate re-verified exactly"
-                tasks[task] = entry
-        elif task.startswith("cohomology:"):
-            _, kind, _span = task.split(":")
-            degrees = [n for n in task_degrees(task) if n < job.degree_cap]
-            table = {}
-            for name, bic in ws.bicomodules():
-                table[name] = {str(n): ws.cohomology_of(bic, kind, n).dim for n in degrees}
-            tasks[task] = table
-        elif task in ("check-B20", "check-B18", "check-exist-im2") and job.degree_cap < 2:
-            # these read H^1, so they need cochains up to C^2
-            tasks[task] = {"applicable": False, "reason": "needs degree-cap >= 2"}
-        elif task == "check-B20":
-            out = check_codiagonal_vanishing(h, job.degree_cap, ws)
-            tasks[task] = {"passed": out.passed, "details": list(out.details)}
-            report["consistent"] = report["consistent"] and out.passed
-        elif task == "check-B18":
-            if h.kind != "group":
-                tasks[task] = {"applicable": False, "reason": "needs a group algebra"}
-            else:
-                out = check_graded_cocycles(h.monoid, job.degree_cap)
-                tasks[task] = {"passed": out.passed, "details": list(out.details)}
-                report["consistent"] = report["consistent"] and out.passed
-        elif task == "check-exist-im2":
-            if h.kind != "function" or not h.monoid.has_identity:
-                tasks[task] = {
-                    "applicable": False,
-                    "reason": "needs a function algebra of a monoid with identity",
-                }
-            else:
-                out = check_mean_vs_cohomology(h.monoid, job.degree_cap)
-                tasks[task] = {"passed": out.passed, "details": list(out.details)}
-                report["consistent"] = report["consistent"] and out.passed
-        elif task == "check-C10":
-            results = {}
-            ok = True
-            for name, bic in ws.bicomodules():
-                per = {}
-                for n in range(job.degree_cap):
-                    r = identify_dual_with_natural(bic, n, job.degree_cap, ws)
-                    per[str(n)] = {"holds": r.holds, "detail": r.detail}
-                    ok = ok and r.holds
-                results[name] = per
-            tasks[task] = {"passed": ok, "results": results}
-            report["consistent"] = report["consistent"] and ok
-        elif task == "check-C15":
-            results = {}
-            ok = True
-            for name, bic in ws.bicomodules():
-                per = {}
-                for n in range(job.degree_cap):
-                    r = identify_dual_with_bar(bic, n, job.degree_cap, ws)
-                    per[str(n)] = {"holds": r.holds, "detail": r.detail}
-                    ok = ok and r.holds
-                results[name] = per
-            tasks[task] = {"passed": ok, "results": results}
-            report["consistent"] = report["consistent"] and ok
-        else:
-            raise InputError(f"unknown task {task!r}")
-        note(f"[{job.algebra}] {task}: {time.monotonic() - t0:.2f}s")
-    note(f"[{job.algebra}] total: {time.monotonic() - t_start:.2f}s")
-    if include_timing:
-        report["wall_clock_seconds"] = round(time.monotonic() - t_start, 3)
+        if token not in entries:
+            reason = task.not_applicable(ws)
+            entry = {"applicable": False, "reason": reason} if reason else task.run(ws, token)
+            entries[token] = entry
+            if task.consistent:
+                report["consistent"] = report["consistent"] and entry.get("passed", True)
+        if log is not None:
+            print(f"[{job.algebra}] {token}: {time.monotonic() - t0:.2f}s", file=log)
+    if log is not None:
+        total = time.monotonic() - t_start
+        print(f"[{job.algebra}] total: {total:.2f}s", file=log)
+        report["wall_clock_seconds"] = round(total, 3)
     return report
 
 
@@ -316,30 +156,19 @@ def render_markdown(report: dict) -> str:
 
 
 def run_suite(names, degree_cap: int = 3, tasks=None, log=None) -> dict:
-    """Run the standard job on several catalog algebras; one combined report."""
+    """Run one job on several catalog algebras; one combined report.
+
+    The default tasks are the report verb's, without the natural cohomology
+    table (check-C10 already compares it with the dual one).
+    """
     if tasks is None:
-        tasks = (
-            "axioms",
-            "saturation",
-            "counit",
-            "haar",
-            "codiagonal",
-            "mean",
-            "cohomology:dual:0-2",
-            "check-B20",
-            "check-B18",
-            "check-exist-im2",
-            "check-C10",
-            "check-C15",
-        )
+        tasks = for_verb("report", kinds=("dual",))
     combined = {"suite": {}, "consistent": True}
     for name in names:
         job = JobSpec(algebra=name, tasks=tuple(tasks), degree_cap=degree_cap)
         rep = run(job, log=log)
         combined["suite"][name] = rep
         combined["consistent"] = combined["consistent"] and rep["consistent"]
-    digest = hashlib.sha256(
-        json.dumps(combined["suite"], sort_keys=True).encode()
-    ).hexdigest()
-    combined["suite_digest"] = digest
+    suite_json = json.dumps(combined["suite"], sort_keys=True)
+    combined["suite_digest"] = hashlib.sha256(suite_json.encode()).hexdigest()
     return combined

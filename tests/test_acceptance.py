@@ -190,7 +190,7 @@ def test_criterion_05_codiagonal_vanishing():
 
 def test_criterion_06_pair_graded_cocycles():
     for gname in ("Z3", "S3"):
-        out = check_graded_cocycles(get_group(gname))
+        out = check_graded_cocycles(get_algebra(f"group:{gname}"))
         assert out.passed, (gname, out.details)
     announce(6, True, "pointwise two-term identity and d_0(f) = alpha exact on Z3 and S3")
 
@@ -243,7 +243,7 @@ def test_criterion_09_invariant_means():
     m01 = find_invariant_mean(get_monoid("mult01"))
     assert m01.feasible and m01.certificate.weights == (Fraction(0), Fraction(1))
     for mname in MONOIDS_WITH_IDENTITY:
-        out = check_mean_vs_cohomology(get_monoid(mname))
+        out = check_mean_vs_cohomology(get_algebra(f"function:{mname}"))
         assert out.passed, (mname, out.details)
     announce(
         9,
@@ -256,9 +256,12 @@ def test_criterion_09_invariant_means():
 def test_criterion_10_determinism():
     t0 = time.time()
     names = list(CATALOG) + ["function:mult01"]
-    first = render_json(run_suite(names))
+    suite = run_suite(names)
+    first = render_json(suite)
     second = render_json(run_suite(names))
     assert first == second
+    # pins the suite's bytes: a change in how tasks are run must not move them
+    assert suite["suite_digest"] == "196ee5031d9b5c89bbbc6080f9a8e6fd172dd487fad057e3adf472a7ab529847"
     announce(
         10,
         True,

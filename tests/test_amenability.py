@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,24 +171,46 @@ def test_canonical_cocycle_closed_and_matches_mean_z3():
 
 def test_mean_crosscheck_monoids():
     for name in ("trivial", "Z2", "Z3", "S3", "mult01", "rzid3"):
-        out = check_mean_vs_cohomology(get_monoid(name))
+        out = check_mean_vs_cohomology(get_algebra(f"function:{name}"))
         assert out.passed, (name, out.details)
 
 
 def test_mean_crosscheck_requires_identity():
     with pytest.raises(ValueError):
-        check_mean_vs_cohomology(get_monoid("leftzero2"))
+        check_mean_vs_cohomology(get_algebra("function:leftzero2"))
 
 
 def test_graded_cocycles_z2_and_s3():
     for name in ("Z2", "S3"):
-        out = check_graded_cocycles(get_group(name))
+        out = check_graded_cocycles(get_algebra(f"group:{name}"))
         assert out.passed, (name, out.details)
 
 
 def test_rzid3_restricted_h1_nonzero_both_ways():
-    out = check_mean_vs_cohomology(get_monoid("rzid3"))
+    out = check_mean_vs_cohomology(get_algebra("function:rzid3"))
     assert out.passed
     assert any("feasible: False" in d for d in out.details)
     assert any("coboundary: False" in d for d in out.details)
     assert any("vanishing everywhere: False" in d for d in out.details)
+
+
+CERTIFICATE_UNDER_O = """
+import sys
+from fractions import Fraction
+from hopfcoh.amenability import MeanCertificate
+from hopfcoh.linalg import CertificateError
+try:
+    MeanCertificate((Fraction(-1), Fraction(2)), Fraction(1), ())
+except CertificateError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_UNDER_O], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "1 mean has a negative weight\n"

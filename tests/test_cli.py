@@ -7,9 +7,10 @@ import pytest
 from hopfcoh.catalog import get_algebra
 from hopfcoh.cli import main
 from hopfcoh.comodule import pair_graded_bicomodule
-from hopfcoh.jobfile import JobParseError, parse_input, render
+from hopfcoh.jobfile import JobParseError, JobSpec, parse_input, render
 from hopfcoh.report import InputError, render_json, run
 from hopfcoh.scalars import format_scalar
+from hopfcoh.tasks import COHOMOLOGY, KINDS, TASKS
 
 MINIMAL_JOB = """
 # smallest useful job
@@ -205,24 +206,55 @@ def test_report_verb_dual_emits_markdown_summary(tmp_path):
 
 
 def test_failed_crosscheck_exits_one(monkeypatch, capsys):
-    from hopfcoh import report as report_mod
+    from hopfcoh import tasks as tasks_mod
     from hopfcoh.amenability import CheckOutcome
+    from hopfcoh.linalg import CertificateError
 
     monkeypatch.setattr(
-        report_mod,
+        tasks_mod,
         "check_codiagonal_vanishing",
         lambda h, cap=3, workspace=None: CheckOutcome("codiagonal-vanishing", False, ("forced failure",)),
     )
     assert main(["--catalog", "group:Z2", "verify"]) == 1
     capsys.readouterr()
 
+    def broken(h):
+        raise CertificateError("forced failure")
 
-def test_timing_flag_adds_wall_clock(capsys):
+    monkeypatch.setattr(tasks_mod, "check_saturated", broken)
+    assert main(["--catalog", "group:Z2", "check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certificate check failed: forced failure\n"
+
+
+def test_timing_flag_adds_wall_clock(tmp_path, capsys):
     assert main(["--catalog", "group:Z2", "--timing", "check"]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert "wall_clock_seconds" in report
     assert "total" in captured.err
+    job = tmp_path / "z2.job"
+    job.write_text(MINIMAL_JOB)
+    assert main(["--input", str(job), "--timing", "report"]) == 0
+    captured = capsys.readouterr()
+    assert "wall_clock_seconds" in json.loads(captured.out)
+    assert "total" in captured.err
+    assert main(["--input", str(job), "report"]) == 0
+    assert "wall_clock_seconds" not in json.loads(capsys.readouterr().out)
+    assert main(["--catalog", "all", "--timing", "check"]) == 0
+    suite = json.loads(capsys.readouterr().out)["suite"]
+    assert all("wall_clock_seconds" in rep for rep in suite.values())
+
+
+def test_catalog_all_runs_the_verbs_tasks(capsys):
+    from hopfcoh.catalog import default_suite
+
+    assert main(["--catalog", "all", "check"]) == 0
+    suite = json.loads(capsys.readouterr().out)["suite"]
+    assert list(suite) == [name for name, _ in default_suite()]
+    for rep in suite.values():
+        assert sorted(rep["tasks"]) == ["axioms", "counit", "saturation"]
 
 
 SAMPLE_JOB = pathlib.Path(__file__).parent.parent / "sample.job"
@@ -326,3 +358,14 @@ def test_comodule_name_clashes_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 11" in captured.err
+
+
+REGISTRY_TOKENS = [t.name for t in TASKS if t is not COHOMOLOGY] + [f"cohomology:{k}:0-1" for k in KINDS]
+
+
+@pytest.mark.parametrize("algebra", ["group:Z2", "function:Z2"])
+@pytest.mark.parametrize("token", REGISTRY_TOKENS)
+def test_every_registry_task_runs(token, algebra):
+    report = run(JobSpec(algebra=algebra, tasks=(token,), degree_cap=2))
+    assert token in report["tasks"]
+    assert report["consistent"] is True
