@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .comodule import (
-    Bicomodule,
     one_sided,
     regular_right_coaction,
     unit_quotient_bicomodule,
@@ -30,6 +29,7 @@ from .cochain import (
     _hom_to_vec,
     dual_coboundary,
     homotopy_from_codiagonal,
+    homotopy_from_haar,
 )
 from .hopf import (
     HopfStarAlgebra,
@@ -37,11 +37,11 @@ from .hopf import (
     group_algebra,
 )
 from .linalg import (
+    LinearSolver,
     Matrix,
     PsdResult,
     Vec,
     certify,
-    kernel_basis,
     kron,
     psd_check,
     solve,
@@ -160,14 +160,20 @@ def find_codiagonal(h: HopfStarAlgebra) -> CodiagonalSearch:
     if h.counit is None:
         raise ValueError("a codiagonal needs a counit")
     system, rhs = _codiagonal_system(h)
-    res = solve(system, rhs)
+    solver = LinearSolver(system)
+    res = solver.solve(rhs)
     if not res.consistent:
         return CodiagonalSearch(None, infeasibility=res.certificate)
     f = res.solution
     counit_res, balance = _residuals(h, f)
     gram, coords = _codiagonal_positivity(h, f)
     cert = CodiagonalCertificate(f, counit_res, balance, gram, coords)
-    return CodiagonalSearch(cert, solution_space_dim=len(kernel_basis(system)))
+    return CodiagonalSearch(cert, solution_space_dim=system.cols - solver.rank)
+
+
+def job_codiagonal(ws: Workspace) -> CodiagonalSearch:
+    """The codiagonal search of the job's algebra, run once per workspace."""
+    return ws.once("codiagonal", lambda: find_codiagonal(ws.hopf))
 
 
 @dataclass(frozen=True)
@@ -284,9 +290,10 @@ def check_codiagonal_vanishing(
     """Codiagonal existence against dual-cohomology vanishing.
 
     With a codiagonal: H^n_d = 0 (n = 1..cap-1) on every catalog bicomodule
-    with a non-degenerate side, re-derived two ways (ranks, and the
-    codiagonal homotopy applied to every kernel-basis cocycle).  Without a
-    counit: H^1 of the one-sided regular comodule must be nonzero.
+    with a non-degenerate side, re-derived two ways (ranks, and one
+    codiagonal homotopy operator per degree applied to every kernel-basis
+    cocycle).  Without a counit: H^1 of the one-sided regular comodule must
+    be nonzero.
     """
     ws = Workspace.ensure(workspace, h, degree_cap)
     details = []
@@ -296,7 +303,7 @@ def check_codiagonal_vanishing(
         h1 = ws.cohomology_of(reg, "dual", 1).dim
         details.append(f"counit absent (certificate held); H^1_d one-sided regular = {h1}")
         return CheckOutcome("codiagonal-vanishing", h1 != 0, tuple(details))
-    search = find_codiagonal(h)
+    search = job_codiagonal(ws)
     if search.certificate is None:
         details.append("counit present but no codiagonal: nothing to cross-check")
         return CheckOutcome("codiagonal-vanishing", True, tuple(details))
@@ -314,11 +321,8 @@ def check_codiagonal_vanishing(
                 details.append(f"{entry.name}: H^{n}_d = {result.dim} != 0")
                 continue
             cocycles = [v for v, _ in result.coboundary_preimages]
-            for t_vec in cocycles:
-                # raises CertificateError unless D_{n-1}(primitive) = +-t_vec exactly
-                homotopy_from_codiagonal(
-                    entry.bicomodule, n, t_vec, f, side=side, degree_cap=degree_cap, cx=cx
-                )
+            if cocycles:  # CertificateError unless D_{n-1}(primitive) = +-cocycle, for each
+                homotopy_from_codiagonal(entry.bicomodule, n, cocycles, f, side, cx=cx)
             details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(cocycles)} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 
@@ -373,12 +377,10 @@ def check_mean_vs_cohomology(
     details.append(f"canonical cocycle is a coboundary: {is_coboundary}")
     ok = mean.feasible == is_coboundary
     if mean.feasible:
-        phi = tuple(Scalar(w) for w in mean.certificate.weights)
-        f_prim = _mean_primitive(bic, phi, t_vec)
-        image = d0.apply(f_prim)
-        sign_ok = image == t_vec or image == tuple(-v for v in t_vec)
-        details.append(f"explicit primitive from the mean certified: {sign_ok}")
-        ok = ok and sign_ok
+        # the mean is an invariant state; its homotopy raises CertificateError
+        # unless d_0(primitive) = +-t_vec exactly
+        homotopy_from_haar(bic, 1, [t_vec], tuple(Scalar(w) for w in mean.certificate.weights), cx=cx)
+        details.append("explicit primitive from the mean certified: True")
     else:
         aug_ok = not is_coboundary
         details.append(f"certified non-exact (augmented rank grows): {aug_ok}")
@@ -392,17 +394,6 @@ def check_mean_vs_cohomology(
     ok = ok and (h1_all_zero == mean.feasible)
     details.append(f"restricted H^1 vanishing everywhere: {h1_all_zero}")
     return CheckOutcome("mean-vs-cohomology", ok, tuple(details))
-
-
-def _mean_primitive(bic: Bicomodule, phi: Vec, t_vec: Vec) -> Vec:
-    """f = Phi o T for the mean functional Phi; a primitive of the cocycle."""
-    x, s = bic.space_dim, bic.hopf.dim
-    out = [Scalar(0)] * x
-    for i, v in enumerate(t_vec):
-        if v:
-            w, j = divmod(i, x)
-            out[j] = out[j] + phi[w] * v
-    return tuple(out)
 
 
 def check_graded_cocycles(

@@ -314,13 +314,26 @@ class Workspace:
     def dual(self, b: Bicomodule) -> Bicomodule:
         return self._cached("dual", b, None, lambda: dual_bicomodule(b))
 
+    def _restriction(self, b: Bicomodule) -> Bicomodule:
+        """A bicomodule with b's right coaction and gamma = 1 (x) id, whose dual
+        complex is b's restricted one: b itself, else one of the job's, else a new one."""
+
+        def find():
+            if _gamma_is_trivial(b):
+                return b
+            same = (c for _, c in self.bicomodules() if c.beta == b.beta and _gamma_is_trivial(c))
+            return next(same, None) or with_trivial_gamma(b.beta)
+
+        return self._cached("restricted", b, None, find)
+
     def complex_of(self, b: Bicomodule, kind: str) -> CochainComplex:
-        """The complex of b; "restricted" is that of b's right coaction with gamma = 1 (x) id."""
         if kind == "restricted":
-            b = self._cached("restricted", b, None, lambda: with_trivial_gamma(b.beta))
+            return self.complex_of(self._restriction(b), "dual")
         return self._cached("complex", b, kind, lambda: build_complex(b, kind, self.degree_cap))
 
     def cohomology_of(self, b: Bicomodule, kind: str, n: int) -> CohomologyResult:
+        if kind == "restricted":
+            return self.cohomology_of(self._restriction(b), "dual", n)
         return self._cached("H", b, (kind, n), lambda: cohomology(self.complex_of(b, kind), n))
 
 
@@ -390,26 +403,6 @@ class HomotopyCertificate:
     primitive: Vec
     sign: int  # D_{n-1}(primitive) = sign * cocycle, certified exactly
 
-    def __bool__(self):
-        return True
-
-
-def _certify_primitive(d_prev: Matrix, primitive: Vec, cocycle: Vec) -> int:
-    image = d_prev.apply(primitive)
-    if image == tuple(cocycle):
-        return 1
-    certify(image == tuple(-v for v in cocycle), "homotopy primitive failed exact certification")
-    return -1
-
-
-def _require_cocycle(d_n: Matrix, v: Vec):
-    if any(d_n.apply(v)):
-        raise ValueError("input is not a cocycle")
-
-
-def _vec_to_hom(t_vec: Vec, sn: int, x: int) -> Matrix:
-    return Matrix(sn, x, {divmod(i, x): v for i, v in enumerate(t_vec) if v})
-
 
 def _hom_to_vec(m: Matrix) -> Vec:
     out = [Scalar(0)] * (m.rows * m.cols)
@@ -418,105 +411,118 @@ def _hom_to_vec(m: Matrix) -> Vec:
     return tuple(out)
 
 
-def _pair_of_boundaries(b: Bicomodule, kind: str, n: int, degree_cap: int, cx: Optional[CochainComplex]):
-    """(D_n, D_{n-1}) from a prebuilt complex when given, else built fresh."""
-    if cx is not None:
-        if cx.kind not in (kind, "restricted" if kind == "dual" else kind):
-            raise ValueError("complex kind mismatch")
-        return cx.boundary(n), cx.boundary(n - 1)
-    builder = _BUILDERS[kind]
-    return builder(b, n, degree_cap=degree_cap), builder(b, n - 1, degree_cap=degree_cap)
+def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction) -> tuple:
+    """One certificate per cocycle from a contraction K_n: C^n -> C^{n-1}.
+
+    The cocycles become the columns of Z; D_n Z = 0 is required (ValueError
+    otherwise), P = K_n Z holds the primitives, and D_{n-1} P = +-Z is
+    certified column by column, each cocycle with its own sign.
+    """
+    if not cocycles:
+        return ()
+    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
+    if not (cx.boundary(n) @ z).is_zero():
+        raise ValueError("input is not a cocycle")
+    prims = contraction() @ z
+    image = cx.boundary(n - 1) @ prims
+
+    def by_col(m: Matrix):
+        cols = [{} for _ in range(m.cols)]
+        for (r, c), v in m.entries.items():
+            cols[c][r] = v
+        return cols
+
+    certs = []
+    for p, im, zc in zip(by_col(prims), by_col(image), by_col(z)):
+        sign = 1
+        if im != zc:
+            certify(im == {r: -v for r, v in zc.items()}, "homotopy primitive failed exact certification")
+            sign = -1
+        prim = [Scalar(0)] * prims.rows
+        for r, v in p.items():
+            prim[r] = v
+        certs.append(HomotopyCertificate(tuple(prim), sign))
+    return tuple(certs)
 
 
-def homotopy_from_counit_natural(
-    b: Bicomodule, n: int, m_vec: Vec, degree_cap: int = 3, cx: Optional[CochainComplex] = None
-) -> HomotopyCertificate:
-    """Primitive of a natural n-cocycle from the counit: apply (id (x) eps) to the last leg."""
+def _require(cx: CochainComplex, n: int, kinds=("dual", "restricted")) -> None:
+    if cx.kind not in kinds:
+        raise ValueError("complex kind mismatch")
+    if n < 1:
+        raise ValueError("needs degree >= 1")
+
+
+def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> tuple:
+    """Primitives of natural n-cocycles from the counit: (-1)^{n-1} (id (x) eps) on the last leg."""
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     if h.counit is None:
         raise ValueError("needs a counit")
-    if n < 1:
-        raise ValueError("needs degree >= 1")
-    d_n, d_prev = _pair_of_boundaries(b, "natural", n, degree_cap, cx)
-    _require_cocycle(d_n, m_vec)
-    contract = kron(Matrix.identity(x * _ipow(s, n - 1)), h.counit_row)
-    prim = contract.apply(m_vec)
-    if (n - 1) % 2:
-        prim = tuple(-v for v in prim)
-    sign = _certify_primitive(d_prev, prim, m_vec)
-    return HomotopyCertificate(prim, sign)
+    _require(cx, n, ("natural",))
+    return _certify_homotopy(
+        cx, n, cocycles,
+        lambda: kron(Matrix.identity(x * _ipow(s, n - 1)), h.counit_row).scale((-1) ** (n - 1)),
+    )
 
 
-def homotopy_from_counit_dual(
-    b: Bicomodule, n: int, t_vec: Vec, degree_cap: int = 3, cx: Optional[CochainComplex] = None
-) -> HomotopyCertificate:
-    """Primitive of a dual n-cocycle from the counit: post-compose eps (x) id^{n-1}."""
-    h, x, s = b.hopf, b.space_dim, b.hopf.dim
+def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matrix:
+    """T -> sign (functional (x) id^{n-1}) o T on Hom(X, S^n), as a matrix."""
+    return kron(kron(functional, Matrix.identity(_ipow(s, n - 1))), Matrix.identity(x)).scale(sign)
+
+
+def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> tuple:
+    """Primitives of dual n-cocycles from the counit: post-compose (-1)^{n-1} eps (x) id^{n-1}."""
+    h = b.hopf
     if h.counit is None:
         raise ValueError("needs a counit")
-    if n < 1:
-        raise ValueError("needs degree >= 1")
-    d_n, d_prev = _pair_of_boundaries(b, "dual", n, degree_cap, cx)
-    _require_cocycle(d_n, t_vec)
-    contract = kron(h.counit_row, Matrix.identity(_ipow(s, n - 1)))
-    prim = _hom_to_vec(contract @ _vec_to_hom(t_vec, _ipow(s, n), x))
-    if (n - 1) % 2:
-        prim = tuple(-v for v in prim)
-    sign = _certify_primitive(d_prev, prim, t_vec)
-    return HomotopyCertificate(prim, sign)
+    _require(cx, n)
+    return _certify_homotopy(
+        cx, n, cocycles, lambda: _post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1))
+    )
 
 
-def homotopy_from_haar(
-    b: Bicomodule, n: int, t_vec: Vec, phi: Vec, degree_cap: int = 3, cx: Optional[CochainComplex] = None
-) -> HomotopyCertificate:
-    """Primitive of a dual n-cocycle from a left-invariant state (gamma trivial)."""
+def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: CochainComplex) -> tuple:
+    """Primitives of dual n-cocycles from a left-invariant state phi (gamma trivial).
+
+    Post-composes (-1)^n phi (x) id^{n-1}.
+    """
     if not _gamma_is_trivial(b):
         raise ValueError("the invariant-state homotopy needs gamma = 1 (x) id")
-    if n < 1:
-        raise ValueError("needs degree >= 1")
-    x, s = b.space_dim, b.hopf.dim
-    d_n, d_prev = _pair_of_boundaries(b, "dual", n, degree_cap, cx)
-    _require_cocycle(d_n, t_vec)
-    contract = kron(Matrix.row(phi), Matrix.identity(_ipow(s, n - 1)))
-    prim = _hom_to_vec(contract @ _vec_to_hom(t_vec, _ipow(s, n), x))
-    if n % 2:
-        prim = tuple(-v for v in prim)
-    sign = _certify_primitive(d_prev, prim, t_vec)
-    return HomotopyCertificate(prim, sign)
+    _require(cx, n)
+    return _certify_homotopy(
+        cx, n, cocycles, lambda: _post_compose(Matrix.row(phi), b.space_dim, b.hopf.dim, n, (-1) ** n)
+    )
 
 
 def homotopy_from_codiagonal(
-    b: Bicomodule,
-    n: int,
-    t_vec: Vec,
-    f_functional: Vec,
-    side: str = "beta",
-    degree_cap: int = 3,
-    cx: Optional[CochainComplex] = None,
-) -> HomotopyCertificate:
-    """Primitive of a dual n-cocycle from a codiagonal.
+    b: Bicomodule, n: int, cocycles, f_functional: Vec, side: str = "beta", *, cx: CochainComplex
+) -> tuple:
+    """Primitives of dual n-cocycles from a codiagonal (see codiagonal_contraction)."""
+    if side not in ("beta", "gamma"):
+        raise ValueError("side must be 'beta' or 'gamma'")
+    _require(cx, n)
+    return _certify_homotopy(cx, n, cocycles, lambda: codiagonal_contraction(b, n, f_functional, side))
+
+
+def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) -> Matrix:
+    """The codiagonal homotopy T -> R on Hom(X, S^n), as a matrix.
 
     side="beta":  R = (id^{n-1} (x) F) o (T (x) id) o beta  (beta non-degenerate)
     side="gamma": R = (F (x) id^{n-1}) o (id (x) T) o gamma (gamma non-degenerate)
+
+    With B_a[y, j] = beta[(y,a), j] and F_a = F (id (x) e_a), R = sum_a
+    (id^{n-1} (x) F_a) T B_a, and vec(A T B) = kron(A, B^T) vec(T) makes it
+    one matrix, built here entry by entry; the gamma side mirrors it with
+    B'_a[y, j] = gamma[(a,y), j] and F'_a = F (e_a (x) id).
     """
-    if n < 1:
-        raise ValueError("needs degree >= 1")
-    h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    sn = _ipow(s, n)
-    d_n, d_prev = _pair_of_boundaries(b, "dual", n, degree_cap, cx)
-    _require_cocycle(d_n, t_vec)
-    t_mat = _vec_to_hom(t_vec, sn, x)
-    f_row = Matrix.row(f_functional)  # functional on S (x) S
-    if side == "beta":
-        lifted = kron(t_mat, Matrix.identity(s)) @ b.beta.beta  # X -> S^n (x) S
-        contract = kron(Matrix.identity(_ipow(s, n - 1)), f_row)  # S^{n-1} (x) S (x) S -> S^{n-1}
-        prim_mat = contract @ lifted
-    elif side == "gamma":
-        lifted = kron(Matrix.identity(s), t_mat) @ b.gamma.gamma  # X -> S (x) S^n
-        contract = kron(f_row, Matrix.identity(_ipow(s, n - 1)))
-        prim_mat = contract @ lifted
-    else:
-        raise ValueError("side must be 'beta' or 'gamma'")
-    prim = _hom_to_vec(prim_mat)
-    sign = _certify_primitive(d_prev, prim, t_vec)
-    return HomotopyCertificate(prim, sign)
+    x, s, sp = b.space_dim, b.hopf.dim, _ipow(b.hopf.dim, n - 1)
+    beta = side == "beta"
+    entries: dict = {}
+    for (r, j), cv in (b.beta.beta if beta else b.gamma.gamma).entries.items():
+        y, a = divmod(r, s) if beta else divmod(r, x)[::-1]
+        for c in range(s):  # the S leg of T that F pairs with the coaction's leg a
+            fv = f_functional[c * s + a if beta else a * s + c]
+            for u in range(sp) if fv else ():
+                w = u * s + c if beta else c * sp + u
+                key = (u * x + j, w * x + y)
+                entries[key] = entries.get(key, Scalar(0)) + fv * cv
+    return Matrix(sp * x, sp * s * x, entries)

@@ -503,10 +503,17 @@ class LinearSolver:
                 y = [Scalar(0)] * self.m.rows
                 for r, coef in t.items():
                     y[r] = coef
+                y_m = [Scalar(0)] * self.m.cols
+                for (r, c), v in self.m.entries.items():
+                    if y[r]:
+                        y_m[c] = y_m[c] + y[r] * v
+                certify(not any(y_m), "inconsistency certificate fails y^T m = 0")
+                certify(bool(vec_dot(y, rhs)), "inconsistency certificate fails y^T rhs != 0")
                 return SolveResult(None, tuple(y))
         x = [Scalar(0)] * self.m.cols
         for p, t in zip(self.pivots, self.pivot_tracks):
             x[p] = combo(t)
+        certify(all(a == b for a, b in zip(self.m.apply(x), rhs)), "solution fails m x = rhs")
         return SolveResult(tuple(x), None)
 
 

@@ -16,7 +16,7 @@ from .amenability import (
     check_codiagonal_vanishing,
     check_graded_cocycles,
     check_mean_vs_cohomology,
-    find_codiagonal,
+    job_codiagonal,
     job_mean,
 )
 from .cochain import _BUILDERS, identify_dual_with_bar, identify_dual_with_natural
@@ -79,7 +79,7 @@ def _haar(ws, token):
 def _codiagonal(ws, token):
     if ws.hopf.counit is None:
         return {"exists": False, "reason": "no counit"}
-    c = find_codiagonal(ws.hopf)
+    c = job_codiagonal(ws)
     entry = {"exists": c.certificate is not None}
     if c.certificate is None:
         entry["infeasibility"] = _vec_json(c.infeasibility)

@@ -140,11 +140,11 @@ def test_criterion_03_counit_homotopies():
                 cx = build_complex(bic, kind, 3)
                 for n in (1, 2):
                     assert cohomology(cx, n).dim == 0, (name, com_name, kind, n)
-                    for cocycle in kernel_basis(cx.boundary(n)):
-                        if kind == "dual":
-                            cert = homotopy_from_counit_dual(bic, n, cocycle, cx=cx)
-                        else:
-                            cert = homotopy_from_counit_natural(bic, n, cocycle, cx=cx)
+                    cocycles = kernel_basis(cx.boundary(n))
+                    homotopy = homotopy_from_counit_dual if kind == "dual" else homotopy_from_counit_natural
+                    certs = homotopy(bic, n, cocycles, cx=cx)
+                    assert len(certs) == len(cocycles)
+                    for cert in certs:
                         assert cert.sign in (1, -1)
                         certified += 1
     announce(

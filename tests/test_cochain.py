@@ -7,6 +7,7 @@ from hopfcoh.cochain import (
     bar_boundary,
     bar_dual_coboundary,
     build_complex,
+    codiagonal_contraction,
     cohomology,
     dual_coboundary,
     homotopy_from_codiagonal,
@@ -28,6 +29,7 @@ from hopfcoh.comodule import (
 )
 from hopfcoh.hopf import haar_state
 from hopfcoh.linalg import (
+    CertificateError,
     Matrix,
     SpanTracker,
     image_rank,
@@ -293,6 +295,28 @@ def test_dual_vs_bar_bit_identical():
                 assert dual_coboundary(b, n) == bar_dual_coboundary(b, n)
 
 
+def test_restricted_complexes_reuse_the_dual_ones(monkeypatch):
+    from hopfcoh import cochain
+
+    h = get_algebra("function:Z2")
+    ws = Workspace(h, 3)
+    for _, b in ws.bicomodules():
+        for n in range(3):
+            ws.cohomology_of(b, "dual", n)
+    built = []
+    original = cochain.build_complex
+    monkeypatch.setattr(cochain, "build_complex", lambda *a, **k: built.append(a) or original(*a, **k))
+    restricted = {
+        (name, n): ws.cohomology_of(b, "restricted", n) for name, b in ws.bicomodules() for n in range(3)
+    }
+    assert built == []
+    monkeypatch.undo()
+    for name, b in ws.bicomodules():
+        fresh = build_complex(with_trivial_gamma(b.beta), "restricted", 3)
+        for n in range(3):
+            assert restricted[(name, n)] == cohomology(fresh, n), (name, n)
+
+
 # -- homotopies --------------------------------------------------------------
 
 
@@ -301,8 +325,10 @@ def test_counit_homotopy_dual_group_z3():
     b = one_sided(regular_right_coaction(h))
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
-        for t in kernel_basis(cx.boundary(n)):
-            cert = homotopy_from_counit_dual(b, n, t, cx=cx)
+        cocycles = kernel_basis(cx.boundary(n))
+        certs = homotopy_from_counit_dual(b, n, cocycles, cx=cx)
+        assert len(certs) == len(cocycles)
+        for t, cert in zip(cocycles, certs):
             assert cert.sign == 1
             prev = cx.boundary(n - 1)
             assert prev.apply(cert.primitive) == t
@@ -313,8 +339,10 @@ def test_counit_homotopy_natural_certifies():
     b = one_sided(regular_right_coaction(h))
     cx = build_complex(b, "natural", 3)
     for n in (1, 2):
-        for m_vec in kernel_basis(cx.boundary(n)):
-            cert = homotopy_from_counit_natural(b, n, m_vec, cx=cx)
+        cocycles = kernel_basis(cx.boundary(n))
+        certs = homotopy_from_counit_natural(b, n, cocycles, cx=cx)
+        assert len(certs) == len(cocycles)
+        for m_vec, cert in zip(cocycles, certs):
             image = cx.boundary(n - 1).apply(cert.primitive)
             assert image == tuple(cert.sign * v for v in m_vec)
 
@@ -325,8 +353,10 @@ def test_haar_homotopy_function_z2():
     phi = haar_state(h).state
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
-        for t in kernel_basis(cx.boundary(n)):
-            cert = homotopy_from_haar(b, n, t, phi, cx=cx)
+        cocycles = kernel_basis(cx.boundary(n))
+        certs = homotopy_from_haar(b, n, cocycles, phi, cx=cx)
+        assert len(certs) == len(cocycles)
+        for cert in certs:
             assert cert.sign in (1, -1)
 
 
@@ -339,16 +369,78 @@ def test_codiagonal_homotopy_pair_graded_z2():
     f = kronecker_codiagonal(get_group("Z2")).certificate.functional
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
-        for t in kernel_basis(cx.boundary(n)):
-            cert = homotopy_from_codiagonal(b, n, t, f, cx=cx)
+        cocycles = kernel_basis(cx.boundary(n))
+        certs = homotopy_from_codiagonal(b, n, cocycles, f, cx=cx)
+        assert len(certs) == len(cocycles)
+        for cert in certs:
             assert cert.sign in (1, -1)
+    assert homotopy_from_codiagonal(b, 1, [], f, cx=cx) == ()
 
 
 def test_homotopy_rejects_non_cocycle():
     h = get_algebra("group:Z3")
     b = one_sided(regular_right_coaction(h))
+    cx = build_complex(b, "dual", 3)
     bad = unit_vec(h.dim * h.dim, 1)  # not a cocycle of the dual complex
     d1 = dual_coboundary(b, 1)
     assert any(d1.apply(bad))
     with pytest.raises(ValueError):
-        homotopy_from_counit_dual(b, 1, bad)
+        homotopy_from_counit_dual(b, 1, [bad], cx=cx)
+    # one non-cocycle refuses the whole batch
+    good = kernel_basis(cx.boundary(1))[0]
+    with pytest.raises(ValueError):
+        homotopy_from_counit_dual(b, 1, [good, bad], cx=cx)
+
+
+def test_zero_functional_is_no_codiagonal():
+    h = get_algebra("group:Z2")
+    b = pair_graded_bicomodule(h)
+    cx = build_complex(b, "dual", 2)
+    cocycles = kernel_basis(cx.boundary(1))
+    assert cocycles
+    with pytest.raises(CertificateError):
+        homotopy_from_codiagonal(b, 1, cocycles, (Scalar(0),) * (h.dim * h.dim), cx=cx)
+
+
+def _codiagonal_primitive_reference(b, n, t_vec, f, side):
+    """The per-vector formula (id^{n-1} (x) F)(T (x) id) beta, or (F (x) id^{n-1})(id (x) T) gamma."""
+    x, s = b.space_dim, b.hopf.dim
+    t_mat = Matrix(s**n, x, {divmod(i, x): v for i, v in enumerate(t_vec) if v})
+    f_row = Matrix.row(f)
+    if side == "beta":
+        lifted = kron(t_mat, Matrix.identity(s)) @ b.beta.beta
+        prim = kron(Matrix.identity(s ** (n - 1)), f_row) @ lifted
+    else:
+        lifted = kron(Matrix.identity(s), t_mat) @ b.gamma.gamma
+        prim = kron(f_row, Matrix.identity(s ** (n - 1))) @ lifted
+    out = [Scalar(0)] * (prim.rows * x)
+    for (w, j), v in prim.entries.items():
+        out[w * x + j] = v
+    return tuple(out)
+
+
+def test_codiagonal_operator_matches_per_vector_formula():
+    from hopfcoh.amenability import find_codiagonal
+
+    h = get_algebra("group:Z2xZ2")
+    f = find_codiagonal(h).certificate.functional
+    # the operator identity holds for any functional; an asymmetric one tells the two legs of F apart
+    skew = tuple(Scalar(i + 1) for i in range(h.dim * h.dim))
+    certified = 0
+    for entry in catalog_bicomodules(h):
+        b = entry.bicomodule
+        cx = build_complex(b, "dual", 3)
+        for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+            for n in (1, 2):
+                cocycles = kernel_basis(cx.boundary(n))
+                for g in (f, skew):
+                    k_n = codiagonal_contraction(b, n, g, side)
+                    assert [k_n.apply(t) for t in cocycles] == [
+                        _codiagonal_primitive_reference(b, n, t, g, side) for t in cocycles
+                    ], (entry.name, side, n)
+                expected = [_codiagonal_primitive_reference(b, n, t, f, side) for t in cocycles]
+                if any(nondegenerate):
+                    certs = homotopy_from_codiagonal(b, n, cocycles, f, side, cx=cx)
+                    assert [c.primitive for c in certs] == expected, (entry.name, side, n)
+                    certified += len(certs)
+    assert certified > 0

@@ -5,6 +5,8 @@ from random import Random
 import pytest
 
 from hopfcoh.linalg import (
+    CertificateError,
+    LinearSolver,
     Matrix,
     TensorSpace,
     image_rank,
@@ -201,6 +203,24 @@ def test_solve_consistent_and_certificate():
     y = res2.certificate
     assert not any(m2.transpose().apply(y))
     assert vec_dot(y, (Scalar(1), Scalar(2)))
+
+
+def test_solver_certifies_what_it_returns():
+    m = Matrix.from_rows([[1, 0], [1, 0]])
+    consistent, inconsistent = (Scalar(1), Scalar(1)), (Scalar(1), Scalar(2))
+    # a tampered zero track claims inconsistency with a y that fails y^T m = 0
+    solver = LinearSolver(m)
+    solver.zero_tracks = [{0: ONE}]
+    with pytest.raises(CertificateError):
+        solver.solve(consistent)
+    # without its zero track the solver would return a point that fails m x = rhs
+    solver = LinearSolver(m)
+    solver.zero_tracks = []
+    with pytest.raises(CertificateError):
+        solver.solve(inconsistent)
+    # untouched, both answers pass their own checks
+    assert LinearSolver(m).solve(consistent).consistent
+    assert not LinearSolver(m).solve(inconsistent).consistent
 
 
 # -- psd ---------------------------------------------------------------------
