@@ -320,7 +320,7 @@ def check_codiagonal_vanishing(
                 ok = False
                 details.append(f"{entry.name}: H^{n}_d = {result.dim} != 0")
                 continue
-            cocycles = [v for v, _ in result.coboundary_preimages]
+            cocycles = result.kernel
             if cocycles:  # CertificateError unless D_{n-1}(primitive) = +-cocycle, for each
                 homotopy_from_codiagonal(entry.bicomodule, n, cocycles, f, side, cx=cx)
             details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(cocycles)} cocycles)")
@@ -367,10 +367,10 @@ def check_mean_vs_cohomology(
     if h.dim == 1:
         details.append("one-dimensional algebra: quotient is zero, nothing to compare")
         return CheckOutcome("mean-vs-cohomology", mean.feasible, tuple(details))
-    catalog = {e.name: e.bicomodule for e in ws.catalog}
-    bic = catalog["unit-quotient"]
+    catalog = {e.name: e for e in ws.catalog}
+    bic = catalog["unit-quotient"].bicomodule
     cx = ws.complex_of(bic, "dual")
-    t_vec = _quotient_cocycle(h, unit_quotient_bicomodule(h), cx.boundary(1))
+    t_vec = _quotient_cocycle(h, catalog["unit-quotient"].quotient, cx.boundary(1))
     d0 = cx.boundary(0)
     # Im d_0 is a subspace, so t_vec is a coboundary exactly when -t_vec is
     is_coboundary = solve(d0, t_vec).consistent
@@ -387,7 +387,7 @@ def check_mean_vs_cohomology(
         ok = ok and aug_ok
     h1_all_zero = True
     for name in ("regular", "unit-quotient"):
-        h1 = ws.cohomology_of(catalog[name], "restricted", 1).dim
+        h1 = ws.cohomology_of(catalog[name].bicomodule, "restricted", 1).dim
         details.append(f"restricted H^1 on {name}: {h1}")
         if h1 != 0:
             h1_all_zero = False
@@ -417,7 +417,7 @@ def check_graded_cocycles(
     h1 = ws.cohomology_of(bic, "dual", 1)
     details = []
     ok = True
-    cocycles = h1.representatives + tuple(v for v, _ in h1.coboundary_preimages)  # a basis of ker D_1
+    cocycles = h1.kernel
     details.append(f"1-cocycle space dimension: {len(cocycles)}")
     for idx, alpha in enumerate(cocycles):
         # alpha as Hom(X, S): column j holds alpha(x_j) in S

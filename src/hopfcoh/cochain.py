@@ -14,7 +14,7 @@ complex and the transpose of the bar boundary agree entrywise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -31,11 +31,11 @@ from .linalg import (
     Matrix,
     Vec,
     certify,
+    dense,
     kernel_basis,
     kron,
     kron_all,
     rotation_sigma,
-    rref,
     tensor_permutation,
 )
 from .scalars import ONE, Scalar
@@ -171,6 +171,7 @@ class CochainComplex:
     kind: str
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for n, d in enumerate(self.boundaries):
@@ -184,6 +185,12 @@ class CochainComplex:
         if not 0 <= n < len(self.boundaries):
             raise ValueError(f"boundary D_{n} is not built below the degree cap")
         return self.boundaries[n]
+
+    def kernel(self, n: int) -> tuple:
+        """The canonical basis of ker D_n, eliminated once per complex."""
+        if n not in self._kernels:
+            self._kernels[n] = tuple(kernel_basis(self.boundary(n)))
+        return self._kernels[n]
 
 
 def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3) -> CochainComplex:
@@ -214,57 +221,24 @@ def _gamma_is_trivial(b: Bicomodule) -> bool:
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
-    dim_kernel: int
-    dim_image_prev: int
-    representatives: tuple  # certified cocycles not in the previous image
-    coboundary_preimages: tuple  # (kernel basis vec, preimage vec) pairs
+    kernel: tuple  # the canonical basis of ker D_n (kernel_basis)
+    dim_image_prev: int  # rank D_{n-1}
 
     @property
     def dim(self) -> int:
-        return self.dim_kernel - self.dim_image_prev
+        return len(self.kernel) - self.dim_image_prev
 
 
 def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
-    """Exact H^n with canonical representatives and coboundary certificates.
+    """Exact H^n from two certified kernels and no further elimination.
 
-    One RREF of the augmented matrix [D_{n-1} | ker D_n] (kernel vectors as
-    columns, in RREF-basis order) decides H^n.  Its pivot columns are the
-    greedy choice: a basis of Im D_{n-1} first, then every kernel vector
-    that enlarges the span so far.  So the representatives are the pivot
-    kernel columns and dim Im D_{n-1} is the number of pivots among
-    D_{n-1}'s columns.  Each other kernel vector's RREF column writes it in
-    the pivot columns; its D_{n-1} part is the preimage, and all of them
-    are re-checked exactly with one sparse product.
+    kernel_basis certifies rank D = cols - dim ker D for each boundary, so
+    dim H^n = dim ker D_n - (cols_{n-1} - dim ker D_{n-1}).
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
-    kernel = kernel_basis(cx.boundaries[n])
-    if n == 0:
-        return CohomologyResult(0, len(kernel), 0, tuple(kernel), ())
-    prev = cx.boundaries[n - 1]
-    m = prev.cols
-    aug = prev.augment(Matrix.from_cols(kernel, rows=prev.rows))
-    pivots, rows = rref(aug)
-    pivot_set = set(pivots)
-    rank_prev = sum(1 for p in pivots if p < m)
-    reps = tuple(v for k, v in enumerate(kernel) if m + k in pivot_set)
-    certify(len(reps) == len(kernel) - rank_prev, "rank bookkeeping failed")
-    pending = [k for k in range(len(kernel)) if m + k not in pivot_set]
-    slot = {m + k: j for j, k in enumerate(pending)}
-    coeffs = {}  # (pivot column, pending index) -> RREF entry
-    pre = [[Scalar(0)] * m for _ in pending]
-    for p, row in zip(pivots, rows):
-        for c, val in row.items():
-            j = slot.get(c)
-            if j is not None:
-                coeffs[(p, j)] = val
-                if p < m:
-                    pre[j][p] = val
-    combos = Matrix(aug.cols, len(pending), coeffs)
-    pending_cols = Matrix.from_cols([kernel[k] for k in pending], rows=prev.rows)
-    certify(aug @ combos == pending_cols, "kernel vector neither representative nor decomposable")
-    preimages = tuple((kernel[k], tuple(pre[j])) for j, k in enumerate(pending))
-    return CohomologyResult(n, len(kernel), rank_prev, reps, preimages)
+    rank_prev = cx.degrees[n - 1] - len(cx.kernel(n - 1)) if n else 0
+    return CohomologyResult(n, cx.kernel(n), rank_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +412,7 @@ def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction) -> tupl
         if im != zc:
             certify(im == {r: -v for r, v in zc.items()}, "homotopy primitive failed exact certification")
             sign = -1
-        prim = [Scalar(0)] * prims.rows
-        for r, v in p.items():
-            prim[r] = v
-        certs.append(HomotopyCertificate(tuple(prim), sign))
+        certs.append(HomotopyCertificate(dense(p, prims.rows), sign))
     return tuple(certs)
 
 

@@ -7,10 +7,12 @@ the pivot-complement section, so every derived object is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .hopf import HopfStarAlgebra
 from .linalg import (
     Matrix,
+    dense,
     image_rank,
     kron,
     rref,
@@ -225,13 +227,8 @@ def grade_decomposition(c: RightCoaction):
     for r in range(s):
         phi_r = Matrix(1, s, {(0, r): ONE})
         proj = kron(ix, phi_r) @ c.beta  # X -> X
-        pivots, rows = rref(proj.transpose())
-        basis = []
-        for _, row in zip(pivots, rows):
-            v = [Scalar(0)] * x
-            for j, val in row.items():
-                v[j] = val
-            basis.append(tuple(v))
+        _, rows = rref(proj.transpose())
+        basis = [dense(row, x) for row in rows]
         for v in basis:
             expected = [Scalar(0)] * (x * s)
             for i, val in enumerate(v):
@@ -347,6 +344,7 @@ class CatalogBicomodule:
     bicomodule: Bicomodule
     beta_nondegenerate: tuple  # (left, right)
     gamma_nondegenerate: tuple
+    quotient: Optional[QuotientData] = None  # the unit-quotient entry's projection and section
 
     @property
     def has_nondegenerate_side(self) -> bool:
@@ -357,13 +355,14 @@ def catalog_bicomodules(h: HopfStarAlgebra):
     """The built-in test bicomodules over a catalog algebra."""
     entries = []
 
-    def add(name, bic):
+    def add(name, bic, quotient=None):
         entries.append(
             CatalogBicomodule(
                 name,
                 bic,
                 check_nondegenerate(bic.beta),
                 check_nondegenerate_left(bic.gamma),
+                quotient,
             )
         )
 
@@ -372,10 +371,15 @@ def catalog_bicomodules(h: HopfStarAlgebra):
     add("regular-trivial-left", with_trivial_gamma(reg))
     quot = unit_quotient_bicomodule(h)
     if quot.coaction.space_dim:
-        add("unit-quotient", with_trivial_gamma(quot.coaction))
+        add("unit-quotient", with_trivial_gamma(quot.coaction), quot)
     if h.kind == "group":
         add("pair-graded", pair_graded_bicomodule(h))
     return entries
+
+
+def catalog_space_dim(h: HopfStarAlgebra) -> int:
+    """The largest space_dim in catalog_bicomodules(h), found without building them."""
+    return h.dim**2 if h.kind == "group" else h.dim  # pair-graded, else regular
 
 
 def catalog_right_comodules(h: HopfStarAlgebra):

@@ -14,6 +14,8 @@ invent its own index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .scalars import ONE, Scalar, as_scalar
@@ -41,6 +43,14 @@ def vec(entries) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else Scalar(0) for j in range(n))
+
+
+def dense(v: dict, n: int) -> Vec:
+    """The length-n vector with the sparse entries v (index -> Scalar)."""
+    out = [Scalar(0)] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
 
 
 def vec_dot(a: Vec, b: Vec) -> Scalar:
@@ -345,65 +355,59 @@ def _rows_of(m: Matrix):
     return [rows[r] for r in sorted(rows)]
 
 
-def _rref_rows(row_dicts, track=None):
+def _rref_rows(row_dicts, track=None, p: int = 0):
     """Full RREF of a list of sparse rows.  Mutates nothing passed in.
 
-    Returns (pivots, rows) with monic pivots, zero above and below each
-    pivot, rows sorted by pivot column.  If `track` is a parallel list of
-    sparse rows, the same row operations are applied to it (used for
-    inconsistency certificates).
+    Exact over Q(i) (Scalar entries) when p is 0, else over Z/p (int
+    entries in [0, p)).  Returns (pivots, rows) with monic pivots, zero
+    above and below each pivot, rows sorted by pivot column.  If `track` is
+    a parallel list of sparse rows, the same row operations are applied to
+    it (used for inconsistency certificates).
     """
+    zero = 0 if p else Scalar(0)
+
+    def scaled(row, k):
+        return {c: k * v % p if p else k * v for c, v in row.items()}
+
+    def axpy(trow, prow, factor, ri=None):
+        """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
+        for c, v in prow.items():
+            nv = trow.get(c, zero) - factor * v
+            if p:
+                nv %= p
+            if nv:
+                if ri is not None and c not in trow:
+                    present[c].add(ri)
+                trow[c] = nv
+            elif c in trow:
+                del trow[c]
+                if ri is not None:
+                    present[c].discard(ri)
+
     work = [dict(r) for r in row_dicts]
     tr = [dict(t) for t in track] if track is not None else None
     pivots = []
     pivot_rows = []  # indices into work, aligned with pivots
-    remaining = list(range(len(work)))
-    cols_present: dict = {}
-    for ri in remaining:
-        for c in work[ri]:
-            cols_present.setdefault(c, set()).add(ri)
-
-    def eliminate(target_ri, pivot_ri, col):
-        factor = work[target_ri].get(col)
-        if not factor:
-            return
-        prow = work[pivot_ri]
-        trow = work[target_ri]
-        for c, v in prow.items():
-            nv = trow.get(c, Scalar(0)) - factor * v
-            if nv:
-                trow[c] = nv
-                cols_present.setdefault(c, set()).add(target_ri)
-            elif c in trow:
-                del trow[c]
-                s = cols_present.get(c)
-                if s is not None:
-                    s.discard(target_ri)
-        if tr is not None:
-            pt, tt = tr[pivot_ri], tr[target_ri]
-            for c, v in pt.items():
-                nv = tt.get(c, Scalar(0)) - factor * v
-                if nv:
-                    tt[c] = nv
-                elif c in tt:
-                    del tt[c]
-
+    present: dict = {}  # column -> the rows with a nonzero there
+    for ri, row in enumerate(work):
+        for c in row:
+            present.setdefault(c, set()).add(ri)
     used = set()
-    for col in sorted(cols_present):
-        cand = [ri for ri in cols_present.get(col, ()) if ri not in used and work[ri].get(col)]
+    for col in sorted(present):
+        cand = [ri for ri in present[col] if ri not in used]
         if not cand:
             continue
         ri = min(cand, key=lambda r: (len(work[r]), r))
-        inv = ONE / work[ri][col]
-        if inv != ONE:
-            work[ri] = {c: inv * v for c, v in work[ri].items()}
+        inv = pow(work[ri][col], -1, p) if p else ONE / work[ri][col]
+        if inv != 1:
+            work[ri] = scaled(work[ri], inv)
             if tr is not None:
-                tr[ri] = {c: inv * v for c, v in tr[ri].items()}
-            for c in work[ri]:
-                cols_present.setdefault(c, set()).add(ri)
-        holders = [r for r in cols_present.get(col, ()) if r != ri and work[r].get(col)]
-        for other in holders:
-            eliminate(other, ri, col)
+                tr[ri] = scaled(tr[ri], inv)
+        for other in [r for r in present[col] if r != ri]:
+            factor = work[other][col]
+            axpy(work[other], work[ri], factor, other)
+            if tr is not None:
+                axpy(tr[other], tr[ri], factor)
         used.add(ri)
         pivots.append(col)
         pivot_rows.append(ri)
@@ -428,31 +432,107 @@ def image_rank(m: Matrix) -> int:
     return len(pivots)
 
 
+# kernel_basis eliminates modulo these primes, in order, before the exact path
+_PRIMES = (2**61 - 1, 2**62 - 57)
+
+
+def _null_space(rows, cols: int, p: int = 0):
+    """(rank, RREF basis of the null space as sparse rows), over Q(i), or Z/p when p."""
+    pivots, red, _ = _rref_rows(rows, p=p)
+    raw = {f: {f: 1 if p else ONE} for f in range(cols)}
+    for piv in pivots:
+        del raw[piv]
+    for piv, row in zip(pivots, red):
+        for c, v in row.items():
+            if c != piv:
+                raw[c][piv] = p - v if p else -v
+    _, basis, _ = _rref_rows(list(raw.values()), p=p)
+    return len(pivots), basis
+
+
+def _mod_rows(rows, p: int):
+    """The rows modulo p, or None when an entry is non-real or p divides a denominator."""
+    if any(v.im or not v.re.denominator % p for row in rows for v in row.values()):
+        return None
+    mod = [{c: v.re.numerator * pow(v.re.denominator, -1, p) % p for c, v in row.items()} for row in rows]
+    return [{c: x for c, x in row.items() if x} for row in mod]
+
+
+def _wang(u: int, p: int):
+    """Wang's rational reconstruction: a/b = u mod p with |a|, b <= isqrt(p // 2), or None."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return Scalar(Fraction(r1, t1))
+
+
+def _cleared(v: dict):
+    """(real, imaginary) parts of a sparse vector times the lcm of its denominators, as ints."""
+    den = lcm(*(q.denominator for x in v.values() for q in (x.re, x.im)))
+    return (
+        {c: x.re.numerator * (den // x.re.denominator) for c, x in v.items() if x.re},
+        {c: x.im.numerator * (den // x.im.denominator) for c, x in v.items() if x.im},
+    )
+
+
+def _is_kernel_rref(rows, cols: int, rank: int, basis) -> bool:
+    """The exact certificate that basis is the canonical kernel basis of D.
+
+    basis must be in RREF (each vector monic at its leading column, leading
+    columns increasing and zero in every other vector), hold cols - rank
+    vectors and satisfy D K = 0, checked on integers with the denominators
+    of each row and vector cleared.  With rank <= rank_Q (a rank modulo p
+    is), this certifies both the rank and the kernel.
+    """
+    if len(basis) != cols - rank or not all(basis):
+        return False
+    leads = [min(v) for v in basis]
+    lead_set = set(leads)
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        return False
+    if any(v[c] != 1 or len(lead_set.intersection(v)) != 1 for c, v in zip(leads, basis)):
+        return False
+    d_re, d_im = {}, {}  # D cleared, column -> [(row, entry)]
+    for r, row in enumerate(rows):
+        for part, index in zip(_cleared(row), (d_re, d_im)):
+            for c, a in part.items():
+                index.setdefault(c, []).append((r, a))
+    for x, y in map(_cleared, basis):
+        re, im = {}, {}  # (A + Bi)(X + Yi) = (AX - BY) + (AY + BX)i
+        for d, k, acc, sign in ((d_re, x, re, 1), (d_im, y, re, -1), (d_re, y, im, 1), (d_im, x, im, 1)):
+            for c, a in k.items():
+                for r, b in d.get(c, ()):
+                    acc[r] = acc.get(r, 0) + sign * a * b
+        if any(re.values()) or any(im.values()):
+            return False
+    return True
+
+
 def kernel_basis(m: Matrix):
     """Canonical kernel basis: the RREF basis of the null space.
 
-    Idempotent under re-reduction: stacking the output as rows of a matrix
-    and re-running rref reproduces it unchanged.
+    Eliminates modulo 2^61 - 1, then 2^62 - 57, rebuilding the entries by
+    rational reconstruction, then exactly; the first basis that passes
+    _is_kernel_rref is returned, and an exact one that fails it raises
+    CertificateError.  So the basis is certified, and the same whichever
+    path found it.  Idempotent under re-reduction: stacking the output as
+    rows of a matrix and re-running rref reproduces it unchanged.
     """
-    pivots, rows = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    raw = []
-    for f in free:
-        v = {f: ONE}
-        for p, row in zip(pivots, rows):
-            coeff = row.get(f)
-            if coeff:
-                v[p] = -coeff
-        raw.append(v)
-    null_pivots, null_rows, _ = _rref_rows(raw)
-    basis = []
-    for row in null_rows:
-        v = [Scalar(0)] * m.cols
-        for c, val in row.items():
-            v[c] = val
-        basis.append(tuple(v))
-    return basis
+    rows = _rows_of(m)
+    for p in _PRIMES:
+        mod = _mod_rows(rows, p)
+        if mod is not None:
+            rank, basis = _null_space(mod, m.cols, p)
+            basis = [{c: _wang(u, p) for c, u in v.items()} for v in basis]
+            if all(None not in v.values() for v in basis) and _is_kernel_rref(rows, m.cols, rank, basis):
+                return [dense(v, m.cols) for v in basis]
+    rank, basis = _null_space(rows, m.cols)
+    certify(_is_kernel_rref(rows, m.cols, rank, basis), "exact kernel basis fails its certificate")
+    return [dense(v, m.cols) for v in basis]
 
 
 @dataclass(frozen=True)
@@ -500,16 +580,14 @@ class LinearSolver:
 
         for t in self.zero_tracks:
             if combo(t):
-                y = [Scalar(0)] * self.m.rows
-                for r, coef in t.items():
-                    y[r] = coef
+                y = dense(t, self.m.rows)
                 y_m = [Scalar(0)] * self.m.cols
                 for (r, c), v in self.m.entries.items():
                     if y[r]:
                         y_m[c] = y_m[c] + y[r] * v
                 certify(not any(y_m), "inconsistency certificate fails y^T m = 0")
                 certify(bool(vec_dot(y, rhs)), "inconsistency certificate fails y^T rhs != 0")
-                return SolveResult(None, tuple(y))
+                return SolveResult(None, y)
         x = [Scalar(0)] * self.m.cols
         for p, t in zip(self.pivots, self.pivot_tracks):
             x[p] = combo(t)
@@ -618,10 +696,7 @@ def psd_check(m: Matrix) -> PsdResult:
                     s = s + r * x
             if s:
                 w[p] = -s
-        v = [Scalar(0)] * n
-        for i, x in w.items():
-            v[i] = x
-        return tuple(v)
+        return dense(w, n)
 
     def certified(w: dict) -> PsdResult:
         v = lift(w)

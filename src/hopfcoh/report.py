@@ -17,6 +17,7 @@ from .comodule import (
     Bicomodule,
     LeftCoaction,
     RightCoaction,
+    catalog_space_dim,
     trivial_left_coaction,
     zero_left_coaction,
 )
@@ -29,6 +30,11 @@ from .tasks import for_verb, lookup
 
 class InputError(ValueError):
     """Bad job input: unknown names, dimension mismatches, invalid tables."""
+
+
+# the largest cochain space x * s^cap a job may build; the largest a catalog
+# algebra builds at cap 3 is group:S3's pair-graded one, 36 * 6^3 = 7,776
+MAX_COCHAIN_DIM = 10_000
 
 
 def resolve_algebra(job: JobSpec):
@@ -82,6 +88,9 @@ def run(job: JobSpec, log=None) -> dict:
     t_start = time.monotonic()
     h = resolve_algebra(job)
     explicit = _explicit_bicomodules(job, h)
+    x = max([catalog_space_dim(h)] + [b.space_dim for _, b in explicit])
+    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
+        raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
     try:
         plan = [(token, lookup(token)) for token in job.tasks]
     except ValueError as exc:

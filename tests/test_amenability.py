@@ -197,10 +197,20 @@ def test_rzid3_restricted_h1_nonzero_both_ways():
 CERTIFICATE_UNDER_O = """
 import sys
 from fractions import Fraction
+from hopfcoh import linalg
 from hopfcoh.amenability import MeanCertificate
-from hopfcoh.linalg import CertificateError
+from hopfcoh.linalg import CertificateError, Matrix
 try:
     MeanCertificate((Fraction(-1), Fraction(2)), Fraction(1), ())
+except CertificateError as exc:
+    print(sys.flags.optimize, exc)
+original = linalg._rref_rows
+def dropping(rows, track=None, p=0):  # every elimination loses its last pivot
+    pivots, red, tracked = original(rows, track, p)
+    return pivots[:-1], red[:-1], tracked
+linalg._rref_rows = dropping
+try:
+    linalg.kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]))
 except CertificateError as exc:
     print(sys.flags.optimize, exc)
 """
@@ -213,4 +223,24 @@ def test_certificate_checks_survive_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", CERTIFICATE_UNDER_O], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "1 mean has a negative weight\n"
+    assert out.stdout == "1 mean has a negative weight\n1 exact kernel basis fails its certificate\n"
+
+
+def test_mean_crosscheck_reuses_the_catalog_quotient(monkeypatch):
+    from hopfcoh import amenability, comodule
+    from hopfcoh.jobfile import JobSpec
+    from hopfcoh.report import run
+
+    built = []
+    original = comodule.unit_quotient_bicomodule
+
+    def counting(h):
+        built.append(h)
+        return original(h)
+
+    monkeypatch.setattr(comodule, "unit_quotient_bicomodule", counting)
+    monkeypatch.setattr(amenability, "unit_quotient_bicomodule", counting)
+    tasks = ("axioms", "mean", "cohomology:dual:0-2", "check-exist-im2")
+    report = run(JobSpec(algebra="function:Z3", tasks=tasks, degree_cap=3))
+    assert report["tasks"]["check-exist-im2"]["passed"]
+    assert len(built) == 1

@@ -369,3 +369,47 @@ def test_every_registry_task_runs(token, algebra):
     report = run(JobSpec(algebra=algebra, tasks=(token,), degree_cap=2))
     assert token in report["tasks"]
     assert report["consistent"] is True
+
+
+WIDE_COMODULE_JOB = """
+algebra = function:Z2
+degree-cap = 3
+tasks = axioms, cohomology:dual:0-2
+begin comodule wide
+  dim = 3
+  gamma = trivial
+  begin beta
+    row 1 0 0
+    row 1 0 0
+    row 0 1 0
+    row 0 1 0
+    row 0 0 1
+    row 0 0 1
+  end
+end
+"""
+
+
+def test_oversized_jobs_refused_before_any_build(monkeypatch, tmp_path, capsys):
+    from hopfcoh import cochain, report
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    # group:Z2's widest catalog bicomodule is pair-graded: 4 * 2^3 = 32
+    monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 31)
+    monkeypatch.setattr(cochain, "build_complex", no_build)
+    assert main(["--catalog", "group:Z2", "report"]) == 2
+    assert "job too large: cochain space 4 * 2^3 > 31" in capsys.readouterr().err
+    assert main(["--catalog", "group:Z2", "--degree-cap", "2", "check"]) == 0  # 4 * 2^2 = 16
+    capsys.readouterr()
+    # a job's own comodule counts too: 3 * 2^3 = 24 beats the catalog's 2 * 2^3
+    job = tmp_path / "wide.job"
+    job.write_text(WIDE_COMODULE_JOB)
+    monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 23)
+    assert main(["--input", str(job), "cohomology"]) == 2
+    assert "job too large" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 24)
+    assert main(["--input", str(job), "cohomology"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"]["cohomology:dual:0-2"]["wide"]["0"] == 3

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hopfcoh import cochain, linalg
 from hopfcoh.linalg import Matrix
+from hopfcoh.scalars import I
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -27,7 +28,8 @@ def test_tracer_and_op_counter_install_and_uninstall():
         probe.install()
         try:
             assert linalg.kernel_basis is not originals[0]
-            linalg.kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]))
+            # Gaussian entries take the exact path, whose Scalar arithmetic the counter counts
+            linalg.kernel_basis(Matrix.from_rows([[1, I], [I, -1]]))
         finally:
             probe.uninstall()
         assert (linalg.kernel_basis, cochain.homotopy_from_codiagonal, Matrix.__dict__["apply"]) == originals
