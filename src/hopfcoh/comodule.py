@@ -377,11 +377,6 @@ def catalog_bicomodules(h: HopfStarAlgebra):
     return entries
 
 
-def catalog_space_dim(h: HopfStarAlgebra) -> int:
-    """The largest space_dim in catalog_bicomodules(h), found without building them."""
-    return h.dim**2 if h.kind == "group" else h.dim  # pair-graded, else regular
-
-
 def catalog_right_comodules(h: HopfStarAlgebra):
     """Built-in one-sided right comodules (as name -> RightCoaction)."""
     out = [("regular", regular_right_coaction(h))]

@@ -432,8 +432,8 @@ def image_rank(m: Matrix) -> int:
     return len(pivots)
 
 
-# kernel_basis eliminates modulo these primes, in order, before the exact path
-_PRIMES = (2**61 - 1, 2**62 - 57)
+# kernel_basis eliminates modulo this prime before the exact path
+_P = 2**61 - 1
 
 
 def _null_space(rows, cols: int, p: int = 0):
@@ -485,8 +485,9 @@ def _is_kernel_rref(rows, cols: int, rank: int, basis) -> bool:
     basis must be in RREF (each vector monic at its leading column, leading
     columns increasing and zero in every other vector), hold cols - rank
     vectors and satisfy D K = 0, checked on integers with the denominators
-    of each row and vector cleared.  With rank <= rank_Q (a rank modulo p
-    is), this certifies both the rank and the kernel.
+    of each row and vector cleared.  This certifies the kernel given rank:
+    a rank that is too small is caught, one that is too large (a spurious
+    pivot) is not, so the rank itself is trusted to the elimination.
     """
     if len(basis) != cols - rank or not all(basis):
         return False
@@ -515,21 +516,21 @@ def _is_kernel_rref(rows, cols: int, rank: int, basis) -> bool:
 def kernel_basis(m: Matrix):
     """Canonical kernel basis: the RREF basis of the null space.
 
-    Eliminates modulo 2^61 - 1, then 2^62 - 57, rebuilding the entries by
-    rational reconstruction, then exactly; the first basis that passes
-    _is_kernel_rref is returned, and an exact one that fails it raises
-    CertificateError.  So the basis is certified, and the same whichever
-    path found it.  Idempotent under re-reduction: stacking the output as
-    rows of a matrix and re-running rref reproduces it unchanged.
+    Eliminates modulo 2^61 - 1, rebuilding the entries by rational
+    reconstruction, and returns that basis if it passes _is_kernel_rref;
+    otherwise eliminates exactly, and an exact basis that fails the check
+    raises CertificateError.  The basis is thus checked against D given
+    the elimination's rank, and the same whichever path found it.
+    Idempotent under re-reduction: stacking the output as rows of a matrix
+    and re-running rref reproduces it unchanged.
     """
     rows = _rows_of(m)
-    for p in _PRIMES:
-        mod = _mod_rows(rows, p)
-        if mod is not None:
-            rank, basis = _null_space(mod, m.cols, p)
-            basis = [{c: _wang(u, p) for c, u in v.items()} for v in basis]
-            if all(None not in v.values() for v in basis) and _is_kernel_rref(rows, m.cols, rank, basis):
-                return [dense(v, m.cols) for v in basis]
+    mod = _mod_rows(rows, _P)
+    if mod is not None:
+        rank, basis = _null_space(mod, m.cols, _P)
+        basis = [{c: _wang(u, _P) for c, u in v.items()} for v in basis]
+        if all(None not in v.values() for v in basis) and _is_kernel_rref(rows, m.cols, rank, basis):
+            return [dense(v, m.cols) for v in basis]
     rank, basis = _null_space(rows, m.cols)
     certify(_is_kernel_rref(rows, m.cols, rank, basis), "exact kernel basis fails its certificate")
     return [dense(v, m.cols) for v in basis]

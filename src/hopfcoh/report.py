@@ -17,7 +17,6 @@ from .comodule import (
     Bicomodule,
     LeftCoaction,
     RightCoaction,
-    catalog_space_dim,
     trivial_left_coaction,
     zero_left_coaction,
 )
@@ -88,9 +87,6 @@ def run(job: JobSpec, log=None) -> dict:
     t_start = time.monotonic()
     h = resolve_algebra(job)
     explicit = _explicit_bicomodules(job, h)
-    x = max([catalog_space_dim(h)] + [b.space_dim for _, b in explicit])
-    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
-        raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
     try:
         plan = [(token, lookup(token)) for token in job.tasks]
     except ValueError as exc:
@@ -112,6 +108,9 @@ def run(job: JobSpec, log=None) -> dict:
         report["consistent"] = False
         report["aborted"] = "axioms failed"
         return report
+    x = max(b.space_dim for _, b in ws.bicomodules())
+    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
+        raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
 
     for token, task in plan:
         t0 = time.monotonic()

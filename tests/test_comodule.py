@@ -1,11 +1,10 @@
 import pytest
 
-from hopfcoh.catalog import algebra_names, get_algebra
+from hopfcoh.catalog import get_algebra
 from hopfcoh.comodule import (
     Bicomodule,
     RightCoaction,
     catalog_bicomodules,
-    catalog_space_dim,
     check_nondegenerate,
     check_nondegenerate_left,
     coaction_from_module,
@@ -250,9 +249,3 @@ def test_regular_bicomodule_reduces_to_coassociativity():
     from hopfcoh.comodule import regular_left_coaction
 
     Bicomodule(regular_right_coaction(h), regular_left_coaction(h))
-
-
-def test_catalog_space_dim_is_the_widest_catalog_bicomodule():
-    for name in algebra_names():
-        h = get_algebra(name)
-        assert catalog_space_dim(h) == max(e.bicomodule.space_dim for e in catalog_bicomodules(h)), name
