@@ -1,7 +1,10 @@
 """Exact tensor-indexed linear algebra over Gaussian rationals.
 
 Matrices are immutable and sparse (zero entries are never stored), but
-every operation has dense semantics.  The single global tensor-index
+every operation has dense semantics.  A Matrix holds integer numerators
+over one common denominator, with an imaginary part only when some entry
+is non-real, so products, sums and kron run on Python ints; `entries` is
+the {(r, c): Scalar} view for the edges.  The single global tensor-index
 convention lives here:
 
     flat index of e_{i1} (x) ... (x) e_{ik}  =  mixed-radix number with i1
@@ -18,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vec = tuple  # tuple[Scalar, ...]
 
@@ -42,12 +45,12 @@ def vec(entries) -> Vec:
 
 
 def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else Scalar(0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dense(v: dict, n: int) -> Vec:
-    """The length-n vector with the sparse entries v (index -> Scalar)."""
-    out = [Scalar(0)] * n
+    """The length-n vector with the sparse entries v (index -> Scalar), zeros the shared ZERO."""
+    out = [ZERO] * n
     for i, x in v.items():
         out[i] = x
     return tuple(out)
@@ -109,22 +112,81 @@ class TensorSpace:
 # matrices
 
 
-class Matrix:
-    """Immutable sparse matrix of Scalars; composition checks inner dims."""
+def _combine(x: dict, kx: int, y: dict, ky: int) -> dict:
+    """kx x + ky y for sparse integer dicts, zeros dropped."""
+    out = {k: kx * v for k, v in x.items()} if kx else {}
+    for k, v in y.items() if ky else ():
+        s = out.get(k, 0) + ky * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _product(a: dict, b: dict) -> dict:
+    """The sparse integer product of {(i, k): x} and {(k, j): y}, zeros dropped."""
+    right: dict = {}
+    for (k, j), y in b.items():
+        right.setdefault(k, []).append((j, y))
+    acc: dict = {}
+    for (i, k), x in a.items():
+        for j, y in right.get(k, ()):
+            key = (i, j)
+            acc[key] = acc.get(key, 0) + x * y
+    return {k: v for k, v in acc.items() if v}
+
+
+def _parts(v):
+    """(re, im) of an int, Fraction or Scalar, each an int or a Fraction."""
+    if type(v) is int:
+        return v, 0
+    v = as_scalar(v)
+    return v.re, v.im
+
+
+class Matrix:
+    """Immutable sparse matrix over Q(i): integer numerators over one denominator.
+
+    `re` and `im` map (r, c) to the nonzero integer numerators of the real
+    and imaginary parts (`im` is empty unless an entry is non-real) and
+    `den` is positive, with gcd(den, numerators) = 1 and den = 1 for the
+    zero matrix; so `==` and `hash` compare these fields directly.
+    `entries` is the {(r, c): Scalar} view, built on first use.
+    """
+
+    __slots__ = ("rows", "cols", "re", "im", "den", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: dict):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        clean = {}
+        parts = {}
         for (r, c), v in entries.items():
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = as_scalar(v)
-            if v:
-                clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+            x, y = _parts(v)
+            if x or y:
+                parts[(r, c)] = x, y
+        # den, the lcm of the reduced denominators, is already coprime to the numerators
+        den = lcm(*(q.denominator for xy in parts.values() for q in xy))
+        re = {k: x.numerator * (den // x.denominator) for k, (x, _) in parts.items() if x}
+        im = {k: y.numerator * (den // y.denominator) for k, (_, y) in parts.items() if y}
+        self._set(rows, cols, re, im, den)
+
+    def _set(self, rows, cols, re, im, den):
+        for name, value in zip(self.__slots__, (rows, cols, re, im, den, None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of(rows: int, cols: int, re: dict, im: dict, den: int = 1) -> "Matrix":
+        """The matrix (re + i im) / den from nonzero numerators, den > 0, put in lowest terms."""
+        if den != 1:
+            g = gcd(den, *re.values(), *im.values())
+            if g != 1:
+                re = {k: v // g for k, v in re.items()}
+                im = {k: v // g for k, v in im.items()}
+                den //= g
+        m = object.__new__(Matrix)
+        m._set(rows, cols, re, im, den)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -133,145 +195,127 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, {})
+        return Matrix._of(rows, cols, {}, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {(i, i): ONE for i in range(n)})
+        return Matrix._of(n, n, {(i, i): 1 for i in range(n)}, {})
 
     @staticmethod
     def from_rows(rows_data) -> "Matrix":
-        rows_data = [list(r) for r in rows_data]
-        nr = len(rows_data)
+        rows_data = [tuple(r) for r in rows_data]
         nc = len(rows_data[0]) if rows_data else 0
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = as_scalar(v)
-                if v:
-                    entries[(i, j)] = v
-        return Matrix(nr, nc, entries)
+        if any(len(row) != nc for row in rows_data):
+            raise ValueError("ragged rows")
+        return Matrix.from_cols(rows_data, rows=nc).transpose()
 
     @staticmethod
     def from_cols(cols_data, rows: Optional[int] = None) -> "Matrix":
+        """The matrix with these columns; the shared ZERO of dense vectors is skipped untested."""
         cols_data = [tuple(c) for c in cols_data]
-        nc = len(cols_data)
         nr = rows if rows is not None else (len(cols_data[0]) if cols_data else 0)
-        entries = {}
-        for j, col in enumerate(cols_data):
-            for i, v in enumerate(col):
-                v = as_scalar(v)
-                if v:
-                    entries[(i, j)] = v
-        return Matrix(nr, nc, entries)
+        cells = {(i, j): v for j, col in enumerate(cols_data) for i, v in enumerate(col) if v is not ZERO and v}
+        return Matrix(nr, len(cols_data), cells)
 
     @staticmethod
     def column(v: Vec) -> "Matrix":
-        return Matrix(len(v), 1, {(i, 0): x for i, x in enumerate(v) if x})
+        return Matrix.from_cols([v])
 
     @staticmethod
     def row(v: Vec) -> "Matrix":
-        return Matrix(1, len(v), {(0, j): x for j, x in enumerate(v) if x})
+        return Matrix.from_rows([v])
 
     # -- access --
 
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as {(r, c): Scalar}, built on first use."""
+        if self._entries is None:
+            d = self.den
+            out = {k: Scalar(Fraction(v, d)) for k, v in self.re.items()}
+            for k, v in self.im.items():
+                out[k] = Scalar(out.get(k, ZERO).re, Fraction(v, d))
+            object.__setattr__(self, "_entries", out)
+        return self._entries
+
     def __getitem__(self, rc) -> Scalar:
-        return self.entries.get(rc, Scalar(0))
+        return Scalar(Fraction(self.re.get(rc, 0), self.den), Fraction(self.im.get(rc, 0), self.den))
 
     def col(self, j: int) -> Vec:
-        out = [Scalar(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                out[r] = v
-        return tuple(out)
+        return dense({r: v for (r, c), v in self.entries.items() if c == j}, self.rows)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.re.keys() | self.im.keys()) if self.im else len(self.re)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.re and not self.im
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+        return (self.rows, self.cols, self.den, self.re, self.im) == (
+            other.rows, other.cols, other.den, other.re, other.im
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, self.den, frozenset(self.re.items()), frozenset(self.im.items())))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     # -- arithmetic --
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k)
-            entries[k] = v if s is None else s + v
-        return Matrix(self.rows, self.cols, entries)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        re, im = _combine(self.re, ka, other.re, kb), _combine(self.im, ka, other.im, kb)
+        return Matrix._of(self.rows, self.cols, re, im, den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = as_scalar(c)
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        x, y = _parts(c)
+        s = lcm(x.denominator, y.denominator)
+        x, y = x.numerator * (s // x.denominator), y.numerator * (s // y.denominator)
+        # (A + Bi)(x + yi) = (xA - yB) + (yA + xB)i
+        re, im = _combine(self.re, x, self.im, -y), _combine(self.re, y, self.im, x)
+        return Matrix._of(self.rows, self.cols, re, im, self.den * s)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"composition undefined: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        right_rows: dict = {}
-        for (k, j), v in other.entries.items():
-            right_rows.setdefault(k, []).append((j, v))
-        acc: dict = {}
-        for (i, k), a in self.entries.items():
-            hits = right_rows.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
-                key = (i, j)
-                s = acc.get(key)
-                p = a * b
-                acc[key] = p if s is None else s + p
-        return Matrix(self.rows, other.cols, acc)
+        re, im = _product(self.re, other.re), {}
+        if self.im or other.im:  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
+            re = _combine(re, 1, _product(self.im, other.im), -1)
+            im = _combine(_product(self.re, other.im), 1, _product(self.im, other.re), 1)
+        return Matrix._of(self.rows, other.cols, re, im, self.den * other.den)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Scalar(0)] * self.rows
-        for (i, j), a in self.entries.items():
-            x = v[j]
-            if x:
-                out[i] = out[i] + a * x
-        return tuple(out)
+        return (self @ Matrix.column(v)).col(0)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        re, im = ({(c, r): v for (r, c), v in d.items()} for d in (self.re, self.im))
+        return Matrix._of(self.cols, self.rows, re, im, self.den)
 
     def conj(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: v.conjugate() for k, v in self.entries.items()})
+        return Matrix._of(self.rows, self.cols, self.re, {k: -v for k, v in self.im.items()}, self.den)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows, {(c, r): v.conjugate() for (r, c), v in self.entries.items()}
-        )
+        return self.conj().transpose()
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conj_transpose()
@@ -279,10 +323,12 @@ class Matrix:
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in augment")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r, c + self.cols)] = v
-        return Matrix(self.rows, self.cols + other.cols, entries)
+        den, shift = lcm(self.den, other.den), self.cols
+        ka, kb = den // self.den, den // other.den
+        re, im = _combine(self.re, ka, {}, 0), _combine(self.im, ka, {}, 0)
+        for out, part in ((re, other.re), (im, other.im)):
+            out.update({(r, c + shift): kb * v for (r, c), v in part.items()})
+        return Matrix._of(self.rows, shift + other.cols, re, im, den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -291,12 +337,18 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     Row/column flat indices follow the global row-major convention, so
     kron(a, b)[(ia,ib),(ja,jb)] = a[ia,ja] * b[ib,jb].
     """
-    entries = {}
     br, bc = b.rows, b.cols
-    for (ia, ja), va in a.entries.items():
-        for (ib, jb), vb in b.entries.items():
-            entries[(ia * br + ib, ja * bc + jb)] = va * vb
-    return Matrix(a.rows * b.rows, a.cols * b.cols, entries)
+
+    def part(x: dict, y: dict) -> dict:
+        return {
+            (ia * br + ib, ja * bc + jb): u * v for (ia, ja), u in x.items() for (ib, jb), v in y.items()
+        }
+
+    re, im = part(a.re, b.re), {}
+    if a.im or b.im:
+        re = _combine(re, 1, part(a.im, b.im), -1)
+        im = _combine(part(a.re, b.im), 1, part(a.im, b.re), 1)
+    return Matrix._of(a.rows * br, a.cols * bc, re, im, a.den * b.den)
 
 
 def kron_all(*mats: Matrix) -> Matrix:
@@ -320,8 +372,8 @@ def tensor_permutation(src_dims, tgt_slot_to_src_slot) -> Matrix:
     entries = {}
     for i in range(src.total_dim):
         idx = src.unflat(i)
-        entries[(tgt.flat(tuple(idx[s] for s in perm)), i)] = ONE
-    return Matrix(tgt.total_dim, src.total_dim, entries)
+        entries[(tgt.flat(tuple(idx[s] for s in perm)), i)] = 1
+    return Matrix._of(tgt.total_dim, src.total_dim, entries, {})
 
 
 def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:
@@ -348,9 +400,10 @@ def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:
 # elimination
 
 
-def _rows_of(m: Matrix):
+def _rows_of(entries: dict):
+    """The nonzero rows of sparse {(r, c): x} entries, in row order, as {c: x} dicts."""
     rows: dict = {}
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
     return [rows[r] for r in sorted(rows)]
 
@@ -421,14 +474,14 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (pivot_cols, rows as sparse dicts)."""
-    pivots, rows, _ = _rref_rows(_rows_of(m))
+    pivots, rows, _ = _rref_rows(_rows_of(m.entries))
     return pivots, rows
 
 
 def image_rank(m: Matrix) -> int:
     """Exact rank.  Eliminates along the smaller dimension."""
     work = m.transpose() if m.rows < m.cols else m
-    pivots, _, _ = _rref_rows(_rows_of(work))
+    pivots, _, _ = _rref_rows(_rows_of(work.entries))
     return len(pivots)
 
 
@@ -448,14 +501,6 @@ def _null_space(rows, cols: int, p: int = 0):
                 raw[c][piv] = p - v if p else -v
     _, basis, _ = _rref_rows(list(raw.values()), p=p)
     return len(pivots), basis
-
-
-def _mod_rows(rows, p: int):
-    """The rows modulo p, or None when an entry is non-real or p divides a denominator."""
-    if any(v.im or not v.re.denominator % p for row in rows for v in row.values()):
-        return None
-    mod = [{c: v.re.numerator * pow(v.re.denominator, -1, p) % p for c, v in row.items()} for row in rows]
-    return [{c: x for c, x in row.items() if x} for row in mod]
 
 
 def _wang(u: int, p: int):
@@ -479,17 +524,18 @@ def _cleared(v: dict):
     )
 
 
-def _is_kernel_rref(rows, cols: int, rank: int, basis) -> bool:
-    """The exact certificate that basis is the canonical kernel basis of D.
+def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
+    """The exact certificate that basis is the canonical kernel basis of D = m.
 
     basis must be in RREF (each vector monic at its leading column, leading
     columns increasing and zero in every other vector), hold cols - rank
-    vectors and satisfy D K = 0, checked on integers with the denominators
-    of each row and vector cleared.  This certifies the kernel given rank:
-    a rank that is too small is caught, one that is too large (a spurious
-    pivot) is not, so the rank itself is trusted to the elimination.
+    vectors and satisfy D K = 0, checked on integers: D's numerators (den D
+    has D's kernel) against each vector with its denominators cleared.
+    This certifies the kernel given rank: a rank that is too small is
+    caught, one that is too large (a spurious pivot) is not, so the rank
+    itself is trusted to the elimination.
     """
-    if len(basis) != cols - rank or not all(basis):
+    if len(basis) != m.cols - rank or not all(basis):
         return False
     leads = [min(v) for v in basis]
     lead_set = set(leads)
@@ -497,11 +543,10 @@ def _is_kernel_rref(rows, cols: int, rank: int, basis) -> bool:
         return False
     if any(v[c] != 1 or len(lead_set.intersection(v)) != 1 for c, v in zip(leads, basis)):
         return False
-    d_re, d_im = {}, {}  # D cleared, column -> [(row, entry)]
-    for r, row in enumerate(rows):
-        for part, index in zip(_cleared(row), (d_re, d_im)):
-            for c, a in part.items():
-                index.setdefault(c, []).append((r, a))
+    d_re, d_im = {}, {}  # column -> [(row, numerator)]
+    for part, index in ((m.re, d_re), (m.im, d_im)):
+        for (r, c), a in part.items():
+            index.setdefault(c, []).append((r, a))
     for x, y in map(_cleared, basis):
         re, im = {}, {}  # (A + Bi)(X + Yi) = (AX - BY) + (AY + BX)i
         for d, k, acc, sign in ((d_re, x, re, 1), (d_im, y, re, -1), (d_re, y, im, 1), (d_im, x, im, 1)):
@@ -524,15 +569,15 @@ def kernel_basis(m: Matrix):
     Idempotent under re-reduction: stacking the output as rows of a matrix
     and re-running rref reproduces it unchanged.
     """
-    rows = _rows_of(m)
-    mod = _mod_rows(rows, _P)
-    if mod is not None:
+    if not m.im and m.den % _P:  # real, and the numerators over den reduce mod p
+        inv = pow(m.den, -1, _P)
+        mod = _rows_of({k: x for k, v in m.re.items() if (x := v * inv % _P)})
         rank, basis = _null_space(mod, m.cols, _P)
         basis = [{c: _wang(u, _P) for c, u in v.items()} for v in basis]
-        if all(None not in v.values() for v in basis) and _is_kernel_rref(rows, m.cols, rank, basis):
+        if all(None not in v.values() for v in basis) and _is_kernel_rref(m, rank, basis):
             return [dense(v, m.cols) for v in basis]
-    rank, basis = _null_space(rows, m.cols)
-    certify(_is_kernel_rref(rows, m.cols, rank, basis), "exact kernel basis fails its certificate")
+    rank, basis = _null_space(_rows_of(m.entries), m.cols)
+    certify(_is_kernel_rref(m, rank, basis), "exact kernel basis fails its certificate")
     return [dense(v, m.cols) for v in basis]
 
 

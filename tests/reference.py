@@ -1,4 +1,7 @@
-"""Reference eliminations that the tests hold the production paths to.
+"""References that the tests hold the production paths to.
+
+The `ref_*` functions are `Matrix` arithmetic on plain {(r, c): Scalar}
+dicts of the nonzero entries, one Scalar operation at a time.
 
 `reference_kernel` is the exact two-RREF kernel: `rref` of the matrix, then
 `rref` of its free-column null vectors.  `reference_bookkeeping` is the
@@ -45,3 +48,48 @@ def reference_bookkeeping(cx, n: int):
     solver = LinearSolver(prev.augment(Matrix.from_cols(reps, rows=prev.rows)))
     preimages = tuple((v, solver.solve(v).solution[: prev.cols]) for v in kernel if v not in reps)
     return reps, preimages
+
+
+# -- Matrix arithmetic on {(r, c): Scalar} dicts ------------------------------
+
+
+def _nonzero(entries: dict) -> dict:
+    return {k: v for k, v in entries.items() if v}
+
+
+def ref_product(a: dict, b: dict) -> dict:
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), Scalar(0)) + x * y
+    return _nonzero(out)
+
+
+def ref_kron(a: dict, b: dict, b_rows: int, b_cols: int) -> dict:
+    return {
+        (ia * b_rows + ib, ja * b_cols + jb): x * y for (ia, ja), x in a.items() for (ib, jb), y in b.items()
+    }
+
+
+def ref_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, y in b.items():
+        out[k] = out.get(k, Scalar(0)) + sign * y
+    return _nonzero(out)
+
+
+def ref_scale(a: dict, c: Scalar) -> dict:
+    return _nonzero({k: c * x for k, x in a.items()})
+
+
+def ref_transpose(a: dict) -> dict:
+    return {(c, r): x for (r, c), x in a.items()}
+
+
+def ref_conj_transpose(a: dict) -> dict:
+    return {(c, r): x.conjugate() for (r, c), x in a.items()}
+
+
+def ref_augment(a: dict, b: dict, a_cols: int) -> dict:
+    return {**a, **{(r, c + a_cols): x for (r, c), x in b.items()}}

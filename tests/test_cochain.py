@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hopfcoh.catalog import algebra_names, get_algebra
@@ -38,7 +40,7 @@ from hopfcoh.linalg import (
     tensor_permutation,
     unit_vec,
 )
-from hopfcoh.scalars import ONE, Scalar
+from hopfcoh.scalars import I, ONE, Scalar
 from reference import reference_bookkeeping, reference_kernel
 
 
@@ -103,11 +105,25 @@ def test_chain_property_enforced_by_constructor():
             assert (cx.boundary(n + 1) @ cx.boundary(n)).is_zero()
 
 
-def test_complex_constructor_rejects_broken_chain():
-    d0 = Matrix.from_rows([[1], [0]])
-    d1 = Matrix.from_rows([[1, 0]])
-    with pytest.raises(ValueError):
-        CochainComplex("dual", (1, 2, 1), (d0, d1))
+# (D_0 rows, D_1 rows): D_1 D_0 is [[1]]; [[i]], zero in its real part; [[1/6], [0]]
+# from denominators 2 and 3; and zero, a valid rational chain
+CHAINS = {
+    "real": ([[1], [0]], [[1, 0]]),
+    "imaginary": ([[1], [1]], [[1, -1 + I]]),
+    "sixth": ([[Fraction(1, 2)], [1]], [[Fraction(1, 3), 0], [1, Fraction(-1, 2)]]),
+    "valid": ([[Fraction(1, 2)], [Fraction(1, 3)]], [[Fraction(2, 3), -1]]),
+}
+
+
+@pytest.mark.parametrize("case", CHAINS)
+def test_complex_constructor_rejects_broken_chain(case):
+    d0, d1 = (Matrix.from_rows(rows) for rows in CHAINS[case])
+    degrees = (d0.cols, d0.rows, d1.rows)
+    if case == "valid":
+        assert CochainComplex("dual", degrees, (d0, d1)).boundary(1) == d1
+        return
+    with pytest.raises(ValueError, match="chain property fails at degree 0"):
+        CochainComplex("dual", degrees, (d0, d1))
 
 
 def test_degree_cap_enforced():
