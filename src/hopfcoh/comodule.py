@@ -19,7 +19,7 @@ from .linalg import (
     unit_vec,
 )
 from .monoids import FiniteGroup
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -229,13 +229,10 @@ def grade_decomposition(c: RightCoaction):
         proj = kron(ix, phi_r) @ c.beta  # X -> X
         _, rows = rref(proj.transpose())
         basis = [dense(row, x) for row in rows]
-        for v in basis:
-            expected = [Scalar(0)] * (x * s)
-            for i, val in enumerate(v):
-                if val:
-                    expected[i * s + r] = val
-            if c.beta.apply(v) != tuple(expected):
-                raise ValueError(f"grading component {r} fails beta(x) = x (x) u_{r}")
+        b = Matrix.from_cols(basis, rows=x)
+        # beta(v) = v (x) u_r for every column v of b; phi_r^T is u_r as a column
+        if c.beta @ b != kron(b, phi_r.transpose()):
+            raise ValueError(f"grading component {r} fails beta(x) = x (x) u_{r}")
         out[r] = basis
     return out
 

@@ -65,14 +65,7 @@ class HopfStarAlgebra:
         return Matrix.row(self.counit)
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
-        prod = [Scalar(0)] * (self.dim * self.dim)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i * self.dim + j] = x * y
-        return self.mult.apply(tuple(prod))
+        return (self.mult @ kron(Matrix.column(a), Matrix.column(b))).col(0)
 
     def structure_equal(self, other: "HopfStarAlgebra") -> bool:
         """Equality of product/unit/coproduct/counit tensors (labels, star aside)."""
@@ -162,30 +155,10 @@ def check_saturated(h: HopfStarAlgebra):
     d = h.dim
     swap_mid = tensor_permutation([d, d, d, d], [0, 2, 1, 3])
     mult2 = kron(h.mult, h.mult) @ swap_mid  # product on S (x) S
-
-    def span_rank(unit_first: bool) -> int:
-        cols = []
-        for s in range(d):
-            ds = h.comult.col(s)
-            for t in range(d):
-                et = unit_vec(d, t)
-                other = _tensor_vec(h.unit, et) if unit_first else _tensor_vec(et, h.unit)
-                cols.append(mult2.apply(_tensor_vec(ds, other)))
-        return image_rank(Matrix.from_cols(cols, rows=d * d))
-
-    full = d * d
-    return (span_rank(True) == full, span_rank(False) == full)
-
-
-def _tensor_vec(a: Vec, b: Vec) -> Vec:
-    out = [Scalar(0)] * (len(a) * len(b))
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i * len(b) + j] = x * y
-    return tuple(out)
+    i_s = Matrix.identity(d)
+    # column (s, t) of kron(comult, side) is delta(s) (x) (1 (x) t), resp. (t (x) 1)
+    sides = (kron(h.unit_col, i_s), kron(i_s, h.unit_col))
+    return tuple(image_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
 
 
 # ---------------------------------------------------------------------------

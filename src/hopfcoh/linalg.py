@@ -409,15 +409,18 @@ def _rows_of(entries: dict):
 
 
 def _rref_rows(row_dicts, track=None, p: int = 0):
-    """Full RREF of a list of sparse rows.  Mutates nothing passed in.
+    """Full RREF of a list of sparse rows: the package's one elimination.
 
-    Exact over Q(i) (Scalar entries) when p is 0, else over Z/p (int
-    entries in [0, p)).  Returns (pivots, rows) with monic pivots, zero
-    above and below each pivot, rows sorted by pivot column.  If `track` is
-    a parallel list of sparse rows, the same row operations are applied to
-    it (used for inconsistency certificates).
+    When p is 0 it is exact over whatever field the entries lie in, and
+    keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
+    Scalar, since the only constant it brings in is 1 / pivot.
+    Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
+    passed in.  Returns (pivots, rows, tracks) with monic pivots, zero above
+    and below each pivot, rows sorted by pivot column.  If `track` is a
+    parallel list of sparse rows, the same row operations are applied to it
+    (used for inconsistency certificates) and tracks is (the tracks of the
+    rows that reduced to zero, the tracks of the pivot rows); else None.
     """
-    zero = 0 if p else Scalar(0)
 
     def scaled(row, k):
         return {c: k * v % p if p else k * v for c, v in row.items()}
@@ -425,7 +428,7 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
     def axpy(trow, prow, factor, ri=None):
         """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
         for c, v in prow.items():
-            nv = trow.get(c, zero) - factor * v
+            nv = trow[c] - factor * v if c in trow else -(factor * v)
             if p:
                 nv %= p
             if nv:
@@ -451,7 +454,7 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
         if not cand:
             continue
         ri = min(cand, key=lambda r: (len(work[r]), r))
-        inv = pow(work[ri][col], -1, p) if p else ONE / work[ri][col]
+        inv = pow(work[ri][col], -1, p) if p else 1 / work[ri][col]
         if inv != 1:
             work[ri] = scaled(work[ri], inv)
             if tr is not None:
@@ -600,10 +603,9 @@ class LinearSolver:
 
     def __init__(self, m: Matrix):
         self.m = m
-        rows: dict = {}
+        row_list = [{} for _ in range(m.rows)]
         for (r, c), v in m.entries.items():
-            rows.setdefault(r, {})[c] = v
-        row_list = [rows.get(r, {}) for r in range(m.rows)]
+            row_list[r][c] = v
         track = [{r: ONE} for r in range(m.rows)]
         pivots, _red, tracked = _rref_rows(row_list, track=track)
         self.pivots = pivots
@@ -627,11 +629,7 @@ class LinearSolver:
         for t in self.zero_tracks:
             if combo(t):
                 y = dense(t, self.m.rows)
-                y_m = [Scalar(0)] * self.m.cols
-                for (r, c), v in self.m.entries.items():
-                    if y[r]:
-                        y_m[c] = y_m[c] + y[r] * v
-                certify(not any(y_m), "inconsistency certificate fails y^T m = 0")
+                certify((Matrix.row(y) @ self.m).is_zero(), "inconsistency certificate fails y^T m = 0")
                 certify(bool(vec_dot(y, rhs)), "inconsistency certificate fails y^T rhs != 0")
                 return SolveResult(None, y)
         x = [Scalar(0)] * self.m.cols

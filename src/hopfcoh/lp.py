@@ -4,7 +4,8 @@ Solves {A w = b, w >= 0} by a phase-1 simplex over Fractions with Bland's
 rule (finite termination, no tolerances).  Infeasibility comes with a
 Farkas certificate y (y^T A <= 0, y^T b > 0) that is re-verified exactly
 before being returned.  A brute-force basic-solution enumeration serves as
-an independent oracle at small sizes.
+an independent oracle at small sizes; it eliminates with linalg's one
+elimination, `_rref_rows`, on sparse Fraction rows.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .linalg import certify
+from .linalg import _rref_rows, certify
 
 
 @dataclass(frozen=True)
@@ -115,73 +116,26 @@ def _verify_point(a_rows, b_col, w):
 
 
 def enumerate_feasibility(a_rows, b_col) -> bool:
-    """Independent oracle: scan basic solutions (supports of size <= rank)."""
+    """Independent oracle: scan basic solutions (supports of size <= rank).
+
+    A support S of size k carries a basic solution exactly when the RREF of
+    the augmented rows [A_S | b] has pivots 0 .. k-1: then A_S has full
+    column rank and the rhs column no pivot, so the solution is unique and
+    its coordinates are the reduced rows' rhs entries.
+    """
     a = _as_fractions(a_rows)
     b = [Fraction(x) for x in b_col]
-    m = len(a)
-    n = len(a[0]) if m else 0
     if not any(b):
         return True
-    r = _rank([row[:] for row in a])
-    for size in range(1, min(r, n) + 1):
-        for support in combinations(range(n), size):
-            sol = _solve_support(a, b, support)
-            if sol is not None and all(v >= 0 for v in sol):
+    n = len(a[0])
+    rank = len(_rref_rows([{j: x for j, x in enumerate(row) if x} for row in a])[0])
+    for k in range(1, rank + 1):
+        for support in combinations(range(n), k):
+            rows = [{c: row[j] for c, j in enumerate(support) if row[j]} for row in a]
+            for row, rhs in zip(rows, b):
+                if rhs:
+                    row[k] = rhs
+            pivots, red, _ = _rref_rows(rows)
+            if pivots == list(range(k)) and all(row.get(k, 0) >= 0 for row in red):
                 return True
     return False
-
-
-def _rank(rows):
-    rank = 0
-    n = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(n):
-        sel = next((i for i in range(pivot_row, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pr = rows[pivot_row]
-        inv = 1 / pr[col]
-        rows[pivot_row] = pr = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        pivot_row += 1
-        rank += 1
-    return rank
-
-
-def _solve_support(a, b, support):
-    """Unique solution of A_S x = b with x supported on S, if one exists."""
-    m = len(a)
-    k = len(support)
-    rows = [[a[i][j] for j in support] + [b[i]] for i in range(m)]
-    # gaussian elimination
-    piv = 0
-    where = []
-    for col in range(k):
-        sel = next((i for i in range(piv, m) if rows[i][col]), None)
-        if sel is None:
-            return None  # rank-deficient on this support: skip
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        pr = rows[piv]
-        inv = 1 / pr[col]
-        rows[piv] = pr = [x * inv for x in pr]
-        for i in range(m):
-            if i != piv and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        where.append(piv)
-        piv += 1
-    for i in range(piv, m):
-        if rows[i][k]:
-            return None  # inconsistent
-    xs = [Fraction(0)] * k
-    for col, i in enumerate(where):
-        xs[col] = rows[i][k]
-    n = len(a[0])
-    full = [Fraction(0)] * n
-    for col, j in enumerate(support):
-        full[j] = xs[col]
-    return tuple(full)

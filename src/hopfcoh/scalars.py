@@ -69,6 +69,8 @@ class Scalar:
         return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
+        if not self.im and isinstance(other, (int, Fraction)):
+            return Scalar(other / self.re)  # real by real: one Fraction division
         return as_scalar(other) / self
 
     # -- structure ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ from hopfcoh.amenability import (
     kronecker_codiagonal,
 )
 from hopfcoh.catalog import get_algebra, get_group, get_monoid
-from hopfcoh.cochain import dual_coboundary
+from hopfcoh.cochain import Workspace, dual_coboundary
 from hopfcoh.linalg import solve, vec_dot
 from hopfcoh.scalars import ONE, Scalar
 
@@ -184,6 +185,35 @@ def test_graded_cocycles_z2_and_s3():
     for name in ("Z2", "S3"):
         out = check_graded_cocycles(get_algebra(f"group:{name}"))
         assert out.passed, (name, out.details)
+
+
+@pytest.mark.parametrize(
+    "idx, w, s, t, diagonal",
+    [(0, 0, 0, 1, False), (1, 2, 0, 1, False), (2, 1, 1, 1, True)],
+)
+def test_graded_cocycles_reject_a_tampered_cocycle(idx, w, s, t, diagonal):
+    """One unit added at alpha(x_(s,t))'s u_w coordinate breaks both identities
+    on that component (and the diagonal one there) and the reconstruction."""
+    h = get_algebra("group:Z3")
+    ws = Workspace(h, 3)
+    bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
+    h1 = ws.cohomology_of(bic, "dual", 1)
+    alpha = list(h1.kernel[idx])
+    alpha[w * bic.space_dim + s * h.dim + t] += ONE
+    tampered = dataclasses.replace(h1, kernel=h1.kernel[:idx] + (tuple(alpha),) + h1.kernel[idx + 1 :])
+    real = ws.cohomology_of
+    ws.cohomology_of = lambda b, kind, n: tampered if b is bic and (kind, n) == ("dual", 1) else real(b, kind, n)
+    out = check_graded_cocycles(h, 3, ws)
+    expected = [
+        f"1-cocycle space dimension: {len(h1.kernel)}",
+        f"cocycle {idx}: two-term identity fails at ({s},{t})",
+        f"cocycle {idx}: mirrored identity fails at ({s},{t})",
+    ]
+    if diagonal:
+        expected.append(f"cocycle {idx}: diagonal component nonzero at {s}")
+    expected.append(f"cocycle {idx}: reconstructed functional fails d_0(f) = alpha")
+    assert not out.passed
+    assert out.details == tuple(expected)
 
 
 def test_rzid3_restricted_h1_nonzero_both_ways():

@@ -196,3 +196,41 @@ def test_corrupted_exact_fallback_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_rows", _drop_last_pivot(linalg._rref_rows, (P, 0)))
     with pytest.raises(CertificateError, match="exact kernel basis"):
         kernel_basis(TAMPER)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 6 sparse rows over up to 7 columns with Fraction entries, and a
+    parallel list of sparse track rows over the row indices."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+
+    def sparse(width):
+        return {c: x for c in range(width) if (x := draw(entry))}
+
+    return [sparse(cols) for _ in range(rows)], [sparse(rows) for _ in range(rows)]
+
+
+@PROPERTY
+@given(sparse_rows(), st.booleans())
+def test_exact_elimination_keeps_the_entry_field(spec, tracked):
+    """_rref_rows on Fraction rows and on the same rows as Scalars: the same
+    pivots, rows and tracks entry by entry, each in its input's type."""
+    rows, tracks = spec
+    track = tracks if tracked else None
+
+    def scalars(rs):
+        return None if rs is None else [{c: Scalar(x) for c, x in r.items()} for r in rs]
+
+    fp, frows, ftracks = linalg._rref_rows(rows, track)
+    sp, srows, stracks = linalg._rref_rows(scalars(rows), scalars(track))
+    assert fp == sp
+    assert scalars(frows) == srows
+    fout = frows + (ftracks[0] + ftracks[1] if tracked else [])
+    sout = srows + (stracks[0] + stracks[1] if tracked else [])
+    assert all(type(x) is Fraction for r in fout for x in r.values())
+    assert all(type(x) is Scalar for r in sout for x in r.values())
+    if tracked:
+        assert (scalars(ftracks[0]), scalars(ftracks[1])) == stracks
+    else:
+        assert ftracks is stracks is None

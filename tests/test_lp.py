@@ -1,7 +1,12 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
+from hopfcoh.amenability import _mean_system
 from hopfcoh.lp import enumerate_feasibility, solve_equality_feasibility
+from hopfcoh.monoids import FiniteMonoid
 
 
 def test_simple_feasible():
@@ -56,3 +61,26 @@ def test_random_systems_match_enumeration_oracle():
             for j in range(n):
                 assert sum(y[i] * a[i][j] for i in range(m)) <= 0
             assert sum(y[i] * b[i] for i in range(m)) > 0
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("hopfcoh_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_simplex_and_minimal_ideal_agree_on_every_small_monoid():
+    """All 11 + 156 monoid tables of order 3 and 4 with identity 0: the
+    enumeration oracle, the simplex and the one-minimal-left-ideal criterion
+    for an invariant mean give one answer."""
+    workloads = _bench_workloads()
+    tables = workloads.monoid_tables(3) + workloads.monoid_tables(4)
+    assert len(tables) == 11 + 156
+    for table in tables:
+        rows, rhs = _mean_system(FiniteMonoid(len(table), table))
+        expected = workloads.has_invariant_mean(table)
+        assert enumerate_feasibility(rows, rhs) == expected, table
+        assert solve_equality_feasibility(rows, rhs).feasible == expected, table
