@@ -11,6 +11,7 @@ from .linalg import (
     Matrix,
     TensorSpace,
     kron,
+    leg_map,
     rotation_sigma,
     kernel_basis,
     image_rank,

@@ -35,10 +35,8 @@ from .linalg import (
     kernel_basis,
     kron,
     kron_all,
-    rotation_sigma,
-    tensor_permutation,
+    leg_map,
 )
-from .scalars import ONE, Scalar
 
 
 def _ipow(d: int, n: int) -> int:
@@ -56,57 +54,49 @@ def natural_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     if n + 1 > degree_cap:
         raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    beta, gamma = b.beta.beta, b.gamma.gamma
-    if n == 0:
-        return beta - rotation_sigma(1, 1, x, s) @ gamma
     i_sn = Matrix.identity(_ipow(s, n))
-    total = kron(beta, i_sn)
+    total = kron(b.beta.beta, i_sn)
     for k in range(1, n + 1):
         left = Matrix.identity(x * _ipow(s, k - 1))
         right = Matrix.identity(_ipow(s, n - k))
         term = kron_all(left, h.comult, right)
         total = total + term.scale((-1) ** k)
-    last = rotation_sigma(n + 1, 1, x, s) @ kron(gamma, i_sn)
-    return total + last.scale((-1) ** (n + 1))
+    # rotation_sigma(n + 1, 1): the gamma leg moves from first to last
+    last = kron(b.gamma.gamma, i_sn)
+    move = leg_map([s, last.cols], [1, 0])
+    return total + last.reindex(last.rows, last.cols, lambda r, c: (move[r], c)).scale((-1) ** (n + 1))
 
 
 def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     """Coboundary Hom(X, S^n) -> Hom(X, S^{n+1}) of the dual complex.
 
-    Built entry-by-entry: with T a basis map e_y -> (S^n basis v), the three
-    families of terms land at
+    With T a basis map e_y -> (S^n basis v), the three families of terms
+    are reindexed tensors:
 
-      (T (x) id) o beta :            row ((v,a), j) <- beta[(y,a), j]
+      (T (x) id) o beta :            row ((v,a), j) <- kron(id, beta)[(v,(y,a)), (v,j)]
       (id^{n-k} (x) d (x) id^{k-1}) o T : kron(insertion, id_X)
-      (id (x) T) o gamma :           row ((a,v), j) <- gamma[(a,y), j]
+      (id (x) T) o gamma :           row ((a,v), j) <- kron(id, gamma)[(v,(a,y)), (v,j)]
+
+    and each lands in column (v, y).
     """
     if n < 0:
         raise ValueError("negative degree")
     if n + 1 > degree_cap:
         raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    sn, sn1 = _ipow(s, n), _ipow(s, n + 1)
-    rows, cols = sn1 * x, sn * x
-    entries: dict = {}
+    sn = _ipow(s, n)
+    rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
 
-    def bump(r, c, val):
-        key = (r, c)
-        cur = entries.get(key)
-        entries[key] = val if cur is None else cur + val
+    def on_beta(r, c):  # the beta leg is the last output leg, sign +1
+        v, y, a = r // (x * s), r // s % x, r % s
+        return (v * s + a) * x + c % x, v * x + y
 
-    # (T (x) id) o beta, sign +1: the beta leg is the last output leg
-    for (r, j), val in b.beta.beta.entries.items():
-        y, a = divmod(r, s)
-        for v in range(sn):
-            bump((v * s + a) * x + j, v * x + y, val)
-    # (id (x) T) o gamma, sign (-1)^{n+1}: the gamma leg is the first output leg
-    sign_g = ONE if (n + 1) % 2 == 0 else -ONE
-    for (r, j), val in b.gamma.gamma.entries.items():
-        a, y = divmod(r, x)
-        sv = sign_g * val
-        for v in range(sn):
-            bump((a * sn + v) * x + j, v * x + y, sv)
-    mat = Matrix(rows, cols, entries)
+    def on_gamma(r, c):  # the gamma leg is the first output leg, sign (-1)^{n+1}
+        v, a, y = r // (s * x), r // x % s, r % x
+        return (a * sn + v) * x + c % x, v * x + y
+
+    mat = kron(i_sn, b.beta.beta).reindex(rows, cols, on_beta)
+    mat = mat + kron(i_sn, b.gamma.gamma).reindex(rows, cols, on_gamma).scale((-1) ** (n + 1))
     # coproduct insertions
     for k in range(1, n + 1):
         ins = kron_all(
@@ -142,9 +132,11 @@ def bar_boundary(b: Bicomodule, n: int, degree_cap: int = 4) -> Matrix:
             Matrix.identity(_ipow(s, n - i - 1) * x),
         )
         total = total + term.scale((-1) ** (n - i))
-    rotate = tensor_permutation([s] * n + [x], list(range(1, n + 1)) + [0])
-    last = kron(Matrix.identity(_ipow(s, n - 1)), act_r) @ rotate
-    return total + last.scale((-1) ** n)
+    # precompose the rotation B^n (x) X -> B^{n-1} (x) X (x) B: a column of
+    # kron(id, act_r) indexed (w, b) becomes the column (b, w)
+    last = kron(Matrix.identity(_ipow(s, n - 1)), act_r)
+    back = leg_map([last.cols // s, s], [1, 0])
+    return total + last.reindex(last.rows, last.cols, lambda r, c: (r, back[c])).scale((-1) ** n)
 
 
 def bar_dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
@@ -326,9 +318,14 @@ class IdentificationReport:
         return self.holds
 
 
-def _hom_reshuffle(x: int, sn: int) -> Matrix:
-    """X^* (x) S^n -> Hom(X, S^n) flattening: (m, w) -> (w, m)."""
-    return tensor_permutation([x, sn], [1, 0])
+def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tuple:
+    """(R d_n^{natural-dual}, (-1)^{n+1} d_n^{dual} R) with R the flattening
+    X^* (x) S^n -> Hom(X, S^n), (m, w) -> (w, m), applied by reindexing."""
+    to_hom = leg_map([x, _ipow(s, n + 1)], [1, 0])
+    from_hom = leg_map([_ipow(s, n), x], [1, 0])
+    lhs = nat.reindex(nat.rows, nat.cols, lambda r, c: (to_hom[r], c))
+    rhs = dua.reindex(dua.rows, dua.cols, lambda r, c: (r, from_hom[c]))
+    return lhs, rhs.scale((-1) ** (n + 1))
 
 
 def identify_dual_with_natural(
@@ -341,14 +338,10 @@ def identify_dual_with_natural(
     H^n dimensions agree.
     """
     ws = Workspace.ensure(workspace, b.hopf, degree_cap)
-    x, s = b.space_dim, b.hopf.dim
     dual_b = ws.dual(b)
     nat = ws.complex_of(dual_b, "natural").boundary(n)
     dua = ws.complex_of(b, "dual").boundary(n)
-    r_n = _hom_reshuffle(x, _ipow(s, n))
-    r_n1 = _hom_reshuffle(x, _ipow(s, n + 1))
-    lhs = r_n1 @ nat
-    rhs = (dua @ r_n).scale((-1) ** (n + 1))
+    lhs, rhs = sign_identity_sides(nat, dua, b.space_dim, b.hopf.dim, n)
     if lhs != rhs:
         return IdentificationReport(False, n, "sign identity fails entrywise")
     d_nat = ws.cohomology_of(dual_b, "natural", n).dim
@@ -379,10 +372,8 @@ class HomotopyCertificate:
 
 
 def _hom_to_vec(m: Matrix) -> Vec:
-    out = [Scalar(0)] * (m.rows * m.cols)
-    for (w, j), v in m.entries.items():
-        out[w * m.cols + j] = v
-    return tuple(out)
+    """The Hom(X, W) flattening of m: entry (w, j) at w * cols + j."""
+    return m.reindex(m.rows * m.cols, 1, lambda w, j: (w * m.cols + j, 0)).col(0)
 
 
 def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction) -> tuple:
@@ -480,20 +471,18 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     side="beta":  R = (id^{n-1} (x) F) o (T (x) id) o beta  (beta non-degenerate)
     side="gamma": R = (F (x) id^{n-1}) o (id (x) T) o gamma (gamma non-degenerate)
 
-    With B_a[y, j] = beta[(y,a), j] and F_a = F (id (x) e_a), R = sum_a
-    (id^{n-1} (x) F_a) T B_a, and vec(A T B) = kron(A, B^T) vec(T) makes it
-    one matrix, built here entry by entry; the gamma side mirrors it with
-    B'_a[y, j] = gamma[(a,y), j] and F'_a = F (e_a (x) id).
+    With F[c, a] = F(e_c (x) e_a), the S leg c of T that F pairs with the
+    coaction's leg a, Q = kron(id_X, F) beta has Q[(y,c), j] = sum_a F[c,a]
+    beta[(y,a), j], and R's entry at row (u, j), column ((u, c), y) is
+    Q[(y,c), j]: a reindex of kron(id^{n-1}, Q^T).  The gamma side mirrors
+    it with Q = kron(F^T, id_X) gamma and column ((c, u), y).
     """
     x, s, sp = b.space_dim, b.hopf.dim, _ipow(b.hopf.dim, n - 1)
-    beta = side == "beta"
-    entries: dict = {}
-    for (r, j), cv in (b.beta.beta if beta else b.gamma.gamma).entries.items():
-        y, a = divmod(r, s) if beta else divmod(r, x)[::-1]
-        for c in range(s):  # the S leg of T that F pairs with the coaction's leg a
-            fv = f_functional[c * s + a if beta else a * s + c]
-            for u in range(sp) if fv else ():
-                w = u * s + c if beta else c * sp + u
-                key = (u * x + j, w * x + y)
-                entries[key] = entries.get(key, Scalar(0)) + fv * cv
-    return Matrix(sp * x, sp * s * x, entries)
+    f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
+    if side == "beta":
+        q = kron(Matrix.identity(x), f) @ b.beta.beta
+        move = leg_map([sp, x, s], [0, 2, 1])
+    else:
+        q = kron(f.transpose(), Matrix.identity(x)) @ b.gamma.gamma
+        move = leg_map([sp, s, x], [1, 0, 2])
+    return kron(Matrix.identity(sp), q.transpose()).reindex(sp * x, sp * s * x, lambda r, c: (r, move[c]))

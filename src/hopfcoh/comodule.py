@@ -19,7 +19,6 @@ from .linalg import (
     unit_vec,
 )
 from .monoids import FiniteGroup
-from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -184,13 +183,13 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     free = [j for j in range(x) if j not in pivot_set]
     q_entries = {}
     for i, f in enumerate(free):
-        q_entries[(i, f)] = ONE
+        q_entries[(i, f)] = 1
         for p, row in zip(pivots, rows):
             v = row.get(f)
             if v:
                 q_entries[(i, p)] = -v
     q = Matrix(len(free), x, q_entries)
-    section = Matrix(x, len(free), {(f, i): ONE for i, f in enumerate(free)})
+    section = Matrix(x, len(free), {(f, i): 1 for i, f in enumerate(free)})
     qs = kron(q, Matrix.identity(s))
     for k, y in enumerate(subspace):
         image = qs.apply(c.beta.apply(tuple(y)))
@@ -225,7 +224,7 @@ def grade_decomposition(c: RightCoaction):
     ix = Matrix.identity(x)
     out = {}
     for r in range(s):
-        phi_r = Matrix(1, s, {(0, r): ONE})
+        phi_r = Matrix(1, s, {(0, r): 1})
         proj = kron(ix, phi_r) @ c.beta  # X -> X
         _, rows = rref(proj.transpose())
         basis = [dense(row, x) for row in rows]
@@ -240,7 +239,7 @@ def grade_decomposition(c: RightCoaction):
 def graded_right_coaction(h: HopfStarAlgebra, grades: list) -> RightCoaction:
     """X with basis e_i, beta(e_i) = e_i (x) u_{grades[i]}."""
     x, s = len(grades), h.dim
-    beta = Matrix(x * s, x, {(i * s + grades[i], i): ONE for i in range(x)})
+    beta = Matrix(x * s, x, {(i * s + grades[i], i): 1 for i in range(x)})
     return RightCoaction(x, h, beta)
 
 
@@ -255,8 +254,8 @@ def pair_graded_bicomodule(h: HopfStarAlgebra) -> Bicomodule:
     for s in range(n):
         for t in range(n):
             i = s * n + t
-            b_entries[(i * n + s, i)] = ONE
-            g_entries[(t * x + i, i)] = ONE
+            b_entries[(i * n + s, i)] = 1
+            g_entries[(t * x + i, i)] = 1
     beta = Matrix(x * n, x, b_entries)
     gamma = Matrix(n * x, x, g_entries)
     return Bicomodule(RightCoaction(x, h, beta), LeftCoaction(x, h, gamma))
@@ -269,21 +268,15 @@ def pair_graded_bicomodule(h: HopfStarAlgebra) -> Bicomodule:
 def dual_coaction(c: RightCoaction) -> LeftCoaction:
     """Left coaction on X^* induced by a right coaction: an index-reshuffled transpose."""
     x, s = c.space_dim, c.hopf.dim
-    entries = {}
-    for (r, j), v in c.beta.entries.items():
-        m, a = divmod(r, s)
-        entries[(a * x + j, m)] = v
-    return LeftCoaction(x, c.hopf, Matrix(s * x, x, entries))
+    # beta[(m, a), j] -> gamma[(a, j), m]
+    return LeftCoaction(x, c.hopf, c.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s)))
 
 
 def dual_coaction_left(c: LeftCoaction) -> RightCoaction:
     """Right coaction on X^* induced by a left coaction."""
     x, s = c.space_dim, c.hopf.dim
-    entries = {}
-    for (r, j), v in c.gamma.entries.items():
-        a, m = divmod(r, x)
-        entries[(j * s + a, m)] = v
-    return RightCoaction(x, c.hopf, Matrix(x * s, x, entries))
+    # gamma[(a, m), j] -> beta[(j, a), m]
+    return RightCoaction(x, c.hopf, c.gamma.reindex(x * s, x, lambda r, j: (j * s + r // x, r % x)))
 
 
 def dual_bicomodule(b: Bicomodule) -> Bicomodule:
@@ -297,11 +290,7 @@ def module_from_coaction(c: RightCoaction) -> Matrix:
     action[i, (b, j)] = beta[(i, b), j]; column (b, j) is phi_b . e_j.
     """
     x, s = c.space_dim, c.hopf.dim
-    entries = {}
-    for (r, j), v in c.beta.entries.items():
-        i, b = divmod(r, s)
-        entries[(i, b * x + j)] = v
-    return Matrix(x, s * x, entries)
+    return c.beta.reindex(x, s * x, lambda r, j: (r // s, r % s * x + j))
 
 
 def coaction_from_module(h: HopfStarAlgebra, action: Matrix) -> RightCoaction:
@@ -310,21 +299,13 @@ def coaction_from_module(h: HopfStarAlgebra, action: Matrix) -> RightCoaction:
     s = h.dim
     if action.cols != s * x:
         raise ValueError("action must be x x (s*x)")
-    entries = {}
-    for (i, col), v in action.entries.items():
-        b, j = divmod(col, x)
-        entries[(i * s + b, j)] = v
-    return RightCoaction(x, h, Matrix(x * s, x, entries))
+    return RightCoaction(x, h, action.reindex(x * s, x, lambda i, col: (i * s + col // x, col % x)))
 
 
 def module_from_left_coaction(c: LeftCoaction) -> Matrix:
     """Right module action X (x) S^* -> X: action[i, (j, b)] = gamma[(b, i), j]."""
     x, s = c.space_dim, c.hopf.dim
-    entries = {}
-    for (r, j), v in c.gamma.entries.items():
-        b, i = divmod(r, x)
-        entries[(i, j * s + b)] = v
-    return Matrix(x, x * s, entries)
+    return c.gamma.reindex(x, x * s, lambda r, j: (r % x, j * s + r // x))
 
 
 # ---------------------------------------------------------------------------

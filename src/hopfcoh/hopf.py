@@ -10,6 +10,7 @@ The involution is encoded as a plain matrix M acting by v -> M * conj(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .linalg import (
@@ -17,14 +18,13 @@ from .linalg import (
     Vec,
     kron,
     image_rank,
+    leg_map,
     psd_check,
     solve,
-    tensor_permutation,
     unit_vec,
     vec,
 )
 from .monoids import FiniteGroup, FiniteMonoid
-from .scalars import ONE, Scalar
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,25 @@ class HopfStarAlgebra:
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"b{i}" for i in range(d)))
 
-    @property
+    # derived once per algebra: the fields are immutable, and so is a Matrix
+
+    @cached_property
     def unit_col(self) -> Matrix:
         return Matrix.column(self.unit)
 
-    @property
+    @cached_property
     def counit_row(self) -> Matrix:
         if self.counit is None:
             raise ValueError("algebra has no counit")
         return Matrix.row(self.counit)
+
+    @cached_property
+    def mult2(self) -> Matrix:
+        """The componentwise product on S (x) S: (a (x) b)(c (x) d) = ac (x) bd."""
+        m, d = self.mult, self.dim
+        # precompose the swap of the middle legs, (a, b, c, d) -> (a, c, b, d): an involution
+        swap_mid = leg_map([d] * 4, [0, 2, 1, 3])
+        return kron(m, m).reindex(d * d, d**4, lambda r, c: (r, swap_mid[c]))
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
         return (self.mult @ kron(Matrix.column(a), Matrix.column(b))).col(0)
@@ -104,8 +114,8 @@ class AxiomReport:
 def _first_bad_column(a: Matrix, b: Matrix) -> Optional[int]:
     if a == b:
         return None
-    diff = (a - b).entries
-    return min(c for (_, c) in diff)
+    diff = a - b
+    return next(c for c in range(diff.cols) if any(diff.col(c)))
 
 
 def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
@@ -122,10 +132,7 @@ def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
     law("unit left", m @ kron(h.unit_col, i_s), i_s)
     law("unit right", m @ kron(i_s, h.unit_col), i_s)
     law("comult coassociative", kron(delta, i_s) @ delta, kron(i_s, delta) @ delta)
-    # multiplicativity of the coproduct for the componentwise product on S (x) S
-    swap_mid = tensor_permutation([d, d, d, d], [0, 2, 1, 3])
-    mult2 = kron(m, m) @ swap_mid
-    law("comult multiplicative", delta @ m, mult2 @ kron(delta, delta))
+    law("comult multiplicative", delta @ m, h.mult2 @ kron(delta, delta))
     law(
         "comult unital",
         delta @ h.unit_col,
@@ -134,8 +141,9 @@ def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
     if h.star is not None:
         st = h.star
         law("star involutive", st @ st.conj(), i_s)
-        swap = tensor_permutation([d, d], [1, 0])
-        law("star anti-multiplicative", st @ m.conj(), m @ swap @ kron(st, st))
+        swap = leg_map([d, d], [1, 0])  # an involution
+        m_op = m.reindex(d, d * d, lambda r, c: (r, swap[c]))
+        law("star anti-multiplicative", st @ m.conj(), m_op @ kron(st, st))
         star_unit = st.apply(tuple(x.conjugate() for x in h.unit))
         law("star fixes unit", Matrix.column(star_unit), h.unit_col)
         law("comult star-compatible", delta @ st, kron(st, st) @ delta.conj())
@@ -153,12 +161,10 @@ def check_saturated(h: HopfStarAlgebra):
     right: span{ delta(s) * (t (x) 1) } = S (x) S
     """
     d = h.dim
-    swap_mid = tensor_permutation([d, d, d, d], [0, 2, 1, 3])
-    mult2 = kron(h.mult, h.mult) @ swap_mid  # product on S (x) S
     i_s = Matrix.identity(d)
     # column (s, t) of kron(comult, side) is delta(s) (x) (1 (x) t), resp. (t (x) 1)
     sides = (kron(h.unit_col, i_s), kron(i_s, h.unit_col))
-    return tuple(image_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
+    return tuple(image_rank(h.mult2 @ kron(h.comult, side)) == d * d for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +174,11 @@ def check_saturated(h: HopfStarAlgebra):
 def function_algebra(m: FiniteMonoid) -> HopfStarAlgebra:
     """Pointwise algebra on delta functions with comult(d_u) = sum_{st=u} d_s (x) d_t."""
     n = m.order
-    mult = Matrix(n, n * n, {(u, u * n + u): ONE for u in range(n)})
+    mult = Matrix(n, n * n, {(u, u * n + u): 1 for u in range(n)})
     comult_entries = {}
     for s in range(n):
         for t in range(n):
-            comult_entries[(s * n + t, m.mul(s, t))] = ONE
+            comult_entries[(s * n + t, m.mul(s, t))] = 1
     comult = Matrix(n * n, n, comult_entries)
     counit = unit_vec(n, m.identity) if m.has_identity else None
     return HopfStarAlgebra(
@@ -191,9 +197,9 @@ def function_algebra(m: FiniteMonoid) -> HopfStarAlgebra:
 def group_algebra(g: FiniteGroup) -> HopfStarAlgebra:
     """Group algebra with group-like basis: comult(u_r) = u_r (x) u_r."""
     n = g.order
-    mult = Matrix(n, n * n, {(g.mul(a, b), a * n + b): ONE for a in range(n) for b in range(n)})
-    comult = Matrix(n * n, n, {(r * n + r, r): ONE for r in range(n)})
-    star = Matrix(n, n, {(g.inv(r), r): ONE for r in range(n)})
+    mult = Matrix(n, n * n, {(g.mul(a, b), a * n + b): 1 for a in range(n) for b in range(n)})
+    comult = Matrix(n * n, n, {(r * n + r, r): 1 for r in range(n)})
+    star = Matrix(n, n, {(g.inv(r), r): 1 for r in range(n)})
     return HopfStarAlgebra(
         dim=n,
         mult=mult,
@@ -248,13 +254,8 @@ def counit_find(h: HopfStarAlgebra) -> CounitSearch:
     """Solve (eps (x) id) o comult = id, then verify the right law follows."""
     d = h.dim
     # unknowns eps_a; equations indexed by (b, j): sum_a comult[(a,b),j] eps_a = [b==j]
-    entries = {}
-    rhs = [Scalar(0)] * (d * d)
-    for ((a, b), j), v in (((divmod(r, d), c), v) for (r, c), v in h.comult.entries.items()):
-        entries[(b * d + j, a)] = entries.get((b * d + j, a), Scalar(0)) + v
-    for j in range(d):
-        rhs[j * d + j] = ONE
-    res = solve(Matrix(d * d, d, entries), tuple(rhs))
+    system = h.comult.reindex(d * d, d, lambda r, j: (r % d * d + j, r // d))
+    res = solve(system, sum((unit_vec(d, b) for b in range(d)), ()))  # [b == j] at b * d + j
     if not res.consistent:
         return CounitSearch(None, None, res.certificate)
     eps = res.solution
@@ -276,22 +277,12 @@ def haar_state(h: HopfStarAlgebra) -> HaarSearch:
     algebras, a positive-semidefinite Gram matrix on group algebras.
     """
     d = h.dim
-    entries = {}
     # equations indexed by (j, b): sum_a comult[(a,b),j] phi_a - unit_b phi_j = 0
-    for (r, j), v in h.comult.entries.items():
-        a, b = divmod(r, d)
-        key = (j * d + b, a)
-        entries[key] = entries.get(key, Scalar(0)) + v
-    for j in range(d):
-        for b in range(d):
-            if h.unit[b]:
-                key = (j * d + b, j)
-                entries[key] = entries.get(key, Scalar(0)) - h.unit[b]
-    rows = d * d
-    norm_row = {(rows, a): h.unit[a] for a in range(d) if h.unit[a]}
-    entries.update(norm_row)
-    rhs = [Scalar(0)] * rows + [ONE]
-    res = solve(Matrix(rows + 1, d, entries), tuple(rhs))
+    invariance = h.comult.reindex(d * d, d, lambda r, j: (j * d + r % d, r // d))
+    invariance = invariance - kron(Matrix.identity(d), h.unit_col)
+    # and last the normalisation phi(unit) = 1
+    system = invariance.transpose().augment(h.unit_col).transpose()
+    res = solve(system, unit_vec(d * d + 1, d * d))
     if not res.consistent:
         return HaarSearch(None, None, res.certificate)
     phi = res.solution

@@ -10,9 +10,11 @@ convention lives here:
     flat index of e_{i1} (x) ... (x) e_{ik}  =  mixed-radix number with i1
     most significant (row-major).
 
-Everything that builds tensor-leg maps (kron, rotation_sigma, the cochain
-module) cites this convention; nothing else in the package is allowed to
-invent its own index order.
+Everything that builds tensor-leg maps (kron, leg_map, rotation_sigma, the
+cochain module) cites this convention; nothing else in the package is
+allowed to invent its own index order.  Tensors change legs without
+arithmetic: leg_map says where each flat index goes and Matrix.reindex
+moves the entries there.
 """
 from __future__ import annotations
 
@@ -320,6 +322,21 @@ class Matrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conj_transpose()
 
+    def reindex(self, rows: int, cols: int, key) -> "Matrix":
+        """The rows x cols matrix holding each nonzero entry (r, c) of self at key(r, c).
+
+        Moves the numerators and keeps den, so it does no arithmetic; a key
+        outside the new shape, or two entries on one key, raise ValueError.
+        """
+        re = {key(r, c): v for (r, c), v in self.re.items()}
+        im = {key(r, c): v for (r, c), v in self.im.items()}
+        cells = re.keys() | im.keys() if im else re.keys()
+        if len(cells) != self.nnz:
+            raise ValueError("reindex sends two entries to one key")
+        if not all(0 <= r < rows and 0 <= c < cols for r, c in cells):
+            raise ValueError(f"reindex sends an entry outside {rows}x{cols}")
+        return Matrix._of(rows, cols, re, im, self.den)
+
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in augment")
@@ -358,22 +375,33 @@ def kron_all(*mats: Matrix) -> Matrix:
     return out
 
 
+def leg_map(src_dims, tgt_slot_to_src_slot) -> list:
+    """Where reordering tensor legs sends each flat index: source -> target.
+
+    Entry i is the target flat index of source flat index i, where target
+    slot t carries source leg tgt_slot_to_src_slot[t] (both row-major).
+    """
+    dims, perm = TensorSpace(src_dims).factors, tuple(tgt_slot_to_src_slot)
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError("not a permutation of tensor slots")
+    stride, step = [0] * len(dims), 1
+    for leg in reversed(perm):
+        stride[leg] = step
+        step *= dims[leg]
+    out = [0]
+    for d, st in zip(dims, stride):
+        out = [base + k * st for base in out for k in range(d)]
+    return out
+
+
 def tensor_permutation(src_dims, tgt_slot_to_src_slot) -> Matrix:
     """Permutation matrix reordering tensor legs.
 
     Sends a pure tensor with legs (v_0,...,v_{m-1}) (dims src_dims) to the
     pure tensor whose slot t carries leg tgt_slot_to_src_slot[t].
     """
-    src = TensorSpace(src_dims)
-    perm = tuple(tgt_slot_to_src_slot)
-    if sorted(perm) != list(range(len(src.factors))):
-        raise ValueError("not a permutation of tensor slots")
-    tgt = TensorSpace([src.factors[s] for s in perm])
-    entries = {}
-    for i in range(src.total_dim):
-        idx = src.unflat(i)
-        entries[(tgt.flat(tuple(idx[s] for s in perm)), i)] = 1
-    return Matrix._of(tgt.total_dim, src.total_dim, entries, {})
+    move = leg_map(src_dims, tgt_slot_to_src_slot)
+    return Matrix._of(len(move), len(move), {(t, i): 1 for i, t in enumerate(move)}, {})
 
 
 def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:

@@ -273,3 +273,25 @@ def test_haar_on_corrupted_comult_inconsistent():
     res = haar_state(h)
     assert res.state is None
     assert res.certificate is not None
+
+
+def test_a_job_forms_the_product_on_s_tensor_s_once(monkeypatch):
+    """axioms and saturation both read HopfStarAlgebra.mult2, the product
+    kron(mult, mult) with its middle legs swapped, derived once per algebra."""
+    from hopfcoh import hopf
+    from hopfcoh.jobfile import parse_input
+    from hopfcoh.linalg import kron, tensor_permutation
+    from hopfcoh.report import run
+
+    products = []
+
+    def counting_kron(a, b):
+        if a is b and a.cols == a.rows**2 > 1:  # kron(mult, mult)
+            products.append(a)
+        return kron(a, b)
+
+    monkeypatch.setattr(hopf, "kron", counting_kron)
+    run(parse_input("algebra = group:S3\ntasks = axioms, saturation\n"))
+    assert len(products) == 1
+    m = products[0]
+    assert get_algebra("group:S3").mult2 == kron(m, m) @ tensor_permutation([6] * 4, [0, 2, 1, 3])

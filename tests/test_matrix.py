@@ -4,6 +4,7 @@ independent of how a matrix was built."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from reference import (
     ref_conj_transpose,
     ref_kron,
     ref_product,
+    ref_reindex,
     ref_scale,
     ref_sum,
     ref_transpose,
@@ -108,3 +110,28 @@ def test_canonical_form_is_independent_of_the_route(a, data, q):
         assert m == ma and hash(m) == hash(ma)
     zero = ma - ma
     assert zero == Matrix.zero(rows, cols) and zero.den == 1 and zero.is_zero()
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_reindex_matches_reference(a, data):
+    rows, cols, _ = a
+    ma, ra = build(a)
+    new_rows = data.draw(st.integers(1, 8))
+    least_cols = -(-rows * cols // new_rows)  # room for every source cell
+    new_cols = data.draw(st.integers(least_cols, least_cols + 3))
+    cells = data.draw(st.permutations(range(new_rows * new_cols)))
+
+    def key(r, c):  # injective: source cell r * cols + c goes to a distinct target cell
+        return divmod(cells[r * cols + c], new_cols)
+
+    moved = ma.reindex(new_rows, new_cols, key)
+    assert_is(moved, new_rows, new_cols, ref_reindex(ra, key))
+    assert moved.den == ma.den
+    if ra:
+        for outside in (lambda r, c: (r + rows, c), lambda r, c: (r, c - cols)):
+            with pytest.raises(ValueError):
+                ma.reindex(rows, cols, outside)
+    if len(ra) > 1:
+        with pytest.raises(ValueError):
+            ma.reindex(rows, cols, lambda r, c: (0, 0))
