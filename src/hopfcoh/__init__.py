@@ -9,7 +9,6 @@ LP-feasibility problems with certificates.
 from .scalars import Scalar, parse_scalar, format_scalar
 from .linalg import (
     Matrix,
-    TensorSpace,
     kron,
     leg_map,
     rotation_sigma,

@@ -292,6 +292,9 @@ def check_codiagonal_vanishing(
         h1 = ws.cohomology_of(reg, "dual", 1).dim
         details.append(f"counit absent (certificate held); H^1_d one-sided regular = {h1}")
         return CheckOutcome("codiagonal-vanishing", h1 != 0, tuple(details))
+    if h.counit is None:  # as the codiagonal task: its search needs the algebra's own counit
+        details.append("counit found but the algebra declares no counit: no codiagonal search applies")
+        return CheckOutcome("codiagonal-vanishing", True, tuple(details))
     search = job_codiagonal(ws)
     if search.certificate is None:
         details.append("counit present but no codiagonal: nothing to cross-check")

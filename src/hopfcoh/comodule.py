@@ -9,15 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import HopfStarAlgebra
-from .linalg import (
-    Matrix,
-    dense,
-    image_rank,
-    kron,
-    rref,
-    unit_vec,
-)
+from .hopf import HopfStarAlgebra, translates_span
+from .linalg import Matrix, dense, kron, rref
 from .monoids import FiniteGroup
 
 
@@ -125,36 +118,18 @@ def with_trivial_gamma(beta: RightCoaction) -> Bicomodule:
 # structure checks
 
 
-def _translates_span(h: HopfStarAlgebra, coaction: Matrix, x: int, s_leg_first: bool):
-    """(left, right): do the coaction's columns, with left resp. right
-    multiplication by each basis element t applied on the S leg, span the
-    whole of the (x*s)-dimensional target?"""
-    s = h.dim
-    ix, i_s = Matrix.identity(x), Matrix.identity(s)
-    out = []
-    for left in (True, False):
-        translates = Matrix.zero(x * s, 0)
-        for t in range(s):
-            et = Matrix.column(unit_vec(s, t))
-            mult_t = h.mult @ (kron(et, i_s) if left else kron(i_s, et))  # u -> t*u or u*t
-            on_leg = kron(mult_t, ix) if s_leg_first else kron(ix, mult_t)
-            translates = translates.augment(on_leg @ coaction)
-        out.append(image_rank(translates) == x * s)
-    return tuple(out)
-
-
 def check_nondegenerate(c: RightCoaction):
     """(left, right) span-equality non-degeneracy of a right coaction.
 
     right: span{ (id (x) R_s) beta(x) } = X (x) S with R_s right multiplication;
     left:  the same with left multiplication on the S leg.
     """
-    return _translates_span(c.hopf, c.beta, c.space_dim, s_leg_first=False)
+    return tuple(translates_span(c.hopf, c.beta, False, right) for right in (False, True))
 
 
 def check_nondegenerate_left(c: LeftCoaction):
     """Mirror of check_nondegenerate for left coactions (multiply the S leg)."""
-    return _translates_span(c.hopf, c.gamma, c.space_dim, s_leg_first=True)
+    return tuple(translates_span(c.hopf, c.gamma, True, right) for right in (False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +328,11 @@ def catalog_bicomodules(h: HopfStarAlgebra):
     if h.kind == "group":
         add("pair-graded", pair_graded_bicomodule(h))
     return entries
+
+
+def widest_catalog_space(h: HopfStarAlgebra) -> int:
+    """The largest space_dim in catalog_bicomodules(h): s^2 (pair-graded) over a group, else s."""
+    return h.dim**2 if h.kind == "group" else h.dim
 
 
 def catalog_right_comodules(h: HopfStarAlgebra):

@@ -66,14 +66,6 @@ class HopfStarAlgebra:
             raise ValueError("algebra has no counit")
         return Matrix.row(self.counit)
 
-    @cached_property
-    def mult2(self) -> Matrix:
-        """The componentwise product on S (x) S: (a (x) b)(c (x) d) = ac (x) bd."""
-        m, d = self.mult, self.dim
-        # precompose the swap of the middle legs, (a, b, c, d) -> (a, c, b, d): an involution
-        swap_mid = leg_map([d] * 4, [0, 2, 1, 3])
-        return kron(m, m).reindex(d * d, d**4, lambda r, c: (r, swap_mid[c]))
-
     def multiply(self, a: Vec, b: Vec) -> Vec:
         return (self.mult @ kron(Matrix.column(a), Matrix.column(b))).col(0)
 
@@ -128,22 +120,19 @@ def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
         checks.append(AxiomCheck(name, w is None, w))
 
     m, delta = h.mult, h.comult
+    # the product (a (x) b)(c (x) d) = ac (x) bd on S (x) S: kron(m, m) after a middle swap
+    swap_mid = leg_map([d] * 4, [0, 2, 1, 3])
+    mult2 = kron(m, m).reindex(d * d, d**4, lambda r, c: (r, swap_mid[c]))
     law("mult associative", m @ kron(m, i_s), m @ kron(i_s, m))
     law("unit left", m @ kron(h.unit_col, i_s), i_s)
     law("unit right", m @ kron(i_s, h.unit_col), i_s)
     law("comult coassociative", kron(delta, i_s) @ delta, kron(i_s, delta) @ delta)
-    law("comult multiplicative", delta @ m, h.mult2 @ kron(delta, delta))
-    law(
-        "comult unital",
-        delta @ h.unit_col,
-        kron(h.unit_col, h.unit_col),
-    )
+    law("comult multiplicative", delta @ m, mult2 @ kron(delta, delta))
+    law("comult unital", delta @ h.unit_col, kron(h.unit_col, h.unit_col))
     if h.star is not None:
         st = h.star
         law("star involutive", st @ st.conj(), i_s)
-        swap = leg_map([d, d], [1, 0])  # an involution
-        m_op = m.reindex(d, d * d, lambda r, c: (r, swap[c]))
-        law("star anti-multiplicative", st @ m.conj(), m_op @ kron(st, st))
+        law("star anti-multiplicative", st @ m.conj(), _opposite(m, d) @ kron(st, st))
         star_unit = st.apply(tuple(x.conjugate() for x in h.unit))
         law("star fixes unit", Matrix.column(star_unit), h.unit_col)
         law("comult star-compatible", delta @ st, kron(st, st) @ delta.conj())
@@ -154,17 +143,34 @@ def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
+def _opposite(m: Matrix, d: int) -> Matrix:
+    """The opposite product a (x) b -> ba: m with its two inputs swapped."""
+    return m.reindex(d, d * d, lambda r, c: (r, c % d * d + c // d))
+
+
+def translates_span(h: HopfStarAlgebra, coaction: Matrix, s_leg_first: bool, right: bool) -> bool:
+    """Do the coaction's columns, their S leg multiplied by every basis element
+    t (u -> ut if right, else tu), span X (x) S?
+
+    One product holds every translate: column (j, t) of kron(C, I_s) is
+    C(e_j) (x) e_t, which kron(I_x, mult) sends to C(e_j)(1 (x) t); the S leg
+    first, kron(mult, I_x) @ kron(I_s, C); t from the other side swaps mult's inputs.
+    """
+    x, d = coaction.cols, h.dim
+    m = _opposite(h.mult, d) if right == s_leg_first else h.mult
+    ix, i_s = Matrix.identity(x), Matrix.identity(d)
+    legs = kron(m, ix) @ kron(i_s, coaction) if s_leg_first else kron(ix, m) @ kron(coaction, i_s)
+    return image_rank(legs) == x * d
+
+
 def check_saturated(h: HopfStarAlgebra):
-    """Span-equality form of saturation: (left, right).
+    """Span-equality form of saturation, as right translates of the regular
+    right and left coactions: (left, right).
 
     left:  span{ delta(s) * (1 (x) t) } = S (x) S
     right: span{ delta(s) * (t (x) 1) } = S (x) S
     """
-    d = h.dim
-    i_s = Matrix.identity(d)
-    # column (s, t) of kron(comult, side) is delta(s) (x) (1 (x) t), resp. (t (x) 1)
-    sides = (kron(h.unit_col, i_s), kron(i_s, h.unit_col))
-    return tuple(image_rank(h.mult2 @ kron(h.comult, side)) == d * d for side in sides)
+    return tuple(translates_span(h, h.comult, s_leg_first, right=True) for s_leg_first in (False, True))
 
 
 # ---------------------------------------------------------------------------

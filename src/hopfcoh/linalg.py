@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -65,49 +65,6 @@ def vec_dot(a: Vec, b: Vec) -> Scalar:
         if x and y:
             total = total + x * y
     return total
-
-
-# ---------------------------------------------------------------------------
-# tensor index bookkeeping
-
-
-@dataclass(frozen=True)
-class TensorSpace:
-    """An ordered tensor product of coordinate spaces."""
-
-    factors: tuple
-
-    def __init__(self, factors: Iterable[int]):
-        object.__setattr__(self, "factors", tuple(int(d) for d in factors))
-        if any(d < 0 for d in self.factors):
-            raise ValueError("negative factor dimension")
-
-    @property
-    def total_dim(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
-
-    def flat(self, indices) -> int:
-        indices = tuple(indices)
-        if len(indices) != len(self.factors):
-            raise ValueError("index arity mismatch")
-        i = 0
-        for k, d in zip(indices, self.factors):
-            if not 0 <= k < d:
-                raise ValueError("tensor index out of range")
-            i = i * d + k
-        return i
-
-    def unflat(self, i: int):
-        if not 0 <= i < self.total_dim:
-            raise ValueError("flat index out of range")
-        out = []
-        for d in reversed(self.factors):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +338,9 @@ def leg_map(src_dims, tgt_slot_to_src_slot) -> list:
     Entry i is the target flat index of source flat index i, where target
     slot t carries source leg tgt_slot_to_src_slot[t] (both row-major).
     """
-    dims, perm = TensorSpace(src_dims).factors, tuple(tgt_slot_to_src_slot)
+    dims, perm = tuple(int(d) for d in src_dims), tuple(tgt_slot_to_src_slot)
+    if any(d < 0 for d in dims):
+        raise ValueError("negative factor dimension")
     if sorted(perm) != list(range(len(dims))):
         raise ValueError("not a permutation of tensor slots")
     stride, step = [0] * len(dims), 1
@@ -428,10 +387,10 @@ def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:
 # elimination
 
 
-def _rows_of(entries: dict):
-    """The nonzero rows of sparse {(r, c): x} entries, in row order, as {c: x} dicts."""
+def _rows_of(cells):
+    """The nonzero rows of sparse ((r, c), x) cells, in row order, as {c: x} dicts."""
     rows: dict = {}
-    for (r, c), v in entries.items():
+    for (r, c), v in cells:
         rows.setdefault(r, {})[c] = v
     return [rows[r] for r in sorted(rows)]
 
@@ -505,14 +464,14 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (pivot_cols, rows as sparse dicts)."""
-    pivots, rows, _ = _rref_rows(_rows_of(m.entries))
+    pivots, rows, _ = _rref_rows(_rows_of(m.entries.items()))
     return pivots, rows
 
 
 def image_rank(m: Matrix) -> int:
     """Exact rank.  Eliminates along the smaller dimension."""
     work = m.transpose() if m.rows < m.cols else m
-    pivots, _, _ = _rref_rows(_rows_of(work.entries))
+    pivots, _, _ = _rref_rows(_rows_of(work.entries.items()))
     return len(pivots)
 
 
@@ -520,18 +479,24 @@ def image_rank(m: Matrix) -> int:
 _P = 2**61 - 1
 
 
-def _null_space(rows, cols: int, p: int = 0):
-    """(rank, RREF basis of the null space as sparse rows), over Q(i), or Z/p when p."""
-    pivots, red, _ = _rref_rows(rows, p=p)
-    raw = {f: {f: 1 if p else ONE} for f in range(cols)}
+def _null_space(cells, cols: int, p: int = 0):
+    """(rank, RREF basis of the null space as sparse rows) of D's nonzero
+    ((r, c), x) cells, over Q(i), or Z/p when p, from one elimination.
+
+    With D's columns numbered right to left, the null vector of free column f
+    is monic at f, zero at every other free column and otherwise supported on
+    pivot columns right of f: in increasing f, already the RREF basis.
+    """
+    last = cols - 1
+    pivots, red, _ = _rref_rows(_rows_of(((r, last - c), x) for (r, c), x in cells), p=p)
+    null = {f: {f: 1 if p else ONE} for f in range(cols)}
     for piv in pivots:
-        del raw[piv]
+        del null[last - piv]
     for piv, row in zip(pivots, red):
         for c, v in row.items():
             if c != piv:
-                raw[c][piv] = p - v if p else -v
-    _, basis, _ = _rref_rows(list(raw.values()), p=p)
-    return len(pivots), basis
+                null[last - c][last - piv] = p - v if p else -v
+    return len(pivots), list(null.values())
 
 
 def _wang(u: int, p: int):
@@ -602,12 +567,12 @@ def kernel_basis(m: Matrix):
     """
     if not m.im and m.den % _P:  # real, and the numerators over den reduce mod p
         inv = pow(m.den, -1, _P)
-        mod = _rows_of({k: x for k, v in m.re.items() if (x := v * inv % _P)})
+        mod = ((k, x) for k, v in m.re.items() if (x := v * inv % _P))
         rank, basis = _null_space(mod, m.cols, _P)
         basis = [{c: _wang(u, _P) for c, u in v.items()} for v in basis]
         if all(None not in v.values() for v in basis) and _is_kernel_rref(m, rank, basis):
             return [dense(v, m.cols) for v in basis]
-    rank, basis = _null_space(_rows_of(m.entries), m.cols)
+    rank, basis = _null_space(m.entries.items(), m.cols)
     certify(_is_kernel_rref(m, rank, basis), "exact kernel basis fails its certificate")
     return [dense(v, m.cols) for v in basis]
 

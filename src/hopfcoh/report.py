@@ -18,6 +18,7 @@ from .comodule import (
     LeftCoaction,
     RightCoaction,
     trivial_left_coaction,
+    widest_catalog_space,
     zero_left_coaction,
 )
 from .hopf import function_algebra, group_algebra
@@ -98,6 +99,10 @@ def run(job: JobSpec, log=None) -> dict:
         "tasks": {},
         "consistent": True,
     }
+    # refuse an oversized job before the axiom gate and the catalog run
+    x = max([widest_catalog_space(h)] + [b.space_dim for _, b in explicit])
+    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
+        raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
     entries = report["tasks"]
     ws = Workspace(h, job.degree_cap, explicit)
     # axioms always run first; a failure aborts the remaining tasks
@@ -108,9 +113,6 @@ def run(job: JobSpec, log=None) -> dict:
         report["consistent"] = False
         report["aborted"] = "axioms failed"
         return report
-    x = max(b.space_dim for _, b in ws.bicomodules())
-    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
-        raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
 
     for token, task in plan:
         t0 = time.monotonic()

@@ -4,26 +4,44 @@ The `ref_*` functions are `Matrix` arithmetic on plain {(r, c): Scalar}
 dicts of the nonzero entries, one Scalar operation at a time.
 
 `reference_kernel` is the exact two-RREF kernel: `rref` of the matrix, then
-`rref` of its free-column null vectors.  `reference_bookkeeping` is the
-greedy choice of H^n representatives, with a coboundary preimage for every
-other kernel vector; production code computes H^n from kernels alone.
+`rref` of its free-column null vectors; `reference_null_space` is the same
+two passes on sparse rows, over Q(i) or Z/p.  Production code eliminates
+once.  `reference_bookkeeping` is the greedy choice of H^n representatives,
+with a coboundary preimage for every other kernel vector; production code
+computes H^n from kernels alone.
 
 The `ref_*` builders of coboundaries, contractions and coactions move
 tensor legs the long way: entry by entry with `Scalar` sums, or by
 multiplying with `tensor_permutation` and `rotation_sigma` matrices.
 Production code moves them with `Matrix.reindex`.
+
+`ref_translates_span` and `ref_check_saturated` build each span test the
+long way: one product and one `augment` per basis element t, and the
+product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
+every translate from one product.
+
+`TensorSpace` is the row-major flat index of an ordered tensor product,
+written out digit by digit.
 """
+import importlib.util
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 from hopfcoh.comodule import module_from_coaction, module_from_left_coaction
 from hopfcoh.hopf import dual_algebra_mult
 from hopfcoh.linalg import (
     LinearSolver,
     Matrix,
     SpanTracker,
+    _rref_rows,
+    image_rank,
     kron,
     kron_all,
     rotation_sigma,
     rref,
     tensor_permutation,
+    unit_vec,
 )
 from hopfcoh.scalars import ONE, Scalar
 
@@ -43,6 +61,25 @@ def reference_kernel(m: Matrix) -> list:
         return []
     _, null_rows = rref(Matrix.from_rows(raw))
     return [tuple(row.get(c, Scalar(0)) for c in range(m.cols)) for row in null_rows]
+
+
+def reference_null_space(cells: dict, cols: int, p: int = 0):
+    """(rank, RREF basis of the null space as sparse rows) of the {(r, c): x}
+    cells: eliminate the rows, then eliminate the free-column null vectors
+    again, over Q(i), or Z/p when p."""
+    rows: dict = {}
+    for (r, c), x in cells.items():
+        rows.setdefault(r, {})[c] = x
+    pivots, red, _ = _rref_rows(list(rows.values()), p=p)
+    raw = {f: {f: 1 if p else ONE} for f in range(cols)}
+    for piv in pivots:
+        del raw[piv]
+    for piv, row in zip(pivots, red):
+        for c, v in row.items():
+            if c != piv:
+                raw[c][piv] = p - v if p else -v
+    _, basis, _ = _rref_rows(list(raw.values()), p=p)
+    return len(pivots), basis
 
 
 def reference_bookkeeping(cx, n: int):
@@ -229,3 +266,86 @@ def ref_module_from_left_coaction(gamma: Matrix, x: int, s: int) -> Matrix:
         b, i = divmod(r, x)
         entries[(i, j * s + b)] = v
     return Matrix(x, x * s, entries)
+
+
+# -- span tests, one basis element at a time ---------------------------------
+
+
+def ref_translates_span(h, coaction: Matrix, x: int, s_leg_first: bool):
+    """(left, right): do the coaction's columns, with left resp. right
+    multiplication by each basis element t applied on the S leg, span the
+    whole of the (x*s)-dimensional target?"""
+    s = h.dim
+    ix, i_s = Matrix.identity(x), Matrix.identity(s)
+    out = []
+    for left in (True, False):
+        translates = Matrix.zero(x * s, 0)
+        for t in range(s):
+            et = Matrix.column(unit_vec(s, t))
+            mult_t = h.mult @ (kron(et, i_s) if left else kron(i_s, et))  # u -> t*u or u*t
+            on_leg = kron(mult_t, ix) if s_leg_first else kron(ix, mult_t)
+            translates = translates.augment(on_leg @ coaction)
+        out.append(image_rank(translates) == x * s)
+    return tuple(out)
+
+
+def ref_check_saturated(h):
+    """(left, right): span{delta(s)(1 (x) t)} and span{delta(s)(t (x) 1)} = S (x) S,
+    through the componentwise product on S (x) S."""
+    d = h.dim
+    i_s = Matrix.identity(d)
+    mult2 = kron(h.mult, h.mult) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
+    sides = (kron(Matrix.column(h.unit), i_s), kron(i_s, Matrix.column(h.unit)))
+    return tuple(image_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded by path: its monoid tables and invariant-mean criterion."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("hopfcoh_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+# -- the row-major tensor index, digit by digit -------------------------------
+
+
+@dataclass(frozen=True)
+class TensorSpace:
+    """An ordered tensor product of coordinate spaces."""
+
+    factors: tuple
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", tuple(int(d) for d in factors))
+        if any(d < 0 for d in self.factors):
+            raise ValueError("negative factor dimension")
+
+    @property
+    def total_dim(self) -> int:
+        n = 1
+        for d in self.factors:
+            n *= d
+        return n
+
+    def flat(self, indices) -> int:
+        indices = tuple(indices)
+        if len(indices) != len(self.factors):
+            raise ValueError("index arity mismatch")
+        i = 0
+        for k, d in zip(indices, self.factors):
+            if not 0 <= k < d:
+                raise ValueError("tensor index out of range")
+            i = i * d + k
+        return i
+
+    def unflat(self, i: int):
+        if not 0 <= i < self.total_dim:
+            raise ValueError("flat index out of range")
+        out = []
+        for d in reversed(self.factors):
+            out.append(i % d)
+            i //= d
+        return tuple(reversed(out))

@@ -391,25 +391,49 @@ end
 
 
 def test_oversized_jobs_refused_before_any_build(monkeypatch, tmp_path, capsys):
-    from hopfcoh import cochain, report
+    from hopfcoh import cochain, report, tasks
+
+    def refused(argv, budget):
+        """main(argv) under the budget, where the axiom gate, the catalog or a complex would fail."""
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "MAX_COCHAIN_DIM", budget)
+            for module, name in ((tasks, "check_axioms"), (cochain, "catalog_bicomodules"), (cochain, "build_complex")):
+                patch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+            assert main(argv) == 2
+        return capsys.readouterr().err
 
     def no_build(*args, **kwargs):
         raise AssertionError("a complex was built")
 
     # group:Z2's widest catalog bicomodule is pair-graded: 4 * 2^3 = 32
+    assert "job too large: cochain space 4 * 2^3 > 31" in refused(["--catalog", "group:Z2", "report"], 31)
     monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 31)
     monkeypatch.setattr(cochain, "build_complex", no_build)
-    assert main(["--catalog", "group:Z2", "report"]) == 2
-    assert "job too large: cochain space 4 * 2^3 > 31" in capsys.readouterr().err
     assert main(["--catalog", "group:Z2", "--degree-cap", "2", "check"]) == 0  # 4 * 2^2 = 16
     capsys.readouterr()
     # a job's own comodule counts too: 3 * 2^3 = 24 beats the catalog's 2 * 2^3
     job = tmp_path / "wide.job"
     job.write_text(WIDE_COMODULE_JOB)
-    monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 23)
-    assert main(["--input", str(job), "cohomology"]) == 2
-    assert "job too large" in capsys.readouterr().err
+    assert "job too large" in refused(["--input", str(job), "cohomology"], 23)
     monkeypatch.undo()
     monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 24)
     assert main(["--input", str(job), "cohomology"]) == 0
     assert json.loads(capsys.readouterr().out)["tasks"]["cohomology:dual:0-2"]["wide"]["0"] == 3
+
+
+@pytest.mark.parametrize("rows", [("0 1", "0 1"), ("1 0", "0 1")])  # right-zero semigroup; Z2, identity 1
+def test_check_b20_without_a_declared_counit(tmp_path, capsys, rows):
+    """The table has a left identity, so counit_find finds a counit, but with
+    identity = none the algebra declares none: no codiagonal search applies."""
+    job = tmp_path / "b20.job"
+    table = "".join(f"  row {r}\n" for r in rows)
+    job.write_text(f"algebra = inline-function\ntasks = axioms, check-B20\nbegin cayley\n  identity = none\n{table}end\n")
+    assert main(["--input", str(job), "report"]) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    report = json.loads(out.out)
+    assert report["consistent"] is True
+    assert report["tasks"]["check-B20"]["passed"] is True
+    assert report["tasks"]["check-B20"]["details"] == [
+        "counit found but the algebra declares no counit: no codiagonal search applies"
+    ]

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcoh.catalog import get_algebra
+from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.comodule import (
     Bicomodule,
     RightCoaction,
@@ -18,6 +18,7 @@ from hopfcoh.comodule import (
     regular_right_coaction,
     trivial_left_coaction,
     unit_quotient_bicomodule,
+    widest_catalog_space,
 )
 from hopfcoh.linalg import Matrix, kron, unit_vec
 from hopfcoh.scalars import ONE, Scalar
@@ -249,3 +250,9 @@ def test_regular_bicomodule_reduces_to_coassociativity():
     from hopfcoh.comodule import regular_left_coaction
 
     Bicomodule(regular_right_coaction(h), regular_left_coaction(h))
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_widest_catalog_space_is_read_off_the_algebra(name):
+    h = get_algebra(name)
+    assert widest_catalog_space(h) == max(e.bicomodule.space_dim for e in catalog_bicomodules(h))

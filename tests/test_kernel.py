@@ -15,7 +15,7 @@ from hopfcoh.hopf import function_algebra
 from hopfcoh.linalg import CertificateError, Matrix, image_rank, kernel_basis
 from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import Scalar
-from reference import reference_kernel
+from reference import reference_kernel, reference_null_space
 
 P = linalg._P
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -93,15 +93,55 @@ def test_complexes_of_random_order3_monoids(table):
                 assert_matches_reference(d)
 
 
-@pytest.mark.parametrize("name", algebra_names())
-def test_catalog_boundaries_match_reference(name):
-    reference = {}  # the bar boundaries equal the dual ones entrywise: reduce each matrix once
+def catalog_boundaries(name: str) -> list:
+    """The distinct boundaries of every catalog bicomodule's natural, dual and
+    bar complexes at cap 3 (the bar boundaries equal the dual ones entrywise)."""
+    boundaries = {}
     for entry in catalog_bicomodules(get_algebra(name)):
         for kind in ("natural", "dual", "bar"):
-            for d in build_complex(entry.bicomodule, kind, 3).boundaries:
-                if d not in reference:
-                    reference[d] = reference_kernel(d)
-                assert kernel_basis(d) == reference[d]
+            boundaries.update(dict.fromkeys(build_complex(entry.bicomodule, kind, 3).boundaries))
+    return list(boundaries)
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_catalog_boundaries_match_reference(name):
+    for d in catalog_boundaries(name):
+        assert kernel_basis(d) == reference_kernel(d)
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_catalog_boundaries_take_one_modular_elimination(monkeypatch, name):
+    """Every catalog boundary is real, and kernel_basis answers it with one
+    elimination modulo _P: no second pass, no fallback to the exact path."""
+    boundaries = catalog_boundaries(name)
+    fields = _counting_fields(monkeypatch, linalg._rref_rows)
+    for d in boundaries:
+        assert not d.im
+        fields.clear()
+        kernel_basis(d)
+        assert fields == [P], d
+
+
+@st.composite
+def null_space_inputs(draw, entries):
+    """The nonzero ((r, c), x) cells of a random sparse matrix, and its column count."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = {(r, c): x for r in range(rows) for c in range(cols) if (x := draw(entries))}
+    return cells, cols
+
+
+@PROPERTY
+@given(null_space_inputs(st.one_of(st.just(0), st.integers(1, P - 1), st.integers(1, 3))))
+def test_null_space_mod_p_matches_two_pass_reference(spec):
+    cells, cols = spec
+    assert linalg._null_space(cells.items(), cols, P) == reference_null_space(cells, cols, P)
+
+
+@PROPERTY
+@given(null_space_inputs(st.one_of(st.just(Scalar(0)), fractions())))
+def test_null_space_over_q_matches_two_pass_reference(spec):
+    cells, cols = spec
+    assert linalg._null_space(cells.items(), cols) == reference_null_space(cells, cols)
 
 
 # -- tampering: a corrupted result is never returned --------------------------
@@ -144,9 +184,9 @@ def test_perturbed_reconstruction_is_rejected(monkeypatch, which):
     monkeypatch.setattr(linalg, "_wang", perturbed)
     fields = _counting_fields(monkeypatch, linalg._rref_rows)
     assert kernel_basis(TAMPER) == expected
-    # two eliminations (the matrix, its null space) per field: the corrupted
-    # modular basis failed its certificate, and the exact path answered
-    assert fields == [P, P, 0, 0]
+    # one elimination per field: the corrupted modular basis failed its
+    # certificate, and the exact path answered
+    assert fields == [P, 0]
 
 
 def test_every_reconstruction_perturbed_falls_back_to_exact(monkeypatch):
@@ -169,7 +209,7 @@ def test_modular_rref_dropping_a_pivot_is_rejected(monkeypatch):
     expected = reference_kernel(TAMPER)
     fields = _counting_fields(monkeypatch, _drop_last_pivot(linalg._rref_rows, (P,)))
     assert kernel_basis(TAMPER) == expected
-    assert fields == [P, P, 0, 0]  # the modular basis was rejected, the exact path answered
+    assert fields == [P, 0]  # the modular basis was rejected, the exact path answered
 
 
 # open: the certificate trusts the elimination's rank, so a spurious pivot
@@ -181,7 +221,7 @@ def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
 
     def add_pivot(rows, track=None, p=0):
         pivots, red, tracked = original(rows, track, p)
-        if p and len(rows) == TAMPER.rows:  # the matrix, not its null space
+        if p:  # the modular elimination
             f = min(set(range(TAMPER.cols)) - set(pivots))  # a free column made a pivot
             red = [{c: v for c, v in row.items() if c != f} for row in red]
             pivots, red = zip(*sorted(zip(pivots + [f], red + [{f: 1}])))
@@ -189,7 +229,7 @@ def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
 
     fields = _counting_fields(monkeypatch, add_pivot)
     assert kernel_basis(TAMPER) == expected  # fails: one vector short, and D K = 0 still holds
-    assert fields == [P, P, 0, 0]
+    assert fields == [P, 0]
 
 
 def test_corrupted_exact_fallback_raises(monkeypatch):

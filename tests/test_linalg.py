@@ -8,10 +8,10 @@ from hopfcoh.linalg import (
     CertificateError,
     LinearSolver,
     Matrix,
-    TensorSpace,
     image_rank,
     kernel_basis,
     kron,
+    leg_map,
     psd_check,
     rotation_sigma,
     solve,
@@ -20,6 +20,7 @@ from hopfcoh.linalg import (
     vec_dot,
 )
 from hopfcoh.scalars import ONE, Scalar
+from reference import TensorSpace
 
 
 def rand_matrix(rng, rows, cols, density=0.7):
@@ -40,6 +41,18 @@ def test_tensor_space_flat_is_row_major():
     assert ts.flat((1, 2, 0)) == 1 * 6 + 2 * 2 + 0
     for i in range(ts.total_dim):
         assert ts.flat(ts.unflat(i)) == i
+
+
+def test_leg_map_matches_the_digit_reference():
+    src, perm = TensorSpace([2, 3, 4]), (2, 0, 1)
+    tgt = TensorSpace([src.factors[k] for k in perm])
+    move = leg_map(src.factors, perm)
+    for i in range(src.total_dim):
+        legs = src.unflat(i)
+        assert move[i] == tgt.flat(legs[k] for k in perm)
+    for dims, bad_perm in (([2, -1], [0, 1]), ([2, 3], [0, 0]), ([2, 3], [0])):
+        with pytest.raises(ValueError):
+            leg_map(dims, bad_perm)
 
 
 def test_kron_identity():

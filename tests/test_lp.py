@@ -1,12 +1,10 @@
-import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 from hopfcoh.amenability import _mean_system
 from hopfcoh.lp import enumerate_feasibility, solve_equality_feasibility
 from hopfcoh.monoids import FiniteMonoid
+from reference import bench_workloads
 
 
 def test_simple_feasible():
@@ -63,20 +61,11 @@ def test_random_systems_match_enumeration_oracle():
             assert sum(y[i] * b[i] for i in range(m)) > 0
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("hopfcoh_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_oracle_simplex_and_minimal_ideal_agree_on_every_small_monoid():
     """All 11 + 156 monoid tables of order 3 and 4 with identity 0: the
     enumeration oracle, the simplex and the one-minimal-left-ideal criterion
     for an invariant mean give one answer."""
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     tables = workloads.monoid_tables(3) + workloads.monoid_tables(4)
     assert len(tables) == 11 + 156
     for table in tables:

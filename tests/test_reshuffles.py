@@ -1,7 +1,9 @@
 """Tensor reshuffles built with Matrix.reindex against the builders they
 replaced (tests/reference.py): entry-by-entry Scalar loops, and products
 with tensor_permutation and rotation_sigma matrices.  Every comparison is
-Matrix ==, so it covers the canonical form as well as the entries."""
+Matrix ==, so it covers the canonical form as well as the entries.  The
+span tests, each from one product, are held to the per-basis-element loop
+and the S (x) S product they replaced."""
 from fractions import Fraction
 from functools import cache
 
@@ -22,6 +24,8 @@ from hopfcoh.comodule import (
     LeftCoaction,
     RightCoaction,
     catalog_bicomodules,
+    check_nondegenerate,
+    check_nondegenerate_left,
     coaction_from_module,
     dual_bicomodule,
     dual_coaction,
@@ -29,8 +33,12 @@ from hopfcoh.comodule import (
     graded_right_coaction,
     module_from_coaction,
     module_from_left_coaction,
+    regular_left_coaction,
+    regular_right_coaction,
 )
+from hopfcoh.hopf import HopfStarAlgebra, check_saturated, function_algebra
 from hopfcoh.linalg import Matrix, kron
+from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import I
 
 GAUSSIAN = "gaussian:Z2"
@@ -117,3 +125,43 @@ def test_permutation_products_match_reference(name):
             lhs, rhs = sign_identity_sides(*args)
             assert (lhs, rhs) == ref.ref_sign_identity_sides(*args)
             assert lhs == rhs
+
+
+def assert_spans_match_reference(bics):
+    """Both non-degeneracy flags of each side of every bicomodule, and the algebra's saturation."""
+    for b in bics:
+        x = b.space_dim
+        assert check_nondegenerate(b.beta) == ref.ref_translates_span(b.hopf, b.beta.beta, x, False)
+        assert check_nondegenerate_left(b.gamma) == ref.ref_translates_span(b.hopf, b.gamma.gamma, x, True)
+    assert check_saturated(bics[0].hopf) == ref.ref_check_saturated(bics[0].hopf)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_span_tests_match_reference(name):
+    assert_spans_match_reference(bicomodules(name))
+
+
+def test_span_tests_match_reference_on_every_small_monoid():
+    workloads = ref.bench_workloads()
+    tables = workloads.monoid_tables(3) + workloads.monoid_tables(4)
+    assert len(tables) == 11 + 156
+    for table in tables:
+        h = function_algebra(FiniteMonoid(len(table), table))
+        assert_spans_match_reference([e.bicomodule for e in catalog_bicomodules(h)])
+
+
+@pytest.mark.parametrize("name", [n for n in algebra_names() if n.startswith("function:")])
+def test_span_sides_match_reference_on_semigroup_algebras(name):
+    """C[S] of the function algebra's semigroup (product and coproduct transposed):
+    on S = leftzero2 it is neither commutative nor unital, so the left and right
+    translates differ, which no Hopf algebra above can show."""
+    f = get_algebra(name)
+    h = HopfStarAlgebra(f.dim, f.comult.transpose(), f.unit, f.mult.transpose())
+    right_reg, left_reg = regular_right_coaction(h), regular_left_coaction(h)
+    right_flags = ref.ref_translates_span(h, h.comult, h.dim, False)
+    left_flags = ref.ref_translates_span(h, h.comult, h.dim, True)
+    assert check_nondegenerate(right_reg) == right_flags
+    assert check_nondegenerate_left(left_reg) == left_flags
+    assert check_saturated(h) == (right_flags[1], left_flags[1])  # the right translates of both
+    if name == "function:leftzero2":
+        assert right_flags == left_flags == (True, False)
