@@ -279,10 +279,11 @@ def check_codiagonal_vanishing(
     """Codiagonal existence against dual-cohomology vanishing.
 
     With a codiagonal: H^n_d = 0 (n = 1..cap-1) on every catalog bicomodule
-    with a non-degenerate side, re-derived two ways (ranks, and one
-    codiagonal homotopy operator per degree applied to every kernel-basis
-    cocycle).  Without a counit: H^1 of the one-sided regular comodule must
-    be nonzero.
+    with a non-degenerate side, re-derived two ways: from the ranks, and from
+    the operator identity D_{n-1} K_n + K_{n+1} D_n = id of the codiagonal
+    contraction K on that side, certified once per degree without reading
+    the kernel basis.  Without a counit: H^1 of the one-sided regular
+    comodule must be nonzero.
     """
     ws = Workspace.ensure(workspace, h, degree_cap)
     details = []
@@ -312,10 +313,9 @@ def check_codiagonal_vanishing(
                 ok = False
                 details.append(f"{entry.name}: H^{n}_d = {result.dim} != 0")
                 continue
-            cocycles = result.kernel
-            if cocycles:  # CertificateError unless D_{n-1}(primitive) = +-cocycle, for each
-                homotopy_from_codiagonal(entry.bicomodule, n, cocycles, f, side, cx=cx)
-            details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(cocycles)} cocycles)")
+            # CertificateError unless D_{n-1} K_n + K_{n+1} D_n = id on all of C^n
+            homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx)
+            details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(result.kernel)} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 
 
@@ -370,7 +370,7 @@ def check_mean_vs_cohomology(
     ok = mean.feasible == is_coboundary
     if mean.feasible:
         # the mean is an invariant state; its homotopy raises CertificateError
-        # unless d_0(primitive) = +-t_vec exactly
+        # unless d_0(primitive) = t_vec exactly
         homotopy_from_haar(bic, 1, [t_vec], tuple(Scalar(w) for w in mean.certificate.weights), cx=cx)
         details.append("explicit primitive from the mean certified: True")
     else:

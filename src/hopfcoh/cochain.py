@@ -31,7 +31,6 @@ from .linalg import (
     Matrix,
     Vec,
     certify,
-    dense,
     kernel_basis,
     kron,
     kron_all,
@@ -365,46 +364,23 @@ def identify_dual_with_bar(
 # contracting homotopies
 
 
-@dataclass(frozen=True)
-class HomotopyCertificate:
-    primitive: Vec
-    sign: int  # D_{n-1}(primitive) = sign * cocycle, certified exactly
-
-
 def _hom_to_vec(m: Matrix) -> Vec:
     """The Hom(X, W) flattening of m: entry (w, j) at w * cols + j."""
     return m.reindex(m.rows * m.cols, 1, lambda w, j: (w * m.cols + j, 0)).col(0)
 
 
-def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction) -> tuple:
-    """One certificate per cocycle from a contraction K_n: C^n -> C^{n-1}.
+def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction: Matrix) -> Matrix:
+    """The primitives P = K_n Z of the cocycle columns Z, from a contraction K_n: C^n -> C^{n-1}.
 
-    The cocycles become the columns of Z; D_n Z = 0 is required (ValueError
-    otherwise), P = K_n Z holds the primitives, and D_{n-1} P = +-Z is
-    certified column by column, each cocycle with its own sign.
+    D_n Z = 0 is required (ValueError otherwise) and D_{n-1} P = Z is
+    certified exactly, for all columns at once.
     """
-    if not cocycles:
-        return ()
     z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
     if not (cx.boundary(n) @ z).is_zero():
         raise ValueError("input is not a cocycle")
-    prims = contraction() @ z
-    image = cx.boundary(n - 1) @ prims
-
-    def by_col(m: Matrix):
-        cols = [{} for _ in range(m.cols)]
-        for (r, c), v in m.entries.items():
-            cols[c][r] = v
-        return cols
-
-    certs = []
-    for p, im, zc in zip(by_col(prims), by_col(image), by_col(z)):
-        sign = 1
-        if im != zc:
-            certify(im == {r: -v for r, v in zc.items()}, "homotopy primitive failed exact certification")
-            sign = -1
-        certs.append(HomotopyCertificate(dense(p, prims.rows), sign))
-    return tuple(certs)
+    prims = contraction @ z
+    certify(cx.boundary(n - 1) @ prims == z, f"homotopy primitives fail D_{n - 1} P = Z in degree {n}")
+    return prims
 
 
 def _require(cx: CochainComplex, n: int, kinds=("dual", "restricted")) -> None:
@@ -414,16 +390,14 @@ def _require(cx: CochainComplex, n: int, kinds=("dual", "restricted")) -> None:
         raise ValueError("needs degree >= 1")
 
 
-def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> tuple:
+def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
     """Primitives of natural n-cocycles from the counit: (-1)^{n-1} (id (x) eps) on the last leg."""
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n, ("natural",))
-    return _certify_homotopy(
-        cx, n, cocycles,
-        lambda: kron(Matrix.identity(x * _ipow(s, n - 1)), h.counit_row).scale((-1) ** (n - 1)),
-    )
+    k_n = kron(Matrix.identity(x * _ipow(s, n - 1)), h.counit_row).scale((-1) ** (n - 1))
+    return _certify_homotopy(cx, n, cocycles, k_n)
 
 
 def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matrix:
@@ -431,18 +405,17 @@ def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matr
     return kron(kron(functional, Matrix.identity(_ipow(s, n - 1))), Matrix.identity(x)).scale(sign)
 
 
-def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> tuple:
+def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
     """Primitives of dual n-cocycles from the counit: post-compose (-1)^{n-1} eps (x) id^{n-1}."""
     h = b.hopf
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n)
-    return _certify_homotopy(
-        cx, n, cocycles, lambda: _post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1))
-    )
+    k_n = _post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1))
+    return _certify_homotopy(cx, n, cocycles, k_n)
 
 
-def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: CochainComplex) -> tuple:
+def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: CochainComplex) -> Matrix:
     """Primitives of dual n-cocycles from a left-invariant state phi (gamma trivial).
 
     Post-composes (-1)^n phi (x) id^{n-1}.
@@ -450,32 +423,39 @@ def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: Cochain
     if not _gamma_is_trivial(b):
         raise ValueError("the invariant-state homotopy needs gamma = 1 (x) id")
     _require(cx, n)
-    return _certify_homotopy(
-        cx, n, cocycles, lambda: _post_compose(Matrix.row(phi), b.space_dim, b.hopf.dim, n, (-1) ** n)
-    )
+    k_n = _post_compose(Matrix.row(phi), b.space_dim, b.hopf.dim, n, (-1) ** n)
+    return _certify_homotopy(cx, n, cocycles, k_n)
 
 
 def homotopy_from_codiagonal(
-    b: Bicomodule, n: int, cocycles, f_functional: Vec, side: str = "beta", *, cx: CochainComplex
-) -> tuple:
-    """Primitives of dual n-cocycles from a codiagonal (see codiagonal_contraction)."""
+    b: Bicomodule, n: int, f_functional: Vec, side: str = "beta", *, cx: CochainComplex
+) -> None:
+    """Certify D_{n-1} K_n + K_{n+1} D_n = id on C^n for the codiagonal contraction K
+    (see codiagonal_contraction), so every n-cocycle z is D_{n-1}(K_n z)."""
     if side not in ("beta", "gamma"):
         raise ValueError("side must be 'beta' or 'gamma'")
     _require(cx, n)
-    return _certify_homotopy(cx, n, cocycles, lambda: codiagonal_contraction(b, n, f_functional, side))
+    k_n, k_next = (codiagonal_contraction(b, m, f_functional, side) for m in (n, n + 1))
+    certify(
+        cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n) == Matrix.identity(cx.degrees[n]),
+        f"codiagonal homotopy fails D K + K D = id in degree {n}",
+    )
 
 
 def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) -> Matrix:
-    """The codiagonal homotopy T -> R on Hom(X, S^n), as a matrix.
+    """The codiagonal homotopy K_n: T -> R on Hom(X, S^n), as a matrix.
 
     side="beta":  R = (id^{n-1} (x) F) o (T (x) id) o beta  (beta non-degenerate)
-    side="gamma": R = (F (x) id^{n-1}) o (id (x) T) o gamma (gamma non-degenerate)
+    side="gamma": R = (-1)^n (F (x) id^{n-1}) o (id (x) T) o gamma (gamma non-degenerate)
+
+    For a codiagonal F both sides satisfy D_{n-1} K_n + K_{n+1} D_n = id; the
+    gamma side needs its sign (-1)^n for that.
 
     With F[c, a] = F(e_c (x) e_a), the S leg c of T that F pairs with the
     coaction's leg a, Q = kron(id_X, F) beta has Q[(y,c), j] = sum_a F[c,a]
     beta[(y,a), j], and R's entry at row (u, j), column ((u, c), y) is
     Q[(y,c), j]: a reindex of kron(id^{n-1}, Q^T).  The gamma side mirrors
-    it with Q = kron(F^T, id_X) gamma and column ((c, u), y).
+    it with Q = (-1)^n kron(F^T, id_X) gamma and column ((c, u), y).
     """
     x, s, sp = b.space_dim, b.hopf.dim, _ipow(b.hopf.dim, n - 1)
     f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
@@ -483,6 +463,6 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
         q = kron(Matrix.identity(x), f) @ b.beta.beta
         move = leg_map([sp, x, s], [0, 2, 1])
     else:
-        q = kron(f.transpose(), Matrix.identity(x)) @ b.gamma.gamma
+        q = (kron(f.transpose(), Matrix.identity(x)) @ b.gamma.gamma).scale((-1) ** n)
         move = leg_map([sp, s, x], [1, 0, 2])
     return kron(Matrix.identity(sp), q.transpose()).reindex(sp * x, sp * s * x, lambda r, c: (r, move[c]))

@@ -20,6 +20,11 @@ long way: one product and one `augment` per basis element t, and the
 product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
 every translate from one product.
 
+`ref_certify_homotopy` is the signed column-by-column homotopy certificate:
+each cocycle z gets its own primitive p and a sign with D p = +-z.
+Production code certifies D P = Z for all columns at once, and the
+codiagonal homotopy by the operator identity D K + K D = id.
+
 `TensorSpace` is the row-major flat index of an ordered tensor product,
 written out digit by digit.
 """
@@ -35,6 +40,8 @@ from hopfcoh.linalg import (
     Matrix,
     SpanTracker,
     _rref_rows,
+    certify,
+    dense,
     image_rank,
     kron,
     kron_all,
@@ -216,11 +223,12 @@ def ref_sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) ->
 def ref_codiagonal_contraction(b, n: int, f, side: str) -> Matrix:
     x, s, sp = b.space_dim, b.hopf.dim, b.hopf.dim ** (n - 1)
     beta = side == "beta"
+    sign = 1 if beta else (-1) ** n
     entries: dict = {}
     for (r, j), cv in (b.beta.beta if beta else b.gamma.gamma).entries.items():
         y, a = divmod(r, s) if beta else divmod(r, x)[::-1]
         for c in range(s):
-            fv = f[c * s + a if beta else a * s + c]
+            fv = sign * f[c * s + a if beta else a * s + c]
             for u in range(sp) if fv else ():
                 w = u * s + c if beta else c * sp + u
                 key = (u * x + j, w * x + y)
@@ -349,3 +357,30 @@ class TensorSpace:
             out.append(i % d)
             i //= d
         return tuple(reversed(out))
+
+
+def ref_certify_homotopy(cx, n: int, cocycles, contraction: Matrix) -> tuple:
+    """(primitive, sign) per cocycle z from K_n: the primitive K_n z as a dense
+    tuple, with D_{n-1}(primitive) = sign * z certified column by column."""
+    if not cocycles:
+        return ()
+    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
+    if not (cx.boundary(n) @ z).is_zero():
+        raise ValueError("input is not a cocycle")
+    prims = contraction @ z
+    image = cx.boundary(n - 1) @ prims
+
+    def by_col(m: Matrix):
+        cols = [{} for _ in range(m.cols)]
+        for (r, c), v in m.entries.items():
+            cols[c][r] = v
+        return cols
+
+    certs = []
+    for p, im, zc in zip(by_col(prims), by_col(image), by_col(z)):
+        sign = 1
+        if im != zc:
+            certify(im == {r: -v for r, v in zc.items()}, "homotopy primitive failed exact certification")
+            sign = -1
+        certs.append((dense(p, prims.rows), sign))
+    return tuple(certs)

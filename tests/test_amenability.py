@@ -18,7 +18,7 @@ from hopfcoh.amenability import (
 )
 from hopfcoh.catalog import get_algebra, get_group, get_monoid
 from hopfcoh.cochain import Workspace, dual_coboundary
-from hopfcoh.linalg import solve, vec_dot
+from hopfcoh.linalg import CertificateError, Matrix, solve, vec_dot
 from hopfcoh.scalars import ONE, Scalar
 
 
@@ -151,6 +151,36 @@ def test_vanishing_crosscheck_group_z3():
 def test_vanishing_crosscheck_function_s3():
     out = check_codiagonal_vanishing(get_algebra("function:S3"))
     assert out.passed
+
+
+@pytest.mark.parametrize("name", ["group:S3", "function:Z3"])
+def test_vanishing_crosscheck_rejects_a_tampered_codiagonal(name, monkeypatch):
+    from types import SimpleNamespace
+
+    from hopfcoh import amenability
+
+    h = get_algebra(name)
+    f = find_codiagonal(h).certificate.functional
+    for i in range(len(f)):  # no single entry of F can change with D K + K D = id still holding
+        g = f[:i] + (f[i] + 1,) + f[i + 1 :]
+        tampered = SimpleNamespace(certificate=SimpleNamespace(functional=g))
+        monkeypatch.setattr(amenability, "job_codiagonal", lambda ws: tampered)
+        with pytest.raises(CertificateError, match="D K \\+ K D = id in degree 1$"):
+            check_codiagonal_vanishing(h)
+
+
+def test_vanishing_crosscheck_names_the_degree_of_a_tampered_contraction(monkeypatch):
+    from hopfcoh import cochain
+
+    original = cochain.codiagonal_contraction
+
+    def corrupt_k3(b, n, f, side):  # K_3 enters the identity of degree 2 only
+        k = original(b, n, f, side)
+        return k + Matrix(k.rows, k.cols, {(0, 0): 1}) if n == 3 else k
+
+    monkeypatch.setattr(cochain, "codiagonal_contraction", corrupt_k3)
+    with pytest.raises(CertificateError, match="in degree 2$"):
+        check_codiagonal_vanishing(get_algebra("group:S3"))
 
 
 def test_vanishing_crosscheck_non_counital():

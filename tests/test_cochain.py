@@ -41,7 +41,7 @@ from hopfcoh.linalg import (
     unit_vec,
 )
 from hopfcoh.scalars import I, ONE, Scalar
-from reference import reference_bookkeeping, reference_kernel
+from reference import ref_certify_homotopy, reference_bookkeeping, reference_kernel
 
 
 def unit_leg_bicomodule(h, x_dim):
@@ -360,12 +360,10 @@ def test_counit_homotopy_dual_group_z3():
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
         cocycles = kernel_basis(cx.boundary(n))
-        certs = homotopy_from_counit_dual(b, n, cocycles, cx=cx)
-        assert len(certs) == len(cocycles)
-        for t, cert in zip(cocycles, certs):
-            assert cert.sign == 1
-            prev = cx.boundary(n - 1)
-            assert prev.apply(cert.primitive) == t
+        prims = homotopy_from_counit_dual(b, n, cocycles, cx=cx)
+        assert prims.cols == len(cocycles)
+        for j, t in enumerate(cocycles):
+            assert cx.boundary(n - 1).apply(prims.col(j)) == t
 
 
 def test_counit_homotopy_natural_certifies():
@@ -374,11 +372,10 @@ def test_counit_homotopy_natural_certifies():
     cx = build_complex(b, "natural", 3)
     for n in (1, 2):
         cocycles = kernel_basis(cx.boundary(n))
-        certs = homotopy_from_counit_natural(b, n, cocycles, cx=cx)
-        assert len(certs) == len(cocycles)
-        for m_vec, cert in zip(cocycles, certs):
-            image = cx.boundary(n - 1).apply(cert.primitive)
-            assert image == tuple(cert.sign * v for v in m_vec)
+        prims = homotopy_from_counit_natural(b, n, cocycles, cx=cx)
+        assert prims.cols == len(cocycles)
+        for j, m_vec in enumerate(cocycles):
+            assert cx.boundary(n - 1).apply(prims.col(j)) == m_vec
 
 
 def test_haar_homotopy_function_z2():
@@ -388,10 +385,21 @@ def test_haar_homotopy_function_z2():
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
         cocycles = kernel_basis(cx.boundary(n))
-        certs = homotopy_from_haar(b, n, cocycles, phi, cx=cx)
-        assert len(certs) == len(cocycles)
-        for cert in certs:
-            assert cert.sign in (1, -1)
+        prims = homotopy_from_haar(b, n, cocycles, phi, cx=cx)
+        assert cx.boundary(n - 1) @ prims == Matrix.from_cols(cocycles, rows=cx.degrees[n])
+
+
+def test_haar_homotopy_rejects_the_negated_state():
+    h = get_algebra("function:Z2")
+    b = with_trivial_gamma(regular_right_coaction(h))
+    minus_phi = tuple(-v for v in haar_state(h).state)
+    cx = build_complex(b, "dual", 3)
+    for n in (1, 2):
+        cocycles = kernel_basis(cx.boundary(n))
+        assert cocycles
+        # the primitives of -phi are the negated ones, D P = -Z, and no sign is forgiven
+        with pytest.raises(CertificateError, match=f"in degree {n}"):
+            homotopy_from_haar(b, n, cocycles, minus_phi, cx=cx)
 
 
 def test_codiagonal_homotopy_pair_graded_z2():
@@ -403,12 +411,11 @@ def test_codiagonal_homotopy_pair_graded_z2():
     f = kronecker_codiagonal(get_group("Z2")).certificate.functional
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
-        cocycles = kernel_basis(cx.boundary(n))
-        certs = homotopy_from_codiagonal(b, n, cocycles, f, cx=cx)
-        assert len(certs) == len(cocycles)
-        for cert in certs:
-            assert cert.sign in (1, -1)
-    assert homotopy_from_codiagonal(b, 1, [], f, cx=cx) == ()
+        for side in ("beta", "gamma"):
+            homotopy_from_codiagonal(b, n, f, side, cx=cx)
+    for n, side in ((0, "beta"), (3, "beta"), (1, "delta")):  # no K_0, no D_3, no such side
+        with pytest.raises(ValueError):
+            homotopy_from_codiagonal(b, n, f, side, cx=cx)
 
 
 def test_homotopy_rejects_non_cocycle():
@@ -430,10 +437,8 @@ def test_zero_functional_is_no_codiagonal():
     h = get_algebra("group:Z2")
     b = pair_graded_bicomodule(h)
     cx = build_complex(b, "dual", 2)
-    cocycles = kernel_basis(cx.boundary(1))
-    assert cocycles
-    with pytest.raises(CertificateError):
-        homotopy_from_codiagonal(b, 1, cocycles, (Scalar(0),) * (h.dim * h.dim), cx=cx)
+    with pytest.raises(CertificateError, match="in degree 1"):
+        homotopy_from_codiagonal(b, 1, (Scalar(0),) * (h.dim * h.dim), cx=cx)
 
 
 def _codiagonal_primitive_reference(b, n, t_vec, f, side):
@@ -446,7 +451,7 @@ def _codiagonal_primitive_reference(b, n, t_vec, f, side):
         prim = kron(Matrix.identity(s ** (n - 1)), f_row) @ lifted
     else:
         lifted = kron(Matrix.identity(s), t_mat) @ b.gamma.gamma
-        prim = kron(f_row, Matrix.identity(s ** (n - 1))) @ lifted
+        prim = (kron(f_row, Matrix.identity(s ** (n - 1))) @ lifted).scale((-1) ** n)
     out = [Scalar(0)] * (prim.rows * x)
     for (w, j), v in prim.entries.items():
         out[w * x + j] = v
@@ -472,9 +477,92 @@ def test_codiagonal_operator_matches_per_vector_formula():
                     assert [k_n.apply(t) for t in cocycles] == [
                         _codiagonal_primitive_reference(b, n, t, g, side) for t in cocycles
                     ], (entry.name, side, n)
-                expected = [_codiagonal_primitive_reference(b, n, t, f, side) for t in cocycles]
                 if any(nondegenerate):
-                    certs = homotopy_from_codiagonal(b, n, cocycles, f, side, cx=cx)
-                    assert [c.primitive for c in certs] == expected, (entry.name, side, n)
-                    certified += len(certs)
+                    homotopy_from_codiagonal(b, n, f, side, cx=cx)
+                    expected = [_codiagonal_primitive_reference(b, n, t, f, side) for t in cocycles]
+                    assert [cx.boundary(n - 1).apply(p) for p in expected] == cocycles, (entry.name, side, n)
+                    certified += len(cocycles)
     assert certified > 0
+
+
+NO_CODIAGONAL = ("function:leftzero2", "function:rzid3")  # no counit; a counit but no codiagonal
+
+
+def test_catalog_algebras_without_a_codiagonal():
+    from hopfcoh.amenability import find_codiagonal
+
+    assert get_algebra("function:leftzero2").counit is None
+    assert find_codiagonal(get_algebra("function:rzid3")).certificate is None
+
+
+@pytest.mark.parametrize("name", [n for n in algebra_names() if n not in NO_CODIAGONAL])
+def test_codiagonal_contraction_is_a_chain_homotopy(name):
+    """D_{n-1} K_n + K_{n+1} D_n = id on C^n, n = 1..cap-1, on every catalog
+    bicomodule and each of its non-degenerate sides."""
+    from hopfcoh.amenability import find_codiagonal
+
+    h = get_algebra(name)
+    f = find_codiagonal(h).certificate.functional
+    cap, checked = 3, 0
+    for entry in catalog_bicomodules(h):
+        b = entry.bicomodule
+        cx = build_complex(b, "dual", cap)
+        for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+            if not any(nondegenerate):
+                continue
+            k = {m: codiagonal_contraction(b, m, f, side) for m in range(1, cap + 1)}
+            for n in range(1, cap):
+                lhs = cx.boundary(n - 1) @ k[n] + k[n + 1] @ cx.boundary(n)
+                assert lhs == Matrix.identity(cx.degrees[n]), (entry.name, side, n)
+                checked += 1
+    assert checked or name in ("function:trivial", "group:trivial")
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
+    """The signed column-by-column certificate, on every contraction the catalog
+    certifies, finds sign +1 and the columns of the one-equality primitives P."""
+    from hopfcoh import cochain
+    from hopfcoh.amenability import check_mean_vs_cohomology, find_codiagonal
+    from hopfcoh.comodule import catalog_right_comodules
+
+    pairs = []  # (P, the signed reference's (primitive, sign) per column)
+    original = cochain._certify_homotopy
+
+    def both(cx, n, cocycles, contraction):
+        prims = original(cx, n, cocycles, contraction)
+        pairs.append((prims, ref_certify_homotopy(cx, n, cocycles, contraction)))
+        return prims
+
+    monkeypatch.setattr(cochain, "_certify_homotopy", both)
+    h = get_algebra(name)
+    ws = Workspace(h, 3)
+    phi = haar_state(h).state
+    for _, coaction in catalog_right_comodules(h):
+        counit_side, haar_side = one_sided(coaction), with_trivial_gamma(coaction)
+        for n in (1, 2):
+            if h.counit is not None:
+                for kind, homotopy in (("dual", homotopy_from_counit_dual), ("natural", homotopy_from_counit_natural)):
+                    cx = ws.complex_of(counit_side, kind)
+                    homotopy(counit_side, n, ws.cohomology_of(counit_side, kind, n).kernel, cx=cx)
+            if phi is not None:
+                cx = ws.complex_of(haar_side, "dual")
+                homotopy_from_haar(haar_side, n, ws.cohomology_of(haar_side, "dual", n).kernel, phi, cx=cx)
+    if h.kind == "function" and h.monoid.has_identity:
+        check_mean_vs_cohomology(h, 3, ws)  # the mean's primitive, where a mean exists
+    if name not in NO_CODIAGONAL:
+        f = find_codiagonal(h).certificate.functional
+        for entry in ws.catalog:
+            for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+                if not any(nondegenerate):
+                    continue
+                cx = ws.complex_of(entry.bicomodule, "dual")
+                for n in (1, 2):
+                    cocycles = ws.cohomology_of(entry.bicomodule, "dual", n).kernel
+                    k_n = codiagonal_contraction(entry.bicomodule, n, f, side)
+                    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
+                    pairs.append((k_n @ z, ref_certify_homotopy(cx, n, cocycles, k_n)))
+    assert pairs
+    for prims, signed in pairs:
+        assert [sign for _, sign in signed] == [1] * prims.cols
+        assert [p for p, _ in signed] == [prims.col(j) for j in range(prims.cols)]
