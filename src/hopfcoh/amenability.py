@@ -307,14 +307,16 @@ def check_codiagonal_vanishing(
             continue
         side = "beta" if any(entry.beta_nondegenerate) else "gamma"
         cx = ws.complex_of(entry.bicomodule, "dual")
+        k = None  # K_n, when the previous degree's certificate built it
         for n in range(1, degree_cap):
             result = ws.cohomology_of(entry.bicomodule, "dual", n)
             if result.dim != 0:
                 ok = False
                 details.append(f"{entry.name}: H^{n}_d = {result.dim} != 0")
+                k = None
                 continue
             # CertificateError unless D_{n-1} K_n + K_{n+1} D_n = id on all of C^n
-            homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx)
+            k = homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx, k_n=k)
             details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(result.kernel)} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 

@@ -428,18 +428,24 @@ def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: Cochain
 
 
 def homotopy_from_codiagonal(
-    b: Bicomodule, n: int, f_functional: Vec, side: str = "beta", *, cx: CochainComplex
-) -> None:
+    b: Bicomodule, n: int, f_functional: Vec, side: str = "beta", *, cx: CochainComplex, k_n=None
+) -> Matrix:
     """Certify D_{n-1} K_n + K_{n+1} D_n = id on C^n for the codiagonal contraction K
-    (see codiagonal_contraction), so every n-cocycle z is D_{n-1}(K_n z)."""
+    (see codiagonal_contraction), so every n-cocycle z is D_{n-1}(K_n z).
+
+    Returns K_{n+1}, which the next degree's call takes as its k_n instead
+    of building K_n again; k_n = None builds it here.
+    """
     if side not in ("beta", "gamma"):
         raise ValueError("side must be 'beta' or 'gamma'")
     _require(cx, n)
-    k_n, k_next = (codiagonal_contraction(b, m, f_functional, side) for m in (n, n + 1))
+    k_n = codiagonal_contraction(b, n, f_functional, side) if k_n is None else k_n
+    k_next = codiagonal_contraction(b, n + 1, f_functional, side)
     certify(
         cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n) == Matrix.identity(cx.degrees[n]),
         f"codiagonal homotopy fails D K + K D = id in degree {n}",
     )
+    return k_next
 
 
 def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) -> Matrix:
@@ -452,17 +458,20 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     gamma side needs its sign (-1)^n for that.
 
     With F[c, a] = F(e_c (x) e_a), the S leg c of T that F pairs with the
-    coaction's leg a, Q = kron(id_X, F) beta has Q[(y,c), j] = sum_a F[c,a]
-    beta[(y,a), j], and R's entry at row (u, j), column ((u, c), y) is
-    Q[(y,c), j]: a reindex of kron(id^{n-1}, Q^T).  The gamma side mirrors
-    it with Q = (-1)^n kron(F^T, id_X) gamma and column ((c, u), y).
+    coaction's leg a, and the coaction moved to C[a, (y, j)] = beta[(y, a), j],
+    F C holds sum_a F[c, a] beta[(y, a), j] at (c, (y, j)).  R's entry at
+    row (u, j), column ((u, c), y) is that number, so K_n = kron(id^{n-1}, L)
+    for the block L[j, (c, y)] = (F C)[c, (y, j)].  The gamma side takes
+    C[a, (y, j)] = gamma[(a, y), j] and (-1)^n F^T for F, and moves column
+    (u, c, y) of kron(id^{n-1}, L) to ((c, u), y).
     """
     x, s, sp = b.space_dim, b.hopf.dim, _ipow(b.hopf.dim, n - 1)
     f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
     if side == "beta":
-        q = kron(Matrix.identity(x), f) @ b.beta.beta
-        move = leg_map([sp, x, s], [0, 2, 1])
+        coaction, legs = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j)), [0, 1, 2]
     else:
-        q = (kron(f.transpose(), Matrix.identity(x)) @ b.gamma.gamma).scale((-1) ** n)
-        move = leg_map([sp, s, x], [1, 0, 2])
-    return kron(Matrix.identity(sp), q.transpose()).reindex(sp * x, sp * s * x, lambda r, c: (r, move[c]))
+        coaction, legs = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j)), [1, 0, 2]
+        f = f.transpose().scale((-1) ** n)
+    block = (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
+    move = leg_map([sp, s, x], legs)
+    return kron(Matrix.identity(sp), block).reindex(sp * x, sp * s * x, lambda r, c: (r, move[c]))

@@ -18,6 +18,7 @@ moves the entries there.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -403,14 +404,27 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
     Scalar, since the only constant it brings in is 1 / pivot.
     Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
     passed in.  Returns (pivots, rows, tracks) with monic pivots, zero above
-    and below each pivot, rows sorted by pivot column.  If `track` is a
-    parallel list of sparse rows, the same row operations are applied to it
-    (used for inconsistency certificates) and tracks is (the tracks of the
-    rows that reduced to zero, the tracks of the pivot rows); else None.
+    and below each pivot, rows sorted by pivot column: the RREF, unique, so
+    both strategies below return the same pivots and rows.
+
+    Without `track` it takes the rows one at a time against pivot rows kept
+    fully reduced (monic, zero at every other pivot column): a row is
+    reduced once, by the pivot rows of the pivot columns in its support, and
+    a nonzero remainder becomes the pivot row of its least column, which is
+    then cleared from the earlier pivot rows.  A row that reduces to zero,
+    as most rows of a coboundary do, costs one pass; tracks is None.
+
+    If `track` is a parallel list of sparse rows, it sweeps the columns
+    instead: at each column the shortest row holding it becomes the pivot
+    row and the column is removed from every other row, with the same row
+    operations applied to the tracks; tracks is (the tracks of the rows that
+    reduced to zero, the tracks of the pivot rows).  Those zero tracks are
+    the left-kernel certificates LinearSolver reports, and which they are
+    depends on the sweep's choice of pivot rows, so this path keeps it.
     """
 
     def scaled(row, k):
-        return {c: k * v % p if p else k * v for c, v in row.items()}
+        return row if k == 1 else {c: k * v % p if p else k * v for c, v in row.items()}
 
     def axpy(trow, prow, factor, ri=None):
         """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
@@ -427,39 +441,54 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
                 if ri is not None:
                     present[c].discard(ri)
 
+    def inverse(x):
+        return pow(x, -1, p) if p else 1 / x
+
+    present: dict = defaultdict(set)  # column -> the rows with a nonzero there
+    if track is None:
+        reduced: dict = {}  # pivot column -> its pivot row; `present` holds pivot columns
+        for row in row_dicts:
+            row = dict(row)
+            for c in [c for c in row if c in reduced]:
+                f = row[c]  # no other pivot row touches column c; zeros are dropped below
+                for k, v in reduced[c].items():
+                    row[k] = row.get(k, 0) - f * v
+            row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
+            if not row:
+                continue
+            col = min(row)
+            row = scaled(row, inverse(row[col]))
+            for q in list(present[col]):
+                axpy(reduced[q], row, reduced[q][col], q)
+            reduced[col] = row
+            for c in row:
+                present[c].add(col)
+        pivots = sorted(reduced)
+        return pivots, [reduced[c] for c in pivots], None
+
     work = [dict(r) for r in row_dicts]
-    tr = [dict(t) for t in track] if track is not None else None
-    pivots = []
-    pivot_rows = []  # indices into work, aligned with pivots
-    present: dict = {}  # column -> the rows with a nonzero there
+    tr = [dict(t) for t in track]
     for ri, row in enumerate(work):
         for c in row:
-            present.setdefault(c, set()).add(ri)
+            present[c].add(ri)
+    pivots, pivot_rows = [], []  # pivot_rows: indices into work, aligned with pivots
     used = set()
     for col in sorted(present):
         cand = [ri for ri in present[col] if ri not in used]
         if not cand:
             continue
         ri = min(cand, key=lambda r: (len(work[r]), r))
-        inv = pow(work[ri][col], -1, p) if p else 1 / work[ri][col]
-        if inv != 1:
-            work[ri] = scaled(work[ri], inv)
-            if tr is not None:
-                tr[ri] = scaled(tr[ri], inv)
+        inv = inverse(work[ri][col])
+        work[ri], tr[ri] = scaled(work[ri], inv), scaled(tr[ri], inv)
         for other in [r for r in present[col] if r != ri]:
             factor = work[other][col]
             axpy(work[other], work[ri], factor, other)
-            if tr is not None:
-                axpy(tr[other], tr[ri], factor)
+            axpy(tr[other], tr[ri], factor)
         used.add(ri)
         pivots.append(col)
         pivot_rows.append(ri)
-
-    out_rows = [work[r] for r in pivot_rows]
-    if tr is None:
-        return pivots, out_rows, None
     zero_tracks = [tr[r] for r in range(len(work)) if r not in used]
-    return pivots, out_rows, (zero_tracks, [tr[r] for r in pivot_rows])
+    return pivots, [work[r] for r in pivot_rows], (zero_tracks, [tr[r] for r in pivot_rows])
 
 
 def rref(m: Matrix):

@@ -3,8 +3,15 @@
 The `ref_*` functions are `Matrix` arithmetic on plain {(r, c): Scalar}
 dicts of the nonzero entries, one Scalar operation at a time.
 
-`reference_kernel` is the exact two-RREF kernel: `rref` of the matrix, then
-`rref` of its free-column null vectors; `reference_null_space` is the same
+`reference_rref_rows` is the column sweep: at each column the shortest row
+holding it becomes the pivot row and the column is removed from every
+other row.  `linalg._rref_rows` keeps that sweep only for tracked
+eliminations and takes untracked rows one at a time, so every reference
+below that eliminates (`reference_rref`, `reference_rank`, the kernels and
+the span tests) runs this sweep rather than the code under test.
+
+`reference_kernel` is the exact two-RREF kernel: RREF of the matrix, then
+RREF of its free-column null vectors; `reference_null_space` is the same
 two passes on sparse rows, over Q(i) or Z/p.  Production code eliminates
 once.  `reference_bookkeeping` is the greedy choice of H^n representatives,
 with a coboundary preimage for every other kernel vector; production code
@@ -39,23 +46,100 @@ from hopfcoh.linalg import (
     LinearSolver,
     Matrix,
     SpanTracker,
-    _rref_rows,
     certify,
     dense,
-    image_rank,
     kron,
     kron_all,
     rotation_sigma,
-    rref,
     tensor_permutation,
     unit_vec,
 )
 from hopfcoh.scalars import ONE, Scalar
 
 
+def reference_rref_rows(row_dicts, track=None, p: int = 0):
+    """Full RREF of a list of sparse rows by a column sweep.
+
+    When p is 0 it is exact over whatever field the entries lie in, and
+    keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
+    Scalar, since the only constant it brings in is 1 / pivot.
+    Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
+    passed in.  Returns (pivots, rows, tracks) with monic pivots, zero above
+    and below each pivot, rows sorted by pivot column.  If `track` is a
+    parallel list of sparse rows, the same row operations are applied to it
+    (used for inconsistency certificates) and tracks is (the tracks of the
+    rows that reduced to zero, the tracks of the pivot rows); else None.
+    """
+
+    def scaled(row, k):
+        return {c: k * v % p if p else k * v for c, v in row.items()}
+
+    def axpy(trow, prow, factor, ri=None):
+        """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
+        for c, v in prow.items():
+            nv = trow[c] - factor * v if c in trow else -(factor * v)
+            if p:
+                nv %= p
+            if nv:
+                if ri is not None and c not in trow:
+                    present[c].add(ri)
+                trow[c] = nv
+            elif c in trow:
+                del trow[c]
+                if ri is not None:
+                    present[c].discard(ri)
+
+    work = [dict(r) for r in row_dicts]
+    tr = [dict(t) for t in track] if track is not None else None
+    pivots = []
+    pivot_rows = []  # indices into work, aligned with pivots
+    present: dict = {}  # column -> the rows with a nonzero there
+    for ri, row in enumerate(work):
+        for c in row:
+            present.setdefault(c, set()).add(ri)
+    used = set()
+    for col in sorted(present):
+        cand = [ri for ri in present[col] if ri not in used]
+        if not cand:
+            continue
+        ri = min(cand, key=lambda r: (len(work[r]), r))
+        inv = pow(work[ri][col], -1, p) if p else 1 / work[ri][col]
+        if inv != 1:
+            work[ri] = scaled(work[ri], inv)
+            if tr is not None:
+                tr[ri] = scaled(tr[ri], inv)
+        for other in [r for r in present[col] if r != ri]:
+            factor = work[other][col]
+            axpy(work[other], work[ri], factor, other)
+            if tr is not None:
+                axpy(tr[other], tr[ri], factor)
+        used.add(ri)
+        pivots.append(col)
+        pivot_rows.append(ri)
+
+    out_rows = [work[r] for r in pivot_rows]
+    if tr is None:
+        return pivots, out_rows, None
+    zero_tracks = [tr[r] for r in range(len(work)) if r not in used]
+    return pivots, out_rows, (zero_tracks, [tr[r] for r in pivot_rows])
+
+
+def reference_rref(m: Matrix):
+    """(pivot columns, RREF rows as sparse dicts) of m, by reference_rref_rows."""
+    rows: dict = {}
+    for (r, c), x in sorted(m.entries.items()):
+        rows.setdefault(r, {})[c] = x
+    pivots, red, _ = reference_rref_rows(list(rows.values()))
+    return pivots, red
+
+
+def reference_rank(m: Matrix) -> int:
+    return len(reference_rref(m)[0])
+
+
 def reference_kernel(m: Matrix) -> list:
     """The RREF basis of the null space of m, by exact elimination, as dense tuples."""
-    pivots, rows = rref(m)
+    pivots, rows = reference_rref(m)
     raw = []
     for f in sorted(set(range(m.cols)) - set(pivots)):
         v = [Scalar(0)] * m.cols
@@ -66,7 +150,7 @@ def reference_kernel(m: Matrix) -> list:
         raw.append(v)
     if not raw:
         return []
-    _, null_rows = rref(Matrix.from_rows(raw))
+    _, null_rows = reference_rref(Matrix.from_rows(raw))
     return [tuple(row.get(c, Scalar(0)) for c in range(m.cols)) for row in null_rows]
 
 
@@ -77,7 +161,7 @@ def reference_null_space(cells: dict, cols: int, p: int = 0):
     rows: dict = {}
     for (r, c), x in cells.items():
         rows.setdefault(r, {})[c] = x
-    pivots, red, _ = _rref_rows(list(rows.values()), p=p)
+    pivots, red, _ = reference_rref_rows(list(rows.values()), p=p)
     raw = {f: {f: 1 if p else ONE} for f in range(cols)}
     for piv in pivots:
         del raw[piv]
@@ -85,7 +169,7 @@ def reference_null_space(cells: dict, cols: int, p: int = 0):
         for c, v in row.items():
             if c != piv:
                 raw[c][piv] = p - v if p else -v
-    _, basis, _ = _rref_rows(list(raw.values()), p=p)
+    _, basis, _ = reference_rref_rows(list(raw.values()), p=p)
     return len(pivots), basis
 
 
@@ -293,7 +377,7 @@ def ref_translates_span(h, coaction: Matrix, x: int, s_leg_first: bool):
             mult_t = h.mult @ (kron(et, i_s) if left else kron(i_s, et))  # u -> t*u or u*t
             on_leg = kron(mult_t, ix) if s_leg_first else kron(ix, mult_t)
             translates = translates.augment(on_leg @ coaction)
-        out.append(image_rank(translates) == x * s)
+        out.append(reference_rank(translates) == x * s)
     return tuple(out)
 
 
@@ -304,7 +388,7 @@ def ref_check_saturated(h):
     i_s = Matrix.identity(d)
     mult2 = kron(h.mult, h.mult) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
     sides = (kron(Matrix.column(h.unit), i_s), kron(i_s, Matrix.column(h.unit)))
-    return tuple(image_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
+    return tuple(reference_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
 
 
 def bench_workloads():

@@ -183,6 +183,25 @@ def test_vanishing_crosscheck_names_the_degree_of_a_tampered_contraction(monkeyp
         check_codiagonal_vanishing(get_algebra("group:S3"))
 
 
+def test_vanishing_crosscheck_builds_each_contraction_once(monkeypatch):
+    from hopfcoh import cochain
+
+    original = cochain.codiagonal_contraction
+    built = []
+
+    def counting(b, n, f, side):
+        built.append((id(b), side, n))
+        return original(b, n, f, side)
+
+    monkeypatch.setattr(cochain, "codiagonal_contraction", counting)
+    out = check_codiagonal_vanishing(get_algebra("group:S3"))
+    assert out.passed
+    sides = {key[:2] for key in built}
+    # degrees 1 and 2 certified per side, from K_1, K_2 and K_3, each built once
+    assert sum("homotopy certified" in d for d in out.details) == 2 * len(sides) > 0
+    assert sorted(built) == sorted((*key, n) for key in sides for n in (1, 2, 3))
+
+
 def test_vanishing_crosscheck_non_counital():
     out = check_codiagonal_vanishing(get_algebra("function:leftzero2"))
     assert out.passed

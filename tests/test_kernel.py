@@ -1,6 +1,7 @@
 """kernel_basis (modular elimination, exact certificate, exact fallback)
 against the reference exact elimination."""
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from hopfcoh.hopf import function_algebra
 from hopfcoh.linalg import CertificateError, Matrix, image_rank, kernel_basis
 from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import Scalar
-from reference import reference_kernel, reference_null_space
+from reference import reference_kernel, reference_null_space, reference_rref_rows
 
 P = linalg._P
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -93,6 +94,7 @@ def test_complexes_of_random_order3_monoids(table):
                 assert_matches_reference(d)
 
 
+@cache
 def catalog_boundaries(name: str) -> list:
     """The distinct boundaries of every catalog bicomodule's natural, dual and
     bar complexes at cap 3 (the bar boundaries equal the dual ones entrywise)."""
@@ -274,3 +276,92 @@ def test_exact_elimination_keeps_the_entry_field(spec, tracked):
         assert (scalars(ftracks[0]), scalars(ftracks[1])) == stracks
     else:
         assert ftracks is stracks is None
+
+
+# -- the row-at-a-time elimination against the column sweep -------------------
+
+
+def assert_rref_matches_sweep(rows, p=0):
+    """The untracked _rref_rows equals reference_rref_rows: the same pivots and
+    rows entry by entry, each entry of its input's type, the input untouched."""
+    before = [dict(r) for r in rows]
+    got = linalg._rref_rows(rows, p=p)
+    assert got == reference_rref_rows(rows, p=p)
+    assert rows == before
+    pivots, red, tracks = got
+    assert tracks is None
+    assert [min(r) for r in red] == pivots == sorted(set(pivots))
+    kinds = {type(x) for r in rows for x in r.values()}
+    assert all(type(x) in kinds for r in red for x in r.values())
+    return got
+
+
+@st.composite
+def row_lists(draw, entries, times):
+    """Random sparse rows with nonzero entries, with zero rows, duplicates and
+    multiples k * row (k drawn from `times`) put in at random places."""
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entries, max_size=4), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "multiple"]))
+        if kind == "zero" or not rows:
+            new = {}
+        else:
+            row, k = draw(st.sampled_from(rows)), draw(entries)
+            new = dict(row) if kind == "duplicate" else {c: times(x, k) for c, x in row.items()}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+nonzero_fractions = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda q: st.sampled_from([q, -q])
+)
+gaussians = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)).filter(bool)
+residues = st.one_of(st.integers(1, 3), st.integers(P - 3, P - 1), st.integers(1, P - 1))
+
+
+@PROPERTY
+@given(row_lists(nonzero_fractions, lambda x, k: x * k))
+def test_row_at_a_time_matches_the_sweep_over_q(rows):
+    assert_rref_matches_sweep(rows)
+
+
+@PROPERTY
+@given(row_lists(gaussians, lambda x, k: x * k))
+def test_row_at_a_time_matches_the_sweep_over_gaussian_scalars(rows):
+    assert_rref_matches_sweep(rows)
+
+
+@PROPERTY
+@given(row_lists(residues, lambda x, k: x * k % P))
+def test_row_at_a_time_matches_the_sweep_mod_p(rows):
+    assert_rref_matches_sweep(rows, P)
+
+
+@pytest.mark.parametrize(
+    "rows, pivots, reduced",
+    [
+        ([], [], []),
+        ([{}, {}], [], []),
+        # the second row's pivot column 1 must be cleared from the first row
+        ([{0: 1, 1: 1}, {1: 2}], [0, 1], [{0: 1}, {1: 1}]),
+        # the third row meets both pivot columns; reducing by one alone leaves a spurious pivot
+        ([{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}]),
+        # the third row is the sum of the first two and reduces to zero
+        ([{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 2}], [0, 1], [{0: 1, 2: 1}, {1: 1, 2: 1}]),
+    ],
+)
+def test_row_at_a_time_small_cases(rows, pivots, reduced):
+    rows = [{c: Fraction(x) for c, x in r.items()} for r in rows]
+    assert assert_rref_matches_sweep(rows)[:2] == (pivots, reduced)
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
+    """Every catalog boundary at cap 3, with its columns reversed as
+    _null_space numbers them, reduced mod _P as kernel_basis does."""
+    for d in catalog_boundaries(name):
+        assert not d.im
+        last, inv = d.cols - 1, pow(d.den, -1, P)
+        cells = (((r, last - c), x) for (r, c), v in d.re.items() if (x := v * inv % P))
+        assert_rref_matches_sweep(linalg._rows_of(cells), P)

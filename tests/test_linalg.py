@@ -236,6 +236,32 @@ def test_solver_certifies_what_it_returns():
     assert not LinearSolver(m).solve(inconsistent).consistent
 
 
+def test_reported_left_kernel_certificates_are_pinned():
+    """The infeasibility vector of the function:rzid3 codiagonal system and the
+    certificate of the function:leftzero2 counit system, as reports print them.
+
+    Any y with y^T m = 0 and y^T rhs != 0 would certify these systems; which
+    one LinearSolver returns depends on the column sweep's choice of pivot
+    row at each column (the shortest row, then the first), which is why the
+    tracked path of _rref_rows keeps that sweep.  Choosing the longest row
+    instead gives {0: 1, 19: 1, 21: 1, 24: 1} and {0: 1, 2: -1}.
+    """
+    from hopfcoh.amenability import find_codiagonal
+    from hopfcoh.catalog import get_algebra
+    from hopfcoh.hopf import counit_find
+
+    def sparse(v):
+        return {i: x for i, x in enumerate(v) if x}
+
+    infeasibility = find_codiagonal(get_algebra("function:rzid3")).infeasibility
+    assert len(infeasibility) == 26
+    assert sparse(infeasibility) == {0: -1, 9: -1, 10: 1}
+    counit = counit_find(get_algebra("function:leftzero2"))
+    assert counit.functional is None
+    assert counit.certificate == (Scalar(-1), Scalar(0), Scalar(1), Scalar(0))
+    assert all(type(x) is Scalar for x in infeasibility + counit.certificate)
+
+
 # -- psd ---------------------------------------------------------------------
 
 
