@@ -317,7 +317,7 @@ def check_codiagonal_vanishing(
                 continue
             # CertificateError unless D_{n-1} K_n + K_{n+1} D_n = id on all of C^n
             k = homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx, k_n=k)
-            details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({len(result.kernel)} cocycles)")
+            details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({result.dim_kernel} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 
 
@@ -398,8 +398,8 @@ def check_graded_cocycles(
     Every kernel-basis cocycle alpha must satisfy, on the (s, t) component,
     alpha(x) = phi_t(alpha(x)) (u_t - u_s) and the mirrored identity, and
     the reconstructed functional f(x_{(s,t)}) = phi_s(alpha(x_{(s,t)}))
-    must satisfy d_0(f) = alpha exactly.  The complex and its H^1 are the
-    workspace's, of the catalog's pair-graded entry.
+    must satisfy d_0(f) = alpha exactly.  The complex and its kernel basis
+    of d_1 are the workspace's, of the catalog's pair-graded entry.
     """
     if h.kind != "group":
         raise ValueError("the graded-cocycle check needs a group algebra")
@@ -407,7 +407,7 @@ def check_graded_cocycles(
     bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
     n, x = h.dim, bic.space_dim
     d0 = ws.complex_of(bic, "dual").boundary(0)
-    cocycles = ws.cohomology_of(bic, "dual", 1).kernel
+    cocycles = ws.complex_of(bic, "dual").kernel(1)
     # coordinate w * x + j of a cocycle is the u_w-coefficient of alpha(x_j), j = s * n + t
     z = Matrix.from_cols(cocycles, rows=n * x)
     components: dict = {}  # cocycle -> j -> {w: nonzero coefficient}

@@ -163,6 +163,7 @@ class CochainComplex:
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for n, d in enumerate(self.boundaries):
@@ -182,6 +183,16 @@ class CochainComplex:
         if n not in self._kernels:
             self._kernels[n] = tuple(kernel_basis(self.boundary(n)))
         return self._kernels[n]
+
+    def reduction(self, n: int) -> tuple:
+        """(Q_{n+1}, dim ker A_n), eliminated once per complex: A_n is D_n
+        without the columns Q_n (Q_0 is empty), and Q_{n+1} holds the rows
+        of D_n that kernel_basis(A_n) took as pivot rows."""
+        if n not in self._reduced:
+            q_n = self.reduction(n - 1)[0] if n else ()
+            basis = kernel_basis(self.boundary(n).drop_cols(q_n))
+            self._reduced[n] = (tuple(basis.pivot_rows), len(basis))
+        return self._reduced[n]
 
 
 def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3) -> CochainComplex:
@@ -212,24 +223,32 @@ def _gamma_is_trivial(b: Bicomodule) -> bool:
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
-    kernel: tuple  # the canonical basis of ker D_n (kernel_basis)
+    dim_kernel: int  # dim ker D_n
     dim_image_prev: int  # rank D_{n-1}
 
     @property
     def dim(self) -> int:
-        return len(self.kernel) - self.dim_image_prev
+        return self.dim_kernel - self.dim_image_prev
 
 
 def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
-    """Exact H^n from two certified kernels and no further elimination.
+    """Exact H^n by reduction (cx.reduction): dim H^n = dim ker A_n.
 
-    kernel_basis certifies rank D = cols - dim ker D for each boundary, so
-    dim H^n = dim ker D_n - (cols_{n-1} - dim ker D_{n-1}).
+    The rows Q_n of D_{n-1}'s pivots meet the columns A_{n-1} kept in a
+    nonsingular minor, so Im D_{n-1} projects onto the coordinates Q_n and,
+    with D_n D_{n-1} = 0, ker D_n = Im D_{n-1} (+) ker A_n: rank D_{n-1} =
+    |Q_n| and dim ker D_n = |Q_n| + dim ker A_n.  kernel_basis certifies
+    ker A_n.  Any |Q_n| <= rank D_{n-1} gives dim ker A_n >= dim ker D_n -
+    |Q_n| >= dim H^n, so a wrong Q_n can only over-report; a nonzero answer
+    in degree n >= 1 is therefore checked against the full kernel(n).
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
-    rank_prev = cx.degrees[n - 1] - len(cx.kernel(n - 1)) if n else 0
-    return CohomologyResult(n, cx.kernel(n), rank_prev)
+    rank_prev = len(cx.reduction(n - 1)[0]) if n else 0
+    dim = cx.reduction(n)[1]
+    if n and dim:
+        certify(rank_prev + dim == len(cx.kernel(n)), f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
+    return CohomologyResult(n, rank_prev + dim, rank_prev)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,12 @@ class Matrix:
             raise ValueError(f"reindex sends an entry outside {rows}x{cols}")
         return Matrix._of(rows, cols, re, im, self.den)
 
+    def drop_cols(self, drop) -> "Matrix":
+        """self without the columns in drop, the others renumbered in order."""
+        new = dict(zip(sorted(set(range(self.cols)).difference(drop)), range(self.cols)))
+        re, im = ({(r, new[c]): v for (r, c), v in d.items() if c in new} for d in (self.re, self.im))
+        return Matrix._of(self.rows, len(new), re, im, self.den)
+
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in augment")
@@ -396,7 +402,7 @@ def _rows_of(cells):
     return [rows[r] for r in sorted(rows)]
 
 
-def _rref_rows(row_dicts, track=None, p: int = 0):
+def _rref_rows(row_dicts, track=None, p: int = 0, cols: Optional[int] = None):
     """Full RREF of a list of sparse rows: the package's one elimination.
 
     When p is 0 it is exact over whatever field the entries lie in, and
@@ -412,7 +418,10 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
     reduced once, by the pivot rows of the pivot columns in its support, and
     a nonzero remainder becomes the pivot row of its least column, which is
     then cleared from the earlier pivot rows.  A row that reduces to zero,
-    as most rows of a coboundary do, costs one pass; tracks is None.
+    as most rows of a coboundary do, costs one pass; tracks is None.  Given
+    the column count `cols`, it stops once every column holds a pivot, and
+    tracks lists, for each pivot, the index of the input row whose remainder
+    made it: these input rows are independent and span all the rows.
 
     If `track` is a parallel list of sparse rows, it sweeps the columns
     instead: at each column the shortest row holding it becomes the pivot
@@ -447,7 +456,8 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
     present: dict = defaultdict(set)  # column -> the rows with a nonzero there
     if track is None:
         reduced: dict = {}  # pivot column -> its pivot row; `present` holds pivot columns
-        for row in row_dicts:
+        origin: dict = {}  # pivot column -> the input index its row came from
+        for i, row in enumerate(row_dicts):
             row = dict(row)
             for c in [c for c in row if c in reduced]:
                 f = row[c]  # no other pivot row touches column c; zeros are dropped below
@@ -460,11 +470,13 @@ def _rref_rows(row_dicts, track=None, p: int = 0):
             row = scaled(row, inverse(row[col]))
             for q in list(present[col]):
                 axpy(reduced[q], row, reduced[q][col], q)
-            reduced[col] = row
+            reduced[col], origin[col] = row, i
             for c in row:
                 present[c].add(col)
+            if len(reduced) == cols:
+                break
         pivots = sorted(reduced)
-        return pivots, [reduced[c] for c in pivots], None
+        return pivots, [reduced[c] for c in pivots], None if cols is None else [origin[c] for c in pivots]
 
     work = [dict(r) for r in row_dicts]
     tr = [dict(t) for t in track]
@@ -500,24 +512,29 @@ def rref(m: Matrix):
 def image_rank(m: Matrix) -> int:
     """Exact rank.  Eliminates along the smaller dimension."""
     work = m.transpose() if m.rows < m.cols else m
-    pivots, _, _ = _rref_rows(_rows_of(work.entries.items()))
+    pivots, _, _ = _rref_rows(_rows_of(work.entries.items()), cols=work.cols)
     return len(pivots)
 
 
 # kernel_basis eliminates modulo this prime before the exact path
 _P = 2**61 - 1
+_B = isqrt(_P // 2)  # Wang's bound: a residue u <= _B stands for u, one u >= _P - _B for u - _P
 
 
 def _null_space(cells, cols: int, p: int = 0):
-    """(rank, RREF basis of the null space as sparse rows) of D's nonzero
+    """(pivot rows, RREF basis of the null space as sparse rows) of D's nonzero
     ((r, c), x) cells, over Q(i), or Z/p when p, from one elimination.
 
-    With D's columns numbered right to left, the null vector of free column f
-    is monic at f, zero at every other free column and otherwise supported on
-    pivot columns right of f: in increasing f, already the RREF basis.
+    The pivot rows are rank-many rows r of D, independent and spanning D's
+    rows.  With D's columns numbered right to left, the null vector of free
+    column f is monic at f, zero at every other free column and otherwise
+    supported on pivot columns right of f: in increasing f, already the RREF basis.
     """
-    last = cols - 1
-    pivots, red, _ = _rref_rows(_rows_of(((r, last - c), x) for (r, c), x in cells), p=p)
+    last, rows = cols - 1, {}
+    for (r, c), x in cells:
+        rows.setdefault(r, {})[last - c] = x
+    ids = sorted(rows)
+    pivots, red, origins = _rref_rows([rows[r] for r in ids], p=p, cols=cols)
     null = {f: {f: 1 if p else ONE} for f in range(cols)}
     for piv in pivots:
         del null[last - piv]
@@ -525,7 +542,7 @@ def _null_space(cells, cols: int, p: int = 0):
         for c, v in row.items():
             if c != piv:
                 null[last - c][last - piv] = p - v if p else -v
-    return len(pivots), list(null.values())
+    return [ids[i] for i in origins], list(null.values())
 
 
 def _wang(u: int, p: int):
@@ -538,6 +555,11 @@ def _wang(u: int, p: int):
     if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
         return None
     return Scalar(Fraction(r1, t1))
+
+
+def _lift(u: int):
+    """_wang(u, _P), skipping Wang's loop for the residues of the integers in [-_B, _B]."""
+    return Scalar(u) if u <= _B else Scalar(u - _P) if u >= _P - _B else _wang(u, _P)
 
 
 def _cleared(v: dict):
@@ -583,7 +605,16 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     return True
 
 
-def kernel_basis(m: Matrix):
+class Kernel(list):
+    """kernel_basis's dense basis vectors of ker m, and in `pivot_rows` the
+    rows of m its elimination took as pivot rows (see _null_space)."""
+
+    def __init__(self, m: Matrix, pivot_rows, basis):
+        super().__init__(dense(v, m.cols) for v in basis)
+        self.pivot_rows = pivot_rows
+
+
+def kernel_basis(m: Matrix) -> Kernel:
     """Canonical kernel basis: the RREF basis of the null space.
 
     Eliminates modulo 2^61 - 1, rebuilding the entries by rational
@@ -592,18 +623,19 @@ def kernel_basis(m: Matrix):
     raises CertificateError.  The basis is thus checked against D given
     the elimination's rank, and the same whichever path found it.
     Idempotent under re-reduction: stacking the output as rows of a matrix
-    and re-running rref reproduces it unchanged.
+    and re-running rref reproduces it unchanged.  A modular elimination's
+    pivot rows have a minor nonzero mod p, hence over Q.
     """
     if not m.im and m.den % _P:  # real, and the numerators over den reduce mod p
         inv = pow(m.den, -1, _P)
         mod = ((k, x) for k, v in m.re.items() if (x := v * inv % _P))
-        rank, basis = _null_space(mod, m.cols, _P)
-        basis = [{c: _wang(u, _P) for c, u in v.items()} for v in basis]
-        if all(None not in v.values() for v in basis) and _is_kernel_rref(m, rank, basis):
-            return [dense(v, m.cols) for v in basis]
-    rank, basis = _null_space(m.entries.items(), m.cols)
-    certify(_is_kernel_rref(m, rank, basis), "exact kernel basis fails its certificate")
-    return [dense(v, m.cols) for v in basis]
+        rows, basis = _null_space(mod, m.cols, _P)
+        basis = [{c: _lift(u) for c, u in v.items()} for v in basis]
+        if all(None not in v.values() for v in basis) and _is_kernel_rref(m, len(rows), basis):
+            return Kernel(m, rows, basis)
+    rows, basis = _null_space(m.entries.items(), m.cols)
+    certify(_is_kernel_rref(m, len(rows), basis), "exact kernel basis fails its certificate")
+    return Kernel(m, rows, basis)
 
 
 @dataclass(frozen=True)

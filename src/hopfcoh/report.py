@@ -99,9 +99,11 @@ def run(job: JobSpec, log=None) -> dict:
         "tasks": {},
         "consistent": True,
     }
-    # refuse an oversized job before the axiom gate and the catalog run
+    # refuse an oversized job before the axiom gate and the catalog run; any dim >= 2
+    # exceeds the budget at the power bit_length(budget), and dim 1 builds cap boundaries
     x = max([widest_catalog_space(h)] + [b.space_dim for _, b in explicit])
-    if x * h.dim**job.degree_cap > MAX_COCHAIN_DIM:
+    power = min(job.degree_cap, MAX_COCHAIN_DIM.bit_length())
+    if job.degree_cap > MAX_COCHAIN_DIM or x * h.dim**power > MAX_COCHAIN_DIM:
         raise InputError(f"job too large: cochain space {x} * {h.dim}^{job.degree_cap} > {MAX_COCHAIN_DIM}")
     entries = report["tasks"]
     ws = Workspace(h, job.degree_cap, explicit)

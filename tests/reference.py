@@ -33,11 +33,13 @@ Production code certifies D P = Z for all columns at once, and the
 codiagonal homotopy by the operator identity D K + K D = id.
 
 `TensorSpace` is the row-major flat index of an ordered tensor product,
-written out digit by digit.
+written out digit by digit.  `order3_monoid_tables` lists the inputs of the
+random-monoid tests.
 """
 import importlib.util
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from hopfcoh.comodule import module_from_coaction, module_from_left_coaction
@@ -468,3 +470,13 @@ def ref_certify_homotopy(cx, n: int, cocycles, contraction: Matrix) -> tuple:
             sign = -1
         certs.append((dense(p, prims.rows), sign))
     return tuple(certs)
+
+
+def order3_monoid_tables():
+    """Every associative table on {0, 1, 2} with identity 0."""
+    out = []
+    for a, b, c, d in product(range(3), repeat=4):
+        t = ((0, 1, 2), (1, a, b), (2, c, d))
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in product(range(3), repeat=3)):
+            out.append(t)
+    return out

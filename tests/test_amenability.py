@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import subprocess
@@ -17,7 +16,7 @@ from hopfcoh.amenability import (
     kronecker_codiagonal,
 )
 from hopfcoh.catalog import get_algebra, get_group, get_monoid
-from hopfcoh.cochain import Workspace, dual_coboundary
+from hopfcoh.cochain import CochainComplex, Workspace, dual_coboundary
 from hopfcoh.linalg import CertificateError, Matrix, solve, vec_dot
 from hopfcoh.scalars import ONE, Scalar
 
@@ -240,21 +239,22 @@ def test_graded_cocycles_z2_and_s3():
     "idx, w, s, t, diagonal",
     [(0, 0, 0, 1, False), (1, 2, 0, 1, False), (2, 1, 1, 1, True)],
 )
-def test_graded_cocycles_reject_a_tampered_cocycle(idx, w, s, t, diagonal):
+def test_graded_cocycles_reject_a_tampered_cocycle(monkeypatch, idx, w, s, t, diagonal):
     """One unit added at alpha(x_(s,t))'s u_w coordinate breaks both identities
     on that component (and the diagonal one there) and the reconstruction."""
     h = get_algebra("group:Z3")
     ws = Workspace(h, 3)
     bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
-    h1 = ws.cohomology_of(bic, "dual", 1)
-    alpha = list(h1.kernel[idx])
+    cx = ws.complex_of(bic, "dual")
+    cocycles = cx.kernel(1)
+    alpha = list(cocycles[idx])
     alpha[w * bic.space_dim + s * h.dim + t] += ONE
-    tampered = dataclasses.replace(h1, kernel=h1.kernel[:idx] + (tuple(alpha),) + h1.kernel[idx + 1 :])
-    real = ws.cohomology_of
-    ws.cohomology_of = lambda b, kind, n: tampered if b is bic and (kind, n) == ("dual", 1) else real(b, kind, n)
+    tampered = cocycles[:idx] + (tuple(alpha),) + cocycles[idx + 1 :]
+    real = CochainComplex.kernel
+    monkeypatch.setattr(CochainComplex, "kernel", lambda c, n: tampered if c is cx and n == 1 else real(c, n))
     out = check_graded_cocycles(h, 3, ws)
     expected = [
-        f"1-cocycle space dimension: {len(h1.kernel)}",
+        f"1-cocycle space dimension: {len(cocycles)}",
         f"cocycle {idx}: two-term identity fails at ({s},{t})",
         f"cocycle {idx}: mirrored identity fails at ({s},{t})",
     ]
@@ -284,9 +284,9 @@ try:
 except CertificateError as exc:
     print(sys.flags.optimize, exc)
 original = linalg._rref_rows
-def dropping(rows, track=None, p=0):  # every elimination loses its last pivot
-    pivots, red, tracked = original(rows, track, p)
-    return pivots[:-1], red[:-1], tracked
+def dropping(rows, track=None, p=0, cols=None):  # every elimination loses its last pivot
+    pivots, red, tracked = original(rows, track, p, cols)
+    return pivots[:-1], red[:-1], tracked if cols is None else tracked[:-1]
 linalg._rref_rows = dropping
 try:
     linalg.kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]))

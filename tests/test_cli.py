@@ -270,6 +270,16 @@ def test_report_digests_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "b4b7feba574504a9b8d574be121fae7f765d3e33ec665a849e06479a75a42763"
     )
+    # kp8, the catalog's one algebra neither commutative nor cocommutative,
+    # and a cap-4 report; both as computed before cohomology by reduction
+    assert main(["--catalog", "kp8", "report"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ed2374f07e78b01d298cd16c155816771f7c71a782766e89ded0eb5bb82d0775"
+    )
+    assert main(["--catalog", "function:S3", "--degree-cap", "4", "report"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ac0f768c2a3596d2cc42b704cd43d14b00e53afdd2d9c691aa881fdde20c4e83"
+    )
 
 
 @pytest.mark.parametrize(
@@ -419,6 +429,30 @@ def test_oversized_jobs_refused_before_any_build(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 24)
     assert main(["--input", str(job), "cohomology"]) == 0
     assert json.loads(capsys.readouterr().out)["tasks"]["cohomology:dual:0-2"]["wide"]["0"] == 3
+
+
+def test_huge_degree_caps_refused_up_front(monkeypatch, tmp_path, capsys):
+    """The pre-flight raises dim to no power past the budget's bit length, which
+    decides the same for every dim >= 2, and refuses a cap past the budget
+    outright: a dim-1 algebra would otherwise build that many boundaries."""
+    from hopfcoh import report
+
+    monkeypatch.setattr(report, "MAX_COCHAIN_DIM", 50)
+    job = tmp_path / "cap.job"
+
+    def exit_code(algebra, cap):
+        job.write_text(f"algebra = {algebra}\ndegree-cap = {cap}\ntasks = axioms\n")
+        code = main(["--input", str(job), "report"])
+        err = capsys.readouterr().err
+        assert (code == 2) == ("job too large: cochain space " in err and f"^{cap} > 50" in err), err
+        return code
+
+    # group:Z2's widest catalog space is 4: refused exactly when 4 * 2^cap > 50
+    assert [exit_code("group:Z2", cap) for cap in (1, 2, 3, 4, 5, 6, 7, 12)] == [0, 0, 0, 2, 2, 2, 2, 2]
+    assert exit_code("function:S3", 10**5) == 2
+    assert get_algebra("function:trivial").dim == 1
+    assert exit_code("function:trivial", 50) == 0
+    assert exit_code("function:trivial", 51) == 2
 
 
 @pytest.mark.parametrize("rows", [("0 1", "0 1"), ("1 0", "0 1")])  # right-zero semigroup; Z2, identity 1

@@ -2,7 +2,7 @@
 against the reference exact elimination."""
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from hopfcoh.hopf import function_algebra
 from hopfcoh.linalg import CertificateError, Matrix, image_rank, kernel_basis
 from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import Scalar
-from reference import reference_kernel, reference_null_space, reference_rref_rows
+from reference import order3_monoid_tables, reference_kernel, reference_null_space, reference_rref_rows
 
 P = linalg._P
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -74,18 +74,8 @@ def test_gaussian_entries(m):
     assert_matches_reference(m)
 
 
-def _order3_monoids():
-    """Every associative table on {0, 1, 2} with identity 0."""
-    out = []
-    for a, b, c, d in product(range(3), repeat=4):
-        t = ((0, 1, 2), (1, a, b), (2, c, d))
-        if all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in product(range(3), repeat=3)):
-            out.append(t)
-    return out
-
-
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)
-@given(st.sampled_from(_order3_monoids()))
+@given(st.sampled_from(order3_monoid_tables()))
 def test_complexes_of_random_order3_monoids(table):
     h = function_algebra(FiniteMonoid(order=3, table=[list(r) for r in table], identity=0))
     for entry in catalog_bicomodules(h):
@@ -135,15 +125,23 @@ def null_space_inputs(draw, entries):
 @PROPERTY
 @given(null_space_inputs(st.one_of(st.just(0), st.integers(1, P - 1), st.integers(1, 3))))
 def test_null_space_mod_p_matches_two_pass_reference(spec):
-    cells, cols = spec
-    assert linalg._null_space(cells.items(), cols, P) == reference_null_space(cells, cols, P)
+    assert_null_space_matches_reference(*spec, P)
 
 
 @PROPERTY
 @given(null_space_inputs(st.one_of(st.just(Scalar(0)), fractions())))
 def test_null_space_over_q_matches_two_pass_reference(spec):
-    cells, cols = spec
-    assert linalg._null_space(cells.items(), cols) == reference_null_space(cells, cols)
+    assert_null_space_matches_reference(*spec)
+
+
+def assert_null_space_matches_reference(cells, cols, p=0):
+    """_null_space's basis and rank are the two-pass reference's, and its
+    rank-many pivot rows are distinct rows of the input, independent."""
+    pivot_rows, basis = linalg._null_space(cells.items(), cols, p)
+    assert (len(pivot_rows), basis) == reference_null_space(cells, cols, p)
+    assert len(set(pivot_rows)) == len(pivot_rows)
+    picked = [{c: x for (r, c), x in cells.items() if r == q} for q in pivot_rows]
+    assert len(reference_rref_rows(picked, p=p)[0]) == len(pivot_rows)
 
 
 # -- tampering: a corrupted result is never returned --------------------------
@@ -162,7 +160,9 @@ def _counting_fields(monkeypatch, rref_rows):
     """Install rref_rows as linalg._rref_rows; returns the list of fields it is called over."""
     fields = []
     monkeypatch.setattr(
-        linalg, "_rref_rows", lambda rows, track=None, p=0: fields.append(p) or rref_rows(rows, track, p)
+        linalg,
+        "_rref_rows",
+        lambda rows, track=None, p=0, cols=None: fields.append(p) or rref_rows(rows, track, p, cols),
     )
     return fields
 
@@ -198,10 +198,10 @@ def test_every_reconstruction_perturbed_falls_back_to_exact(monkeypatch):
 
 
 def _drop_last_pivot(original, fields):
-    def tampered(rows, track=None, p=0):
-        pivots, red, tracked = original(rows, track, p)
-        if p in fields and pivots:
-            return pivots[:-1], red[:-1], tracked
+    def tampered(rows, track=None, p=0, cols=None):
+        pivots, red, tracked = original(rows, track, p, cols)
+        if p in fields and pivots:  # the pivot row's origin goes with it
+            return pivots[:-1], red[:-1], tracked if cols is None else tracked[:-1]
         return pivots, red, tracked
 
     return tampered
@@ -221,13 +221,14 @@ def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
     expected = reference_kernel(TAMPER)
     original = linalg._rref_rows
 
-    def add_pivot(rows, track=None, p=0):
-        pivots, red, tracked = original(rows, track, p)
+    def add_pivot(rows, track=None, p=0, cols=None):
+        pivots, red, origins = original(rows, track, p, cols)
         if p:  # the modular elimination
             f = min(set(range(TAMPER.cols)) - set(pivots))  # a free column made a pivot
             red = [{c: v for c, v in row.items() if c != f} for row in red]
-            pivots, red = zip(*sorted(zip(pivots + [f], red + [{f: 1}])))
-        return list(pivots), list(red), tracked
+            spare = min(set(range(len(rows))) - set(origins))  # the row it claims to come from
+            pivots, red, origins = zip(*sorted(zip(pivots + [f], red + [{f: 1}], origins + [spare])))
+        return list(pivots), list(red), list(origins)
 
     fields = _counting_fields(monkeypatch, add_pivot)
     assert kernel_basis(TAMPER) == expected  # fails: one vector short, and D K = 0 still holds
@@ -365,3 +366,59 @@ def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
         last, inv = d.cols - 1, pow(d.den, -1, P)
         cells = (((r, last - c), x) for (r, c), v in d.re.items() if (x := v * inv % P))
         assert_rref_matches_sweep(linalg._rows_of(cells), P)
+
+
+# -- the full-rank stop and the pivot rows' origins ---------------------------
+
+
+def assert_full_rank_stop(rows, width, p=0):
+    """_rref_rows given the column count: the sweep's pivots and rows; the
+    origins are distinct input rows spanning the same rows; and no input row
+    after the one that completed the pivots is read."""
+    read = []
+    got = linalg._rref_rows((read.append(i) or r for i, r in enumerate(rows)), p=p, cols=width)
+    pivots, red, origins = got
+    assert (pivots, red) == reference_rref_rows(rows, p=p)[:2]
+    assert len(origins) == len(set(origins)) == len(pivots)
+    assert reference_rref_rows([rows[i] for i in origins], p=p)[:2] == (pivots, red)
+    assert read == list(range(max(origins) + 1 if len(pivots) == width else len(rows)))
+
+
+@st.composite
+def completed_rows(draw, entries, times):
+    """row_lists with every unit row of the columns put in at random places,
+    so the rows reach full column rank, mostly before the last row."""
+    rows = draw(row_lists(entries, times))
+    width = 1 + max((c for r in rows for c in r), default=0)
+    for c in draw(st.permutations(range(width))):
+        rows.insert(draw(st.integers(0, len(rows))), {c: 1})
+    return rows, width
+
+
+@PROPERTY
+@given(completed_rows(nonzero_fractions, lambda x, k: x * k), st.booleans())
+def test_full_rank_stop_matches_the_sweep_over_q(spec, short):
+    rows, width = spec
+    assert_full_rank_stop([{c: Fraction(x) for c, x in r.items()} for r in rows], width + short)
+
+
+@PROPERTY
+@given(completed_rows(residues, lambda x, k: x * k % P), st.booleans())
+def test_full_rank_stop_matches_the_sweep_mod_p(spec, short):
+    rows, width = spec
+    assert_full_rank_stop(rows, width + short, P)
+
+
+def test_small_residues_skip_wangs_loop_with_its_answer(monkeypatch):
+    """_lift takes u <= _B to u and u >= _P - _B to u - _P, as _wang does,
+    and calls _wang for the residues between (_B + 1 and _P - _B - 1 have none)."""
+    b = linalg._B
+    assert b == isqrt(P // 2)
+    wang = linalg._wang
+    called = []
+    monkeypatch.setattr(linalg, "_wang", lambda u, p: called.append(u) or wang(u, p))
+    for u in (1, 2, b - 1, b, b + 1, P - b - 1, P - b, P - b + 1, P - 2, P - 1):
+        lifted, expected = linalg._lift(u), wang(u, P)
+        assert lifted == expected, u
+        assert expected is None or type(lifted.re) is type(expected.re) is Fraction
+    assert called == [b + 1, P - b - 1]
