@@ -42,6 +42,7 @@ from .linalg import (
     PsdResult,
     Vec,
     certify,
+    kernel_basis,
     kron,
     psd_check,
     solve,
@@ -398,16 +399,16 @@ def check_graded_cocycles(
     Every kernel-basis cocycle alpha must satisfy, on the (s, t) component,
     alpha(x) = phi_t(alpha(x)) (u_t - u_s) and the mirrored identity, and
     the reconstructed functional f(x_{(s,t)}) = phi_s(alpha(x_{(s,t)}))
-    must satisfy d_0(f) = alpha exactly.  The complex and its kernel basis
-    of d_1 are the workspace's, of the catalog's pair-graded entry.
+    must satisfy d_0(f) = alpha exactly.  The complex is the workspace's,
+    of the catalog's pair-graded entry.
     """
     if h.kind != "group":
         raise ValueError("the graded-cocycle check needs a group algebra")
     ws = Workspace.ensure(workspace, h, degree_cap)
     bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
     n, x = h.dim, bic.space_dim
-    d0 = ws.complex_of(bic, "dual").boundary(0)
-    cocycles = ws.complex_of(bic, "dual").kernel(1)
+    cx = ws.complex_of(bic, "dual")
+    d0, cocycles = cx.boundary(0), kernel_basis(cx.boundary(1))
     # coordinate w * x + j of a cocycle is the u_w-coefficient of alpha(x_j), j = s * n + t
     z = Matrix.from_cols(cocycles, rows=n * x)
     components: dict = {}  # cocycle -> j -> {w: nonzero coefficient}

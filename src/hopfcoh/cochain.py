@@ -38,10 +38,6 @@ from .linalg import (
 )
 
 
-def _ipow(d: int, n: int) -> int:
-    return d**n
-
-
 # ---------------------------------------------------------------------------
 # coboundary matrices
 
@@ -53,11 +49,11 @@ def natural_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     if n + 1 > degree_cap:
         raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    i_sn = Matrix.identity(_ipow(s, n))
+    i_sn = Matrix.identity(s**n)
     total = kron(b.beta.beta, i_sn)
     for k in range(1, n + 1):
-        left = Matrix.identity(x * _ipow(s, k - 1))
-        right = Matrix.identity(_ipow(s, n - k))
+        left = Matrix.identity(x * s ** (k - 1))
+        right = Matrix.identity(s ** (n - k))
         term = kron_all(left, h.comult, right)
         total = total + term.scale((-1) ** k)
     # rotation_sigma(n + 1, 1): the gamma leg moves from first to last
@@ -83,7 +79,7 @@ def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     if n + 1 > degree_cap:
         raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    sn = _ipow(s, n)
+    sn = s**n
     rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
 
     def on_beta(r, c):  # the beta leg is the last output leg, sign +1
@@ -99,9 +95,9 @@ def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     # coproduct insertions
     for k in range(1, n + 1):
         ins = kron_all(
-            Matrix.identity(_ipow(s, n - k)),
+            Matrix.identity(s ** (n - k)),
             h.comult,
-            Matrix.identity(_ipow(s, k - 1)),
+            Matrix.identity(s ** (k - 1)),
         )
         mat = mat + kron(ins, Matrix.identity(x)).scale((-1) ** k)
     return mat
@@ -123,17 +119,17 @@ def bar_boundary(b: Bicomodule, n: int, degree_cap: int = 4) -> Matrix:
     mult_b = dual_algebra_mult(h)
     act_l = module_from_coaction(b.beta)  # B (x) X -> X
     act_r = module_from_left_coaction(b.gamma)  # X (x) B -> X
-    total = kron(Matrix.identity(_ipow(s, n - 1)), act_l)
+    total = kron(Matrix.identity(s ** (n - 1)), act_l)
     for i in range(1, n):
         term = kron_all(
-            Matrix.identity(_ipow(s, i - 1)),
+            Matrix.identity(s ** (i - 1)),
             mult_b,
-            Matrix.identity(_ipow(s, n - i - 1) * x),
+            Matrix.identity(s ** (n - i - 1) * x),
         )
         total = total + term.scale((-1) ** (n - i))
     # precompose the rotation B^n (x) X -> B^{n-1} (x) X (x) B: a column of
     # kron(id, act_r) indexed (w, b) becomes the column (b, w)
-    last = kron(Matrix.identity(_ipow(s, n - 1)), act_r)
+    last = kron(Matrix.identity(s ** (n - 1)), act_r)
     back = leg_map([last.cols // s, s], [1, 0])
     return total + last.reindex(last.rows, last.cols, lambda r, c: (r, back[c])).scale((-1) ** n)
 
@@ -162,7 +158,6 @@ class CochainComplex:
     kind: str
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,12 +172,6 @@ class CochainComplex:
         if not 0 <= n < len(self.boundaries):
             raise ValueError(f"boundary D_{n} is not built below the degree cap")
         return self.boundaries[n]
-
-    def kernel(self, n: int) -> tuple:
-        """The canonical basis of ker D_n, eliminated once per complex."""
-        if n not in self._kernels:
-            self._kernels[n] = tuple(kernel_basis(self.boundary(n)))
-        return self._kernels[n]
 
     def reduction(self, n: int) -> tuple:
         """(Q_{n+1}, dim ker A_n), eliminated once per complex: A_n is D_n
@@ -203,10 +192,7 @@ def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3) -> CochainCompl
         raise ValueError("restricted complex needs gamma = 1 (x) id")
     builder = _BUILDERS[kind]
     x, s = b.space_dim, b.hopf.dim
-    if kind == "natural":
-        degrees = tuple(x * _ipow(s, n) for n in range(degree_cap + 1))
-    else:
-        degrees = tuple(_ipow(s, n) * x for n in range(degree_cap + 1))
+    degrees = tuple(x * s**n for n in range(degree_cap + 1))
     bounds = tuple(builder(b, n, degree_cap=degree_cap) for n in range(degree_cap))
     return CochainComplex(kind, degrees, bounds)
 
@@ -240,14 +226,15 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     |Q_n| and dim ker D_n = |Q_n| + dim ker A_n.  kernel_basis certifies
     ker A_n.  Any |Q_n| <= rank D_{n-1} gives dim ker A_n >= dim ker D_n -
     |Q_n| >= dim H^n, so a wrong Q_n can only over-report; a nonzero answer
-    in degree n >= 1 is therefore checked against the full kernel(n).
+    in degree n >= 1 is therefore checked against kernel_basis of the full D_n.
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
     rank_prev = len(cx.reduction(n - 1)[0]) if n else 0
     dim = cx.reduction(n)[1]
     if n and dim:
-        certify(rank_prev + dim == len(cx.kernel(n)), f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
+        full = len(kernel_basis(cx.boundary(n)))
+        certify(rank_prev + dim == full, f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
     return CohomologyResult(n, rank_prev + dim, rank_prev)
 
 
@@ -339,8 +326,8 @@ class IdentificationReport:
 def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tuple:
     """(R d_n^{natural-dual}, (-1)^{n+1} d_n^{dual} R) with R the flattening
     X^* (x) S^n -> Hom(X, S^n), (m, w) -> (w, m), applied by reindexing."""
-    to_hom = leg_map([x, _ipow(s, n + 1)], [1, 0])
-    from_hom = leg_map([_ipow(s, n), x], [1, 0])
+    to_hom = leg_map([x, s ** (n + 1)], [1, 0])
+    from_hom = leg_map([s**n, x], [1, 0])
     lhs = nat.reindex(nat.rows, nat.cols, lambda r, c: (to_hom[r], c))
     rhs = dua.reindex(dua.rows, dua.cols, lambda r, c: (r, from_hom[c]))
     return lhs, rhs.scale((-1) ** (n + 1))
@@ -372,9 +359,12 @@ def identify_dual_with_natural(
 def identify_dual_with_bar(
     b: Bicomodule, n: int, degree_cap: int = 3, workspace: Optional[Workspace] = None
 ) -> IdentificationReport:
-    """Dual coboundary vs transpose of the bar boundary: must be bit-identical."""
+    """Dual coboundary vs transpose of the bar boundary: must be bit-identical.
+
+    The bar side is built alone, not as a complex: equal to the checked
+    dual boundary, it needs no chain check of its own."""
     ws = Workspace.ensure(workspace, b.hopf, degree_cap)
-    if ws.complex_of(b, "dual").boundary(n) != ws.complex_of(b, "bar").boundary(n):
+    if ws.complex_of(b, "dual").boundary(n) != bar_dual_coboundary(b, n, ws.degree_cap):
         return IdentificationReport(False, n, "matrices differ")
     return IdentificationReport(True, n, "matrices bit-identical")
 
@@ -415,13 +405,13 @@ def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: Cochain
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n, ("natural",))
-    k_n = kron(Matrix.identity(x * _ipow(s, n - 1)), h.counit_row).scale((-1) ** (n - 1))
+    k_n = kron(Matrix.identity(x * s ** (n - 1)), h.counit_row).scale((-1) ** (n - 1))
     return _certify_homotopy(cx, n, cocycles, k_n)
 
 
 def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matrix:
     """T -> sign (functional (x) id^{n-1}) o T on Hom(X, S^n), as a matrix."""
-    return kron(kron(functional, Matrix.identity(_ipow(s, n - 1))), Matrix.identity(x)).scale(sign)
+    return kron(kron(functional, Matrix.identity(s ** (n - 1))), Matrix.identity(x)).scale(sign)
 
 
 def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
@@ -484,7 +474,7 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     C[a, (y, j)] = gamma[(a, y), j] and (-1)^n F^T for F, and moves column
     (u, c, y) of kron(id^{n-1}, L) to ((c, u), y).
     """
-    x, s, sp = b.space_dim, b.hopf.dim, _ipow(b.hopf.dim, n - 1)
+    x, s, sp = b.space_dim, b.hopf.dim, b.hopf.dim ** (n - 1)
     f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
     if side == "beta":
         coaction, legs = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j)), [0, 1, 2]

@@ -402,118 +402,73 @@ def _rows_of(cells):
     return [rows[r] for r in sorted(rows)]
 
 
-def _rref_rows(row_dicts, track=None, p: int = 0, cols: Optional[int] = None):
-    """Full RREF of a list of sparse rows: the package's one elimination.
+def _rref_rows(row_dicts, cols: int, p: int = 0):
+    """Full RREF of a list of sparse rows over `cols` columns: the package's one elimination.
 
     When p is 0 it is exact over whatever field the entries lie in, and
     keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
     Scalar, since the only constant it brings in is 1 / pivot.
     Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
-    passed in.  Returns (pivots, rows, tracks) with monic pivots, zero above
-    and below each pivot, rows sorted by pivot column: the RREF, unique, so
-    both strategies below return the same pivots and rows.
+    passed in.  Returns (pivots, rows, origins) with monic pivots, zero
+    above and below each pivot, rows sorted by pivot column: the RREF.
 
-    Without `track` it takes the rows one at a time against pivot rows kept
-    fully reduced (monic, zero at every other pivot column): a row is
-    reduced once, by the pivot rows of the pivot columns in its support, and
-    a nonzero remainder becomes the pivot row of its least column, which is
-    then cleared from the earlier pivot rows.  A row that reduces to zero,
-    as most rows of a coboundary do, costs one pass; tracks is None.  Given
-    the column count `cols`, it stops once every column holds a pivot, and
-    tracks lists, for each pivot, the index of the input row whose remainder
-    made it: these input rows are independent and span all the rows.
-
-    If `track` is a parallel list of sparse rows, it sweeps the columns
-    instead: at each column the shortest row holding it becomes the pivot
-    row and the column is removed from every other row, with the same row
-    operations applied to the tracks; tracks is (the tracks of the rows that
-    reduced to zero, the tracks of the pivot rows).  Those zero tracks are
-    the left-kernel certificates LinearSolver reports, and which they are
-    depends on the sweep's choice of pivot rows, so this path keeps it.
+    It takes the rows one at a time against pivot rows kept fully reduced
+    (monic, zero at every other pivot column): a row is reduced once, by the
+    pivot rows of the pivot columns in its support, and a nonzero remainder
+    becomes the pivot row of its least column, which is then cleared from
+    the earlier pivot rows.  A row that reduces to zero, as most rows of a
+    coboundary do, costs one pass.  It stops once every column holds a
+    pivot.  origins lists, for each pivot, the index of the input row whose
+    remainder made it: these input rows are independent and span all the rows.
     """
-
-    def scaled(row, k):
-        return row if k == 1 else {c: k * v % p if p else k * v for c, v in row.items()}
-
-    def axpy(trow, prow, factor, ri=None):
-        """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
-        for c, v in prow.items():
-            nv = trow[c] - factor * v if c in trow else -(factor * v)
-            if p:
-                nv %= p
-            if nv:
-                if ri is not None and c not in trow:
-                    present[c].add(ri)
-                trow[c] = nv
-            elif c in trow:
-                del trow[c]
-                if ri is not None:
-                    present[c].discard(ri)
-
-    def inverse(x):
-        return pow(x, -1, p) if p else 1 / x
-
-    present: dict = defaultdict(set)  # column -> the rows with a nonzero there
-    if track is None:
-        reduced: dict = {}  # pivot column -> its pivot row; `present` holds pivot columns
-        origin: dict = {}  # pivot column -> the input index its row came from
-        for i, row in enumerate(row_dicts):
-            row = dict(row)
-            for c in [c for c in row if c in reduced]:
-                f = row[c]  # no other pivot row touches column c; zeros are dropped below
-                for k, v in reduced[c].items():
-                    row[k] = row.get(k, 0) - f * v
-            row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
-            if not row:
-                continue
-            col = min(row)
-            row = scaled(row, inverse(row[col]))
-            for q in list(present[col]):
-                axpy(reduced[q], row, reduced[q][col], q)
-            reduced[col], origin[col] = row, i
-            for c in row:
-                present[c].add(col)
-            if len(reduced) == cols:
-                break
-        pivots = sorted(reduced)
-        return pivots, [reduced[c] for c in pivots], None if cols is None else [origin[c] for c in pivots]
-
-    work = [dict(r) for r in row_dicts]
-    tr = [dict(t) for t in track]
-    for ri, row in enumerate(work):
-        for c in row:
-            present[c].add(ri)
-    pivots, pivot_rows = [], []  # pivot_rows: indices into work, aligned with pivots
-    used = set()
-    for col in sorted(present):
-        cand = [ri for ri in present[col] if ri not in used]
-        if not cand:
+    reduced: dict = {}  # pivot column -> its pivot row
+    origin: dict = {}  # pivot column -> the input index its row came from
+    present: dict = defaultdict(set)  # column -> the pivot columns whose rows have a nonzero there
+    for i, row in enumerate(row_dicts):
+        row = dict(row)
+        for c in [c for c in row if c in reduced]:
+            f = row[c]  # no other pivot row touches column c; zeros are dropped below
+            for k, v in reduced[c].items():
+                row[k] = row.get(k, 0) - f * v
+        row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
+        if not row:
             continue
-        ri = min(cand, key=lambda r: (len(work[r]), r))
-        inv = inverse(work[ri][col])
-        work[ri], tr[ri] = scaled(work[ri], inv), scaled(tr[ri], inv)
-        for other in [r for r in present[col] if r != ri]:
-            factor = work[other][col]
-            axpy(work[other], work[ri], factor, other)
-            axpy(tr[other], tr[ri], factor)
-        used.add(ri)
-        pivots.append(col)
-        pivot_rows.append(ri)
-    zero_tracks = [tr[r] for r in range(len(work)) if r not in used]
-    return pivots, [work[r] for r in pivot_rows], (zero_tracks, [tr[r] for r in pivot_rows])
+        col = min(row)
+        inv = pow(row[col], -1, p) if p else 1 / row[col]
+        if inv != 1:
+            row = {c: inv * v % p if p else inv * v for c, v in row.items()}
+        for q in list(present[col]):  # clear col from pivot row q
+            target, factor = reduced[q], reduced[q][col]
+            for c, v in row.items():
+                nv = target[c] - factor * v if c in target else -(factor * v)
+                if p:
+                    nv %= p
+                if nv:
+                    if c not in target:
+                        present[c].add(q)
+                    target[c] = nv
+                elif c in target:
+                    del target[c]
+                    present[c].discard(q)
+        reduced[col], origin[col] = row, i
+        for c in row:
+            present[c].add(col)
+        if len(reduced) == cols:
+            break
+    pivots = sorted(reduced)
+    return pivots, [reduced[c] for c in pivots], [origin[c] for c in pivots]
 
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (pivot_cols, rows as sparse dicts)."""
-    pivots, rows, _ = _rref_rows(_rows_of(m.entries.items()))
+    pivots, rows, _ = _rref_rows(_rows_of(m.entries.items()), m.cols)
     return pivots, rows
 
 
 def image_rank(m: Matrix) -> int:
-    """Exact rank.  Eliminates along the smaller dimension."""
-    work = m.transpose() if m.rows < m.cols else m
-    pivots, _, _ = _rref_rows(_rows_of(work.entries.items()), cols=work.cols)
-    return len(pivots)
+    """Exact rank: the pivot-row count of kernel_basis of m or, when m is
+    wide, of its transpose, so the kernel it certifies is the smaller one."""
+    return len(kernel_basis(m.transpose() if m.rows < m.cols else m).pivot_rows)
 
 
 # kernel_basis eliminates modulo this prime before the exact path
@@ -534,7 +489,7 @@ def _null_space(cells, cols: int, p: int = 0):
     for (r, c), x in cells:
         rows.setdefault(r, {})[last - c] = x
     ids = sorted(rows)
-    pivots, red, origins = _rref_rows([rows[r] for r in ids], p=p, cols=cols)
+    pivots, red, origins = _rref_rows([rows[r] for r in ids], cols, p)
     null = {f: {f: 1 if p else ONE} for f in range(cols)}
     for piv in pivots:
         del null[last - piv]
@@ -562,25 +517,15 @@ def _lift(u: int):
     return Scalar(u) if u <= _B else Scalar(u - _P) if u >= _P - _B else _wang(u, _P)
 
 
-def _cleared(v: dict):
-    """(real, imaginary) parts of a sparse vector times the lcm of its denominators, as ints."""
-    den = lcm(*(q.denominator for x in v.values() for q in (x.re, x.im)))
-    return (
-        {c: x.re.numerator * (den // x.re.denominator) for c, x in v.items() if x.re},
-        {c: x.im.numerator * (den // x.im.denominator) for c, x in v.items() if x.im},
-    )
-
-
 def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     """The exact certificate that basis is the canonical kernel basis of D = m.
 
     basis must be in RREF (each vector monic at its leading column, leading
     columns increasing and zero in every other vector), hold cols - rank
-    vectors and satisfy D K = 0, checked on integers: D's numerators (den D
-    has D's kernel) against each vector with its denominators cleared.
-    This certifies the kernel given rank: a rank that is too small is
-    caught, one that is too large (a spurious pivot) is not, so the rank
-    itself is trusted to the elimination.
+    vectors and satisfy D K = 0 for K the matrix whose columns they are,
+    one product on integer numerators.  This certifies the kernel given
+    rank: a rank that is too small is caught, one that is too large (a
+    spurious pivot) is not, so the rank itself is trusted to the elimination.
     """
     if len(basis) != m.cols - rank or not all(basis):
         return False
@@ -590,19 +535,8 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
         return False
     if any(v[c] != 1 or len(lead_set.intersection(v)) != 1 for c, v in zip(leads, basis)):
         return False
-    d_re, d_im = {}, {}  # column -> [(row, numerator)]
-    for part, index in ((m.re, d_re), (m.im, d_im)):
-        for (r, c), a in part.items():
-            index.setdefault(c, []).append((r, a))
-    for x, y in map(_cleared, basis):
-        re, im = {}, {}  # (A + Bi)(X + Yi) = (AX - BY) + (AY + BX)i
-        for d, k, acc, sign in ((d_re, x, re, 1), (d_im, y, re, -1), (d_re, y, im, 1), (d_im, x, im, 1)):
-            for c, a in k.items():
-                for r, b in d.get(c, ()):
-                    acc[r] = acc.get(r, 0) + sign * a * b
-        if any(re.values()) or any(im.values()):
-            return False
-    return True
+    k = Matrix(m.cols, len(basis), {(c, j): x for j, v in enumerate(basis) for c, x in v.items()})
+    return (m @ k).is_zero()
 
 
 class Kernel(list):
@@ -652,18 +586,59 @@ class LinearSolver:
     """One elimination, many right-hand sides.
 
     Precomputes the RREF of m with the row-operation transform, so each
-    solve costs a few sparse dot products.
+    solve costs a few sparse dot products.  The elimination is its own
+    exact column sweep, not _rref_rows: at each column the shortest row
+    holding it (the first of those) becomes the pivot row and the column is
+    removed from every other row, with the same row operations applied to
+    the tracks, which start as the unit rows.  The tracks of the rows that
+    reduce to zero are the left-kernel certificates that reports print, and
+    which they are depends on this choice of pivot rows.
     """
 
     def __init__(self, m: Matrix):
         self.m = m
-        row_list = [{} for _ in range(m.rows)]
+        work = [{} for _ in range(m.rows)]
         for (r, c), v in m.entries.items():
-            row_list[r][c] = v
-        track = [{r: ONE} for r in range(m.rows)]
-        pivots, _red, tracked = _rref_rows(row_list, track=track)
-        self.pivots = pivots
-        self.zero_tracks, self.pivot_tracks = tracked
+            work[r][c] = v
+        tr = [{r: ONE} for r in range(m.rows)]
+        present: dict = defaultdict(set)  # column -> the rows with a nonzero there
+        for ri, row in enumerate(work):
+            for c in row:
+                present[c].add(ri)
+
+        def scaled(row, k):
+            return row if k == 1 else {c: k * v for c, v in row.items()}
+
+        def axpy(trow, prow, factor, ri=None):
+            """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
+            for c, v in prow.items():
+                nv = trow[c] - factor * v if c in trow else -(factor * v)
+                if nv:
+                    if ri is not None and c not in trow:
+                        present[c].add(ri)
+                    trow[c] = nv
+                elif c in trow:
+                    del trow[c]
+                    if ri is not None:
+                        present[c].discard(ri)
+
+        self.pivots, pivot_rows, used = [], [], set()  # pivot_rows: indices into work, aligned with pivots
+        for col in sorted(present):
+            cand = [ri for ri in present[col] if ri not in used]
+            if not cand:
+                continue
+            ri = min(cand, key=lambda r: (len(work[r]), r))
+            inv = 1 / work[ri][col]
+            work[ri], tr[ri] = scaled(work[ri], inv), scaled(tr[ri], inv)
+            for other in [r for r in present[col] if r != ri]:
+                factor = work[other][col]
+                axpy(work[other], work[ri], factor, other)
+                axpy(tr[other], tr[ri], factor)
+            used.add(ri)
+            self.pivots.append(col)
+            pivot_rows.append(ri)
+        self.zero_tracks = [tr[r] for r in range(m.rows) if r not in used]
+        self.pivot_tracks = [tr[r] for r in pivot_rows]
 
     @property
     def rank(self) -> int:

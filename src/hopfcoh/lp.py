@@ -128,14 +128,14 @@ def enumerate_feasibility(a_rows, b_col) -> bool:
     if not any(b):
         return True
     n = len(a[0])
-    rank = len(_rref_rows([{j: x for j, x in enumerate(row) if x} for row in a])[0])
+    rank = len(_rref_rows([{j: x for j, x in enumerate(row) if x} for row in a], n)[0])
     for k in range(1, rank + 1):
         for support in combinations(range(n), k):
             rows = [{c: row[j] for c, j in enumerate(support) if row[j]} for row in a]
             for row, rhs in zip(rows, b):
                 if rhs:
                     row[k] = rhs
-            pivots, red, _ = _rref_rows(rows)
+            pivots, red, _ = _rref_rows(rows, k + 1)
             if pivots == list(range(k)) and all(row.get(k, 0) >= 0 for row in red):
                 return True
     return False

@@ -5,10 +5,10 @@ dicts of the nonzero entries, one Scalar operation at a time.
 
 `reference_rref_rows` is the column sweep: at each column the shortest row
 holding it becomes the pivot row and the column is removed from every
-other row.  `linalg._rref_rows` keeps that sweep only for tracked
-eliminations and takes untracked rows one at a time, so every reference
-below that eliminates (`reference_rref`, `reference_rank`, the kernels and
-the span tests) runs this sweep rather than the code under test.
+other row.  Only `linalg.LinearSolver` keeps that sweep; `linalg._rref_rows`
+takes the rows one at a time, so every reference below that eliminates
+(`reference_rref`, `reference_rank`, the kernels and the span tests) runs
+this sweep rather than the code under test.
 
 `reference_kernel` is the exact two-RREF kernel: RREF of the matrix, then
 RREF of its free-column null vectors; `reference_null_space` is the same

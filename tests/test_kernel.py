@@ -13,10 +13,16 @@ from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.cochain import build_complex
 from hopfcoh.comodule import catalog_bicomodules
 from hopfcoh.hopf import function_algebra
-from hopfcoh.linalg import CertificateError, Matrix, image_rank, kernel_basis
+from hopfcoh.linalg import CertificateError, LinearSolver, Matrix, image_rank, kernel_basis
 from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import Scalar
-from reference import order3_monoid_tables, reference_kernel, reference_null_space, reference_rref_rows
+from reference import (
+    order3_monoid_tables,
+    reference_kernel,
+    reference_null_space,
+    reference_rank,
+    reference_rref_rows,
+)
 
 P = linalg._P
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -47,6 +53,9 @@ def fractions(numerators=st.integers(-5, 5), denominators=st.integers(1, 4)):
     return st.builds(lambda a, b: Scalar(Fraction(a, b)), numerators, denominators)
 
 
+gaussian_entries = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+
+
 @PROPERTY
 @given(matrices(st.one_of(st.just(Scalar(0)), fractions())))
 def test_random_rational_matrices(m):
@@ -69,9 +78,32 @@ def test_entries_past_the_reconstruction_bound(m):
 
 
 @PROPERTY
-@given(matrices(st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))))
+@given(matrices(gaussian_entries))
 def test_gaussian_entries(m):
     assert_matches_reference(m)
+
+
+@PROPERTY
+@given(st.one_of(matrices(st.one_of(st.just(Scalar(0)), fractions())), matrices(gaussian_entries)))
+def test_image_rank_matches_reference(m):
+    """image_rank over Q and Q(i), on products L R (mostly rank-deficient),
+    wide and tall, in both orientations."""
+    rank = reference_rank(m)
+    assert image_rank(m) == image_rank(m.transpose()) == rank
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[P]], 1),  # zero mod P
+        ([[1, 1], [1, 1 + P]], 2),  # rank 1 mod P: determinant P
+        ([[1, Scalar(0, 1)], [Scalar(0, 1), -1]], 1),  # its real part has rank 2
+        ([[1, 1], [Scalar(1, 1), 1]], 2),  # its real part has rank 1
+    ],
+)
+def test_image_rank_does_not_trust_a_modular_rank_drop(rows, rank):
+    m = Matrix.from_rows(rows)
+    assert image_rank(m) == image_rank(m.transpose()) == reference_rank(m) == rank
 
 
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)
@@ -162,7 +194,7 @@ def _counting_fields(monkeypatch, rref_rows):
     monkeypatch.setattr(
         linalg,
         "_rref_rows",
-        lambda rows, track=None, p=0, cols=None: fields.append(p) or rref_rows(rows, track, p, cols),
+        lambda rows, cols, p=0: fields.append(p) or rref_rows(rows, cols, p),
     )
     return fields
 
@@ -198,11 +230,11 @@ def test_every_reconstruction_perturbed_falls_back_to_exact(monkeypatch):
 
 
 def _drop_last_pivot(original, fields):
-    def tampered(rows, track=None, p=0, cols=None):
-        pivots, red, tracked = original(rows, track, p, cols)
+    def tampered(rows, cols, p=0):
+        pivots, red, origins = original(rows, cols, p)
         if p in fields and pivots:  # the pivot row's origin goes with it
-            return pivots[:-1], red[:-1], tracked if cols is None else tracked[:-1]
-        return pivots, red, tracked
+            return pivots[:-1], red[:-1], origins[:-1]
+        return pivots, red, origins
 
     return tampered
 
@@ -221,8 +253,8 @@ def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
     expected = reference_kernel(TAMPER)
     original = linalg._rref_rows
 
-    def add_pivot(rows, track=None, p=0, cols=None):
-        pivots, red, origins = original(rows, track, p, cols)
+    def add_pivot(rows, cols, p=0):
+        pivots, red, origins = original(rows, cols, p)
         if p:  # the modular elimination
             f = min(set(range(TAMPER.cols)) - set(pivots))  # a free column made a pivot
             red = [{c: v for c, v in row.items() if c != f} for row in red]
@@ -235,6 +267,29 @@ def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
     assert fields == [P, 0]
 
 
+# a rank-2 Gaussian matrix whose 2-dimensional kernel has non-real entries
+GAUSSIAN = Matrix.from_rows([[1, Scalar(0, 1), 2, 0], [Scalar(1, 1), 0, 1, Scalar(0, -3)]])
+
+
+@pytest.mark.parametrize("m", [GAUSSIAN, TAMPER], ids=["gaussian", "real"])
+def test_kernel_with_a_corrupted_imaginary_part_is_rejected(monkeypatch, m):
+    """One entry of the exact kernel basis off its lead gets i added: the
+    RREF shape still holds, so only the product D K = 0 can reject it."""
+    original = linalg._null_space
+    rows, basis = original(m.entries.items(), m.cols)
+    assert linalg._is_kernel_rref(m, len(rows), basis)
+    v = basis[0]
+    c = next(c for c in v if c != min(v))
+    corrupted = [{**v, c: v[c] + Scalar(0, 1)}] + basis[1:]
+    assert not linalg._is_kernel_rref(m, len(rows), corrupted)
+    monkeypatch.setattr(linalg, "_lift", lambda u: None)  # a real m's modular basis is refused too
+    monkeypatch.setattr(
+        linalg, "_null_space", lambda cells, cols, p=0: original(cells, cols, p) if p else (rows, corrupted)
+    )
+    with pytest.raises(CertificateError, match="exact kernel basis"):
+        kernel_basis(m)
+
+
 def test_corrupted_exact_fallback_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_rows", _drop_last_pivot(linalg._rref_rows, (P, 0)))
     with pytest.raises(CertificateError, match="exact kernel basis"):
@@ -243,54 +298,59 @@ def test_corrupted_exact_fallback_raises(monkeypatch):
 
 @st.composite
 def sparse_rows(draw):
-    """Up to 6 sparse rows over up to 7 columns with Fraction entries, and a
-    parallel list of sparse track rows over the row indices."""
+    """Up to 6 sparse rows over up to 7 columns with Fraction entries, and the column count."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+    return [{c: x for c in range(cols) if (x := draw(entry))} for _ in range(rows)], cols
 
-    def sparse(width):
-        return {c: x for c in range(width) if (x := draw(entry))}
 
-    return [sparse(cols) for _ in range(rows)], [sparse(rows) for _ in range(rows)]
+def scalars(rows):
+    return [{c: Scalar(x) for c, x in r.items()} for r in rows]
 
 
 @PROPERTY
-@given(sparse_rows(), st.booleans())
-def test_exact_elimination_keeps_the_entry_field(spec, tracked):
+@given(sparse_rows())
+def test_exact_elimination_keeps_the_entry_field(spec):
     """_rref_rows on Fraction rows and on the same rows as Scalars: the same
-    pivots, rows and tracks entry by entry, each in its input's type."""
-    rows, tracks = spec
-    track = tracks if tracked else None
-
-    def scalars(rs):
-        return None if rs is None else [{c: Scalar(x) for c, x in r.items()} for r in rs]
-
-    fp, frows, ftracks = linalg._rref_rows(rows, track)
-    sp, srows, stracks = linalg._rref_rows(scalars(rows), scalars(track))
-    assert fp == sp
+    pivots, rows and origins entry by entry, each in its input's type."""
+    rows, cols = spec
+    fp, frows, forigins = linalg._rref_rows(rows, cols)
+    sp, srows, sorigins = linalg._rref_rows(scalars(rows), cols)
+    assert (fp, forigins) == (sp, sorigins)
     assert scalars(frows) == srows
-    fout = frows + (ftracks[0] + ftracks[1] if tracked else [])
-    sout = srows + (stracks[0] + stracks[1] if tracked else [])
-    assert all(type(x) is Fraction for r in fout for x in r.values())
-    assert all(type(x) is Scalar for r in sout for x in r.values())
-    if tracked:
-        assert (scalars(ftracks[0]), scalars(ftracks[1])) == stracks
-    else:
-        assert ftracks is stracks is None
+    assert all(type(x) is Fraction for r in frows for x in r.values())
+    assert all(type(x) is Scalar for r in srows for x in r.values())
+
+
+@PROPERTY
+@given(sparse_rows())
+def test_solver_sweep_keeps_the_entry_field(spec):
+    """LinearSolver's column sweep over the rows as a Matrix: the reference
+    sweep's pivots and tracks (from the unit rows) on the Fraction rows,
+    entry by entry, as Scalars."""
+    rows, cols = spec
+    units = [{r: Fraction(1)} for r in range(len(rows))]
+    pivots, _, (zero_tracks, pivot_tracks) = reference_rref_rows(rows, units)
+    solver = LinearSolver(Matrix(len(rows), cols, {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}))
+    assert solver.pivots == pivots
+    assert (solver.zero_tracks, solver.pivot_tracks) == (scalars(zero_tracks), scalars(pivot_tracks))
+    assert all(type(x) is Scalar for t in solver.zero_tracks + solver.pivot_tracks for x in t.values())
 
 
 # -- the row-at-a-time elimination against the column sweep -------------------
 
 
-def assert_rref_matches_sweep(rows, p=0):
-    """The untracked _rref_rows equals reference_rref_rows: the same pivots and
-    rows entry by entry, each entry of its input's type, the input untouched."""
+def assert_rref_matches_sweep(rows, p=0, cols=None):
+    """_rref_rows equals reference_rref_rows: the same pivots and rows entry
+    by entry, each entry of its input's type, the input untouched; cols
+    defaults to the least column count that holds the rows."""
     before = [dict(r) for r in rows]
-    got = linalg._rref_rows(rows, p=p)
-    assert got == reference_rref_rows(rows, p=p)
+    cols = 1 + max((c for r in rows for c in r), default=-1) if cols is None else cols
+    got = linalg._rref_rows(rows, cols, p)
+    assert got[:2] == reference_rref_rows(rows, p=p)[:2]
     assert rows == before
-    pivots, red, tracks = got
-    assert tracks is None
+    pivots, red, origins = got
+    assert len(origins) == len(set(origins)) == len(pivots)
     assert [min(r) for r in red] == pivots == sorted(set(pivots))
     kinds = {type(x) for r in rows for x in r.values()}
     assert all(type(x) in kinds for r in red for x in r.values())
@@ -365,7 +425,7 @@ def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
         assert not d.im
         last, inv = d.cols - 1, pow(d.den, -1, P)
         cells = (((r, last - c), x) for (r, c), v in d.re.items() if (x := v * inv % P))
-        assert_rref_matches_sweep(linalg._rows_of(cells), P)
+        assert_rref_matches_sweep(linalg._rows_of(cells), P, d.cols)
 
 
 # -- the full-rank stop and the pivot rows' origins ---------------------------
@@ -376,7 +436,7 @@ def assert_full_rank_stop(rows, width, p=0):
     origins are distinct input rows spanning the same rows; and no input row
     after the one that completed the pivots is read."""
     read = []
-    got = linalg._rref_rows((read.append(i) or r for i, r in enumerate(rows)), p=p, cols=width)
+    got = linalg._rref_rows((read.append(i) or r for i, r in enumerate(rows)), width, p)
     pivots, red, origins = got
     assert (pivots, red) == reference_rref_rows(rows, p=p)[:2]
     assert len(origins) == len(set(origins)) == len(pivots)

@@ -242,8 +242,8 @@ def test_reported_left_kernel_certificates_are_pinned():
 
     Any y with y^T m = 0 and y^T rhs != 0 would certify these systems; which
     one LinearSolver returns depends on the column sweep's choice of pivot
-    row at each column (the shortest row, then the first), which is why the
-    tracked path of _rref_rows keeps that sweep.  Choosing the longest row
+    row at each column (the shortest row, then the first), which is why
+    LinearSolver keeps that sweep.  Choosing the longest row
     instead gives {0: 1, 19: 1, 21: 1, 24: 1} and {0: 1, 2: -1}.
     """
     from hopfcoh.amenability import find_codiagonal
