@@ -274,20 +274,17 @@ class CheckOutcome:
         return self.passed
 
 
-def check_codiagonal_vanishing(
-    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
-) -> CheckOutcome:
-    """Codiagonal existence against dual-cohomology vanishing.
+def check_codiagonal_vanishing(ws: Workspace) -> CheckOutcome:
+    """Codiagonal existence against dual-cohomology vanishing, on ws.hopf.
 
-    With a codiagonal: H^n_d = 0 (n = 1..cap-1) on every catalog bicomodule
+    With a codiagonal: H^n_d = 0 (n = 1..ws.degree_cap-1) on every catalog bicomodule
     with a non-degenerate side, re-derived two ways: from the ranks, and from
     the operator identity D_{n-1} K_n + K_{n+1} D_n = id of the codiagonal
     contraction K on that side, certified once per degree without reading
     the kernel basis.  Without a counit: H^1 of the one-sided regular
     comodule must be nonzero.
     """
-    ws = Workspace.ensure(workspace, h, degree_cap)
-    details = []
+    h, details = ws.hopf, []
     eps = counit_find(h)
     if eps.functional is None:
         reg = one_sided(regular_right_coaction(h))
@@ -309,7 +306,7 @@ def check_codiagonal_vanishing(
         side = "beta" if any(entry.beta_nondegenerate) else "gamma"
         cx = ws.complex_of(entry.bicomodule, "dual")
         k = None  # K_n, when the previous degree's certificate built it
-        for n in range(1, degree_cap):
+        for n in range(1, ws.degree_cap):
             result = ws.cohomology_of(entry.bicomodule, "dual", n)
             if result.dim != 0:
                 ok = False
@@ -347,16 +344,13 @@ def job_mean(ws: Workspace) -> MeanSearch:
     return ws.once("mean", lambda: find_invariant_mean(ws.hopf.monoid))
 
 
-def check_mean_vs_cohomology(
-    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
-) -> CheckOutcome:
+def check_mean_vs_cohomology(ws: Workspace) -> CheckOutcome:
     """Mean feasibility == coboundary status of the canonical cocycle ==
     vanishing of restricted H^1 on the regular and unit-quotient comodules,
     all read from the workspace: the job's mean and the catalog's complexes."""
+    h, details = ws.hopf, []
     if h.kind != "function" or not h.monoid.has_identity:
         raise ValueError("the mean cross-check needs the function algebra of a monoid with identity")
-    ws = Workspace.ensure(workspace, h, degree_cap)
-    details = []
     mean = job_mean(ws)
     details.append(f"invariant mean feasible: {mean.feasible}")
     if h.dim == 1:
@@ -391,20 +385,18 @@ def check_mean_vs_cohomology(
     return CheckOutcome("mean-vs-cohomology", ok, tuple(details))
 
 
-def check_graded_cocycles(
-    h: HopfStarAlgebra, degree_cap: int = 3, workspace: Optional[Workspace] = None
-) -> CheckOutcome:
+def check_graded_cocycles(ws: Workspace) -> CheckOutcome:
     """Pointwise structure of 1-cocycles on the pair-graded bicomodule.
 
     Every kernel-basis cocycle alpha must satisfy, on the (s, t) component,
     alpha(x) = phi_t(alpha(x)) (u_t - u_s) and the mirrored identity, and
     the reconstructed functional f(x_{(s,t)}) = phi_s(alpha(x_{(s,t)}))
     must satisfy d_0(f) = alpha exactly.  The complex is the workspace's,
-    of the catalog's pair-graded entry.
+    of the catalog's pair-graded entry over ws.hopf.
     """
+    h = ws.hopf
     if h.kind != "group":
         raise ValueError("the graded-cocycle check needs a group algebra")
-    ws = Workspace.ensure(workspace, h, degree_cap)
     bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
     n, x = h.dim, bic.space_dim
     cx = ws.complex_of(bic, "dual")

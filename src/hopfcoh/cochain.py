@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 from .comodule import (
     Bicomodule,
@@ -42,12 +41,10 @@ from .linalg import (
 # coboundary matrices
 
 
-def natural_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
+def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
     """Coboundary X (x) S^n -> X (x) S^{n+1} of the natural complex."""
     if n < 0:
         raise ValueError("negative degree")
-    if n + 1 > degree_cap:
-        raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     i_sn = Matrix.identity(s**n)
     total = kron(b.beta.beta, i_sn)
@@ -62,7 +59,7 @@ def natural_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     return total + last.reindex(last.rows, last.cols, lambda r, c: (move[r], c)).scale((-1) ** (n + 1))
 
 
-def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
+def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     """Coboundary Hom(X, S^n) -> Hom(X, S^{n+1}) of the dual complex.
 
     With T a basis map e_y -> (S^n basis v), the three families of terms
@@ -76,8 +73,6 @@ def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     """
     if n < 0:
         raise ValueError("negative degree")
-    if n + 1 > degree_cap:
-        raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     sn = s**n
     rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
@@ -103,7 +98,7 @@ def dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
     return mat
 
 
-def bar_boundary(b: Bicomodule, n: int, degree_cap: int = 4) -> Matrix:
+def bar_boundary(b: Bicomodule, n: int) -> Matrix:
     """Hochschild-style boundary B^n (x) X -> B^{n-1} (x) X for B = S^*.
 
     X is a B-bimodule through the coactions: w.x pairs the beta leg, x.w
@@ -113,8 +108,6 @@ def bar_boundary(b: Bicomodule, n: int, degree_cap: int = 4) -> Matrix:
     """
     if n < 1:
         raise ValueError("bar boundary needs n >= 1")
-    if n > degree_cap:
-        raise ValueError(f"degree {n} exceeds cap {degree_cap}")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     mult_b = dual_algebra_mult(h)
     act_l = module_from_coaction(b.beta)  # B (x) X -> X
@@ -134,11 +127,9 @@ def bar_boundary(b: Bicomodule, n: int, degree_cap: int = 4) -> Matrix:
     return total + last.reindex(last.rows, last.cols, lambda r, c: (r, back[c])).scale((-1) ** n)
 
 
-def bar_dual_coboundary(b: Bicomodule, n: int, degree_cap: int = 3) -> Matrix:
+def bar_dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     """(B^n (x) X)^* -> (B^{n+1} (x) X)^*: the transpose of bar_boundary(n+1)."""
-    if n + 1 > degree_cap:
-        raise ValueError(f"degree {n}+1 exceeds cap {degree_cap}")
-    return bar_boundary(b, n + 1, degree_cap=degree_cap + 1).transpose()
+    return bar_boundary(b, n + 1).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +184,7 @@ def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3) -> CochainCompl
     builder = _BUILDERS[kind]
     x, s = b.space_dim, b.hopf.dim
     degrees = tuple(x * s**n for n in range(degree_cap + 1))
-    bounds = tuple(builder(b, n, degree_cap=degree_cap) for n in range(degree_cap))
+    bounds = tuple(builder(b, n) for n in range(degree_cap))
     return CochainComplex(kind, degrees, bounds)
 
 
@@ -257,14 +248,6 @@ class Workspace:
         self.explicit = tuple(explicit)  # (name, Bicomodule) pairs from the job file
         self._memo: dict = {}
 
-    @staticmethod
-    def ensure(workspace, h, degree_cap: int) -> "Workspace":
-        """The given workspace, or a fresh one when None; one of another job is refused."""
-        ws = workspace or Workspace(h, degree_cap)
-        if ws.hopf is not h or ws.degree_cap != degree_cap:
-            raise ValueError("workspace belongs to another algebra or degree cap")
-        return ws
-
     def once(self, key, make):
         """make() the first time key is asked for, the same object after that."""
         if key not in self._memo:
@@ -315,12 +298,7 @@ class Workspace:
 @dataclass(frozen=True)
 class IdentificationReport:
     holds: bool
-    degree: int
     detail: str
-    dims: Optional[tuple] = None  # (lhs H-dim, rhs H-dim) when computed
-
-    def __bool__(self):
-        return self.holds
 
 
 def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tuple:
@@ -333,40 +311,35 @@ def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tup
     return lhs, rhs.scale((-1) ** (n + 1))
 
 
-def identify_dual_with_natural(
-    b: Bicomodule, n: int, degree_cap: int = 3, workspace: Optional[Workspace] = None
-) -> IdentificationReport:
+def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual complex of X vs natural complex of the dual bicomodule on X^*.
 
     Checks the chain-level sign identity  R d_n^{natural-dual} = (-1)^{n+1}
     d_n^{dual} R  entrywise (R the flattening reshuffle), then that the two
-    H^n dimensions agree.
+    H^n dimensions agree, all read from ws (so n < ws.degree_cap).
     """
-    ws = Workspace.ensure(workspace, b.hopf, degree_cap)
     dual_b = ws.dual(b)
     nat = ws.complex_of(dual_b, "natural").boundary(n)
     dua = ws.complex_of(b, "dual").boundary(n)
     lhs, rhs = sign_identity_sides(nat, dua, b.space_dim, b.hopf.dim, n)
     if lhs != rhs:
-        return IdentificationReport(False, n, "sign identity fails entrywise")
+        return IdentificationReport(False, "sign identity fails entrywise")
     d_nat = ws.cohomology_of(dual_b, "natural", n).dim
     d_dual = ws.cohomology_of(b, "dual", n).dim
     if d_nat != d_dual:
-        return IdentificationReport(False, n, "H dimensions differ", (d_dual, d_nat))
-    return IdentificationReport(True, n, "sign identity and H-dims agree", (d_dual, d_nat))
+        return IdentificationReport(False, "H dimensions differ")
+    return IdentificationReport(True, "sign identity and H-dims agree")
 
 
-def identify_dual_with_bar(
-    b: Bicomodule, n: int, degree_cap: int = 3, workspace: Optional[Workspace] = None
-) -> IdentificationReport:
+def identify_dual_with_bar(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual coboundary vs transpose of the bar boundary: must be bit-identical.
 
+    The dual side is the workspace's, so n must lie below ws.degree_cap.
     The bar side is built alone, not as a complex: equal to the checked
     dual boundary, it needs no chain check of its own."""
-    ws = Workspace.ensure(workspace, b.hopf, degree_cap)
-    if ws.complex_of(b, "dual").boundary(n) != bar_dual_coboundary(b, n, ws.degree_cap):
-        return IdentificationReport(False, n, "matrices differ")
-    return IdentificationReport(True, n, "matrices bit-identical")
+    if ws.complex_of(b, "dual").boundary(n) != bar_dual_coboundary(b, n):
+        return IdentificationReport(False, "matrices differ")
+    return IdentificationReport(True, "matrices bit-identical")
 
 
 # ---------------------------------------------------------------------------

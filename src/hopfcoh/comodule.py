@@ -7,6 +7,7 @@ the pivot-complement section, so every derived object is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .hopf import HopfStarAlgebra, translates_span
@@ -293,11 +294,19 @@ CATALOG_NAMES = ("regular", "regular-trivial-left", "unit-quotient", "pair-grade
 
 @dataclass(frozen=True)
 class CatalogBicomodule:
+    """A catalog entry; its non-degeneracy flags are span tests run on first read."""
+
     name: str
     bicomodule: Bicomodule
-    beta_nondegenerate: tuple  # (left, right)
-    gamma_nondegenerate: tuple
     quotient: Optional[QuotientData] = None  # the unit-quotient entry's projection and section
+
+    @cached_property
+    def beta_nondegenerate(self) -> tuple:  # (left, right)
+        return check_nondegenerate(self.bicomodule.beta)
+
+    @cached_property
+    def gamma_nondegenerate(self) -> tuple:
+        return check_nondegenerate_left(self.bicomodule.gamma)
 
     @property
     def has_nondegenerate_side(self) -> bool:
@@ -306,27 +315,16 @@ class CatalogBicomodule:
 
 def catalog_bicomodules(h: HopfStarAlgebra):
     """The built-in test bicomodules over a catalog algebra."""
-    entries = []
-
-    def add(name, bic, quotient=None):
-        entries.append(
-            CatalogBicomodule(
-                name,
-                bic,
-                check_nondegenerate(bic.beta),
-                check_nondegenerate_left(bic.gamma),
-                quotient,
-            )
-        )
-
     reg = regular_right_coaction(h)
-    add("regular", Bicomodule(reg, regular_left_coaction(h)))
-    add("regular-trivial-left", with_trivial_gamma(reg))
+    entries = [
+        CatalogBicomodule("regular", Bicomodule(reg, regular_left_coaction(h))),
+        CatalogBicomodule("regular-trivial-left", with_trivial_gamma(reg)),
+    ]
     quot = unit_quotient_bicomodule(h)
     if quot.coaction.space_dim:
-        add("unit-quotient", with_trivial_gamma(quot.coaction), quot)
+        entries.append(CatalogBicomodule("unit-quotient", with_trivial_gamma(quot.coaction), quot))
     if h.kind == "group":
-        add("pair-graded", pair_graded_bicomodule(h))
+        entries.append(CatalogBicomodule("pair-graded", pair_graded_bicomodule(h)))
     return entries
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .comodule import CATALOG_NAMES
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .tasks import lookup, task_degrees  # noqa: F401  (bench/checks.py imports task_degrees from here)
 
 
@@ -98,6 +98,8 @@ def parse_input(text: str) -> JobSpec:
             block = content[6:].strip().split()
             kind = block[0] if block else ""
             if kind == "cayley":
+                if cayley is not None:
+                    raise JobParseError(no, "duplicate cayley block")
                 cayley = _parse_cayley(lines, no)
             elif kind == "comodule":
                 if len(block) != 2:
@@ -157,18 +159,25 @@ def parse_input(text: str) -> JobSpec:
     )
 
 
+def _once(seen: set, what: str, no) -> None:
+    """Refuse a block's second setting of `what`, naming its line."""
+    if what in seen:
+        raise JobParseError(no, f"duplicate {what}")
+    seen.add(what)
+
+
 def _parse_cayley(lines: _Lines, start) -> CayleySpec:
     identity: Optional[int] = 0
-    rows = []
+    rows, seen = [], set()
     while True:
         no, content = lines.next_content()
         if content is None:
             raise JobParseError(start, "unterminated cayley block")
         if content == "end":
             break
-        if content.startswith("identity"):
-            _, _, v = content.partition("=")
-            v = v.strip()
+        key, eq, v = (part.strip() for part in content.partition("="))
+        if eq and key == "identity":
+            _once(seen, key, no)
             if v == "none":
                 identity = None
             else:
@@ -214,30 +223,35 @@ def _parse_comodule(lines: _Lines, start, name: str) -> ComoduleSpec:
     dim = None
     beta = None
     gamma = "trivial"
+    seen: set = set()  # "gamma = ..." and "begin gamma" both set gamma
     while True:
         no, content = lines.next_content()
         if content is None:
             raise JobParseError(start, f"unterminated comodule block {name!r}")
         if content == "end":
             break
-        if content.startswith("dim"):
-            _, _, v = content.partition("=")
+        key, eq, v = (part.strip() for part in content.partition("="))
+        if eq and key == "dim":
+            _once(seen, key, no)
             try:
-                dim = int(v.strip())
+                dim = int(v)
             except ValueError:
-                raise JobParseError(no, f"dim must be an integer, got {v.strip()!r}") from None
+                raise JobParseError(no, f"dim must be an integer, got {v!r}") from None
+            if dim < 0:
+                raise JobParseError(no, f"dim must be >= 0, got {dim}")
             continue
-        if content.startswith("gamma"):
-            _, _, v = content.partition("=")
-            v = v.strip()
+        if eq and key == "gamma":
+            _once(seen, key, no)
             if v not in ("trivial", "zero"):
                 raise JobParseError(no, f"gamma must be trivial or zero here, got {v!r}")
             gamma = v
             continue
         if content == "begin beta":
+            _once(seen, "beta", no)
             beta = _parse_matrix_block(lines, no)
             continue
         if content == "begin gamma":
+            _once(seen, "gamma", no)
             gamma = _parse_matrix_block(lines, no)
             continue
         raise JobParseError(no, f"unexpected line in comodule block: {content!r}")

@@ -123,7 +123,7 @@ def _cohomology(ws, token):
 
 
 def _outcome(ws, check):
-    out = check(ws.hopf, ws.degree_cap, ws)
+    out = check(ws)
     return {"passed": out.passed, "details": list(out.details)}
 
 
@@ -132,7 +132,7 @@ def _identifications(ws, identify):
     for name, bic in ws.bicomodules():
         per = {}
         for n in range(ws.degree_cap):
-            r = identify(bic, n, ws.degree_cap, ws)
+            r = identify(ws, bic, n)
             per[str(n)] = {"holds": r.holds, "detail": r.detail}
             ok = ok and r.holds
         results[name] = per

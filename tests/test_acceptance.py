@@ -16,6 +16,7 @@ from hopfcoh.amenability import (
 )
 from hopfcoh.catalog import get_algebra, get_group, get_monoid
 from hopfcoh.cochain import (
+    Workspace,
     build_complex,
     cohomology,
     homotopy_from_counit_dual,
@@ -174,7 +175,7 @@ def test_criterion_05_codiagonal_vanishing():
     found = 0
     for name in CATALOG:
         h = algebra(name)
-        out = check_codiagonal_vanishing(h)
+        out = check_codiagonal_vanishing(Workspace(h, 3))
         assert out.passed, (name, out.details)
         if h.counit is not None and find_codiagonal(h).certificate is not None:
             found += 1
@@ -188,7 +189,7 @@ def test_criterion_05_codiagonal_vanishing():
 
 def test_criterion_06_pair_graded_cocycles():
     for gname in ("Z3", "S3"):
-        out = check_graded_cocycles(get_algebra(f"group:{gname}"))
+        out = check_graded_cocycles(Workspace(get_algebra(f"group:{gname}"), 3))
         assert out.passed, (gname, out.details)
     announce(6, True, "pointwise two-term identity and d_0(f) = alpha exact on Z3 and S3")
 
@@ -197,9 +198,10 @@ def test_criterion_07_dual_vs_natural_duality():
     t0 = time.time()
     checked = 0
     for name in CATALOG:
+        ws = Workspace(algebra(name), 3)
         for entry in bicomodules(name):
             for n in range(3):
-                rep = identify_dual_with_natural(entry.bicomodule, n)
+                rep = identify_dual_with_natural(ws, entry.bicomodule, n)
                 assert rep.holds, (name, entry.name, n, rep.detail)
                 checked += 1
     announce(
@@ -214,9 +216,10 @@ def test_criterion_08_dual_vs_bar_identification():
     t0 = time.time()
     checked = 0
     for name in CATALOG:
+        ws = Workspace(algebra(name), 3)
         for entry in bicomodules(name):
             for n in range(3):
-                rep = identify_dual_with_bar(entry.bicomodule, n)
+                rep = identify_dual_with_bar(ws, entry.bicomodule, n)
                 assert rep.holds, (name, entry.name, n)
                 checked += 1
     announce(
@@ -241,7 +244,7 @@ def test_criterion_09_invariant_means():
     m01 = find_invariant_mean(get_monoid("mult01"))
     assert m01.feasible and m01.certificate.weights == (Fraction(0), Fraction(1))
     for mname in MONOIDS_WITH_IDENTITY:
-        out = check_mean_vs_cohomology(get_algebra(f"function:{mname}"))
+        out = check_mean_vs_cohomology(Workspace(get_algebra(f"function:{mname}"), 3))
         assert out.passed, (mname, out.details)
     announce(
         9,

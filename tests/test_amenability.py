@@ -143,13 +143,13 @@ def test_leftzero_semigroup_mean_feasible():
 
 
 def test_vanishing_crosscheck_group_z3():
-    out = check_codiagonal_vanishing(get_algebra("group:Z3"))
+    out = check_codiagonal_vanishing(Workspace(get_algebra("group:Z3"), 3))
     assert out.passed
     assert any("pair-graded" in d for d in out.details)
 
 
 def test_vanishing_crosscheck_function_s3():
-    out = check_codiagonal_vanishing(get_algebra("function:S3"))
+    out = check_codiagonal_vanishing(Workspace(get_algebra("function:S3"), 3))
     assert out.passed
 
 
@@ -166,7 +166,7 @@ def test_vanishing_crosscheck_rejects_a_tampered_codiagonal(name, monkeypatch):
         tampered = SimpleNamespace(certificate=SimpleNamespace(functional=g))
         monkeypatch.setattr(amenability, "job_codiagonal", lambda ws: tampered)
         with pytest.raises(CertificateError, match="D K \\+ K D = id in degree 1$"):
-            check_codiagonal_vanishing(h)
+            check_codiagonal_vanishing(Workspace(h, 3))
 
 
 def test_vanishing_crosscheck_names_the_degree_of_a_tampered_contraction(monkeypatch):
@@ -180,7 +180,7 @@ def test_vanishing_crosscheck_names_the_degree_of_a_tampered_contraction(monkeyp
 
     monkeypatch.setattr(cochain, "codiagonal_contraction", corrupt_k3)
     with pytest.raises(CertificateError, match="in degree 2$"):
-        check_codiagonal_vanishing(get_algebra("group:S3"))
+        check_codiagonal_vanishing(Workspace(get_algebra("group:S3"), 3))
 
 
 def test_vanishing_crosscheck_builds_each_contraction_once(monkeypatch):
@@ -194,7 +194,7 @@ def test_vanishing_crosscheck_builds_each_contraction_once(monkeypatch):
         return original(b, n, f, side)
 
     monkeypatch.setattr(cochain, "codiagonal_contraction", counting)
-    out = check_codiagonal_vanishing(get_algebra("group:S3"))
+    out = check_codiagonal_vanishing(Workspace(get_algebra("group:S3"), 3))
     assert out.passed
     sides = {key[:2] for key in built}
     # degrees 1 and 2 certified per side, from K_1, K_2 and K_3, each built once
@@ -203,7 +203,7 @@ def test_vanishing_crosscheck_builds_each_contraction_once(monkeypatch):
 
 
 def test_vanishing_crosscheck_non_counital():
-    out = check_codiagonal_vanishing(get_algebra("function:leftzero2"))
+    out = check_codiagonal_vanishing(Workspace(get_algebra("function:leftzero2"), 3))
     assert out.passed
     assert any("counit absent" in d for d in out.details)
 
@@ -221,18 +221,18 @@ def test_canonical_cocycle_closed_and_matches_mean_z3():
 
 def test_mean_crosscheck_monoids():
     for name in ("trivial", "Z2", "Z3", "S3", "mult01", "rzid3"):
-        out = check_mean_vs_cohomology(get_algebra(f"function:{name}"))
+        out = check_mean_vs_cohomology(Workspace(get_algebra(f"function:{name}"), 3))
         assert out.passed, (name, out.details)
 
 
 def test_mean_crosscheck_requires_identity():
     with pytest.raises(ValueError):
-        check_mean_vs_cohomology(get_algebra("function:leftzero2"))
+        check_mean_vs_cohomology(Workspace(get_algebra("function:leftzero2"), 3))
 
 
 def test_graded_cocycles_z2_and_s3():
     for name in ("Z2", "S3"):
-        out = check_graded_cocycles(get_algebra(f"group:{name}"))
+        out = check_graded_cocycles(Workspace(get_algebra(f"group:{name}"), 3))
         assert out.passed, (name, out.details)
 
 
@@ -252,7 +252,7 @@ def test_graded_cocycles_reject_a_tampered_cocycle(monkeypatch, idx, w, s, t, di
     alpha[w * bic.space_dim + s * h.dim + t] += ONE
     tampered = cocycles[:idx] + [tuple(alpha)] + cocycles[idx + 1 :]
     monkeypatch.setattr(amenability, "kernel_basis", lambda m: tampered if m is d_1 else kernel_basis(m))
-    out = check_graded_cocycles(h, 3, ws)
+    out = check_graded_cocycles(ws)
     expected = [
         f"1-cocycle space dimension: {len(cocycles)}",
         f"cocycle {idx}: two-term identity fails at ({s},{t})",
@@ -266,7 +266,7 @@ def test_graded_cocycles_reject_a_tampered_cocycle(monkeypatch, idx, w, s, t, di
 
 
 def test_rzid3_restricted_h1_nonzero_both_ways():
-    out = check_mean_vs_cohomology(get_algebra("function:rzid3"))
+    out = check_mean_vs_cohomology(Workspace(get_algebra("function:rzid3"), 3))
     assert out.passed
     assert any("feasible: False" in d for d in out.details)
     assert any("coboundary: False" in d for d in out.details)

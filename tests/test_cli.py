@@ -213,7 +213,7 @@ def test_failed_crosscheck_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         tasks_mod,
         "check_codiagonal_vanishing",
-        lambda h, cap=3, workspace=None: CheckOutcome("codiagonal-vanishing", False, ("forced failure",)),
+        lambda ws: CheckOutcome("codiagonal-vanishing", False, ("forced failure",)),
     )
     assert main(["--catalog", "group:Z2", "verify"]) == 1
     capsys.readouterr()
@@ -368,6 +368,72 @@ def test_comodule_name_clashes_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 11" in captured.err
+
+
+BLOCKS_JOB = """\
+algebra = inline-function
+tasks = axioms
+begin cayley
+  identity = 0
+  row 0 1
+  row 1 1
+end
+begin comodule X
+  dim = 2
+  gamma = trivial
+  begin beta
+    row 1 0
+    row 1 0
+    row 0 1
+    row 0 1
+  end
+end
+"""
+BETA_BLOCK = "  begin beta\n    row 1 0\n    row 1 0\n    row 0 1\n    row 0 1\n  end\n"
+GAMMA_BLOCK = BETA_BLOCK.replace("beta", "gamma")
+
+# (line replaced, its replacement, the line the error names, the message)
+BAD_BLOCK_LINES = {
+    "dim-prefix": ("  dim = 2\n", "  dimension = 2\n", 9, "unexpected line in comodule block: 'dimension = 2'"),
+    "gamma-prefix": ("  gamma = trivial\n", "  gammas = zero\n", 10, "unexpected line in comodule block: 'gammas = zero'"),
+    "identity-prefix": ("  identity = 0\n", "  identityx = 0\n", 4, "unexpected line in cayley block: 'identityx = 0'"),
+    "negative-dim": ("  dim = 2\n", "  dim = -1\n", 9, "dim must be >= 0, got -1"),
+    "repeated-dim": ("  gamma = trivial\n", "  gamma = trivial\n  dim = 3\n", 11, "duplicate dim"),
+    "repeated-gamma": ("  gamma = trivial\n", "  gamma = trivial\n  gamma = zero\n", 11, "duplicate gamma"),
+    "gamma-then-gamma-block": ("  gamma = trivial\n", "  gamma = trivial\n" + GAMMA_BLOCK, 11, "duplicate gamma"),
+    "repeated-beta-block": ("  end\nend\n", "  end\n" + BETA_BLOCK + "end\n", 17, "duplicate beta"),
+    "repeated-gamma-block": ("  gamma = trivial\n", GAMMA_BLOCK + GAMMA_BLOCK, 16, "duplicate gamma"),
+    "repeated-identity": ("  identity = 0\n", "  identity = 0\n  identity = none\n", 5, "duplicate identity"),
+    "repeated-cayley": ("  end\nend\n", "  end\nend\nbegin cayley\n  row 0\nend\n", 18, "duplicate cayley block"),
+}
+
+
+def test_block_keys_parse_exactly():
+    job = parse_input(BLOCKS_JOB)
+    assert (job.cayley.identity, job.comodules[0].dim, job.comodules[0].gamma) == (0, 2, "trivial")
+    assert parse_input(render(job)) == job
+    spaced = parse_input(BLOCKS_JOB.replace("  dim = 2\n", "  dim=2\n").replace("identity = 0", "identity=none"))
+    assert (spaced.cayley.identity, spaced.comodules[0].dim) == (None, 2)
+    assert parse_input(render(spaced)) == spaced
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOCK_LINES))
+def test_bad_block_line_rejected_with_its_line(case):
+    old, new, line, message = BAD_BLOCK_LINES[case]
+    assert BLOCKS_JOB.count(old) == 1
+    with pytest.raises(JobParseError) as err:
+        parse_input(BLOCKS_JOB.replace(old, new))
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_repeated_block_setting_exits_two(tmp_path, capsys):
+    job = tmp_path / "repeat.job"
+    old, new, line, message = BAD_BLOCK_LINES["repeated-dim"]
+    job.write_text(BLOCKS_JOB.replace(old, new))
+    assert main(["--input", str(job), "report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {message}\n"
 
 
 REGISTRY_TOKENS = [t.name for t in TASKS if t is not COHOMOLOGY] + [f"cohomology:{k}:0-1" for k in KINDS]

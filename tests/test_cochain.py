@@ -128,12 +128,15 @@ def test_complex_constructor_rejects_broken_chain(case):
 
 
 def test_degree_cap_enforced():
+    """The cap's one owner, the built complex, refuses a degree at or past it."""
     h = get_algebra("group:Z2")
     b = unit_leg_bicomodule(h, 1)
-    with pytest.raises(ValueError):
-        natural_coboundary(b, 3, degree_cap=3)
-    with pytest.raises(ValueError):
-        dual_coboundary(b, 5, degree_cap=3)
+    for kind in ("natural", "dual", "bar"):
+        with pytest.raises(ValueError, match="below the degree cap"):
+            build_complex(b, kind, 3).boundary(3)
+    ws = Workspace(h, 3)
+    with pytest.raises(ValueError, match="below the degree cap"):
+        identify_dual_with_bar(ws, b, ws.degree_cap)
 
 
 # -- cohomology --------------------------------------------------------------
@@ -277,14 +280,12 @@ def test_workspace_builds_each_complex_once(monkeypatch):
     ws = Workspace(h, 3)
     for _, b in ws.bicomodules():
         for n in range(3):
-            assert identify_dual_with_natural(b, n, 3, ws).holds
-            assert identify_dual_with_bar(b, n, 3, ws).holds
+            assert identify_dual_with_natural(ws, b, n).holds
+            assert identify_dual_with_bar(ws, b, n).holds
             assert ws.cohomology_of(b, "dual", n) is ws.cohomology_of(b, "dual", n)
     # per bicomodule: dual, natural of the dual bicomodule; the bar side of
     # identify_dual_with_bar is a boundary compared alone, not a built complex
     assert sorted(built) == sorted(["dual", "natural"] * len(ws.bicomodules()))
-    with pytest.raises(ValueError):
-        identify_dual_with_bar(b, 0, 2, ws)
 
 
 def conjugacy_class_count(g):
@@ -324,7 +325,7 @@ def test_dual_vs_natural_on_dual_bicomodule(name):
     h = get_algebra(name)
     b = Bicomodule(regular_right_coaction(h), regular_left_coaction(h))
     for n in range(3):
-        assert identify_dual_with_natural(b, n).holds
+        assert identify_dual_with_natural(Workspace(h, 3), b, n).holds
 
 
 def test_dual_vs_bar_bit_identical():
@@ -335,7 +336,7 @@ def test_dual_vs_bar_bit_identical():
             with_trivial_gamma(regular_right_coaction(h)),
         ):
             for n in range(3):
-                assert identify_dual_with_bar(b, n).holds
+                assert identify_dual_with_bar(Workspace(h, 3), b, n).holds
                 assert dual_coboundary(b, n) == bar_dual_coboundary(b, n)
 
 
@@ -559,7 +560,7 @@ def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
                 cx = ws.complex_of(haar_side, "dual")
                 homotopy_from_haar(haar_side, n, kernel_basis(cx.boundary(n)), phi, cx=cx)
     if h.kind == "function" and h.monoid.has_identity:
-        check_mean_vs_cohomology(h, 3, ws)  # the mean's primitive, where a mean exists
+        check_mean_vs_cohomology(ws)  # the mean's primitive, where a mean exists
     if name not in NO_CODIAGONAL:
         f = find_codiagonal(h).certificate.functional
         for entry in ws.catalog:

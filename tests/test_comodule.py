@@ -245,6 +245,56 @@ def test_catalog_entries_all_valid():
             assert isinstance(entry.beta_nondegenerate, tuple)
 
 
+def _count_span_tests(monkeypatch) -> list:
+    """Wrap both non-degeneracy tests; each call appends (side, id of the coaction)."""
+    from hopfcoh import comodule
+
+    calls = []
+    for side, name in (("beta", "check_nondegenerate"), ("gamma", "check_nondegenerate_left")):
+        original = getattr(comodule, name)
+        monkeypatch.setattr(comodule, name, lambda c, side=side, f=original: calls.append((side, id(c))) or f(c))
+    return calls
+
+
+def test_cohomology_table_jobs_run_no_span_test(monkeypatch):
+    """The fn-S3-tables jobs read no non-degeneracy flag, so none is computed."""
+    from hopfcoh.jobfile import JobSpec
+    from hopfcoh.report import run
+
+    calls = _count_span_tests(monkeypatch)
+    for kind in ("dual", "natural"):
+        assert run(JobSpec(algebra="function:S3", tasks=("axioms", f"cohomology:{kind}:0-2")))["consistent"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_lazy_flags_equal_the_span_tests(name):
+    for entry in catalog_bicomodules(get_algebra(name)):
+        assert "beta_nondegenerate" not in vars(entry) and "gamma_nondegenerate" not in vars(entry)
+        beta, gamma = check_nondegenerate(entry.bicomodule.beta), check_nondegenerate_left(entry.bicomodule.gamma)
+        assert (entry.beta_nondegenerate, entry.gamma_nondegenerate) == (beta, gamma)
+        assert entry.has_nondegenerate_side == any(beta + gamma)
+
+
+@pytest.mark.parametrize("name", ["group:S3", "kp8", "function:Z3"])
+def test_check_b20_tests_each_entry_and_side_at_most_once(name, monkeypatch):
+    from collections import Counter
+
+    from hopfcoh.cochain import Workspace
+    from hopfcoh.tasks import lookup
+
+    calls = _count_span_tests(monkeypatch)
+    ws = Workspace(get_algebra(name), 3)
+    assert lookup("check-B20").run(ws, "check-B20")["passed"]
+    assert calls
+    for entry in ws.catalog:  # every flag read again, after the check
+        entry.has_nondegenerate_side, entry.beta_nondegenerate, entry.gamma_nondegenerate
+    # regular and regular-trivial-left share one right coaction, so count per holder
+    holders = Counter(("beta", id(e.bicomodule.beta)) for e in ws.catalog)
+    holders += Counter(("gamma", id(e.bicomodule.gamma)) for e in ws.catalog)
+    assert all(holders[call] >= n for call, n in Counter(calls).items())
+
+
 def test_regular_bicomodule_reduces_to_coassociativity():
     h = get_algebra("group:Z2")
     from hopfcoh.comodule import regular_left_coaction

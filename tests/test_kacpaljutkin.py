@@ -5,6 +5,7 @@ exactly, the algebra is saturated, and it is neither commutative nor
 cocommutative (so it is not a function or group algebra in disguise).
 """
 from hopfcoh.amenability import check_codiagonal_vanishing, find_codiagonal
+from hopfcoh.cochain import Workspace
 from hopfcoh.catalog import get_algebra
 from hopfcoh.hopf import check_axioms, check_saturated, counit_find
 from hopfcoh.kacpaljutkin import kac_paljutkin
@@ -36,7 +37,7 @@ def test_kp8_counit_two_sided():
 def test_kp8_codiagonal_and_vanishing():
     h = get_algebra("kp8")
     assert find_codiagonal(h).certificate is not None
-    out = check_codiagonal_vanishing(h)
+    out = check_codiagonal_vanishing(Workspace(h, 3))
     assert out.passed, out.details
 
 
