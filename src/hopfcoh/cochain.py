@@ -15,7 +15,7 @@ complex and the transpose of the bar boundary agree entrywise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .comodule import (
     Bicomodule,
@@ -175,17 +175,15 @@ class CochainComplex:
         return self._reduced[n]
 
 
-def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3) -> CochainComplex:
-    """Assemble coboundaries D_0..D_{cap-1}; the chain property is re-verified."""
+def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3, boundary=None) -> CochainComplex:
+    """Assemble D_n = boundary(n) (default: the kind's builder), n < cap; the chain property is re-verified."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown complex kind {kind!r}")
     if kind == "restricted" and not _gamma_is_trivial(b):
         raise ValueError("restricted complex needs gamma = 1 (x) id")
-    builder = _BUILDERS[kind]
-    x, s = b.space_dim, b.hopf.dim
-    degrees = tuple(x * s**n for n in range(degree_cap + 1))
-    bounds = tuple(builder(b, n) for n in range(degree_cap))
-    return CochainComplex(kind, degrees, bounds)
+    boundary = boundary or (lambda n: _BUILDERS[kind](b, n))
+    degrees = tuple(b.space_dim * b.hopf.dim**n for n in range(degree_cap + 1))
+    return CochainComplex(kind, degrees, tuple(boundary(n) for n in range(degree_cap)))
 
 
 def _gamma_is_trivial(b: Bicomodule) -> bool:
@@ -199,7 +197,6 @@ def _gamma_is_trivial(b: Bicomodule) -> bool:
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    degree: int
     dim_kernel: int  # dim ker D_n
     dim_image_prev: int  # rank D_{n-1}
 
@@ -226,7 +223,7 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     if n and dim:
         full = len(kernel_basis(cx.boundary(n)))
         certify(rank_prev + dim == full, f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
-    return CohomologyResult(n, rank_prev + dim, rank_prev)
+    return CohomologyResult(rank_prev + dim, rank_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +233,10 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
 class Workspace:
     """What one job computes once and shares between its tasks.
 
-    Holds the bicomodule catalog, one complex per (bicomodule, kind), one H^n
-    per (bicomodule, kind, degree) and what tasks share through `once` (the
-    invariant mean).  Entries are keyed by the bicomodule object and keep it
-    alive, so a key never passes to another bicomodule.
+    Holds the bicomodule catalog, one complex per (bicomodule, kind), one
+    boundary and one H^n per (bicomodule, kind, degree) and what tasks share
+    through `once` (the invariant mean).  Entries are keyed by the bicomodule
+    object and keep it alive, so a key never passes to another bicomodule.
     """
 
     def __init__(self, h, degree_cap: int = 3, explicit=()):
@@ -280,10 +277,15 @@ class Workspace:
 
         return self._cached("restricted", b, None, find)
 
+    def boundary(self, b: Bicomodule, kind: str, n: int) -> Matrix:
+        """D_n of b's complex of this kind, built once: the complex and check-C15 read it."""
+        return self._cached("D", b, (kind, n), lambda: _BUILDERS[kind](b, n))
+
     def complex_of(self, b: Bicomodule, kind: str) -> CochainComplex:
         if kind == "restricted":
             return self.complex_of(self._restriction(b), "dual")
-        return self._cached("complex", b, kind, lambda: build_complex(b, kind, self.degree_cap))
+        boundary = partial(self.boundary, b, kind)
+        return self._cached("complex", b, kind, lambda: build_complex(b, kind, self.degree_cap, boundary))
 
     def cohomology_of(self, b: Bicomodule, kind: str, n: int) -> CohomologyResult:
         if kind == "restricted":
@@ -314,30 +316,25 @@ def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tup
 def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual complex of X vs natural complex of the dual bicomodule on X^*.
 
-    Checks the chain-level sign identity  R d_n^{natural-dual} = (-1)^{n+1}
-    d_n^{dual} R  entrywise (R the flattening reshuffle), then that the two
-    H^n dimensions agree, all read from ws (so n < ws.degree_cap).
+    Checks  R d_n^{natural-dual} = (-1)^{n+1} d_n^{dual} R  entrywise, R the
+    flattening reshuffle (a bijective reindex).  In every degree that is an
+    isomorphism of complexes, so the H^n agree with no elimination.  Only D_n
+    of the natural side is built; the dual side is ws's (so n < ws.degree_cap).
     """
-    dual_b = ws.dual(b)
-    nat = ws.complex_of(dual_b, "natural").boundary(n)
     dua = ws.complex_of(b, "dual").boundary(n)
-    lhs, rhs = sign_identity_sides(nat, dua, b.space_dim, b.hopf.dim, n)
+    lhs, rhs = sign_identity_sides(natural_coboundary(ws.dual(b), n), dua, b.space_dim, b.hopf.dim, n)
     if lhs != rhs:
         return IdentificationReport(False, "sign identity fails entrywise")
-    d_nat = ws.cohomology_of(dual_b, "natural", n).dim
-    d_dual = ws.cohomology_of(b, "dual", n).dim
-    if d_nat != d_dual:
-        return IdentificationReport(False, "H dimensions differ")
     return IdentificationReport(True, "sign identity and H-dims agree")
 
 
 def identify_dual_with_bar(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual coboundary vs transpose of the bar boundary: must be bit-identical.
 
-    The dual side is the workspace's, so n must lie below ws.degree_cap.
-    The bar side is built alone, not as a complex: equal to the checked
-    dual boundary, it needs no chain check of its own."""
-    if ws.complex_of(b, "dual").boundary(n) != bar_dual_coboundary(b, n):
+    Both sides are the workspace's (so n < ws.degree_cap), and a bar complex
+    reads the same boundary.  Equal to the chain-checked dual boundary, the
+    bar side needs no complex or chain check of its own."""
+    if ws.complex_of(b, "dual").boundary(n) != ws.boundary(b, "bar", n):
         return IdentificationReport(False, "matrices differ")
     return IdentificationReport(True, "matrices bit-identical")
 

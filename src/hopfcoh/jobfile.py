@@ -98,6 +98,8 @@ def parse_input(text: str) -> JobSpec:
             block = content[6:].strip().split()
             kind = block[0] if block else ""
             if kind == "cayley":
+                if len(block) != 1:
+                    raise JobParseError(no, f"unexpected words after 'begin cayley': {' '.join(block[1:])!r}")
                 if cayley is not None:
                     raise JobParseError(no, "duplicate cayley block")
                 cayley = _parse_cayley(lines, no)

@@ -171,7 +171,8 @@ def run_suite(names, degree_cap: int = 3, tasks=None, log=None) -> dict:
     """Run one job on several catalog algebras; one combined report.
 
     The default tasks are the report verb's, without the natural cohomology
-    table (check-C10 already compares it with the dual one).
+    table.  check-C10 does not check that table: it identifies the dual
+    complex of X with the natural complex of X^*, not of X.
     """
     if tasks is None:
         tasks = for_verb("report", kinds=("dual",))

@@ -404,6 +404,12 @@ BAD_BLOCK_LINES = {
     "repeated-beta-block": ("  end\nend\n", "  end\n" + BETA_BLOCK + "end\n", 17, "duplicate beta"),
     "repeated-gamma-block": ("  gamma = trivial\n", GAMMA_BLOCK + GAMMA_BLOCK, 16, "duplicate gamma"),
     "repeated-identity": ("  identity = 0\n", "  identity = 0\n  identity = none\n", 5, "duplicate identity"),
+    "cayley-header-words": (
+        "begin cayley\n",
+        "begin cayley of something else\n",
+        3,
+        "unexpected words after 'begin cayley': 'of something else'",
+    ),
     "repeated-cayley": ("  end\nend\n", "  end\nend\nbegin cayley\n  row 0\nend\n", 18, "duplicate cayley block"),
 }
 

@@ -31,6 +31,7 @@ from hopfcoh.comodule import (
     with_trivial_gamma,
 )
 from hopfcoh.hopf import haar_state
+from hopfcoh.jobfile import JobSpec
 from hopfcoh.linalg import (
     CertificateError,
     Matrix,
@@ -41,6 +42,7 @@ from hopfcoh.linalg import (
     tensor_permutation,
     unit_vec,
 )
+from hopfcoh.report import run
 from hopfcoh.scalars import I, ONE, Scalar
 from reference import ref_certify_homotopy, reference_bookkeeping, reference_kernel
 
@@ -265,17 +267,28 @@ def test_cohomology_eliminates_each_boundary_once(monkeypatch):
     assert Counter(seen) == Counter(expected)
 
 
+def _counted(counts, kind, builder):
+    """builder(b, n), counting each call under (kind, id(b), n)."""
+
+    def wrapper(b, n):
+        counts[kind, id(b), n] += 1
+        return builder(b, n)
+
+    return wrapper
+
+
 def test_workspace_builds_each_complex_once(monkeypatch):
     from hopfcoh import cochain
 
-    built = []
+    built, calls = [], Counter()
     original = cochain.build_complex
 
-    def counting(b, kind, degree_cap=3):
+    def counting(b, kind, *args):
         built.append(kind)
-        return original(b, kind, degree_cap)
+        return original(b, kind, *args)
 
     monkeypatch.setattr(cochain, "build_complex", counting)
+    monkeypatch.setattr(cochain, "natural_coboundary", _counted(calls, "natural", natural_coboundary))
     h = get_algebra("group:Z2")
     ws = Workspace(h, 3)
     for _, b in ws.bicomodules():
@@ -283,9 +296,81 @@ def test_workspace_builds_each_complex_once(monkeypatch):
             assert identify_dual_with_natural(ws, b, n).holds
             assert identify_dual_with_bar(ws, b, n).holds
             assert ws.cohomology_of(b, "dual", n) is ws.cohomology_of(b, "dual", n)
-    # per bicomodule: dual, natural of the dual bicomodule; the bar side of
-    # identify_dual_with_bar is a boundary compared alone, not a built complex
-    assert sorted(built) == sorted(["dual", "natural"] * len(ws.bicomodules()))
+    # per bicomodule: one dual complex; check-C10 builds one natural coboundary
+    # per degree on the dual bicomodule and no natural complex, and the bar
+    # side of identify_dual_with_bar is a boundary compared alone
+    assert sorted(built) == ["dual"] * len(ws.bicomodules())
+    assert set(calls) == {("natural", id(ws.dual(b)), n) for _, b in ws.bicomodules() for n in range(3)}
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("tasks", [("cohomology:bar:0-2", "check-C15"), ("check-C15", "cohomology:bar:0-2")])
+def test_each_bar_boundary_built_once_per_job(monkeypatch, tasks):
+    """The bar table's complex and check-C15 read one boundary per (bicomodule,
+    degree), whichever task runs first."""
+    from hopfcoh import cochain
+
+    calls = Counter()
+    counting = _counted(calls, "bar", bar_dual_coboundary)
+    monkeypatch.setattr(cochain, "bar_dual_coboundary", counting)
+    monkeypatch.setitem(cochain._BUILDERS, "bar", counting)
+    report = run(JobSpec(algebra="group:Z2", tasks=tasks, degree_cap=3))
+    assert report["consistent"] is True
+    names = report["tasks"]["cohomology:bar:0-2"]
+    assert len(calls) == 3 * len(names) and set(calls.values()) == {1}
+
+
+def _tampered(builder, degree):
+    """builder with one entry of its degree-`degree` boundary changed."""
+
+    def wrapper(b, n):
+        d = builder(b, n)
+        return d + Matrix(d.rows, d.cols, {(0, 0): ONE}) if n == degree else d
+
+    return wrapper
+
+
+def test_check_c10_fails_in_the_tampered_degree_only(monkeypatch):
+    from hopfcoh import cochain
+
+    monkeypatch.setattr(cochain, "natural_coboundary", _tampered(natural_coboundary, 1))
+    report = run(JobSpec(algebra="group:Z2", tasks=("check-C10",), degree_cap=3))
+    assert report["consistent"] is False and report["tasks"]["check-C10"]["passed"] is False
+    for per in report["tasks"]["check-C10"]["results"].values():
+        assert per["1"] == {"holds": False, "detail": "sign identity fails entrywise"}
+        assert per["0"] == per["2"] == {"holds": True, "detail": "sign identity and H-dims agree"}
+
+
+def test_check_c15_fails_in_the_tampered_degree_only(monkeypatch):
+    from hopfcoh import cochain
+
+    tampered = _tampered(bar_dual_coboundary, 2)
+    # the workspace builds each kind's boundaries through _BUILDERS
+    monkeypatch.setattr(cochain, "bar_dual_coboundary", tampered)
+    monkeypatch.setitem(cochain._BUILDERS, "bar", tampered)
+    report = run(JobSpec(algebra="function:Z2", tasks=("check-C15",), degree_cap=3))
+    assert report["consistent"] is False and report["tasks"]["check-C15"]["passed"] is False
+    for per in report["tasks"]["check-C15"]["results"].values():
+        assert per["2"] == {"holds": False, "detail": "matrices differ"}
+        assert per["0"] == per["1"] == {"holds": True, "detail": "matrices bit-identical"}
+
+
+def test_check_c10_eliminates_nothing(monkeypatch):
+    """check-C10 alone builds each dual complex, chain-checked, and no natural
+    complex, and calls kernel_basis nowhere."""
+    import hopfcoh
+    from hopfcoh import cochain, linalg
+
+    built = []
+    original = cochain.build_complex
+    monkeypatch.setattr(cochain, "build_complex", lambda b, kind, *a: built.append(kind) or original(b, kind, *a))
+    for name in dir(hopfcoh):
+        module = getattr(hopfcoh, name)
+        if getattr(module, "kernel_basis", None) is linalg.kernel_basis:
+            monkeypatch.setattr(module, "kernel_basis", lambda m: pytest.fail("kernel_basis ran"))
+    report = run(JobSpec(algebra="function:S3", tasks=("check-C10",), degree_cap=3))
+    assert report["consistent"] is True
+    assert built and set(built) == {"dual"}
 
 
 def conjugacy_class_count(g):
