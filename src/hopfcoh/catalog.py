@@ -75,6 +75,5 @@ def get_algebra(name: str) -> HopfStarAlgebra:
 
 
 def default_suite():
-    """The (algebra name, algebra) pairs exercised by the cross-check suite."""
-    names = [f"function:{n}" for n in MONOID_NAMES] + [f"group:{n}" for n in GROUP_NAMES]
-    return [(n, get_algebra(n)) for n in sorted(names)]
+    """The algebra names exercised by the cross-check suite."""
+    return sorted([f"function:{n}" for n in MONOID_NAMES] + [f"group:{n}" for n in GROUP_NAMES])

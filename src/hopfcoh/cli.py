@@ -88,7 +88,7 @@ def main(argv=None) -> int:
             fmt = job.format
         elif args.catalog == "all":
             report = run_suite(
-                [name for name, _ in catalog.default_suite()],
+                catalog.default_suite(),
                 degree_cap=cap or 3,
                 tasks=None if args.verb == "report" else verb_tasks,
                 log=log,

@@ -234,8 +234,8 @@ class Workspace:
     """What one job computes once and shares between its tasks.
 
     Holds the bicomodule catalog, one complex per (bicomodule, kind), one
-    boundary and one H^n per (bicomodule, kind, degree) and what tasks share
-    through `once` (the invariant mean).  Entries are keyed by the bicomodule
+    boundary and one H^n per (bicomodule, kind, degree), check-C10's squares
+    and what tasks share through `once` (the invariant mean).  Entries are keyed by the bicomodule
     object and keep it alive, so a key never passes to another bicomodule.
     """
 
@@ -317,14 +317,21 @@ def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> Identifi
     """Dual complex of X vs natural complex of the dual bicomodule on X^*.
 
     Checks  R d_n^{natural-dual} = (-1)^{n+1} d_n^{dual} R  entrywise, R the
-    flattening reshuffle (a bijective reindex).  In every degree that is an
-    isomorphism of complexes, so the H^n agree with no elimination.  Only D_n
-    of the natural side is built; the dual side is ws's (so n < ws.degree_cap).
+    flattening reshuffle (a bijective reindex).  With the squares of degrees
+    n-1 and n, R carries ker D_n and Im D_{n-1}, so H^n agrees with no
+    elimination.  Each square is checked once per job, from the natural D_m
+    built afresh and ws's dual D_m (so n < ws.degree_cap).
     """
-    dua = ws.complex_of(b, "dual").boundary(n)
-    lhs, rhs = sign_identity_sides(natural_coboundary(ws.dual(b), n), dua, b.space_dim, b.hopf.dim, n)
-    if lhs != rhs:
+
+    def square(m):
+        dua = ws.complex_of(b, "dual").boundary(m)
+        lhs, rhs = sign_identity_sides(natural_coboundary(ws.dual(b), m), dua, b.space_dim, b.hopf.dim, m)
+        return lhs == rhs
+
+    if not ws._cached("C10", b, n, partial(square, n)):
         return IdentificationReport(False, "sign identity fails entrywise")
+    if n and not ws._cached("C10", b, n - 1, partial(square, n - 1)):
+        return IdentificationReport(True, f"sign identity holds; H-dims not transported: degree {n - 1} fails")
     return IdentificationReport(True, "sign identity and H-dims agree")
 
 
@@ -412,8 +419,8 @@ def homotopy_from_codiagonal(
     """Certify D_{n-1} K_n + K_{n+1} D_n = id on C^n for the codiagonal contraction K
     (see codiagonal_contraction), so every n-cocycle z is D_{n-1}(K_n z).
 
-    Returns K_{n+1}, which the next degree's call takes as its k_n instead
-    of building K_n again; k_n = None builds it here.
+    Returns K_{n+1}, the next degree's k_n.  A given k_n (such as check-B18's
+    pick) is used as K_n, so every n-cocycle z is D_{n-1}(k_n z); None builds K_n.
     """
     if side not in ("beta", "gamma"):
         raise ValueError("side must be 'beta' or 'gamma'")

@@ -52,7 +52,7 @@ def resolve_algebra(job: JobSpec):
     try:
         return catalog.get_algebra(name)
     except KeyError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(exc.args[0]) from exc
 
 
 def _explicit_bicomodules(job: JobSpec, h):

@@ -1,12 +1,12 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from hopfcoh import amenability
 from hopfcoh.amenability import (
     canonical_mean_cocycle,
     check_codiagonal_vanishing,
@@ -16,9 +16,9 @@ from hopfcoh.amenability import (
     find_invariant_mean,
     kronecker_codiagonal,
 )
-from hopfcoh.catalog import get_algebra, get_group, get_monoid
+from hopfcoh.catalog import GROUP_NAMES, get_algebra, get_group, get_monoid
 from hopfcoh.cochain import Workspace, dual_coboundary
-from hopfcoh.linalg import CertificateError, Matrix, kernel_basis, solve, vec_dot
+from hopfcoh.linalg import CertificateError, Matrix, solve, vec_dot
 from hopfcoh.scalars import ONE, Scalar
 
 
@@ -230,39 +230,84 @@ def test_mean_crosscheck_requires_identity():
         check_mean_vs_cohomology(Workspace(get_algebra("function:leftzero2"), 3))
 
 
-def test_graded_cocycles_z2_and_s3():
-    for name in ("Z2", "S3"):
-        out = check_graded_cocycles(Workspace(get_algebra(f"group:{name}"), 3))
-        assert out.passed, (name, out.details)
-
-
-@pytest.mark.parametrize(
-    "idx, w, s, t, diagonal",
-    [(0, 0, 0, 1, False), (1, 2, 0, 1, False), (2, 1, 1, 1, True)],
-)
-def test_graded_cocycles_reject_a_tampered_cocycle(monkeypatch, idx, w, s, t, diagonal):
-    """One unit added at alpha(x_(s,t))'s u_w coordinate breaks both identities
-    on that component (and the diagonal one there) and the reconstruction."""
-    h = get_algebra("group:Z3")
-    ws = Workspace(h, 3)
-    bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
-    d_1 = ws.complex_of(bic, "dual").boundary(1)
-    cocycles = kernel_basis(d_1)
-    alpha = list(cocycles[idx])
-    alpha[w * bic.space_dim + s * h.dim + t] += ONE
-    tampered = cocycles[:idx] + [tuple(alpha)] + cocycles[idx + 1 :]
-    monkeypatch.setattr(amenability, "kernel_basis", lambda m: tampered if m is d_1 else kernel_basis(m))
+@pytest.mark.parametrize("cap", [2, 3, 4])
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_graded_cocycles_pass_on_every_catalog_group(name, cap):
+    ws = Workspace(get_algebra(f"group:{name}"), cap)
     out = check_graded_cocycles(ws)
-    expected = [
-        f"1-cocycle space dimension: {len(cocycles)}",
-        f"cocycle {idx}: two-term identity fails at ({s},{t})",
-        f"cocycle {idx}: mirrored identity fails at ({s},{t})",
-    ]
-    if diagonal:
-        expected.append(f"cocycle {idx}: diagonal component nonzero at {s}")
-    expected.append(f"cocycle {idx}: reconstructed functional fails d_0(f) = alpha")
+    bic = next(e.bicomodule for e in ws.catalog if e.name == "pair-graded")
+    assert out.passed, (name, cap, out.details)
+    assert out.details == (
+        f"1-cocycle space dimension: {ws.cohomology_of(bic, 'dual', 1).dim_kernel}",
+        "all cocycles reconstructed exactly",
+    )
+
+
+def test_graded_cocycles_reject_a_tampered_contraction(monkeypatch, tmp_path, capsys):
+    """One entry of K_2 changed, on a row of D_1 that is not zero, breaks
+    D_0 P + K_2 D_1 = id: a certificate failure naming degree 1, exit 1."""
+    from hopfcoh import cochain
+    from hopfcoh.cli import main
+
+    h = get_algebra("group:Z3")
+    bic = next(e.bicomodule for e in Workspace(h, 3).catalog if e.name == "pair-graded")
+    row = min(r for r, _ in dual_coboundary(bic, 1).entries)
+    original = cochain.codiagonal_contraction
+
+    def tampered(b, n, f, side):
+        k = original(b, n, f, side)
+        return k + Matrix(k.rows, k.cols, {(0, row): ONE}) if n == 2 else k
+
+    monkeypatch.setattr(cochain, "codiagonal_contraction", tampered)
+    message = "codiagonal homotopy fails D K + K D = id in degree 1"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        check_graded_cocycles(Workspace(h, 3))
+    job = tmp_path / "b18.job"
+    job.write_text("algebra = group:Z3\ntasks = check-B18\n")
+    assert main(["--input", str(job), "verify"]) == 1
+    assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
+
+
+def test_graded_cocycles_name_the_first_failing_component(monkeypatch):
+    """A doubled D_0 keeps the chain property but breaks D_0 = T in every
+    off-diagonal column; the first is (0,1)."""
+    from hopfcoh import cochain
+
+    original = cochain._BUILDERS["dual"]
+    monkeypatch.setitem(cochain._BUILDERS, "dual", lambda b, n: original(b, n).scale(2) if n == 0 else original(b, n))
+    out = check_graded_cocycles(Workspace(get_algebra("group:Z3"), 3))
     assert not out.passed
-    assert out.details == tuple(expected)
+    assert out.details == ("1-cocycle space dimension: 6", "two-term identity fails at (0,1)")
+
+
+def test_graded_cocycles_refuse_a_nonzero_h1_beside_the_identity(monkeypatch):
+    from hopfcoh.cochain import CohomologyResult
+
+    ws = Workspace(get_algebra("group:Z3"), 3)
+    monkeypatch.setattr(ws, "cohomology_of", lambda b, kind, n: CohomologyResult(6, 5))
+    out = check_graded_cocycles(ws)
+    assert not out.passed
+    assert out.details == ("1-cocycle space dimension: 6", "reduction reports H^1_d = 1 != 0")
+
+
+def test_graded_cocycles_eliminate_nothing_beyond_the_table(monkeypatch):
+    """check-B18 reads the table's dim ker D_1 and no kernel basis of its own."""
+    import hopfcoh
+    from hopfcoh import linalg
+    from hopfcoh.jobfile import JobSpec
+    from hopfcoh.report import run
+
+    calls, original = [], linalg.kernel_basis
+    for name in dir(hopfcoh):
+        module = getattr(hopfcoh, name)
+        if getattr(module, "kernel_basis", None) is original:
+            monkeypatch.setattr(module, "kernel_basis", lambda m: calls.append(m.cols) or original(m))
+    counts = []
+    for tasks in (("axioms", "cohomology:dual:0-2"), ("axioms", "cohomology:dual:0-2", "check-B18")):
+        calls.clear()
+        assert run(JobSpec(algebra="group:S3", tasks=tasks, degree_cap=3))["consistent"] is True
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_rzid3_restricted_h1_nonzero_both_ways():

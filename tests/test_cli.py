@@ -157,6 +157,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algebra, message", [("group:Q8", "unknown group 'Q8'"), ("function:Q8", "unknown monoid 'Q8'")])
+def test_unknown_algebra_exits_two_with_its_message(algebra, message, tmp_path, capsys):
+    job = tmp_path / "q8.job"
+    job.write_text(f"algebra = {algebra}\ntasks = axioms\n")
+    for argv in (["--catalog", algebra, "check"], ["--input", str(job), "check"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_cli_verify_small(capsys):
     assert main(["--catalog", "function:Z2", "verify"]) == 0
     out = capsys.readouterr().out
@@ -252,7 +262,7 @@ def test_catalog_all_runs_the_verbs_tasks(capsys):
 
     assert main(["--catalog", "all", "check"]) == 0
     suite = json.loads(capsys.readouterr().out)["suite"]
-    assert list(suite) == [name for name, _ in default_suite()]
+    assert list(suite) == default_suite()
     for rep in suite.values():
         assert sorted(rep["tasks"]) == ["axioms", "counit", "saturation"]
 

@@ -331,14 +331,20 @@ def _tampered(builder, degree):
 
 
 def test_check_c10_fails_in_the_tampered_degree_only(monkeypatch):
+    """H^n is transported only when the squares of degrees n-1 and n both
+    commute, so degree 2 keeps its square but not its H-dims; each natural
+    coboundary is still built once."""
     from hopfcoh import cochain
 
-    monkeypatch.setattr(cochain, "natural_coboundary", _tampered(natural_coboundary, 1))
+    calls = Counter()
+    monkeypatch.setattr(cochain, "natural_coboundary", _counted(calls, "natural", _tampered(natural_coboundary, 1)))
     report = run(JobSpec(algebra="group:Z2", tasks=("check-C10",), degree_cap=3))
     assert report["consistent"] is False and report["tasks"]["check-C10"]["passed"] is False
     for per in report["tasks"]["check-C10"]["results"].values():
+        assert per["0"] == {"holds": True, "detail": "sign identity and H-dims agree"}
         assert per["1"] == {"holds": False, "detail": "sign identity fails entrywise"}
-        assert per["0"] == per["2"] == {"holds": True, "detail": "sign identity and H-dims agree"}
+        assert per["2"] == {"holds": True, "detail": "sign identity holds; H-dims not transported: degree 1 fails"}
+    assert len(calls) == 3 * len(report["tasks"]["check-C10"]["results"]) and set(calls.values()) == {1}
 
 
 def test_check_c15_fails_in_the_tampered_degree_only(monkeypatch):
