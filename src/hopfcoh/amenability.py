@@ -32,6 +32,7 @@ from .cochain import (
     homotopy_from_haar,
 )
 from .hopf import (
+    CounitSearch,
     HopfStarAlgebra,
     counit_find,
     group_algebra,
@@ -76,37 +77,20 @@ class CodiagonalSearch:
 
 
 def _codiagonal_system(h: HopfStarAlgebra):
-    """Rows of the linear system a codiagonal functional must satisfy."""
+    """F o delta = eps (rows 0..d-1: delta transposed) over the balance rows, the
+    tensors _residuals multiplies, kron(I, delta) - kron(delta, I), moved onto F's
+    coordinates.  A row (p, q, c) is kept when either tensor reaches it, even
+    where the two cancel, and the kept rows run in increasing (p, q, c)."""
     d = h.dim
-    # each coproduct column's nonzero entries delta(e_j)[a, b], read once:
-    # by the second leg b (for the left side) and by the first leg a (right side)
-    by_b: dict = {}
-    by_a: dict = {}
-    rows_entries: dict = {}
-    for (idx, j), v in h.comult.entries.items():
-        a, b = divmod(idx, d)
-        by_b.setdefault((j, b), []).append((a, v))
-        by_a.setdefault((j, a), []).append((b, v))
-        rows_entries[(j, idx)] = v  # F o delta = eps on e_j
-    rhs = list(h.counit)
-    row = d
-    # (F (x) id)(id (x) delta) = (id (x) F)(delta (x) id) on e_p (x) e_q, coord c
-    for p in range(d):
-        for q in range(d):
-            for c in range(d):
-                left, right = by_b.get((q, c), ()), by_a.get((p, c), ())
-                if not left and not right:
-                    continue
-                coeffs: dict = {}
-                for a, v in left:
-                    coeffs[p * d + a] = coeffs.get(p * d + a, 0) + v
-                for b, v in right:
-                    coeffs[b * d + q] = coeffs.get(b * d + q, 0) - v
-                for key, v in coeffs.items():
-                    rows_entries[(row, key)] = v
-                rhs.append(Scalar(0))
-                row += 1
-    return Matrix(row, d * d, rows_entries), tuple(rhs)
+    i_s = Matrix.identity(d)
+    # kron(I, delta)[(p, a, c), (p, q)] = delta(e_q)[a, c] multiplies F[(p, a)] in row (p, q, c)
+    left = kron(i_s, h.comult).reindex(d**3, d * d, lambda r, pq: (pq * d + r % d, r // d))
+    # kron(delta, I)[(c, b, q), (p, q)] = delta(e_p)[c, b] multiplies F[(b, q)] in row (p, q, c)
+    right = kron(h.comult, i_s).reindex(d**3, d * d, lambda r, pq: (pq * d + r // (d * d), r % (d * d)))
+    kept = {pqc: d + i for i, pqc in enumerate(sorted({r for r, _ in left.support | right.support}))}
+    balance = (left - right).reindex(d + len(kept), d * d, lambda r, c: (kept[r], c))
+    system = h.comult.reindex(balance.rows, d * d, lambda idx, j: (j, idx)) + balance
+    return system, tuple(h.counit) + (Scalar(0),) * len(kept)
 
 
 def _residuals(h: HopfStarAlgebra, f: Vec):
@@ -160,6 +144,11 @@ def find_codiagonal(h: HopfStarAlgebra) -> CodiagonalSearch:
     return CodiagonalSearch(cert, solution_space_dim=system.cols - solver.rank)
 
 
+def job_counit(ws: Workspace) -> CounitSearch:
+    """The counit search of the job's algebra, run once per workspace."""
+    return ws.once("counit", lambda: counit_find(ws.hopf))
+
+
 def job_codiagonal(ws: Workspace) -> CodiagonalSearch:
     """The codiagonal search of the job's algebra, run once per workspace."""
     return ws.once("codiagonal", lambda: find_codiagonal(ws.hopf))
@@ -172,25 +161,24 @@ class KroneckerCodiagonal:
     block_structure_ok: bool  # Gram entry is 1 exactly within diagonal-difference classes
 
 
+def _kronecker_functional(n: int) -> Vec:
+    """F0(u_r (x) u_s) = [r == s] on the group algebra of an order-n group."""
+    return tuple(ONE if r == s else Scalar(0) for r in range(n) for s in range(n))
+
+
 def kronecker_codiagonal(g: FiniteGroup) -> KroneckerCodiagonal:
-    """The diagonal functional F0(u_r (x) u_s) = [r == s] on a group algebra."""
-    h = group_algebra(g)
+    """The diagonal functional F0 on a group algebra."""
     n = g.order
-    f = tuple(ONE if r == s else Scalar(0) for r in range(n) for s in range(n))
-    counit_res, balance = _residuals(h, f)
+    f = _kronecker_functional(n)
+    counit_res, balance = _residuals(group_algebra(g), f)
     gram_m = _pair_gram(g, f)
     gram = psd_check(gram_m)
     # the Gram matrix must be the block-of-ones pattern of the classes
     # (r, s) ~ (u, v) iff s r^{-1} = v u^{-1}
-    pairs = [(r, s) for r in range(n) for s in range(n)]
-    ok = True
-    for i, (r1, s1) in enumerate(pairs):
-        for j, (r2, s2) in enumerate(pairs):
-            same = g.mul(s1, g.inv(r1)) == g.mul(s2, g.inv(r2))
-            if gram_m[(i, j)] != (ONE if same else Scalar(0)):
-                ok = False
+    classes = [g.mul(s, g.inv(r)) for r in range(n) for s in range(n)]
+    blocks = Matrix(n * n, n * n, {(i, j): 1 for i, a in enumerate(classes) for j, b in enumerate(classes) if a == b})
     cert = CodiagonalCertificate(f, counit_res, balance, gram, None)
-    return KroneckerCodiagonal(cert, gram, ok)
+    return KroneckerCodiagonal(cert, gram, gram_m == blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +272,7 @@ def check_codiagonal_vanishing(ws: Workspace) -> CheckOutcome:
     comodule must be nonzero.
     """
     h, details = ws.hopf, []
-    eps = counit_find(h)
-    if eps.functional is None:
+    if job_counit(ws).functional is None:
         reg = one_sided(regular_right_coaction(h))
         h1 = ws.cohomology_of(reg, "dual", 1).dim
         details.append(f"counit absent (certificate held); H^1_d one-sided regular = {h1}")
@@ -406,13 +393,12 @@ def check_graded_cocycles(ws: Workspace) -> CheckOutcome:
     two_term = {
         (w * x + s * n + t, s * n + t): c for s in range(n) for t in range(n) if s != t for w, c in ((s, 1), (t, -1))
     }
-    failing = {j for _, j in (cx.boundary(0) - Matrix(n * x, x, two_term)).entries}
+    failing = {j for _, j in (cx.boundary(0) - Matrix(n * x, x, two_term)).support}
     if failing:
         details.append("two-term identity fails at ({},{})".format(*divmod(min(failing), n)))
         return CheckOutcome("graded-cocycles", False, tuple(details))
     pick = Matrix(x, n * x, {(j, (j // n) * x + j): 1 for j in range(x)})
-    f0 = tuple(ONE if r == s else Scalar(0) for r in range(n) for s in range(n))
-    homotopy_from_codiagonal(bic, 1, f0, "beta", cx=cx, k_n=pick)
+    homotopy_from_codiagonal(bic, 1, _kronecker_functional(n), "beta", cx=cx, k_n=pick)
     ok = h1.dim == 0
     details.append("all cocycles reconstructed exactly" if ok else f"reduction reports H^1_d = {h1.dim} != 0")
     return CheckOutcome("graded-cocycles", ok, tuple(details))

@@ -214,13 +214,13 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     |Q_n| and dim ker D_n = |Q_n| + dim ker A_n.  kernel_basis certifies
     ker A_n.  Any |Q_n| <= rank D_{n-1} gives dim ker A_n >= dim ker D_n -
     |Q_n| >= dim H^n, so a wrong Q_n can only over-report; a nonzero answer
-    in degree n >= 1 is therefore checked against kernel_basis of the full D_n.
+    is checked against kernel_basis of D_n unless Q_n is empty (A_n = D_n).
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
     rank_prev = len(cx.reduction(n - 1)[0]) if n else 0
     dim = cx.reduction(n)[1]
-    if n and dim:
+    if rank_prev and dim:
         full = len(kernel_basis(cx.boundary(n)))
         certify(rank_prev + dim == full, f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
     return CohomologyResult(rank_prev + dim, rank_prev)
@@ -235,7 +235,7 @@ class Workspace:
 
     Holds the bicomodule catalog, one complex per (bicomodule, kind), one
     boundary and one H^n per (bicomodule, kind, degree), check-C10's squares
-    and what tasks share through `once` (the invariant mean).  Entries are keyed by the bicomodule
+    and what tasks share through `once` (counit, codiagonal, mean).  Entries are keyed by the bicomodule
     object and keep it alive, so a key never passes to another bicomodule.
     """
 

@@ -104,10 +104,7 @@ class AxiomReport:
 
 
 def _first_bad_column(a: Matrix, b: Matrix) -> Optional[int]:
-    if a == b:
-        return None
-    diff = a - b
-    return next(c for c in range(diff.cols) if any(diff.col(c)))
+    return min((c for _, c in (a - b).support), default=None)
 
 
 def check_axioms(h: HopfStarAlgebra) -> AxiomReport:

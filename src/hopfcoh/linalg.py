@@ -205,8 +205,13 @@ class Matrix:
         return dense({r: v for (r, c), v in self.entries.items() if c == j}, self.rows)
 
     @property
+    def support(self):
+        """The cells (r, c) of the nonzero entries."""
+        return self.re.keys() | self.im.keys() if self.im else self.re.keys()
+
+    @property
     def nnz(self) -> int:
-        return len(self.re.keys() | self.im.keys()) if self.im else len(self.re)
+        return len(self.support)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im

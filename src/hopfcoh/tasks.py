@@ -17,10 +17,11 @@ from .amenability import (
     check_graded_cocycles,
     check_mean_vs_cohomology,
     job_codiagonal,
+    job_counit,
     job_mean,
 )
 from .cochain import _BUILDERS, identify_dual_with_bar, identify_dual_with_natural
-from .hopf import check_axioms, check_saturated, counit_find, haar_state
+from .hopf import check_axioms, check_saturated, haar_state
 from .scalars import as_scalar, format_scalar
 
 KINDS = tuple(_BUILDERS)  # the complexes a cohomology task can name
@@ -53,7 +54,7 @@ def _saturation(ws, token):
 
 
 def _counit(ws, token):
-    c = counit_find(ws.hopf)
+    c = job_counit(ws)
     return {
         "exists": c.functional is not None,
         "functional": _vec_json(c.functional) if c.functional else None,

@@ -27,6 +27,10 @@ long way: one product and one `augment` per basis element t, and the
 product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
 every translate from one product.
 
+`ref_codiagonal_system` is the codiagonal system the long way: a triple
+loop over (p, q, c) with the coproduct's entries sorted into index tables
+by leg.  Production code reindexes kron(I, delta) and kron(delta, I).
+
 `ref_certify_homotopy` is the signed column-by-column homotopy certificate:
 each cocycle z gets its own primitive p and a sign with D p = +-z.
 Production code certifies D P = Z for all columns at once, and the
@@ -443,6 +447,41 @@ class TensorSpace:
             out.append(i % d)
             i //= d
         return tuple(reversed(out))
+
+
+def ref_codiagonal_system(h):
+    """(matrix, rhs) of F o delta = eps over the balance rows (p, q, c) that
+    either side reaches, in increasing (p, q, c)."""
+    d = h.dim
+    # each coproduct column's nonzero entries delta(e_j)[a, b], read once:
+    # by the second leg b (for the left side) and by the first leg a (right side)
+    by_b: dict = {}
+    by_a: dict = {}
+    rows_entries: dict = {}
+    for (idx, j), v in h.comult.entries.items():
+        a, b = divmod(idx, d)
+        by_b.setdefault((j, b), []).append((a, v))
+        by_a.setdefault((j, a), []).append((b, v))
+        rows_entries[(j, idx)] = v  # F o delta = eps on e_j
+    rhs = list(h.counit)
+    row = d
+    # (F (x) id)(id (x) delta) = (id (x) F)(delta (x) id) on e_p (x) e_q, coord c
+    for p in range(d):
+        for q in range(d):
+            for c in range(d):
+                left, right = by_b.get((q, c), ()), by_a.get((p, c), ())
+                if not left and not right:
+                    continue
+                coeffs: dict = {}
+                for a, v in left:
+                    coeffs[p * d + a] = coeffs.get(p * d + a, 0) + v
+                for b, v in right:
+                    coeffs[b * d + q] = coeffs.get(b * d + q, 0) - v
+                for key, v in coeffs.items():
+                    rows_entries[(row, key)] = v
+                rhs.append(Scalar(0))
+                row += 1
+    return Matrix(row, d * d, rows_entries), tuple(rhs)
 
 
 def ref_certify_homotopy(cx, n: int, cocycles, contraction: Matrix) -> tuple:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcoh import amenability
 from hopfcoh.amenability import (
     canonical_mean_cocycle,
     check_codiagonal_vanishing,
@@ -16,10 +18,13 @@ from hopfcoh.amenability import (
     find_invariant_mean,
     kronecker_codiagonal,
 )
-from hopfcoh.catalog import GROUP_NAMES, get_algebra, get_group, get_monoid
+from hopfcoh.catalog import GROUP_NAMES, algebra_names, get_algebra, get_group, get_monoid
 from hopfcoh.cochain import Workspace, dual_coboundary
+from hopfcoh.hopf import function_algebra
 from hopfcoh.linalg import CertificateError, Matrix, solve, vec_dot
-from hopfcoh.scalars import ONE, Scalar
+from hopfcoh.monoids import FiniteMonoid
+from hopfcoh.scalars import ONE, Scalar, format_scalar
+from reference import bench_workloads, ref_codiagonal_system
 
 
 # -- codiagonals -----------------------------------------------------------
@@ -42,6 +47,38 @@ def test_group_solution_sets_contain_kronecker():
         # membership: f0 satisfies exactly the same affine system
         system, rhs = _codiagonal_system(h)
         assert system.apply(f0) == rhs
+
+
+def _small_function_algebras():
+    """The function algebras of all 11 + 156 monoid tables of order 3 and 4 with identity 0."""
+    workloads = bench_workloads()
+    return [function_algebra(FiniteMonoid(len(t), t)) for t in workloads.monoid_tables(3) + workloads.monoid_tables(4)]
+
+
+def test_codiagonal_system_matches_the_triple_loop():
+    """The reindexed coproduct tensors give the entry-by-entry system, rhs and
+    row order included, on every counital catalog algebra and small table."""
+    catalog = [get_algebra(name) for name in algebra_names()]
+    algebras = [h for h in catalog if h.counit is not None] + _small_function_algebras()
+    assert len(algebras) > 167
+    for h in algebras:
+        assert amenability._codiagonal_system(h) == ref_codiagonal_system(h), h.labels
+
+
+def test_codiagonal_outputs_on_small_tables_are_pinned():
+    """find_codiagonal on the 167 small tables: 111 left-kernel certificates
+    and 56 functionals, printed as reports print scalars, pinned by digest."""
+    lines = []
+    for h in _small_function_algebras():
+        res = find_codiagonal(h)
+        if res.certificate is None:
+            lines.append("infeasible " + " ".join(map(format_scalar, res.infeasibility)))
+        else:
+            functional = " ".join(map(format_scalar, res.certificate.functional))
+            lines.append(f"dim {res.solution_space_dim} {functional}")
+    assert (len(lines), sum(line.startswith("infeasible") for line in lines)) == (167, 111)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d81cbff8c22298a7a8d3fd05d719be57cf5623eab4820cb72ce7c2b732ce899e"
 
 
 def test_function_s3_codiagonal_exists():
@@ -86,6 +123,16 @@ def test_kronecker_s3_identities_exact():
     assert not any(kc.certificate.counit_residual)
     assert kc.certificate.balance_residual.is_zero()
     assert bool(kc.gram)
+
+
+def test_kronecker_block_pattern_rejects_a_scaled_gram(monkeypatch):
+    """The block check compares the Gram matrix with the block-of-ones pattern
+    of the classes s r^{-1}: a doubled Gram matrix stays PSD but fails it."""
+    original = amenability._pair_gram
+    monkeypatch.setattr(amenability, "_pair_gram", lambda g, f: original(g, f).scale(2))
+    kc = kronecker_codiagonal(get_group("S3"))
+    assert bool(kc.gram)
+    assert not kc.block_structure_ok
 
 
 def test_kronecker_counit_compatibility():
@@ -206,6 +253,24 @@ def test_vanishing_crosscheck_non_counital():
     out = check_codiagonal_vanishing(Workspace(get_algebra("function:leftzero2"), 3))
     assert out.passed
     assert any("counit absent" in d for d in out.details)
+
+
+def test_report_job_searches_for_the_counit_once(monkeypatch):
+    """The counit task and check-B20 read the job's one counit search."""
+    import hopfcoh
+    from hopfcoh import hopf
+    from hopfcoh.jobfile import JobSpec
+    from hopfcoh.report import run
+    from hopfcoh.tasks import for_verb
+
+    calls, original = [], hopf.counit_find
+    for name in dir(hopfcoh):
+        module = getattr(hopfcoh, name)
+        if getattr(module, "counit_find", None) is original:
+            monkeypatch.setattr(module, "counit_find", lambda h: calls.append(h) or original(h))
+    report = run(JobSpec(algebra="function:rzid3", tasks=for_verb("report"), degree_cap=3))
+    assert report["tasks"]["counit"]["exists"] and report["tasks"]["check-B20"]["passed"]
+    assert len(calls) == 1
 
 
 def test_canonical_cocycle_closed_and_matches_mean_z3():

@@ -243,8 +243,8 @@ def test_cohomology_matches_reference_eliminations(name):
 
 def test_cohomology_eliminates_each_boundary_once(monkeypatch):
     """Each boundary D_n is eliminated once, as A_n: D_n without the columns
-    Q_n, the rows of D_{n-1}'s pivots.  Only a nonzero H^n, n >= 1, also
-    eliminates the full D_n, for its cross-check."""
+    Q_n, the rows of D_{n-1}'s pivots.  Only a nonzero H^n with Q_n nonempty
+    also eliminates the full D_n, for its cross-check."""
     from hopfcoh import cochain, linalg
 
     seen = []
@@ -261,10 +261,26 @@ def test_cohomology_eliminates_each_boundary_once(monkeypatch):
                 q_n = cx.reduction(n - 1)[0] if n else ()
                 expected.append(cx.boundary(n).drop_cols(q_n))
                 assert expected[-1].rows == cx.degrees[n + 1] and expected[-1].cols == cx.degrees[n] - len(q_n)
-                if n and ws.cohomology_of(b, kind, n).dim:
+                if q_n and ws.cohomology_of(b, kind, n).dim:
                     expected.append(cx.boundary(n))
     assert len(expected) >= len(ws.bicomodules()) * 3 * 3
     assert Counter(seen) == Counter(expected)
+
+
+def test_cohomology_runs_no_cross_check_when_q_n_is_empty(monkeypatch):
+    """With rank D_{n-1} = 0, A_n is D_n and the cross-check would repeat
+    the reduction: on the order-3 table 0 1 2 / 1 2 2 / 2 2 2, the regular
+    H^1 = 1 sits over D_0 = 0, so the table makes 6 eliminations, not 7."""
+    from hopfcoh import cochain
+    from hopfcoh.jobfile import CayleySpec
+
+    calls, original = [], cochain.kernel_basis
+    monkeypatch.setattr(cochain, "kernel_basis", lambda m: calls.append(m) or original(m))
+    cayley = CayleySpec(identity=0, table=((0, 1, 2), (1, 2, 2), (2, 2, 2)))
+    job = JobSpec(algebra="inline-function", tasks=("cohomology:dual:0-1",), degree_cap=2, cayley=cayley)
+    table = run(job)["tasks"]["cohomology:dual:0-1"]
+    assert table["regular"] == {"0": 3, "1": 1}
+    assert len(calls) == 6
 
 
 def _counted(counts, kind, builder):

@@ -125,8 +125,14 @@ def test_corrupted_comult_caught_with_witness():
     h = corrupt_comult(get_algebra("function:Z2"))
     report = check_axioms(h)
     assert not report.ok
-    bad = [c for c in report.failures() if c.name == "comult coassociative"]
-    assert bad and bad[0].witness is not None
+    # each witness is the least column where the two sides differ
+    assert [(c.name, c.witness) for c in report.failures()] == [
+        ("comult coassociative", 0),
+        ("comult multiplicative", 1),
+        ("comult unital", 0),
+        ("counit left", 1),
+        ("counit right", 1),
+    ]
 
 
 # -- saturation ----------------------------------------------------------
