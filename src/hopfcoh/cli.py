@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 
 from . import catalog
+from .cochain import DEFAULT_DEGREE_CAP
 from .jobfile import JobParseError, JobSpec, parse_input
 from .linalg import CertificateError
 from .report import InputError, render_json, render_markdown, run, run_suite
@@ -23,7 +24,7 @@ def _add_common(p, suppress: bool):
         "--degree-cap",
         type=int,
         default=d,
-        help="cochain spaces built up to C^cap (default 3, or the job file's)",
+        help=f"cochain spaces built up to C^cap (default {DEFAULT_DEGREE_CAP}, or the job file's)",
     )
     p.add_argument("--catalog", default=d, help="built-in algebra name (see 'hopfcoh list'), or 'all'")
     p.add_argument("--input", default=d, help="job file to run (overrides --catalog)")
@@ -89,13 +90,13 @@ def main(argv=None) -> int:
         elif args.catalog == "all":
             report = run_suite(
                 catalog.default_suite(),
-                degree_cap=cap or 3,
+                degree_cap=cap or DEFAULT_DEGREE_CAP,
                 tasks=None if args.verb == "report" else verb_tasks,
                 log=log,
             )
             fmt = args.format or "json"
         elif args.catalog:
-            job = JobSpec(algebra=args.catalog, tasks=verb_tasks, degree_cap=cap or 3)
+            job = JobSpec(algebra=args.catalog, tasks=verb_tasks, degree_cap=cap or DEFAULT_DEGREE_CAP)
             report = run(job, log=log)
             fmt = args.format or "json"
         else:

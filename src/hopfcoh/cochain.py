@@ -36,6 +36,8 @@ from .linalg import (
     leg_map,
 )
 
+DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names no cap
+
 
 # ---------------------------------------------------------------------------
 # coboundary matrices
@@ -175,7 +177,7 @@ class CochainComplex:
         return self._reduced[n]
 
 
-def build_complex(b: Bicomodule, kind: str, degree_cap: int = 3, boundary=None) -> CochainComplex:
+def build_complex(b: Bicomodule, kind: str, degree_cap: int = DEFAULT_DEGREE_CAP, boundary=None) -> CochainComplex:
     """Assemble D_n = boundary(n) (default: the kind's builder), n < cap; the chain property is re-verified."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -239,7 +241,7 @@ class Workspace:
     object and keep it alive, so a key never passes to another bicomodule.
     """
 
-    def __init__(self, h, degree_cap: int = 3, explicit=()):
+    def __init__(self, h, degree_cap: int = DEFAULT_DEGREE_CAP, explicit=()):
         self.hopf = h
         self.degree_cap = degree_cap
         self.explicit = tuple(explicit)  # (name, Bicomodule) pairs from the job file

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .cochain import DEFAULT_DEGREE_CAP
 from .comodule import CATALOG_NAMES
 from .scalars import format_scalar, parse_scalar
 from .tasks import lookup, task_degrees  # noqa: F401  (bench/checks.py imports task_degrees from here)
@@ -59,7 +60,7 @@ class ComoduleSpec:
 class JobSpec:
     algebra: str
     tasks: tuple
-    degree_cap: int = 3
+    degree_cap: int = DEFAULT_DEGREE_CAP
     format: str = "json"
     cayley: Optional[CayleySpec] = None
     comodules: tuple = ()  # ComoduleSpec, in file order
@@ -138,7 +139,7 @@ def parse_input(text: str) -> JobSpec:
             lookup(t)
         except ValueError as exc:
             raise JobParseError(tasks_line, str(exc)) from None
-    cap_value, cap_line = keyed.pop("degree-cap", ("3", 0))
+    cap_value, cap_line = keyed.pop("degree-cap", (str(DEFAULT_DEGREE_CAP), 0))
     try:
         degree_cap = int(cap_value)
     except ValueError:

@@ -588,89 +588,72 @@ class SolveResult:
 
 
 class LinearSolver:
-    """One elimination, many right-hand sides.
+    """Exact solutions of m x = rhs, or a left-kernel certificate, by a column sweep.
 
-    Precomputes the RREF of m with the row-operation transform, so each
-    solve costs a few sparse dot products.  The elimination is its own
-    exact column sweep, not _rref_rows: at each column the shortest row
-    holding it (the first of those) becomes the pivot row and the column is
-    removed from every other row, with the same row operations applied to
-    the tracks, which start as the unit rows.  The tracks of the rows that
-    reduce to zero are the left-kernel certificates that reports print, and
-    which they are depends on this choice of pivot rows.
+    solve sweeps the rows of [m | rhs], rhs as one more column: at each
+    column of m the shortest row holding it, counting only its entries in
+    m (the first of those), becomes the pivot row, is made monic and clears
+    the column from every other row.  This is its own exact sweep, not
+    _rref_rows, because the pivot rows P it picks fix the certificates that
+    reports print.  A consistent system reads x from the rhs entries of the
+    pivot rows.  Otherwise the first other row r whose rhs entry is still
+    nonzero fails, and its certificate is the only left-kernel vector of m
+    on the rows {r} u P with y_r = 1, since the rows in P are independent.
     """
 
     def __init__(self, m: Matrix):
         self.m = m
-        work = [{} for _ in range(m.rows)]
-        for (r, c), v in m.entries.items():
-            work[r][c] = v
-        tr = [{r: ONE} for r in range(m.rows)]
-        present: dict = defaultdict(set)  # column -> the rows with a nonzero there
-        for ri, row in enumerate(work):
-            for c in row:
-                present[c].add(ri)
-
-        def scaled(row, k):
-            return row if k == 1 else {c: k * v for c, v in row.items()}
-
-        def axpy(trow, prow, factor, ri=None):
-            """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
-            for c, v in prow.items():
-                nv = trow[c] - factor * v if c in trow else -(factor * v)
-                if nv:
-                    if ri is not None and c not in trow:
-                        present[c].add(ri)
-                    trow[c] = nv
-                elif c in trow:
-                    del trow[c]
-                    if ri is not None:
-                        present[c].discard(ri)
-
-        self.pivots, pivot_rows, used = [], [], set()  # pivot_rows: indices into work, aligned with pivots
-        for col in sorted(present):
-            cand = [ri for ri in present[col] if ri not in used]
-            if not cand:
-                continue
-            ri = min(cand, key=lambda r: (len(work[r]), r))
-            inv = 1 / work[ri][col]
-            work[ri], tr[ri] = scaled(work[ri], inv), scaled(tr[ri], inv)
-            for other in [r for r in present[col] if r != ri]:
-                factor = work[other][col]
-                axpy(work[other], work[ri], factor, other)
-                axpy(tr[other], tr[ri], factor)
-            used.add(ri)
-            self.pivots.append(col)
-            pivot_rows.append(ri)
-        self.zero_tracks = [tr[r] for r in range(m.rows) if r not in used]
-        self.pivot_tracks = [tr[r] for r in pivot_rows]
+        self.pivots = None  # m's pivot columns, the same for every rhs; set by solve
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def solve(self, rhs: Vec) -> SolveResult:
-        if len(rhs) != self.m.rows:
+        m, end = self.m, self.m.cols  # end: the rhs column
+        if len(rhs) != m.rows:
             raise ValueError("rhs length mismatch")
-
-        def combo(track_row):
-            total = Scalar(0)
-            for r, coef in track_row.items():
-                if rhs[r]:
-                    total = total + coef * rhs[r]
-            return total
-
-        for t in self.zero_tracks:
-            if combo(t):
-                y = dense(t, self.m.rows)
-                certify((Matrix.row(y) @ self.m).is_zero(), "inconsistency certificate fails y^T m = 0")
-                certify(bool(vec_dot(y, rhs)), "inconsistency certificate fails y^T rhs != 0")
-                return SolveResult(None, y)
-        x = [Scalar(0)] * self.m.cols
-        for p, t in zip(self.pivots, self.pivot_tracks):
-            x[p] = combo(t)
-        certify(all(a == b for a, b in zip(self.m.apply(x), rhs)), "solution fails m x = rhs")
-        return SolveResult(tuple(x), None)
+        rhs = vec(rhs)
+        work = [{end: v} if v else {} for v in rhs]
+        for (r, c), v in m.entries.items():
+            work[r][c] = v
+        present: dict = defaultdict(set)  # column -> the rows with a nonzero there
+        for ri, row in enumerate(work):
+            for c in row:
+                present[c].add(ri)
+        self.pivots, pivot_rows, used = [], [], set()  # pivot_rows: indices into work, aligned with pivots
+        for col in sorted(present.keys() - {end}):
+            cand = [ri for ri in present[col] if ri not in used]
+            if not cand:
+                continue
+            ri = min(cand, key=lambda r: (len(work[r]) - (end in work[r]), r))
+            inv = 1 / work[ri][col]
+            prow = work[ri] = work[ri] if inv == 1 else {c: inv * v for c, v in work[ri].items()}
+            for other in [r for r in present[col] if r != ri]:
+                row, factor = work[other], work[other][col]
+                for c, v in prow.items():
+                    nv = row[c] - factor * v if c in row else -(factor * v)
+                    if nv:
+                        present[c].add(other)
+                        row[c] = nv
+                    elif c in row:
+                        del row[c]
+                        present[c].discard(other)
+            used.add(ri)
+            self.pivots.append(col)
+            pivot_rows.append(ri)
+        bad = next((r for r, row in enumerate(work) if end in row and r not in used), None)
+        if bad is None:
+            x = dense({p: work[ri][end] for p, ri in zip(self.pivots, pivot_rows) if end in work[ri]}, m.cols)
+            certify(m.apply(x) == rhs, "solution fails m x = rhs")
+            return SolveResult(x, None)
+        at = {bad: 0, **{ri: j for j, ri in enumerate(pivot_rows, 1)}}  # row of m -> column of m[{r} u P]^T
+        re, im = ({(c, at[r]): v for (r, c), v in d.items() if r in at} for d in (m.re, m.im))
+        y = kernel_basis(Matrix._of(m.cols, len(at), re, im, m.den))[0]
+        y = dense(dict(zip(at, y)), m.rows)
+        certify((Matrix.row(y) @ m).is_zero(), "inconsistency certificate fails y^T m = 0")
+        certify(bool(vec_dot(y, rhs)), "inconsistency certificate fails y^T rhs != 0")
+        return SolveResult(None, y)
 
 
 def solve(m: Matrix, rhs: Vec) -> SolveResult:
@@ -751,7 +734,8 @@ def psd_check(m: Matrix) -> PsdResult:
 
     Zero diagonal pivots are legal only when their whole active row/column
     vanishes; a negative diagonal or a nonzero off-diagonal entry against a
-    zero diagonal yields an explicit witness v with v* m v < 0.
+    zero diagonal yields an explicit witness v with v* m v < 0.  A PSD answer
+    is certified by m = V D V* with D positive diagonal (_certify_ldl).
     """
     if not m.is_hermitian():
         raise ValueError("psd_check requires a Hermitian matrix")
@@ -762,11 +746,10 @@ def psd_check(m: Matrix) -> PsdResult:
         return a.get((i, j), Scalar(0))
 
     active = list(range(n))
-    steps = []  # (pivot index, {j: a[p,j]/d}) for witness lifting
-    pivots = []
+    steps = []  # (pivot index p, pivot d, {j: a[p,j]/d}), for witness lifting and _certify_ldl
 
     def lift(w: dict) -> Vec:
-        for p, ratios in reversed(steps):
+        for p, _, ratios in reversed(steps):
             s = Scalar(0)
             for j, r in ratios.items():
                 x = w.get(j)
@@ -802,13 +785,12 @@ def psd_check(m: Matrix) -> PsdResult:
                 for (i, j) in a
                 if i in active and j in active and i != j and a[(i, j)]
             ]
-            if not off:
-                return PsdResult(True, pivots=tuple(pivots))
-            i, j = min(off)
-            return certified({i: -a[(i, j)], j: ONE})
+            if off:
+                i, j = min(off)
+                return certified({i: -a[(i, j)], j: ONE})
+            break
         p = pos[0]
         d = diag[p]
-        pivots.append((p, d))
         row = {j: get(p, j) for j in active if j != p and get(p, j)}
         ratios = {j: v / d for j, v in row.items()}
         for i in active:
@@ -827,6 +809,18 @@ def psd_check(m: Matrix) -> PsdResult:
         for i in active:
             a.pop((i, p), None)
             a.pop((p, i), None)
-        steps.append((p, ratios))
+        steps.append((p, d, ratios))
         active.remove(p)
-    return PsdResult(True, pivots=tuple(pivots))
+    _certify_ldl(m, steps)
+    return PsdResult(True, pivots=tuple((p, d) for p, d, _ in steps))
+
+
+def _certify_ldl(m: Matrix, steps) -> None:
+    """Certify m = V D V* with D = diag(d_k) > 0, so m is PSD, from psd_check's
+    steps (p, d, ratios): the kth column of V is e_p plus the conjugated ratios."""
+    cols = {(p, k): ONE for k, (p, _, _) in enumerate(steps)}
+    cols.update({(j, k): r.conjugate() for k, (_, _, ratios) in enumerate(steps) for j, r in ratios.items()})
+    v = Matrix(m.rows, len(steps), cols)
+    d = Matrix(len(steps), len(steps), {(k, k): dk for k, (_, dk, _) in enumerate(steps)})
+    ok = all(dk > 0 for _, dk, _ in steps) and v @ d @ v.conj_transpose() == m
+    certify(ok, "PSD decomposition fails m = V D V*")

@@ -12,7 +12,7 @@ import json
 import time
 
 from . import catalog
-from .cochain import Workspace
+from .cochain import DEFAULT_DEGREE_CAP, Workspace
 from .comodule import (
     Bicomodule,
     LeftCoaction,
@@ -167,7 +167,7 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def run_suite(names, degree_cap: int = 3, tasks=None, log=None) -> dict:
+def run_suite(names, degree_cap: int = DEFAULT_DEGREE_CAP, tasks=None, log=None) -> dict:
     """Run one job on several catalog algebras; one combined report.
 
     The default tasks are the report verb's, without the natural cohomology

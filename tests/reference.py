@@ -8,7 +8,9 @@ holding it becomes the pivot row and the column is removed from every
 other row.  Only `linalg.LinearSolver` keeps that sweep; `linalg._rref_rows`
 takes the rows one at a time, so every reference below that eliminates
 (`reference_rref`, `reference_rank`, the kernels and the span tests) runs
-this sweep rather than the code under test.
+this sweep rather than the code under test.  `reference_solve` reads a
+solution or a left-kernel certificate off the sweep's tracks of the unit
+rows; `LinearSolver` sweeps [m | rhs] and keeps no tracks.
 
 `reference_kernel` is the exact two-RREF kernel: RREF of the matrix, then
 RREF of its free-column null vectors; `reference_null_space` is the same
@@ -51,6 +53,7 @@ from hopfcoh.hopf import dual_algebra_mult
 from hopfcoh.linalg import (
     LinearSolver,
     Matrix,
+    SolveResult,
     SpanTracker,
     certify,
     dense,
@@ -60,7 +63,7 @@ from hopfcoh.linalg import (
     tensor_permutation,
     unit_vec,
 )
-from hopfcoh.scalars import ONE, Scalar
+from hopfcoh.scalars import ONE, Scalar, as_scalar
 
 
 def reference_rref_rows(row_dicts, track=None, p: int = 0):
@@ -128,6 +131,25 @@ def reference_rref_rows(row_dicts, track=None, p: int = 0):
         return pivots, out_rows, None
     zero_tracks = [tr[r] for r in range(len(work)) if r not in used]
     return pivots, out_rows, (zero_tracks, [tr[r] for r in pivot_rows])
+
+
+def reference_solve(row_dicts, cols: int, rhs):
+    """(pivots, SolveResult) of the rows against rhs from the column sweep's unit tracks.
+
+    The first track of a row that reduced to zero with t . rhs != 0, in row
+    order, is the certificate; else x at each pivot column is its pivot
+    row's track . rhs.  Entries are Scalars.
+    """
+    units = [{r: 1} for r in range(len(row_dicts))]
+    pivots, _, (zero_tracks, pivot_tracks) = reference_rref_rows(row_dicts, units)
+
+    def pair(track):
+        return sum((as_scalar(rhs[r]) * x for r, x in track.items()), Scalar(0))
+
+    for t in zero_tracks:
+        if pair(t):
+            return pivots, SolveResult(None, dense({r: as_scalar(x) for r, x in t.items()}, len(row_dicts)))
+    return pivots, SolveResult(dense({p: pair(t) for p, t in zip(pivots, pivot_tracks)}, cols), None)
 
 
 def reference_rref(m: Matrix):

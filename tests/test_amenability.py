@@ -402,6 +402,15 @@ try:
     linalg.kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]))
 except CertificateError as exc:
     print(sys.flags.optimize, exc)
+certify_ldl = linalg._certify_ldl
+def corrupting(m, steps):  # the first LDL* pivot is off by one
+    (p, d, ratios), *rest = steps
+    certify_ldl(m, [(p, d + 1, ratios), *rest])
+linalg._certify_ldl = corrupting
+try:
+    linalg.psd_check(Matrix.identity(2))
+except CertificateError as exc:
+    print(sys.flags.optimize, exc)
 """
 
 
@@ -412,7 +421,11 @@ def test_certificate_checks_survive_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", CERTIFICATE_UNDER_O], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "1 mean has a negative weight\n1 exact kernel basis fails its certificate\n"
+    assert out.stdout == (
+        "1 mean has a negative weight\n"
+        "1 exact kernel basis fails its certificate\n"
+        "1 PSD decomposition fails m = V D V*\n"
+    )
 
 
 def test_mean_crosscheck_reuses_the_catalog_quotient(monkeypatch):

@@ -22,6 +22,7 @@ from reference import (
     reference_null_space,
     reference_rank,
     reference_rref_rows,
+    reference_solve,
 )
 
 P = linalg._P
@@ -322,19 +323,63 @@ def test_exact_elimination_keeps_the_entry_field(spec):
     assert all(type(x) is Scalar for r in srows for x in r.values())
 
 
+def as_matrix(rows, cols):
+    return Matrix(len(rows), cols, {(r, c): x for r, row in enumerate(rows) for c, x in row.items()})
+
+
+def assert_solves_like_reference(solver, rows, cols, rhs):
+    """solver.solve(rhs) is the reference sweep's answer, with its pivots, entry by entry as Scalars."""
+    pivots, expected = reference_solve(rows, cols, rhs)
+    got = solver.solve(rhs)
+    assert solver.pivots == pivots
+    assert got == expected
+    assert all(type(x) is Scalar for x in got.solution or got.certificate)
+    return got
+
+
 @PROPERTY
 @given(sparse_rows())
 def test_solver_sweep_keeps_the_entry_field(spec):
-    """LinearSolver's column sweep over the rows as a Matrix: the reference
-    sweep's pivots and tracks (from the unit rows) on the Fraction rows,
-    entry by entry, as Scalars."""
+    """LinearSolver's sweep over the rows as a Matrix, against the reference
+    sweep's unit tracks on the Fraction rows: the same pivots and the same
+    solution of a consistent rhs (the row sums, m times the all-ones
+    vector), and the same certificate of an inconsistent one (the row sums
+    plus a unit where a zero row's track is nonzero), entry by entry, as
+    Scalars."""
     rows, cols = spec
+    solver = LinearSolver(as_matrix(rows, cols))
+    consistent = [sum(row.values(), Fraction(0)) for row in rows]
+    assert assert_solves_like_reference(solver, rows, cols, consistent).consistent
     units = [{r: Fraction(1)} for r in range(len(rows))]
-    pivots, _, (zero_tracks, pivot_tracks) = reference_rref_rows(rows, units)
-    solver = LinearSolver(Matrix(len(rows), cols, {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}))
-    assert solver.pivots == pivots
-    assert (solver.zero_tracks, solver.pivot_tracks) == (scalars(zero_tracks), scalars(pivot_tracks))
-    assert all(type(x) is Scalar for t in solver.zero_tracks + solver.pivot_tracks for x in t.values())
+    zero_tracks = reference_rref_rows(rows, units)[2][0]
+    if zero_tracks:
+        inconsistent = list(consistent)
+        inconsistent[min(zero_tracks[0])] += 1
+        assert not assert_solves_like_reference(solver, rows, cols, inconsistent).consistent
+    else:
+        assert solver.rank == len(rows)
+
+
+@st.composite
+def systems(draw):
+    """Sparse rows with Fraction or Gaussian entries, their column count and two right-hand sides."""
+    rows, cols = draw(sparse_rows())
+    if draw(st.booleans()):
+        im = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        rows = [{c: Scalar(x, draw(im)) for c, x in row.items()} for row in rows]
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2)))
+    return rows, cols, [draw(entry) for _ in rows], [draw(entry) for _ in rows]
+
+
+@PROPERTY
+@given(systems())
+def test_one_solver_answers_each_rhs_like_the_reference(spec):
+    """One LinearSolver asked twice returns each right-hand side's own
+    answer, the reference sweep's, over Q and over Q(i)."""
+    rows, cols, first, second = spec
+    solver = LinearSolver(as_matrix(rows, cols))
+    for rhs in (first, second, first):
+        assert_solves_like_reference(solver, rows, cols, rhs)
 
 
 # -- the row-at-a-time elimination against the column sweep -------------------

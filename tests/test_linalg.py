@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from hopfcoh import linalg
 from hopfcoh.linalg import (
     CertificateError,
     LinearSolver,
@@ -19,7 +20,7 @@ from hopfcoh.linalg import (
     unit_vec,
     vec_dot,
 )
-from hopfcoh.scalars import ONE, Scalar
+from hopfcoh.scalars import ONE, ZERO, Scalar
 from reference import TensorSpace
 
 
@@ -218,22 +219,21 @@ def test_solve_consistent_and_certificate():
     assert vec_dot(y, (Scalar(1), Scalar(2)))
 
 
-def test_solver_certifies_what_it_returns():
+def test_solver_certifies_what_it_returns(monkeypatch):
     m = Matrix.from_rows([[1, 0], [1, 0]])
     consistent, inconsistent = (Scalar(1), Scalar(1)), (Scalar(1), Scalar(2))
-    # a tampered zero track claims inconsistency with a y that fails y^T m = 0
-    solver = LinearSolver(m)
-    solver.zero_tracks = [{0: ONE}]
-    with pytest.raises(CertificateError):
-        solver.solve(consistent)
-    # without its zero track the solver would return a point that fails m x = rhs
-    solver = LinearSolver(m)
-    solver.zero_tracks = []
-    with pytest.raises(CertificateError):
-        solver.solve(inconsistent)
     # untouched, both answers pass their own checks
-    assert LinearSolver(m).solve(consistent).consistent
-    assert not LinearSolver(m).solve(inconsistent).consistent
+    assert LinearSolver(m).solve(consistent).solution == (ONE, ZERO)
+    assert LinearSolver(m).solve(inconsistent).certificate == (-ONE, ONE)
+    # a sweep that reads a tampered entries view (the identity) returns the point (1, 2)
+    tampered = Matrix.from_rows([[1, 0], [1, 0]])
+    object.__setattr__(tampered, "_entries", Matrix.identity(2).entries)
+    with pytest.raises(CertificateError, match="solution fails m x = rhs"):
+        LinearSolver(tampered).solve(inconsistent)
+    # a kernel vector on the rows {r} u P that is not m's claims a y with y^T m != 0
+    monkeypatch.setattr(linalg, "kernel_basis", lambda sub: [(ONE, ONE)])
+    with pytest.raises(CertificateError, match="fails y\\^T m = 0"):
+        LinearSolver(m).solve(inconsistent)
 
 
 def test_reported_left_kernel_certificates_are_pinned():
@@ -321,6 +321,25 @@ def test_psd_complex_hermitian():
     # [[1, 2i], [-2i, 1]] has eigenvalues -1 and 3
     m2 = Matrix(2, 2, {(0, 0): Scalar(1), (0, 1): Scalar(0, 2), (1, 0): Scalar(0, -2), (1, 1): Scalar(1)})
     assert not psd_check(m2).ok
+
+
+def test_psd_answer_is_certified_by_its_steps(monkeypatch):
+    """A PSD answer re-checks m = V D V* from the recorded steps; one corrupted
+    pivot, or one corrupted ratio, fails it."""
+    m = Matrix(3, 3, {(0, 0): 2, (0, 1): Scalar(0, 1), (1, 0): Scalar(0, -1), (1, 1): 2, (2, 2): 1})
+    assert psd_check(m).ok
+    original = linalg._certify_ldl
+
+    def pivot_off_by_one(p, d, ratios):
+        return p, d + 1, ratios
+
+    def ratios_negated(p, d, ratios):
+        return p, d, {j: -r for j, r in ratios.items()}
+
+    for corrupt in (pivot_off_by_one, ratios_negated):
+        monkeypatch.setattr(linalg, "_certify_ldl", lambda m, steps: original(m, [corrupt(*steps[0]), *steps[1:]]))
+        with pytest.raises(CertificateError, match="PSD decomposition"):
+            psd_check(m)
 
 
 def test_matmul_dimension_check():
