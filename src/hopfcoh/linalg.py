@@ -587,18 +587,47 @@ class SolveResult:
         return self.solution is not None
 
 
+class _GaussInt:
+    """A Gaussian integer real + imag i: an entry of a non-real column sweep."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __mul__(self, o):
+        return _GaussInt(self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real)
+
+    def __sub__(self, o):
+        return _GaussInt(self.real - o.real, self.imag - o.imag)
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __floordiv__(self, k: int):  # only ever by an integer dividing both parts
+        return _GaussInt(self.real // k, self.imag // k)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+
 class LinearSolver:
     """Exact solutions of m x = rhs, or a left-kernel certificate, by a column sweep.
 
-    solve sweeps the rows of [m | rhs], rhs as one more column: at each
-    column of m the shortest row holding it, counting only its entries in
-    m (the first of those), becomes the pivot row, is made monic and clears
-    the column from every other row.  This is its own exact sweep, not
-    _rref_rows, because the pivot rows P it picks fix the certificates that
-    reports print.  A consistent system reads x from the rhs entries of the
-    pivot rows.  Otherwise the first other row r whose rhs entry is still
-    nonzero fails, and its certificate is the only left-kernel vector of m
-    on the rows {r} u P with y_r = 1, since the rows in P are independent.
+    solve sweeps the rows of [m | rhs], rhs as one more column, scaled to
+    integer numerators (Gaussian integers if some entry is non-real): at
+    each column of m the shortest row holding it, counting only its entries
+    in m (the first of those), becomes the pivot row and clears the column
+    from every other row fraction-free, each new row being
+    (pv/g) row - (f/g) pivot row, g = gcd(pv, f), divided by its content.
+    Every row stays a nonzero multiple of the row a Fraction sweep would
+    hold, so the supports, and with them the pivot rows P, are the same.
+    This is its own sweep, not _rref_rows, because the pivot rows P it
+    picks fix the certificates that reports print.  A consistent system
+    reads each x_p as its pivot row's rhs entry over its entry at p.
+    Otherwise the first other row r whose rhs entry is still nonzero fails,
+    and its certificate is the only left-kernel vector of m on the rows
+    {r} u P with y_r = 1, since the rows in P are independent.
     """
 
     def __init__(self, m: Matrix):
@@ -607,6 +636,8 @@ class LinearSolver:
 
     @property
     def rank(self) -> int:
+        if self.pivots is None:
+            raise ValueError("the rank of a LinearSolver is known only after solve")
         return len(self.pivots)
 
     def solve(self, rhs: Vec) -> SolveResult:
@@ -614,9 +645,14 @@ class LinearSolver:
         if len(rhs) != m.rows:
             raise ValueError("rhs length mismatch")
         rhs = vec(rhs)
-        work = [{end: v} if v else {} for v in rhs]
-        for (r, c), v in m.entries.items():
-            work[r][c] = v
+        aug, work = m.augment(Matrix.column(rhs)), [{} for _ in rhs]  # aug: [m | rhs] on integer numerators
+        if aug.im:
+            for r, c in aug.support:
+                work[r][c] = _GaussInt(aug.re.get((r, c), 0), aug.im.get((r, c), 0))
+        else:
+            for (r, c), v in aug.re.items():
+                work[r][c] = v
+        content = (lambda vs: gcd(*(p for v in vs for p in (v.real, v.imag)))) if aug.im else (lambda vs: gcd(*vs))
         present: dict = defaultdict(set)  # column -> the rows with a nonzero there
         for ri, row in enumerate(work):
             for c in row:
@@ -627,10 +663,14 @@ class LinearSolver:
             if not cand:
                 continue
             ri = min(cand, key=lambda r: (len(work[r]) - (end in work[r]), r))
-            inv = 1 / work[ri][col]
-            prow = work[ri] = work[ri] if inv == 1 else {c: inv * v for c, v in work[ri].items()}
+            prow, pv = work[ri], work[ri][col]
             for other in [r for r in present[col] if r != ri]:
-                row, factor = work[other], work[other][col]
+                row = work[other]
+                g = content((pv, row[col]))
+                a, factor = pv // g, row[col] // g
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
                 for c, v in prow.items():
                     nv = row[c] - factor * v if c in row else -(factor * v)
                     if nv:
@@ -639,12 +679,21 @@ class LinearSolver:
                     elif c in row:
                         del row[c]
                         present[c].discard(other)
+                g = content(row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
             used.add(ri)
             self.pivots.append(col)
             pivot_rows.append(ri)
         bad = next((r for r, row in enumerate(work) if end in row and r not in used), None)
         if bad is None:
-            x = dense({p: work[ri][end] for p, ri in zip(self.pivots, pivot_rows) if end in work[ri]}, m.cols)
+            x = {}
+            for p, ri in zip(self.pivots, pivot_rows):
+                if end in work[ri]:
+                    v, d = work[ri][end], work[ri][p]
+                    x[p] = Scalar(v.real, v.imag) / Scalar(d.real, d.imag)
+            x = dense(x, m.cols)
             certify(m.apply(x) == rhs, "solution fails m x = rhs")
             return SolveResult(x, None)
         at = {bad: 0, **{ri: j for j, ri in enumerate(pivot_rows, 1)}}  # row of m -> column of m[{r} u P]^T

@@ -1,7 +1,9 @@
 """Exact rational linear-programming feasibility.
 
-Solves {A w = b, w >= 0} by a phase-1 simplex over Fractions with Bland's
-rule (finite termination, no tolerances).  Infeasibility comes with a
+Solves {A w = b, w >= 0} by a phase-1 simplex with Bland's rule (finite
+termination, no tolerances) on an integer tableau: each row is a positive
+multiple of the rational row, so every sign, ratio and pivot is the one
+the simplex over Fractions would take.  Infeasibility comes with a
 Farkas certificate y (y^T A <= 0, y^T b > 0) that is re-verified exactly
 before being returned.  A brute-force basic-solution enumeration serves as
 an independent oracle at small sizes; it eliminates with linalg's one
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional
 
 from .linalg import _rref_rows, certify
@@ -28,8 +31,28 @@ def _as_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _cleared(row, prow, c):
+    """row minus a multiple of the pivot row prow, zero at column c, on integers.
+
+    It is (pv/g) row - (f/g) prow with pv = prow[c] > 0, f = row[c] and
+    g = gcd(pv, f), divided by its content: a positive multiple of the
+    exact result.  Entries of row past the end of prow are only scaled.
+    """
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    out = [a * x - b * y for x, y in zip(row, prow)] + [a * x for x in row[len(prow) :]]
+    k = gcd(*out)
+    return [x // k for x in out] if k > 1 else out
+
+
 def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
-    """Phase-1 simplex for {A w = b, w >= 0} in exact rational arithmetic."""
+    """Phase-1 simplex for {A w = b, w >= 0} on an integer tableau.
+
+    Each tableau row holds integers, a positive multiple of the exact row;
+    its basic entry is that multiple.  The objective row carries its own
+    positive scale s as one more entry.  Every sign, ratio and choice of
+    Bland's rule is the one the exact rational tableau would make.
+    """
     a = _as_fractions(a_rows)
     b = [Fraction(x) for x in b_col]
     m = len(a)
@@ -38,32 +61,30 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         if b[i] < 0:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
-    # tableau columns: w_0..w_{n-1}, artificials a_0..a_{m-1}, rhs
+    # tableau columns: w_0..w_{n-1}, artificials a_0..a_{m-1}, rhs; row i is
+    # [a_i | e_i | b_i] times the lcm k of its denominators
     width = n + m
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    tab = []
+    for i in range(m):
+        k = lcm(b[i].denominator, *(x.denominator for x in a[i]))
+        row = [x.numerator * (k // x.denominator) for x in a[i] + [b[i]]]
+        tab.append(row[:n] + [k * (i == j) for j in range(m)] + row[n:])
     basis = [n + i for i in range(m)]
-    # objective: minimise sum of artificials; row of reduced costs for -z
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        s = Fraction(0)
-        for i in range(m):
-            if basis[i] >= n:
-                s += tab[i][j]
-        obj[j] = (Fraction(1) if n <= j < width else Fraction(0)) - s
+    # objective: minimise sum of artificials; obj[:-1] / s is the row of
+    # reduced costs for -z, and obj[-1] = s > 0
+    s = lcm(*(tab[i][n + i] for i in range(m)))
+    obj = [
+        s * (n <= j < width) - sum(s // row[n + i] * row[j] for i, row in enumerate(tab))
+        for j in range(width + 1)
+    ]
+    obj.append(s)
 
     def pivot(r, c):
-        pr = tab[r]
-        pv = pr[c]
-        tab[r] = [x / pv for x in pr]
-        pr = tab[r]
         for i in range(m):
             if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [x - f * y for x, y in zip(tab[i], pr)]
+                tab[i] = _cleared(tab[i], tab[r], c)
         if obj[c]:
-            f = obj[c]
-            for j in range(width + 1):
-                obj[j] -= f * pr[j]
+            obj[:] = _cleared(obj, tab[r], c)
         basis[r] = c
 
     while True:
@@ -71,7 +92,7 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         if entering is None:
             break
         ratios = [
-            (tab[i][width] / tab[i][entering], basis[i], i)
+            (Fraction(tab[i][width], tab[i][entering]), basis[i], i)
             for i in range(m)
             if tab[i][entering] > 0
         ]
@@ -80,10 +101,9 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         _, _, leave = min(ratios)
         pivot(leave, entering)
 
-    optimum = -obj[width]
-    if optimum > 0:
+    if obj[width] < 0:  # the optimum -obj[width] / s is positive
         # simplex multipliers: y_i = 1 - reduced cost of artificial i
-        y = tuple(Fraction(1) - obj[n + i] for i in range(m))
+        y = tuple(1 - Fraction(obj[n + i], obj[-1]) for i in range(m))
         yb = Fraction(0)
         for i in range(m):
             yb += y[i] * Fraction(b[i])
@@ -100,7 +120,7 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
     point = [Fraction(0)] * n
     for i, col in enumerate(basis):
         if col < n:
-            point[col] = tab[i][width]
+            point[col] = Fraction(tab[i][width], tab[i][col])
     w = tuple(point)
     _verify_point(a_rows, b_col, w)
     return Feasibility(True, point=w)

@@ -38,6 +38,10 @@ each cocycle z gets its own primitive p and a sign with D p = +-z.
 Production code certifies D P = Z for all columns at once, and the
 codiagonal homotopy by the operator identity D K + K D = id.
 
+`ref_solve_equality_feasibility` is the phase-1 simplex with Bland's rule
+on a tableau of Fractions, every pivot row made monic.  Production code
+keeps integer rows, each a positive multiple of the exact one.
+
 `TensorSpace` is the row-major flat index of an ordered tensor product,
 written out digit by digit.  `order3_monoid_tables` lists the inputs of the
 random-monoid tests.
@@ -45,6 +49,7 @@ random-monoid tests.
 import importlib.util
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -63,6 +68,7 @@ from hopfcoh.linalg import (
     tensor_permutation,
     unit_vec,
 )
+from hopfcoh.lp import Feasibility, _as_fractions, _verify_point
 from hopfcoh.scalars import ONE, Scalar, as_scalar
 
 
@@ -541,3 +547,84 @@ def order3_monoid_tables():
         if all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in product(range(3), repeat=3)):
             out.append(t)
     return out
+
+
+# -- the phase-1 simplex over Fractions ---------------------------------------
+
+
+def ref_solve_equality_feasibility(a_rows, b_col) -> Feasibility:
+    """Phase-1 simplex for {A w = b, w >= 0} in exact rational arithmetic."""
+    a = _as_fractions(a_rows)
+    b = [Fraction(x) for x in b_col]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    # tableau columns: w_0..w_{n-1}, artificials a_0..a_{m-1}, rhs
+    width = n + m
+    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # objective: minimise sum of artificials; row of reduced costs for -z
+    obj = [Fraction(0)] * (width + 1)
+    for j in range(width + 1):
+        s = Fraction(0)
+        for i in range(m):
+            if basis[i] >= n:
+                s += tab[i][j]
+        obj[j] = (Fraction(1) if n <= j < width else Fraction(0)) - s
+
+    def pivot(r, c):
+        pr = tab[r]
+        pv = pr[c]
+        tab[r] = [x / pv for x in pr]
+        pr = tab[r]
+        for i in range(m):
+            if i != r and tab[i][c]:
+                f = tab[i][c]
+                tab[i] = [x - f * y for x, y in zip(tab[i], pr)]
+        if obj[c]:
+            f = obj[c]
+            for j in range(width + 1):
+                obj[j] -= f * pr[j]
+        basis[r] = c
+
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        ratios = [
+            (tab[i][width] / tab[i][entering], basis[i], i)
+            for i in range(m)
+            if tab[i][entering] > 0
+        ]
+        if not ratios:
+            raise RuntimeError("phase-1 objective unbounded: impossible")
+        _, _, leave = min(ratios)
+        pivot(leave, entering)
+
+    optimum = -obj[width]
+    if optimum > 0:
+        # simplex multipliers: y_i = 1 - reduced cost of artificial i
+        y = tuple(Fraction(1) - obj[n + i] for i in range(m))
+        yb = Fraction(0)
+        for i in range(m):
+            yb += y[i] * Fraction(b[i])
+        certify(yb > 0, "Farkas certificate lost its objective value")
+        for j in range(n):
+            s = Fraction(0)
+            for i in range(m):
+                s += y[i] * a[i][j]
+            certify(s <= 0, "Farkas certificate fails y^T A <= 0")
+        # undo the row sign flips so the certificate applies to the input data
+        signs = [1 if Fraction(x) >= 0 else -1 for x in b_col]
+        y_orig = tuple(y[i] * signs[i] for i in range(m))
+        return Feasibility(False, farkas=y_orig)
+    point = [Fraction(0)] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            point[col] = tab[i][width]
+    w = tuple(point)
+    _verify_point(a_rows, b_col, w)
+    return Feasibility(True, point=w)

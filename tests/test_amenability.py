@@ -81,6 +81,22 @@ def test_codiagonal_outputs_on_small_tables_are_pinned():
     assert digest == "d81cbff8c22298a7a8d3fd05d719be57cf5623eab4820cb72ce7c2b732ce899e"
 
 
+def test_invariant_mean_outputs_on_small_tables_are_pinned():
+    """find_invariant_mean on the 167 small tables: 144 mean weights and 23
+    Farkas vectors, printed as reports print scalars, pinned by digest."""
+    workloads = bench_workloads()
+    lines = []
+    for t in workloads.monoid_tables(3) + workloads.monoid_tables(4):
+        res = find_invariant_mean(FiniteMonoid(len(t), t))
+        if res.feasible:
+            lines.append("mean " + " ".join(format_scalar(Scalar(x)) for x in res.certificate.weights))
+        else:
+            lines.append("infeasible " + " ".join(format_scalar(Scalar(x)) for x in res.farkas))
+    assert (len(lines), sum(line.startswith("infeasible") for line in lines)) == (167, 23)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e6f24d6f7a0dd463e4990c2cc7965fcddd3de8a30a5bb91b2457b8470e1851d3"
+
+
 def test_function_s3_codiagonal_exists():
     res = find_codiagonal(get_algebra("function:S3"))
     assert res.certificate is not None

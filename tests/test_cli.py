@@ -11,6 +11,7 @@ from hopfcoh.jobfile import JobParseError, JobSpec, parse_input, render
 from hopfcoh.report import InputError, render_json, run
 from hopfcoh.scalars import format_scalar
 from hopfcoh.tasks import COHOMOLOGY, KINDS, TASKS
+from reference import bench_workloads
 
 MINIMAL_JOB = """
 # smallest useful job
@@ -290,6 +291,23 @@ def test_report_digests_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "ac0f768c2a3596d2cc42b704cd43d14b00e53afdd2d9c691aa881fdde20c4e83"
     )
+
+
+BENCHMARK_REPORTS = {
+    "small-jobs": (54, "f8130b9aa5b777311969270a5a11e171fc0a923fb82f57f5c975da24fd488c22"),
+    "fn-S3-tables": (2, "ba852e29bdc82f71a4c4acd58c609935a90deef470491196c643c0d8d17a32c8"),
+    "vanishing": (2, "fd80e9467eecd920a6810f3901e099b8d1841348a4a975fd994da81a179f0efb"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_REPORTS))
+def test_benchmark_reports_pinned(workload):
+    """Every report of the benchmark's seed-1 pass, as the benchmark worker
+    renders it: the sha256 of each report, in job order, hashed together.
+    The job texts come from bench/workloads.py, which is only read."""
+    jobs = bench_workloads().build(workload, 1, SAMPLE_JOB.parent).jobs
+    digests = [hashlib.sha256(render_json(run(parse_input(text))).encode()).hexdigest() for text in jobs]
+    assert (len(jobs), hashlib.sha256("\n".join(digests).encode()).hexdigest()) == BENCHMARK_REPORTS[workload]
 
 
 @pytest.mark.parametrize(

@@ -382,6 +382,45 @@ def test_one_solver_answers_each_rhs_like_the_reference(spec):
         assert_solves_like_reference(solver, rows, cols, rhs)
 
 
+@st.composite
+def fractional_systems(draw):
+    """Sparse rows over a common denominator > 1, real or Gaussian, their
+    column count, and a consistent and an arbitrary right-hand side, both
+    with fractional entries."""
+    rows, cols = draw(sparse_rows())
+    d = draw(st.integers(2, 6))
+    rows[0][draw(st.integers(0, cols - 1))] = Fraction(1)  # so the Matrix's den is d or a multiple
+    frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    gaussian = draw(st.booleans())
+    rows = [{c: Scalar(x / d, draw(frac) / d if gaussian else 0) for c, x in row.items()} for row in rows]
+    entry = st.builds(Scalar, frac, frac if gaussian else st.just(0))
+    x = [draw(entry) for _ in range(cols)]
+    consistent = [sum((v * x[c] for c, v in row.items()), Scalar(0)) for row in rows]
+    return rows, cols, consistent, [draw(entry) for _ in rows]
+
+
+@PROPERTY
+@given(fractional_systems())
+def test_integer_sweep_matches_the_reference_on_fractional_systems(spec):
+    """The fraction-free sweep on a Matrix with den != 1 and a fractional rhs,
+    over Q and over Q(i): the reference sweep's pivots, and its solution or
+    certificate entry by entry."""
+    rows, cols, consistent, arbitrary = spec
+    m = as_matrix(rows, cols)
+    assert m.den != 1
+    solver = LinearSolver(m)
+    assert assert_solves_like_reference(solver, rows, cols, consistent).consistent
+    assert_solves_like_reference(solver, rows, cols, arbitrary)
+
+
+def test_solver_rank_is_known_only_after_solve():
+    solver = LinearSolver(Matrix.from_rows([[1, 0], [1, 0]]))
+    with pytest.raises(ValueError, match="only after solve"):
+        solver.rank
+    solver.solve((1, 1))
+    assert solver.rank == 1
+
+
 # -- the row-at-a-time elimination against the column sweep -------------------
 
 

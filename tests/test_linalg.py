@@ -225,11 +225,12 @@ def test_solver_certifies_what_it_returns(monkeypatch):
     # untouched, both answers pass their own checks
     assert LinearSolver(m).solve(consistent).solution == (ONE, ZERO)
     assert LinearSolver(m).solve(inconsistent).certificate == (-ONE, ONE)
-    # a sweep that reads a tampered entries view (the identity) returns the point (1, 2)
-    tampered = Matrix.from_rows([[1, 0], [1, 0]])
-    object.__setattr__(tampered, "_entries", Matrix.identity(2).entries)
-    with pytest.raises(CertificateError, match="solution fails m x = rhs"):
-        LinearSolver(tampered).solve(inconsistent)
+    # a sweep whose integer arithmetic is wrong (every gcd read as 2) zeroes
+    # the second row instead of clearing it, and returns the point (1, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "gcd", lambda *parts: 2)
+        with pytest.raises(CertificateError, match="solution fails m x = rhs"):
+            LinearSolver(m).solve(inconsistent)
     # a kernel vector on the rows {r} u P that is not m's claims a y with y^T m != 0
     monkeypatch.setattr(linalg, "kernel_basis", lambda sub: [(ONE, ONE)])
     with pytest.raises(CertificateError, match="fails y\\^T m = 0"):

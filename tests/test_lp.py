@@ -1,10 +1,13 @@
 from fractions import Fraction
 from random import Random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hopfcoh.amenability import _mean_system
 from hopfcoh.lp import enumerate_feasibility, solve_equality_feasibility
 from hopfcoh.monoids import FiniteMonoid
-from reference import bench_workloads
+from reference import bench_workloads, ref_solve_equality_feasibility
 
 
 def test_simple_feasible():
@@ -73,3 +76,63 @@ def test_oracle_simplex_and_minimal_ideal_agree_on_every_small_monoid():
         expected = workloads.has_invariant_mean(table)
         assert enumerate_feasibility(rows, rhs) == expected, table
         assert solve_equality_feasibility(rows, rhs).feasible == expected, table
+
+
+# -- the integer tableau against the Fraction simplex -------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def lp_systems(draw):
+    """{A w = b} with Fraction entries: b either arbitrary or A w0 for some
+    w0 >= 0 (feasible), negative entries of b included (the row sign flip),
+    and some rows repeated, scaled or not (ties in Bland's ratio test)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        w0 = [abs(draw(entry)) for _ in range(n)]
+        b = [sum((x * w for x, w in zip(row, w0)), Fraction(0)) for row in a]
+    else:
+        b = [draw(entry) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        k = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]))
+        a.append([k * x for x in a[i]])
+        b.append(k * b[i])
+    return a, b
+
+
+def assert_simplex_matches_reference(a, b):
+    got, expected = solve_equality_feasibility(a, b), ref_solve_equality_feasibility(a, b)
+    assert (got.feasible, got.point, got.farkas) == (expected.feasible, expected.point, expected.farkas)
+    assert all(type(x) is Fraction for x in got.point or got.farkas)
+    return got
+
+
+@PROPERTY
+@given(lp_systems())
+def test_integer_tableau_matches_the_fraction_simplex(spec):
+    """The integer tableau returns the Fraction simplex's point or Farkas
+    vector, entry by entry."""
+    assert_simplex_matches_reference(*spec)
+
+
+def test_integer_tableau_matches_on_the_sign_flip_and_ties():
+    """Negative right-hand sides and duplicated rows, feasible and not."""
+    cases = [
+        ([[1, 1], [1, 1]], [-1, -1]),
+        ([[-1, 2], [-1, 2], [1, 0]], [-1, -1, 1]),
+        ([[1, 0, 1], [1, 0, 1], [0, 1, 1]], [1, 1, 1]),
+        ([[Fraction(1, 2), 1], [1, 2]], [1, 3]),
+    ]
+    answers = [assert_simplex_matches_reference(a, b).feasible for a, b in cases]
+    assert answers == [False, True, True, False]
+
+
+def test_integer_tableau_matches_on_every_small_mean_system():
+    """All 11 + 156 invariant-mean systems of order 3 and 4."""
+    workloads = bench_workloads()
+    tables = workloads.monoid_tables(3) + workloads.monoid_tables(4)
+    for table in tables:
+        assert_simplex_matches_reference(*_mean_system(FiniteMonoid(len(table), table)))
