@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     Vec,
     certify,
+    combination,
     kernel_basis,
     kron,
     kron_all,
@@ -49,26 +50,26 @@ def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
         raise ValueError("negative degree")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     i_sn = Matrix.identity(s**n)
-    total = kron(b.beta.beta, i_sn)
+    faces = [(1, kron(b.beta.beta, i_sn))]
     for k in range(1, n + 1):
         left = Matrix.identity(x * s ** (k - 1))
         right = Matrix.identity(s ** (n - k))
-        term = kron_all(left, h.comult, right)
-        total = total + term.scale((-1) ** k)
+        faces.append(((-1) ** k, kron_all(left, h.comult, right)))
     # rotation_sigma(n + 1, 1): the gamma leg moves from first to last
     last = kron(b.gamma.gamma, i_sn)
     move = leg_map([s, last.cols], [1, 0])
-    return total + last.reindex(last.rows, last.cols, lambda r, c: (move[r], c)).scale((-1) ** (n + 1))
+    faces.append(((-1) ** (n + 1), last.reindex(last.rows, last.cols, lambda r, c: (move[r], c))))
+    return combination(faces)
 
 
 def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     """Coboundary Hom(X, S^n) -> Hom(X, S^{n+1}) of the dual complex.
 
     With T a basis map e_y -> (S^n basis v), the three families of terms
-    are reindexed tensors:
+    are tensors, one of them reindexed:
 
-      (T (x) id) o beta :            row ((v,a), j) <- kron(id, beta)[(v,(y,a)), (v,j)]
-      (id^{n-k} (x) d (x) id^{k-1}) o T : kron(insertion, id_X)
+      (T (x) id) o beta :            kron(id, B), B[(a,j), y] = beta[(y,a), j]
+      (id^{n-k} (x) d (x) id^{k-1}) o T : kron(id^{n-k}, d, id^{k-1} (x) id_X)
       (id (x) T) o gamma :           row ((a,v), j) <- kron(id, gamma)[(v,(a,y)), (v,j)]
 
     and each lands in column (v, y).
@@ -79,25 +80,16 @@ def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     sn = s**n
     rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
 
-    def on_beta(r, c):  # the beta leg is the last output leg, sign +1
-        v, y, a = r // (x * s), r // s % x, r % s
-        return (v * s + a) * x + c % x, v * x + y
-
     def on_gamma(r, c):  # the gamma leg is the first output leg, sign (-1)^{n+1}
         v, a, y = r // (s * x), r // x % s, r % x
         return (a * sn + v) * x + c % x, v * x + y
 
-    mat = kron(i_sn, b.beta.beta).reindex(rows, cols, on_beta)
-    mat = mat + kron(i_sn, b.gamma.gamma).reindex(rows, cols, on_gamma).scale((-1) ** (n + 1))
-    # coproduct insertions
-    for k in range(1, n + 1):
-        ins = kron_all(
-            Matrix.identity(s ** (n - k)),
-            h.comult,
-            Matrix.identity(s ** (k - 1)),
-        )
-        mat = mat + kron(ins, Matrix.identity(x)).scale((-1) ** k)
-    return mat
+    beta = b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s))
+    faces = [(1, kron(i_sn, beta)), ((-1) ** (n + 1), kron(i_sn, b.gamma.gamma).reindex(rows, cols, on_gamma))]
+    for k in range(1, n + 1):  # coproduct insertions
+        ins = kron_all(Matrix.identity(s ** (n - k)), h.comult, Matrix.identity(s ** (k - 1) * x))
+        faces.append(((-1) ** k, ins))
+    return combination(faces)
 
 
 def bar_boundary(b: Bicomodule, n: int) -> Matrix:
@@ -114,19 +106,20 @@ def bar_boundary(b: Bicomodule, n: int) -> Matrix:
     mult_b = dual_algebra_mult(h)
     act_l = module_from_coaction(b.beta)  # B (x) X -> X
     act_r = module_from_left_coaction(b.gamma)  # X (x) B -> X
-    total = kron(Matrix.identity(s ** (n - 1)), act_l)
+    faces = [(1, kron(Matrix.identity(s ** (n - 1)), act_l))]
     for i in range(1, n):
         term = kron_all(
             Matrix.identity(s ** (i - 1)),
             mult_b,
             Matrix.identity(s ** (n - i - 1) * x),
         )
-        total = total + term.scale((-1) ** (n - i))
+        faces.append(((-1) ** (n - i), term))
     # precompose the rotation B^n (x) X -> B^{n-1} (x) X (x) B: a column of
     # kron(id, act_r) indexed (w, b) becomes the column (b, w)
     last = kron(Matrix.identity(s ** (n - 1)), act_r)
     back = leg_map([last.cols // s, s], [1, 0])
-    return total + last.reindex(last.rows, last.cols, lambda r, c: (r, back[c])).scale((-1) ** n)
+    faces.append(((-1) ** n, last.reindex(last.rows, last.cols, lambda r, c: (r, back[c]))))
+    return combination(faces)
 
 
 def bar_dual_coboundary(b: Bicomodule, n: int) -> Matrix:

@@ -84,17 +84,22 @@ def _combine(x: dict, kx: int, y: dict, ky: int) -> dict:
     return out
 
 
-def _product(a: dict, b: dict) -> dict:
-    """The sparse integer product of {(i, k): x} and {(k, j): y}, zeros dropped."""
+def _product(a: dict, b: dict, cols: int) -> dict:
+    """The sparse integer product of {(i, k): x} and {(k, j): y}, j < cols, zeros dropped.
+
+    Gustavson's row accumulation on the flat key i * cols + j: an (i, j)
+    tuple is made only for a nonzero result, in first-touch order.
+    """
     right: dict = {}
     for (k, j), y in b.items():
         right.setdefault(k, []).append((j, y))
     acc: dict = {}
     for (i, k), x in a.items():
+        base = i * cols
         for j, y in right.get(k, ()):
-            key = (i, j)
+            key = base + j
             acc[key] = acc.get(key, 0) + x * y
-    return {k: v for k, v in acc.items() if v}
+    return {divmod(key, cols): v for key, v in acc.items() if v}
 
 
 def _parts(v):
@@ -150,6 +155,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix._of, (self.rows, self.cols, self.re, self.im, self.den)
 
     # -- constructors --
 
@@ -231,19 +239,11 @@ class Matrix:
 
     # -- arithmetic --
 
-    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        re, im = _combine(self.re, ka, other.re, kb), _combine(self.im, ka, other.im, kb)
-        return Matrix._of(self.rows, self.cols, re, im, den)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, 1)
+        return combination([(1, self), (1, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -1)
+        return combination([(1, self), (-1, other)])
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -261,10 +261,11 @@ class Matrix:
             raise ValueError(
                 f"composition undefined: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        re, im = _product(self.re, other.re), {}
+        cols = other.cols
+        re, im = _product(self.re, other.re, cols), {}
         if self.im or other.im:  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
-            re = _combine(re, 1, _product(self.im, other.im), -1)
-            im = _combine(_product(self.re, other.im), 1, _product(self.im, other.re), 1)
+            re = _combine(re, 1, _product(self.im, other.im, cols), -1)
+            im = _combine(_product(self.re, other.im, cols), 1, _product(self.im, other.re, cols), 1)
         return Matrix._of(self.rows, other.cols, re, im, self.den * other.den)
 
     def apply(self, v: Vec) -> Vec:
@@ -315,6 +316,26 @@ class Matrix:
         for out, part in ((re, other.re), (im, other.im)):
             out.update({(r, c + shift): kb * v for (r, c), v in part.items()})
         return Matrix._of(self.rows, shift + other.cols, re, im, den)
+
+
+def combination(terms) -> Matrix:
+    """sum k m over the (k, m) in terms, integers k and matrices m of one
+    shape, in one pass over the numerators on their common denominator."""
+    (k, m), *rest = terms
+    rows, cols, den = m.rows, m.cols, lcm(m.den, *(t.den for _, t in rest))
+    k *= den // m.den
+    re, im = ({key: k * v for key, v in part.items()} if k else {} for part in (m.re, m.im))
+    for k, m in rest:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch in combination")
+        k *= den // m.den
+        for out, part in ((re, m.re), (im, m.im)):
+            for key, v in part.items():
+                if s := out.get(key, 0) + k * v:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+    return Matrix._of(rows, cols, re, im, den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -413,7 +434,9 @@ def _rref_rows(row_dicts, cols: int, p: int = 0):
     When p is 0 it is exact over whatever field the entries lie in, and
     keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
     Scalar, since the only constant it brings in is 1 / pivot.
-    Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
+    Otherwise it works over Z/p, and the entries may be any ints: a row
+    is taken mod p once the pivot rows have reduced it, before its pivot
+    is chosen, so the rows it returns hold residues in [1, p).  Mutates nothing
     passed in.  Returns (pivots, rows, origins) with monic pivots, zero
     above and below each pivot, rows sorted by pivot column: the RREF.
 
@@ -483,7 +506,8 @@ _B = isqrt(_P // 2)  # Wang's bound: a residue u <= _B stands for u, one u >= _P
 
 def _null_space(cells, cols: int, p: int = 0):
     """(pivot rows, RREF basis of the null space as sparse rows) of D's nonzero
-    ((r, c), x) cells, over Q(i), or Z/p when p, from one elimination.
+    ((r, c), x) cells, over Q(i), or Z/p when p (any int x, residues out),
+    from one elimination.
 
     The pivot rows are rank-many rows r of D, independent and spanning D's
     rows.  With D's columns numbered right to left, the null vector of free
@@ -556,8 +580,9 @@ class Kernel(list):
 def kernel_basis(m: Matrix) -> Kernel:
     """Canonical kernel basis: the RREF basis of the null space.
 
-    Eliminates modulo 2^61 - 1, rebuilding the entries by rational
-    reconstruction, and returns that basis if it passes _is_kernel_rref;
+    Eliminates m's integer numerators, unreduced, modulo 2^61 - 1 (the
+    common denominator changes no kernel), rebuilding the entries by
+    rational reconstruction, and returns that basis if it passes _is_kernel_rref;
     otherwise eliminates exactly, and an exact basis that fails the check
     raises CertificateError.  The basis is thus checked against D given
     the elimination's rank, and the same whichever path found it.
@@ -565,10 +590,8 @@ def kernel_basis(m: Matrix) -> Kernel:
     and re-running rref reproduces it unchanged.  A modular elimination's
     pivot rows have a minor nonzero mod p, hence over Q.
     """
-    if not m.im and m.den % _P:  # real, and the numerators over den reduce mod p
-        inv = pow(m.den, -1, _P)
-        mod = ((k, x) for k, v in m.re.items() if (x := v * inv % _P))
-        rows, basis = _null_space(mod, m.cols, _P)
+    if not m.im:
+        rows, basis = _null_space(m.re.items(), m.cols, _P)
         basis = [{c: _lift(u) for c, u in v.items()} for v in basis]
         if all(None not in v.values() for v in basis) and _is_kernel_rref(m, len(rows), basis):
             return Kernel(m, rows, basis)

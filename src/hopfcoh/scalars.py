@@ -31,6 +31,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (self.re, self.im)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

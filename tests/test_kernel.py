@@ -66,7 +66,7 @@ def test_random_rational_matrices(m):
 @PROPERTY
 @given(matrices(fractions()), st.sampled_from([P, P * P]), st.integers(1, 3))
 def test_denominators_divisible_by_the_prime(m, q, k):
-    # an entry k / (3q): the prime divides a denominator, which sends the matrix to the exact path
+    # an entry k / (3q): the prime divides the common denominator, so every other numerator is zero mod p
     entries = dict(m.entries)
     entries[(0, 0)] = Scalar(Fraction(k, 3 * q))
     assert_matches_reference(Matrix(m.rows, m.cols, entries))
@@ -175,6 +175,27 @@ def assert_null_space_matches_reference(cells, cols, p=0):
     assert len(set(pivot_rows)) == len(pivot_rows)
     picked = [{c: x for (r, c), x in cells.items() if r == q} for q in pivot_rows]
     assert len(reference_rref_rows(picked, p=p)[0]) == len(pivot_rows)
+
+
+# -- the modular elimination reads the numerators unreduced --------------------
+
+
+@pytest.mark.parametrize(
+    "rows, fields",
+    [
+        ([[P, 2 * P], [1, 2]], [P]),  # a row zero mod p, nonzero over Q
+        ([[-P, 1, P - 1], [1, 2 * P, -1 - 2 * P]], [P]),
+        ([[-(2**80), -3 * 2**80, 0], [-7, -21, -(2**70)]], [P]),  # large negative entries
+        ([[Fraction(1, 3), Fraction(2, 3)], [Fraction(-1, 2), -1]], [P]),  # den != 1
+        ([[Fraction(-5, 6), Fraction(5, 3), 0], [Fraction(1, 7), Fraction(-2, 7), Fraction(3, 7)]], [P]),
+        ([[P, 1], [-P, 1]], [P, 0]),  # rank 2 over Q, 1 mod p: the exact path answers
+    ],
+)
+def test_raw_numerators_feed_the_modular_elimination(monkeypatch, rows, fields):
+    m = Matrix.from_rows(rows)
+    seen = _counting_fields(monkeypatch, linalg._rref_rows)
+    assert kernel_basis(m) == reference_kernel(m)
+    assert seen == fields
 
 
 # -- tampering: a corrupted result is never returned --------------------------

@@ -1,6 +1,7 @@
 """Matrix arithmetic (integer numerators over one denominator) against the
 dict-of-Scalar reference, and the canonical form that makes == and hash
 independent of how a matrix was built."""
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcoh.linalg import Matrix, kron
+from hopfcoh.linalg import Matrix, combination, kron
 from hopfcoh.scalars import Scalar, as_scalar
 from reference import (
     ref_augment,
@@ -78,6 +79,46 @@ def test_sum_difference_and_augment_match_reference(a, data):
     assert_is(ma - mb, rows, cols, ref_sum(ra, rb, -1))
     assert_is(-ma, rows, cols, ref_scale(ra, Scalar(-1)))
     assert_is(ma.augment(mc), rows, cols + c[1], ref_augment(ra, rc, cols))
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_combination_matches_a_fold_of_ref_sum(a, data):
+    rows, cols, _ = a
+    specs = [a] + data.draw(st.lists(matrices(rows, cols), max_size=3))
+    signs = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(specs), max_size=len(specs)))
+    built = [build(spec) for spec in specs]
+    expected = {}
+    for k, (_, ref) in zip(signs, built):
+        expected = ref_sum(expected, ref, k)
+    assert_is(combination([(k, m) for k, (m, _) in zip(signs, built)]), rows, cols, expected)
+    m = built[0][0]
+    zero = combination([(1, m), (-1, m)])
+    assert zero == Matrix.zero(rows, cols) and zero.den == 1
+    assert combination([(0, m), (1, m), (0, m)]) == m and combination([(0, m)]) == zero
+
+
+def test_combination_of_two_shapes_raises():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combination([(1, Matrix.identity(2)), (-1, Matrix.zero(2, 3))])
+
+
+def test_pickle_round_trips_the_examples():
+    for x in (Scalar(1, 2), Matrix.identity(2)):
+        assert pickle.loads(pickle.dumps(x)) == x
+
+
+@PROPERTY
+@given(matrices(), GAUSSIAN)
+def test_pickle_round_trip(a, q):
+    """Over Q and Q(i), with the entries view not yet built and already built."""
+    fresh, cached = build(a)[0], build(a)[0]
+    assert cached.entries is not None
+    for x in (fresh, cached, cached.scale(q), q):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x)
+    y = pickle.loads(pickle.dumps(cached))
+    assert y.entries == cached.entries and (y.rows, y.cols, y.den) == (cached.rows, cached.cols, cached.den)
 
 
 @PROPERTY

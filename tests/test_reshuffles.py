@@ -77,7 +77,6 @@ def functionals(name: str) -> tuple:
 
 
 ALL = algebra_names() + (GAUSSIAN,)
-SMALL = tuple(n for n in algebra_names() if get_algebra(n).dim <= 4) + ("kp8", GAUSSIAN)
 
 
 def test_the_gaussian_bicomodule_is_not_real():
@@ -113,7 +112,7 @@ def test_codiagonal_contractions_match_reference(name):
                     assert codiagonal_contraction(b, n, f, side) == ref.ref_codiagonal_contraction(b, n, f, side)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", ALL)
 def test_permutation_products_match_reference(name):
     for b in bicomodules(name):
         dual_b = dual_bicomodule(b)
