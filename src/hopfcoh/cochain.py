@@ -31,6 +31,7 @@ from .linalg import (
     Vec,
     certify,
     combination,
+    failing_column,
     kernel_basis,
     kron,
     kron_all,
@@ -354,13 +355,14 @@ def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction: Matrix)
     """The primitives P = K_n Z of the cocycle columns Z, from a contraction K_n: C^n -> C^{n-1}.
 
     D_n Z = 0 is required (ValueError otherwise) and D_{n-1} P = Z is
-    certified exactly, for all columns at once.
+    certified exactly, for all columns at once; a failure's witness is the degree and least failing column.
     """
     z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
     if not (cx.boundary(n) @ z).is_zero():
         raise ValueError("input is not a cocycle")
     prims = contraction @ z
-    certify(cx.boundary(n - 1) @ prims == z, f"homotopy primitives fail D_{n - 1} P = Z in degree {n}")
+    w = failing_column([(1, cx.boundary(n - 1), prims), (-1, z)])
+    certify(w is None, f"homotopy primitives fail D_{n - 1} P = Z in degree {n}", n, w)
     return prims
 
 
@@ -422,10 +424,9 @@ def homotopy_from_codiagonal(
     _require(cx, n)
     k_n = codiagonal_contraction(b, n, f_functional, side) if k_n is None else k_n
     k_next = codiagonal_contraction(b, n + 1, f_functional, side)
-    certify(
-        cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n) == Matrix.identity(cx.degrees[n]),
-        f"codiagonal homotopy fails D K + K D = id in degree {n}",
-    )
+    d_prev, d_n = cx.boundary(n - 1), cx.boundary(n)
+    w = failing_column([(1, d_prev, k_n), (1, k_next, d_n), (-1, Matrix.identity(cx.degrees[n]))])
+    certify(w is None, f"codiagonal homotopy fails D K + K D = id in degree {n}", n, w)
     return k_next
 
 

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 from .hopf import HopfStarAlgebra, translates_span
-from .linalg import Matrix, dense, kron, rref
+from .linalg import Matrix, combination, dense, failing_column, kron, rref
 from .monoids import FiniteGroup
 
 
@@ -25,8 +25,8 @@ class RightCoaction:
         x, s = self.space_dim, self.hopf.dim
         if (self.beta.rows, self.beta.cols) != (x * s, x):
             raise ValueError("beta must be (x*s) x x")
-        if not right_coaction_identity_holds(self.hopf, self.beta):
-            raise ValueError("right coaction identity fails")
+        if (w := right_coaction_failure(self.hopf, self.beta)) is not None:
+            raise ValueError(f"right coaction identity fails at column {w}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class LeftCoaction:
         x, s = self.space_dim, self.hopf.dim
         if (self.gamma.rows, self.gamma.cols) != (s * x, x):
             raise ValueError("gamma must be (s*x) x x")
-        if not left_coaction_identity_holds(self.hopf, self.gamma):
-            raise ValueError("left coaction identity fails")
+        if (w := left_coaction_failure(self.hopf, self.gamma)) is not None:
+            raise ValueError(f"left coaction identity fails at column {w}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class Bicomodule:
             raise ValueError("coactions live over different algebras")
         if self.beta.space_dim != self.gamma.space_dim:
             raise ValueError("coactions live on different spaces")
-        if not bicomodule_compatible(self.beta, self.gamma):
-            raise ValueError("bicomodule compatibility fails")
+        if (w := compatibility_failure(self.beta, self.gamma)) is not None:
+            raise ValueError(f"bicomodule compatibility fails at column {w}")
 
     @property
     def hopf(self) -> HopfStarAlgebra:
@@ -65,22 +65,20 @@ class Bicomodule:
         return self.beta.space_dim
 
 
-def right_coaction_identity_holds(h: HopfStarAlgebra, beta: Matrix) -> bool:
-    x, s = beta.cols, h.dim
-    ix, i_s = Matrix.identity(x), Matrix.identity(s)
-    return kron(beta, i_s) @ beta == kron(ix, h.comult) @ beta
+# each identity check returns the least column where its two sides differ, or None
+def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
+    ix, i_s = Matrix.identity(beta.cols), Matrix.identity(h.dim)
+    return failing_column([(1, kron(beta, i_s), beta), (-1, kron(ix, h.comult), beta)])
 
 
-def left_coaction_identity_holds(h: HopfStarAlgebra, gamma: Matrix) -> bool:
-    x, s = gamma.cols, h.dim
-    ix, i_s = Matrix.identity(x), Matrix.identity(s)
-    return kron(i_s, gamma) @ gamma == kron(h.comult, ix) @ gamma
+def left_coaction_failure(h: HopfStarAlgebra, gamma: Matrix) -> Optional[int]:
+    ix, i_s = Matrix.identity(gamma.cols), Matrix.identity(h.dim)
+    return failing_column([(1, kron(i_s, gamma), gamma), (-1, kron(h.comult, ix), gamma)])
 
 
-def bicomodule_compatible(beta: RightCoaction, gamma: LeftCoaction) -> bool:
-    h = beta.hopf
-    i_s = Matrix.identity(h.dim)
-    return kron(i_s, beta.beta) @ gamma.gamma == kron(gamma.gamma, i_s) @ beta.beta
+def compatibility_failure(beta: RightCoaction, gamma: LeftCoaction) -> Optional[int]:
+    i_s = Matrix.identity(beta.hopf.dim)
+    return failing_column([(1, kron(i_s, beta.beta), gamma.gamma), (-1, kron(gamma.gamma, i_s), beta.beta)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
         if any(image):
             raise ValueError(f"subspace vector {k} is not killed by (q (x) id) o beta")
     beta_hat = qs @ c.beta @ section
-    if not (beta_hat @ q == qs @ c.beta):
+    if not combination([(1, beta_hat, q), (-1, qs, c.beta)]).is_zero():
         raise ValueError("induced coaction does not factor through the projection")
     return QuotientData(RightCoaction(len(free), c.hopf, beta_hat), q, section)
 
@@ -206,7 +204,7 @@ def grade_decomposition(c: RightCoaction):
         basis = [dense(row, x) for row in rows]
         b = Matrix.from_cols(basis, rows=x)
         # beta(v) = v (x) u_r for every column v of b; phi_r^T is u_r as a column
-        if c.beta @ b != kron(b, phi_r.transpose()):
+        if not combination([(1, c.beta, b), (-1, kron(b, phi_r.transpose()))]).is_zero():
             raise ValueError(f"grading component {r} fails beta(x) = x (x) u_{r}")
         out[r] = basis
     return out

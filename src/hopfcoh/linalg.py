@@ -30,13 +30,17 @@ Vec = tuple  # tuple[Scalar, ...]
 
 
 class CertificateError(Exception):
-    """A certificate failed its exact re-check: a bug, never bad input."""
+    """A certificate failed its exact re-check: a bug, never bad input; degree and column locate it when known."""
+
+    def __init__(self, what: str, degree: Optional[int] = None, column: Optional[int] = None):
+        super().__init__(what)
+        self.degree, self.column = degree, column
 
 
-def certify(ok: bool, what: str) -> None:
-    """Raise CertificateError(what) unless ok; unlike assert, runs under python -O."""
+def certify(ok: bool, what: str, degree: Optional[int] = None, column: Optional[int] = None) -> None:
+    """Raise CertificateError unless ok; unlike assert, runs under python -O."""
     if not ok:
-        raise CertificateError(what)
+        raise CertificateError(what, degree, column)
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +88,26 @@ def _combine(x: dict, kx: int, y: dict, ky: int) -> dict:
     return out
 
 
-def _product(a: dict, b: dict, cols: int) -> dict:
-    """The sparse integer product of {(i, k): x} and {(k, j): y}, j < cols, zeros dropped.
-
-    Gustavson's row accumulation on the flat key i * cols + j: an (i, j)
-    tuple is made only for a nonzero result, in first-touch order.
-    """
-    right: dict = {}
-    for (k, j), y in b.items():
-        right.setdefault(k, []).append((j, y))
-    acc: dict = {}
-    for (i, k), x in a.items():
-        base = i * cols
-        for j, y in right.get(k, ()):
-            key = base + j
-            acc[key] = acc.get(key, 0) + x * y
-    return {divmod(key, cols): v for key, v in acc.items() if v}
+def _product(terms, cols: int, den: int) -> tuple:
+    """(re, im) numerators over den of the sum of k (a @ b) over the terms (k, a, b), b with cols
+    columns: every product accumulates on the flat key r * cols + c by Gustavson's row
+    accumulation, and an (r, c) key is made only for a nonzero sum, in first-touch order."""
+    re, im = {}, {}
+    for k, a, b in terms:
+        k *= den // (a.den * b.den)  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
+        for acc, x, y, f in ((re, a.re, b.re, k), (re, a.im, b.im, -k), (im, a.re, b.im, k), (im, a.im, b.re, k)):
+            if not (f and x and y):
+                continue
+            right: dict = {}
+            for (kk, j), v in y.items():
+                right.setdefault(kk, []).append((j, f * v))
+            for (i, kk), u in x.items():
+                base = i * cols
+                for j, v in right.get(kk, ()):
+                    key = base + j
+                    acc[key] = acc.get(key, 0) + u * v
+    re = {divmod(key, cols): v for key, v in re.items() if v}
+    return re, im and {divmod(key, cols): v for key, v in im.items() if v}
 
 
 def _parts(v):
@@ -258,15 +266,9 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
-            raise ValueError(
-                f"composition undefined: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        cols = other.cols
-        re, im = _product(self.re, other.re, cols), {}
-        if self.im or other.im:  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
-            re = _combine(re, 1, _product(self.im, other.im, cols), -1)
-            im = _combine(_product(self.re, other.im, cols), 1, _product(self.im, other.re, cols), 1)
-        return Matrix._of(self.rows, other.cols, re, im, self.den * other.den)
+            raise ValueError(f"composition undefined: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        den = self.den * other.den
+        return Matrix._of(self.rows, other.cols, *_product([(1, self, other)], other.cols, den), den)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -319,23 +321,38 @@ class Matrix:
 
 
 def combination(terms) -> Matrix:
-    """sum k m over the (k, m) in terms, integers k and matrices m of one
-    shape, in one pass over the numerators on their common denominator."""
-    (k, m), *rest = terms
-    rows, cols, den = m.rows, m.cols, lcm(m.den, *(t.den for _, t in rest))
-    k *= den // m.den
-    re, im = ({key: k * v for key, v in part.items()} if k else {} for part in (m.re, m.im))
-    for k, m in rest:
-        if (m.rows, m.cols) != (rows, cols):
-            raise ValueError("shape mismatch in combination")
-        k *= den // m.den
-        for out, part in ((re, m.re), (im, m.im)):
+    """The sum of the terms, integers k and matrices of one shape: k m for a term
+    (k, m), k (a @ b) for a product term (k, a, b), in one pass over the numerators
+    on their common denominator: the products together by _product, then the plain
+    terms on (r, c) keys, the first copied unless a product sum came first."""
+    if not terms:
+        raise ValueError("combination of no terms")
+    for _, a, *b in terms:
+        if b and a.cols != b[0].rows:
+            raise ValueError(f"composition undefined: {a.rows}x{a.cols} @ {b[0].rows}x{b[0].cols}")
+    if len({(t[1].rows, t[-1].cols) for t in terms}) != 1:
+        raise ValueError("shape mismatch in combination")
+    rows, cols = terms[0][1].rows, terms[0][-1].cols
+    den = lcm(*(t[1].den * (t[2].den if len(t) == 3 else 1) for t in terms))
+    plain = [(k * (den // m.den), m.re, m.im) for k, m, *b in terms if not b]
+    if len(plain) < len(terms):
+        re, im = _product([t for t in terms if len(t) == 3], cols, den)
+    else:
+        (k, re, im), *plain = plain
+        re, im = ({key: k * v for key, v in part.items()} if k else {} for part in (re, im))
+    for k, *pair in plain:
+        for out, part in zip((re, im), pair):
             for key, v in part.items():
                 if s := out.get(key, 0) + k * v:
                     out[key] = s
                 elif key in out:
                     del out[key]
     return Matrix._of(rows, cols, re, im, den)
+
+
+def failing_column(terms) -> Optional[int]:
+    """The least column where the combination of terms is nonzero; None when it vanishes."""
+    return min((c for _, c in combination(terms).support), default=None)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -552,7 +569,7 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     basis must be in RREF (each vector monic at its leading column, leading
     columns increasing and zero in every other vector), hold cols - rank
     vectors and satisfy D K = 0 for K the matrix whose columns they are,
-    one product on integer numerators.  This certifies the kernel given
+    one product on integer numerators (none for an empty basis).  This certifies the kernel given
     rank: a rank that is too small is caught, one that is too large (a
     spurious pivot) is not, so the rank itself is trusted to the elimination.
     """
@@ -565,7 +582,7 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     if any(v[c] != 1 or len(lead_set.intersection(v)) != 1 for c, v in zip(leads, basis)):
         return False
     k = Matrix(m.cols, len(basis), {(c, j): x for j, v in enumerate(basis) for c, x in v.items()})
-    return (m @ k).is_zero()
+    return not basis or (m @ k).is_zero()
 
 
 class Kernel(list):

@@ -559,6 +559,62 @@ def test_zero_functional_is_no_codiagonal():
         homotopy_from_codiagonal(b, 1, (Scalar(0),) * (h.dim * h.dim), cx=cx)
 
 
+def _least_failing_column(m: Matrix) -> int:
+    return min(c for _, c in m.support)
+
+
+def _plus_one_at(m: Matrix, cell) -> Matrix:
+    return m + Matrix(m.rows, m.cols, {cell: ONE})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_corrupted_next_contraction_is_named_by_degree_and_column(monkeypatch, n):
+    """One entry added to K_{n+1}, on a row of D_n that is not zero: the
+    certificate names degree n and the least column where D K + K D - id is
+    nonzero, as the plain sum of the built products finds it."""
+    from hopfcoh import cochain
+    from hopfcoh.amenability import find_codiagonal
+
+    h = get_algebra("group:Z3")
+    b, f = pair_graded_bicomodule(h), find_codiagonal(h).certificate.functional
+    cx = build_complex(b, "dual", 3)
+    row = min(r for r, _ in cx.boundary(n).support)
+    original = cochain.codiagonal_contraction
+
+    def tampered(b, m, f, side):
+        k = original(b, m, f, side)
+        return _plus_one_at(k, (k.rows - 1, row)) if m == n + 1 else k
+
+    k_n, k_next = original(b, n, f, "beta"), tampered(b, n + 1, f, "beta")
+    lhs = cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n)
+    monkeypatch.setattr(cochain, "codiagonal_contraction", tampered)
+    with pytest.raises(CertificateError, match=f"^codiagonal homotopy fails D K \\+ K D = id in degree {n}$") as err:
+        homotopy_from_codiagonal(b, n, f, "beta", cx=cx)
+    assert (err.value.degree, err.value.column) == (n, _least_failing_column(lhs - Matrix.identity(cx.degrees[n])))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_corrupted_primitive_is_named_by_degree_and_column(monkeypatch, n):
+    """One entry added to the counit contraction K_n corrupts the primitives
+    P = K_n Z of the cocycles with a nonzero entry in that column; the
+    certificate names degree n and the least column where D P != Z."""
+    from hopfcoh import cochain
+
+    h = get_algebra("group:Z3")
+    b = one_sided(regular_right_coaction(h))
+    cx = build_complex(b, "dual", 3)
+    cocycles = kernel_basis(cx.boundary(n))
+    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
+    source = min(r for r, c in z.support if c == z.cols - 1)  # a coordinate where the last cocycle is nonzero
+    target = min(c for _, c in cx.boundary(n - 1).support)  # D_{n-1} is nonzero on this coordinate
+    original = cochain._post_compose
+    monkeypatch.setattr(cochain, "_post_compose", lambda *args: _plus_one_at(original(*args), (target, source)))
+    prims = cochain._post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1)) @ z
+    with pytest.raises(CertificateError, match=f"^homotopy primitives fail D_{n - 1} P = Z in degree {n}$") as err:
+        homotopy_from_counit_dual(b, n, cocycles, cx=cx)
+    assert (err.value.degree, err.value.column) == (n, _least_failing_column(cx.boundary(n - 1) @ prims - z))
+
+
 def _codiagonal_primitive_reference(b, n, t_vec, f, side):
     """The per-vector formula (id^{n-1} (x) F)(T (x) id) beta, or (F (x) id^{n-1})(id (x) T) gamma."""
     x, s = b.space_dim, b.hopf.dim

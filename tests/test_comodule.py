@@ -306,3 +306,46 @@ def test_regular_bicomodule_reduces_to_coassociativity():
 def test_widest_catalog_space_is_read_off_the_algebra(name):
     h = get_algebra(name)
     assert widest_catalog_space(h) == max(e.bicomodule.space_dim for e in catalog_bicomodules(h))
+
+
+def _least_failing_column(lhs: Matrix, rhs: Matrix) -> int:
+    """The witness by the plain route: both sides built, then their difference."""
+    return min(c for _, c in (lhs - rhs).support)
+
+
+def _tampered(m: Matrix, cell) -> Matrix:
+    return m + Matrix(m.rows, m.cols, {cell: ONE})
+
+
+@pytest.mark.parametrize("name", ["function:S3", "group:Z3", "kp8"])
+def test_corrupted_coactions_name_the_least_failing_column(name):
+    """One entry added to the regular beta or gamma breaks its coaction
+    identity; the ValueError names the column the plain difference finds first."""
+    from hopfcoh.comodule import LeftCoaction
+
+    h = get_algebra(name)
+    s, i_s = h.dim, Matrix.identity(h.dim)
+    beta = _tampered(h.comult, (1, s - 1))
+    w = _least_failing_column(kron(beta, i_s) @ beta, kron(i_s, h.comult) @ beta)
+    with pytest.raises(ValueError, match=f"^right coaction identity fails at column {w}$"):
+        RightCoaction(s, h, beta)
+    gamma = _tampered(h.comult, (s, s - 2))
+    w = _least_failing_column(kron(i_s, gamma) @ gamma, kron(h.comult, i_s) @ gamma)
+    with pytest.raises(ValueError, match=f"^left coaction identity fails at column {w}$"):
+        LeftCoaction(s, h, gamma)
+
+
+def test_incompatible_coactions_name_the_least_failing_column():
+    """Two Z2-gradings of C^2 that do not commute: gamma grades e_0, e_1 by
+    1, t and beta grades e_0 + e_1, e_0 - e_1 by 1, t.  Each is a coaction,
+    and the pair is no bicomodule."""
+    from hopfcoh.comodule import LeftCoaction
+
+    h = get_algebra("group:Z2")
+    gamma = Matrix(4, 2, {(0, 0): ONE, (3, 1): ONE})  # row (a, x): u_a (x) e_x
+    signs = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): -1, (0, 1): 1, (1, 1): -1, (2, 1): 1, (3, 1): 1}
+    beta = Matrix(4, 2, {cell: Scalar(sign) / 2 for cell, sign in signs.items()})  # row (x, a): e_x (x) u_a
+    right, left, i_s = RightCoaction(2, h, beta), LeftCoaction(2, h, gamma), Matrix.identity(2)
+    w = _least_failing_column(kron(i_s, beta) @ gamma, kron(gamma, i_s) @ beta)
+    with pytest.raises(ValueError, match=f"^bicomodule compatibility fails at column {w}$"):
+        Bicomodule(right, left)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfcoh.catalog import get_algebra
+from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.hopf import (
     HopfStarAlgebra,
     check_axioms,
@@ -22,6 +24,7 @@ from hopfcoh.monoids import (
     trivial_monoid,
 )
 from hopfcoh.scalars import ONE, Scalar
+from reference import order3_monoid_tables
 
 
 def corrupt_comult(h: HopfStarAlgebra) -> HopfStarAlgebra:
@@ -282,8 +285,10 @@ def test_haar_on_corrupted_comult_inconsistent():
 
 
 def test_a_job_forms_the_product_on_s_tensor_s_once(monkeypatch):
-    """Only the axiom gate forms kron(mult, mult), the product on S (x) S:
-    saturation takes its translates from kron(I_s, mult) instead."""
+    """Only the axiom gate may form kron(mult, mult), the product on S (x) S,
+    and only where it is smaller than kron(comult, comult): on function:S3,
+    never on group:S3, whose law multiplies the legs of kron(comult, comult).
+    Saturation takes its translates from kron(I_s, mult) instead."""
     from hopfcoh import hopf
     from hopfcoh.jobfile import parse_input
     from hopfcoh.linalg import kron
@@ -297,5 +302,54 @@ def test_a_job_forms_the_product_on_s_tensor_s_once(monkeypatch):
         return kron(a, b)
 
     monkeypatch.setattr(hopf, "kron", counting_kron)
-    run(parse_input("algebra = group:S3\ntasks = axioms, saturation\n"))
-    assert len(products) == 1
+    for name, most in (("function:S3", 1), ("group:S3", 0)):
+        products.clear()
+        run(parse_input(f"algebra = {name}\ntasks = axioms, saturation\n"))
+        assert len(products) <= most, name
+
+
+def _multiplicativity_both_ways(m, delta, d):
+    """delta m - (m (x) m) swap (delta (x) delta), legwise and through kron(m, m)."""
+    from hopfcoh.hopf import _multiplicativity
+    from hopfcoh.linalg import combination
+
+    return tuple(combination(_multiplicativity(m, delta, d, legwise)) for legwise in (True, False))
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_legwise_multiplicativity_equals_the_kron_square_form(name):
+    h = get_algebra(name)
+    legwise, square = _multiplicativity_both_ways(h.mult, h.comult, h.dim)
+    assert legwise == square and legwise.is_zero()
+    bad = corrupt_comult(h)
+    legwise, square = _multiplicativity_both_ways(bad.mult, bad.comult, bad.dim)
+    assert legwise == square
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(st.sampled_from(order3_monoid_tables()), st.data())
+def test_legwise_multiplicativity_on_monoid_algebras_and_any_tensors(table, data):
+    """On function algebras of order-3 monoids, their duals, and on random
+    Q(i) tensors of the same shapes, where the law need not hold."""
+    h = function_algebra(FiniteMonoid(order=3, table=[list(r) for r in table], identity=0))
+    assert check_axioms(h).ok
+    for m, delta in ((h.mult, h.comult), (h.comult.transpose(), h.mult.transpose())):
+        legwise, square = _multiplicativity_both_ways(m, delta, 3)
+        assert legwise == square and legwise.is_zero()
+    d = data.draw(st.integers(1, 3))
+    gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    value = gaussian | st.builds(Fraction, st.integers(-2, 2), st.just(3))
+
+    def tensor(rows, cols):
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return Matrix(rows, cols, data.draw(st.dictionaries(cells, value)))
+
+    legwise, square = _multiplicativity_both_ways(tensor(d, d * d), tensor(d * d, d), d)
+    assert legwise == square
+
+
+def test_corrupted_comult_has_the_same_witness_either_way():
+    """The witness of test_corrupted_comult_caught_with_witness, from both forms of the law."""
+    h = corrupt_comult(get_algebra("function:Z2"))
+    for diff in _multiplicativity_both_ways(h.mult, h.comult, h.dim):
+        assert min(c for _, c in diff.support) == 1

@@ -312,6 +312,19 @@ def test_kernel_with_a_corrupted_imaginary_part_is_rejected(monkeypatch, m):
         kernel_basis(m)
 
 
+@pytest.mark.parametrize("m", [GAUSSIAN, TAMPER, Matrix.identity(3)], ids=["gaussian", "real", "identity"])
+def test_an_empty_kernel_basis_is_certified_by_its_count_alone(monkeypatch, m):
+    """With no basis vector D K = 0 holds vacuously: no product is formed, and
+    the count len(basis) = cols - rank is the whole check."""
+
+    def no_product(*args):
+        raise AssertionError("an empty kernel basis needs no product")
+
+    monkeypatch.setattr(linalg, "_product", no_product)
+    assert linalg._is_kernel_rref(m, m.cols, [])
+    assert not linalg._is_kernel_rref(m, m.cols - 1, [])
+
+
 def test_corrupted_exact_fallback_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_rows", _drop_last_pivot(linalg._rref_rows, (P, 0)))
     with pytest.raises(CertificateError, match="exact kernel basis"):

@@ -98,9 +98,43 @@ def test_combination_matches_a_fold_of_ref_sum(a, data):
     assert combination([(0, m), (1, m), (0, m)]) == m and combination([(0, m)]) == zero
 
 
+@PROPERTY
+@given(matrices(), st.data())
+def test_combination_with_product_terms_matches_ref_product_and_a_fold_of_ref_sum(a, data):
+    """Plain terms (k, m) and product terms (k, a, b) mixed in any order, over
+    Q and Q(i) with denominators 1-6, and zero coefficients among them."""
+    rows, cols, _ = a
+    m, expected = build(a)
+    terms = [(1, m)]
+    kinds = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))  # True: a product term
+    coeffs = data.draw(st.lists(st.sampled_from([-2, -1, 0, 1, 3]), min_size=len(kinds), max_size=len(kinds)))
+    for k, is_product in zip(coeffs, kinds):
+        if is_product:
+            left = data.draw(matrices(rows=rows))
+            (ma, ra), (mb, rb) = build(left), build(data.draw(matrices(rows=left[1], cols=cols)))
+            terms.append((k, ma, mb))
+            expected = ref_sum(expected, ref_product(ra, rb), k)
+        else:
+            m, ref = build(data.draw(matrices(rows, cols)))
+            terms.append((k, m))
+            expected = ref_sum(expected, ref, k)
+    terms.reverse()  # the term (1, a) last, so the second sum leaves it out
+    assert_is(combination(terms), rows, cols, expected)
+    assert_is(combination(terms[:-1]), rows, cols, ref_sum(expected, build(a)[1], -1))
+
+
 def test_combination_of_two_shapes_raises():
     with pytest.raises(ValueError, match="shape mismatch"):
         combination([(1, Matrix.identity(2)), (-1, Matrix.zero(2, 3))])
+
+
+def test_combination_refuses_no_terms_and_ill_formed_products():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combination([(1, Matrix.identity(2), Matrix.zero(2, 3)), (-1, Matrix.identity(2))])
+    with pytest.raises(ValueError, match="composition undefined: 2x2 @ 3x2"):
+        combination([(1, Matrix.identity(2)), (1, Matrix.identity(2), Matrix.zero(3, 2))])
+    with pytest.raises(ValueError, match="^combination of no terms$"):
+        combination([])
 
 
 @PROPERTY
