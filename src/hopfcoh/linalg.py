@@ -581,8 +581,10 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
         return False
     if any(v[c] != 1 or len(lead_set.intersection(v)) != 1 for c, v in zip(leads, basis)):
         return False
+    if not basis:
+        return True
     k = Matrix(m.cols, len(basis), {(c, j): x for j, v in enumerate(basis) for c, x in v.items()})
-    return not basis or (m @ k).is_zero()
+    return (m @ k).is_zero()
 
 
 class Kernel(list):

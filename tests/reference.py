@@ -29,6 +29,10 @@ long way: one product and one `augment` per basis element t, and the
 product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
 every translate from one product.
 
+`ref_multiplicativity` is the law Delta(ab) = Delta(a)Delta(b) through
+kron(m, m), the product on S (x) S.  Production code multiplies the legs of
+kron(delta, delta) by two reshaped products of m.
+
 `ref_codiagonal_system` is the codiagonal system the long way: a triple
 loop over (p, q, c) with the coproduct's entries sorted into index tables
 by leg.  Production code reindexes kron(I, delta) and kron(delta, I).
@@ -423,6 +427,13 @@ def ref_check_saturated(h):
     mult2 = kron(h.mult, h.mult) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
     sides = (kron(Matrix.column(h.unit), i_s), kron(i_s, Matrix.column(h.unit)))
     return tuple(reference_rank(mult2 @ kron(h.comult, side)) == d * d for side in sides)
+
+
+def ref_multiplicativity(m: Matrix, delta: Matrix, d: int) -> Matrix:
+    """delta(ab) - delta(a) delta(b) as delta m - kron(m, m) swap kron(delta, delta),
+    the product on S (x) S built whole."""
+    mult2 = kron(m, m) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
+    return delta @ m - mult2 @ kron(delta, delta)
 
 
 def bench_workloads():
