@@ -166,7 +166,8 @@ class CochainComplex:
         of D_n that kernel_basis(A_n) took as pivot rows."""
         if n not in self._reduced:
             q_n = self.reduction(n - 1)[0] if n else ()
-            basis = kernel_basis(self.boundary(n).drop_cols(q_n))
+            d = self.boundary(n)
+            basis = kernel_basis(d.drop_cols(q_n) if q_n else d)
             self._reduced[n] = (tuple(basis.pivot_rows), len(basis))
         return self._reduced[n]
 

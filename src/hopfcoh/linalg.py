@@ -462,39 +462,57 @@ def _rref_rows(row_dicts, cols: int, p: int = 0):
     pivot rows of the pivot columns in its support, and a nonzero remainder
     becomes the pivot row of its least column, which is then cleared from
     the earlier pivot rows.  A row that reduces to zero, as most rows of a
-    coboundary do, costs one pass.  It stops once every column holds a
-    pivot.  origins lists, for each pivot, the index of the input row whose
-    remainder made it: these input rows are independent and span all the rows.
+    coboundary do, costs one pass.  A one-entry row {c: x} is neither
+    copied nor reduced: if c's pivot row is the unit row {c: 1}, e_c is in
+    the span of the rows read so far and the row is skipped; if c holds no
+    pivot, a nonzero x makes {c: 1} c's pivot row (x rescaled by 1 / x as
+    any pivot is, so of x's type) and c is deleted from the pivot rows
+    holding it, since their factor times 1 cancels it; a zero x is
+    skipped.  It stops once every column holds a pivot.  origins lists,
+    for each pivot, the index of the input row whose remainder made it:
+    each such row is independent of the rows before it, and together they
+    span all the rows.  Skipping a row already in the span of the rows
+    before it changes none of them.
     """
     reduced: dict = {}  # pivot column -> its pivot row
     origin: dict = {}  # pivot column -> the input index its row came from
     present: dict = defaultdict(set)  # column -> the pivot columns whose rows have a nonzero there
     for i, row in enumerate(row_dicts):
-        row = dict(row)
-        for c in [c for c in row if c in reduced]:
-            f = row[c]  # no other pivot row touches column c; zeros are dropped below
-            for k, v in reduced[c].items():
-                row[k] = row.get(k, 0) - f * v
-        row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
-        if not row:
-            continue
-        col = min(row)
-        inv = pow(row[col], -1, p) if p else 1 / row[col]
-        if inv != 1:
-            row = {c: inv * v % p if p else inv * v for c, v in row.items()}
-        for q in list(present[col]):  # clear col from pivot row q
-            target, factor = reduced[q], reduced[q][col]
-            for c, v in row.items():
-                nv = target[c] - factor * v if c in target else -(factor * v)
-                if p:
-                    nv %= p
-                if nv:
-                    if c not in target:
-                        present[c].add(q)
-                    target[c] = nv
-                elif c in target:
-                    del target[c]
-                    present[c].discard(q)
+        if len(row) == 1 and (col := next(iter(row))) not in reduced:
+            x = row[col]
+            if not (x % p if p else x):
+                continue
+            for q in present.pop(col, ()):  # factor * 1 cancels col from pivot row q
+                del reduced[q][col]
+            row = {col: 1 if p else x if x == 1 else 1 / x * x}
+        elif len(row) == 1 and len(reduced[col]) == 1:
+            continue  # e_col is in the span already
+        else:
+            row = dict(row)
+            for c in [c for c in row if c in reduced]:
+                f = row[c]  # no other pivot row touches column c; zeros are dropped below
+                for k, v in reduced[c].items():
+                    row[k] = row.get(k, 0) - f * v
+            row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
+            if not row:
+                continue
+            col = min(row)
+            inv = pow(row[col], -1, p) if p else 1 / row[col]
+            if inv != 1:
+                row = {c: inv * v % p if p else inv * v for c, v in row.items()}
+            for q in list(present[col]):  # clear col from pivot row q
+                target, factor = reduced[q], reduced[q][col]
+                for c, v in row.items():
+                    nv = target[c] - factor * v if c in target else -(factor * v)
+                    if p:
+                        nv %= p
+                    if nv:
+                        if c not in target:
+                            present[c].add(q)
+                        target[c] = nv
+                    elif c in target:
+                        del target[c]
+                        present[c].discard(q)
         reduced[col], origin[col] = row, i
         for c in row:
             present[c].add(col)
@@ -536,9 +554,8 @@ def _null_space(cells, cols: int, p: int = 0):
         rows.setdefault(r, {})[last - c] = x
     ids = sorted(rows)
     pivots, red, origins = _rref_rows([rows[r] for r in ids], cols, p)
-    null = {f: {f: 1 if p else ONE} for f in range(cols)}
-    for piv in pivots:
-        del null[last - piv]
+    taken, one = {last - piv for piv in pivots}, 1 if p else ONE
+    null = {f: {f: one} for f in range(cols) if f not in taken}
     for piv, row in zip(pivots, red):
         for c, v in row.items():
             if c != piv:

@@ -267,6 +267,22 @@ def test_cohomology_eliminates_each_boundary_once(monkeypatch):
     assert Counter(seen) == Counter(expected)
 
 
+def test_reduction_eliminates_the_boundary_itself_when_q_n_is_empty(monkeypatch):
+    """Q_0 is empty, so A_0 is D_0 itself: reduction hands kernel_basis the
+    boundary object, not a copy, and drops the columns Q_1 from D_1."""
+    from hopfcoh import cochain
+
+    seen = []
+    original = cochain.kernel_basis
+    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append(m) or original(m))
+    cx = build_complex(pair_graded_bicomodule(get_algebra("group:S3")), "dual", 2)
+    cx.reduction(1)
+    q_1 = cx.reduction(0)[0]
+    assert q_1 and len(seen) == 2
+    assert seen[0] is cx.boundary(0)
+    assert seen[1] == cx.boundary(1).drop_cols(q_1)
+
+
 def test_cohomology_runs_no_cross_check_when_q_n_is_empty(monkeypatch):
     """With rank D_{n-1} = 0, A_n is D_n and the cross-check would repeat
     the reduction: on the order-3 table 0 1 2 / 1 2 2 / 2 2 2, the regular

@@ -546,6 +546,49 @@ def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
         assert_rref_matches_sweep(linalg._rows_of(cells), P, d.cols)
 
 
+# -- one-entry rows: no copy and no sweep -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows, pivots, reduced, origins",
+    [
+        # the unit row's column is cleared from both multi-entry pivot rows holding it
+        ([{0: 1, 2: 1}, {1: 1, 2: 3}, {2: 5}], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [0, 1, 2]),
+        # a repeated unit row is skipped; the first copy stays the origin
+        ([{1: 2}, {0: 1, 1: 1}, {1: 3}, {1: 2}, {0: 1, 2: 1}], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [1, 0, 4]),
+        # e_1 comes from two multi-entry rows, and the unit row at 1 is skipped
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}, {1: 7}, {0: 1, 2: 1}], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [0, 1, 3]),
+        # column 0's pivot row is not a unit row: the unit row at 0 takes the sweep
+        ([{0: 1, 1: 1}, {0: 2}, {1: 4}], [0, 1], [{0: 1}, {1: 1}], [0, 1]),
+    ],
+)
+@pytest.mark.parametrize("p", [0, P])
+def test_unit_rows_match_the_sweep(rows, pivots, reduced, origins, p):
+    """The unit-row cases of _rref_rows against reference_rref_rows, over Q and mod p."""
+    rows = [{c: x % p if p else Fraction(x) for c, x in r.items()} for r in rows]
+    assert assert_rref_matches_sweep(rows, p) == (pivots, reduced, origins)
+
+
+def test_a_unit_row_zero_mod_p_marks_nothing():
+    """Unit rows P and 2P are zero mod P: they make no pivot, so the later
+    unit row at their column does, as in the sweep of the rows' residues."""
+    rows = [{1: P}, {1: 2 * P}, {0: 1, 1: 1}, {1: 3}]
+    got = linalg._rref_rows(rows, 2, P)
+    assert got == ([0, 1], [{0: 1}, {1: 1}], [2, 3])
+    residues = [{c: x % P for c, x in r.items() if x % P} for r in rows]
+    assert got[:2] == reference_rref_rows(residues, p=P)[:2]
+
+
+@pytest.mark.parametrize("field", [Fraction, Scalar, lambda x: Scalar(0, x)])
+def test_unit_rows_keep_the_entry_type(field):
+    """Unit pivot rows made from Fraction, real Scalar and imaginary Scalar
+    entries, including the entry 1 itself, hold an entry of the input's type."""
+    rows = [{1: field(3)}, {0: field(2), 1: field(1)}, {0: field(Fraction(1, 2))}, {2: field(1)}]
+    pivots, red, origins = assert_rref_matches_sweep(rows)
+    assert (pivots, red, origins) == ([0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [1, 0, 3])
+    assert all(type(x) is type(rows[0][1]) for r in red for x in r.values())
+
+
 # -- the full-rank stop and the pivot rows' origins ---------------------------
 
 
@@ -585,6 +628,40 @@ def test_full_rank_stop_matches_the_sweep_over_q(spec, short):
 def test_full_rank_stop_matches_the_sweep_mod_p(spec, short):
     rows, width = spec
     assert_full_rank_stop(rows, width + short, P)
+
+
+def assert_origins_raise_the_rank(rows, cols, p=0):
+    """Row i is an origin of _rref_rows exactly when it raises the reference
+    rank of rows[:i]: the origins are the greedy-first row basis."""
+    origins = linalg._rref_rows(rows, cols, p)[2]
+    ranks = [len(reference_rref_rows(rows[:i], p=p)[0]) for i in range(len(rows) + 1)]
+    assert sorted(origins) == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+
+
+@PROPERTY
+@given(row_lists(nonzero_fractions, lambda x, k: x * k))
+def test_origins_are_the_rows_that_raise_the_rank_over_q(rows):
+    assert_origins_raise_the_rank(rows, 1 + max((c for r in rows for c in r), default=-1))
+
+
+@PROPERTY
+@given(row_lists(residues, lambda x, k: x * k % P))
+def test_origins_are_the_rows_that_raise_the_rank_mod_p(rows):
+    assert_origins_raise_the_rank(rows, 1 + max((c for r in rows for c in r), default=-1), P)
+
+
+@PROPERTY
+@given(completed_rows(nonzero_fractions, lambda x, k: x * k), st.booleans())
+def test_origins_raise_the_rank_up_to_the_full_rank_stop_over_q(spec, short):
+    rows, width = spec
+    assert_origins_raise_the_rank([{c: Fraction(x) for c, x in r.items()} for r in rows], width + short)
+
+
+@PROPERTY
+@given(completed_rows(residues, lambda x, k: x * k % P), st.booleans())
+def test_origins_raise_the_rank_up_to_the_full_rank_stop_mod_p(spec, short):
+    rows, width = spec
+    assert_origins_raise_the_rank(rows, width + short, P)
 
 
 def test_small_residues_skip_wangs_loop_with_its_answer(monkeypatch):
