@@ -30,12 +30,12 @@ from .linalg import (
     Matrix,
     Vec,
     certify,
-    combination,
+    face_sum,
     failing_column,
     kernel_basis,
     kron,
-    kron_all,
     leg_map,
+    product_is_zero,
 )
 
 DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names no cap
@@ -50,28 +50,23 @@ def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
     if n < 0:
         raise ValueError("negative degree")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    i_sn = Matrix.identity(s**n)
-    faces = [(1, kron(b.beta.beta, i_sn))]
-    for k in range(1, n + 1):
-        left = Matrix.identity(x * s ** (k - 1))
-        right = Matrix.identity(s ** (n - k))
-        faces.append(((-1) ** k, kron_all(left, h.comult, right)))
-    # rotation_sigma(n + 1, 1): the gamma leg moves from first to last
-    last = kron(b.gamma.gamma, i_sn)
-    move = leg_map([s, last.cols], [1, 0])
-    faces.append(((-1) ** (n + 1), last.reindex(last.rows, last.cols, lambda r, c: (move[r], c))))
-    return combination(faces)
+    faces = [(1, 1, b.beta.beta, s**n, None, None)]
+    faces += [((-1) ** k, x * s ** (k - 1), h.comult, s ** (n - k), None, None) for k in range(1, n + 1)]
+    # the gamma leg of kron(gamma, id) moves from first to last
+    faces.append(((-1) ** (n + 1), 1, b.gamma.gamma, s**n, leg_map([s, x * s**n], [1, 0]), None))
+    return face_sum(faces)
 
 
 def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     """Coboundary Hom(X, S^n) -> Hom(X, S^{n+1}) of the dual complex.
 
     With T a basis map e_y -> (S^n basis v), the three families of terms
-    are tensors, one of them reindexed:
+    are tensors, one of them with its row legs moved:
 
       (T (x) id) o beta :            kron(id, B), B[(a,j), y] = beta[(y,a), j]
       (id^{n-k} (x) d (x) id^{k-1}) o T : kron(id^{n-k}, d, id^{k-1} (x) id_X)
-      (id (x) T) o gamma :           row ((a,v), j) <- kron(id, gamma)[(v,(a,y)), (v,j)]
+      (id (x) T) o gamma :           kron(id, G), G[(a,j), y] = gamma[(a,y), j],
+                                     row (v, a, j) moved to (a, v, j)
 
     and each lands in column (v, y).
     """
@@ -79,18 +74,11 @@ def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
         raise ValueError("negative degree")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     sn = s**n
-    rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
-
-    def on_gamma(r, c):  # the gamma leg is the first output leg, sign (-1)^{n+1}
-        v, a, y = r // (s * x), r // x % s, r % x
-        return (a * sn + v) * x + c % x, v * x + y
-
     beta = b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s))
-    faces = [(1, kron(i_sn, beta)), ((-1) ** (n + 1), kron(i_sn, b.gamma.gamma).reindex(rows, cols, on_gamma))]
-    for k in range(1, n + 1):  # coproduct insertions
-        ins = kron_all(Matrix.identity(s ** (n - k)), h.comult, Matrix.identity(s ** (k - 1) * x))
-        faces.append(((-1) ** k, ins))
-    return combination(faces)
+    gamma = b.gamma.gamma.reindex(s * x, x, lambda r, j: (r // x * x + j, r % x))
+    faces = [(1, sn, beta, 1, None, None), ((-1) ** (n + 1), sn, gamma, 1, leg_map([sn, s, x], [1, 0, 2]), None)]
+    faces += [((-1) ** k, s ** (n - k), h.comult, s ** (k - 1) * x, None, None) for k in range(1, n + 1)]
+    return face_sum(faces)
 
 
 def bar_boundary(b: Bicomodule, n: int) -> Matrix:
@@ -107,20 +95,12 @@ def bar_boundary(b: Bicomodule, n: int) -> Matrix:
     mult_b = dual_algebra_mult(h)
     act_l = module_from_coaction(b.beta)  # B (x) X -> X
     act_r = module_from_left_coaction(b.gamma)  # X (x) B -> X
-    faces = [(1, kron(Matrix.identity(s ** (n - 1)), act_l))]
-    for i in range(1, n):
-        term = kron_all(
-            Matrix.identity(s ** (i - 1)),
-            mult_b,
-            Matrix.identity(s ** (n - i - 1) * x),
-        )
-        faces.append(((-1) ** (n - i), term))
+    faces = [(1, s ** (n - 1), act_l, 1, None, None)]
+    faces += [((-1) ** (n - i), s ** (i - 1), mult_b, s ** (n - i - 1) * x, None, None) for i in range(1, n)]
     # precompose the rotation B^n (x) X -> B^{n-1} (x) X (x) B: a column of
     # kron(id, act_r) indexed (w, b) becomes the column (b, w)
-    last = kron(Matrix.identity(s ** (n - 1)), act_r)
-    back = leg_map([last.cols // s, s], [1, 0])
-    faces.append(((-1) ** n, last.reindex(last.rows, last.cols, lambda r, c: (r, back[c]))))
-    return combination(faces)
+    faces.append(((-1) ** n, s ** (n - 1), act_r, 1, None, leg_map([s ** (n - 1) * x, s], [1, 0])))
+    return face_sum(faces)
 
 
 def bar_dual_coboundary(b: Bicomodule, n: int) -> Matrix:
@@ -152,7 +132,7 @@ class CochainComplex:
             if d.cols != self.degrees[n] or d.rows != self.degrees[n + 1]:
                 raise ValueError(f"boundary {n} has wrong shape")
         for n in range(len(self.boundaries) - 1):
-            if not (self.boundaries[n + 1] @ self.boundaries[n]).is_zero():
+            if not product_is_zero(self.boundaries[n + 1], self.boundaries[n]):
                 raise ValueError(f"chain property fails at degree {n}")
 
     def boundary(self, n: int) -> Matrix:
@@ -359,7 +339,7 @@ def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction: Matrix)
     certified exactly, for all columns at once; a failure's witness is the degree and least failing column.
     """
     z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
-    if not (cx.boundary(n) @ z).is_zero():
+    if not product_is_zero(cx.boundary(n), z):
         raise ValueError("input is not a cocycle")
     prims = contraction @ z
     w = failing_column([(1, cx.boundary(n - 1), prims), (-1, z)])
@@ -380,13 +360,13 @@ def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: Cochain
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n, ("natural",))
-    k_n = kron(Matrix.identity(x * s ** (n - 1)), h.counit_row).scale((-1) ** (n - 1))
+    k_n = face_sum([((-1) ** (n - 1), x * s ** (n - 1), h.counit_row, 1, None, None)])
     return _certify_homotopy(cx, n, cocycles, k_n)
 
 
 def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matrix:
     """T -> sign (functional (x) id^{n-1}) o T on Hom(X, S^n), as a matrix."""
-    return kron(kron(functional, Matrix.identity(s ** (n - 1))), Matrix.identity(x)).scale(sign)
+    return face_sum([(sign, 1, functional, s ** (n - 1) * x, None, None)])
 
 
 def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
@@ -451,10 +431,9 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     x, s, sp = b.space_dim, b.hopf.dim, b.hopf.dim ** (n - 1)
     f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
     if side == "beta":
-        coaction, legs = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j)), [0, 1, 2]
+        coaction, move = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j)), None
     else:
-        coaction, legs = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j)), [1, 0, 2]
-        f = f.transpose().scale((-1) ** n)
+        coaction = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j))
+        f, move = f.transpose().scale((-1) ** n), leg_map([sp, s, x], [1, 0, 2])
     block = (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
-    move = leg_map([sp, s, x], legs)
-    return kron(Matrix.identity(sp), block).reindex(sp * x, sp * s * x, lambda r, c: (r, move[c]))
+    return face_sum([(1, sp, block, 1, None, move)])

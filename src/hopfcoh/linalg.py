@@ -10,18 +10,20 @@ convention lives here:
     flat index of e_{i1} (x) ... (x) e_{ik}  =  mixed-radix number with i1
     most significant (row-major).
 
-Everything that builds tensor-leg maps (kron, leg_map, rotation_sigma, the
-cochain module) cites this convention; nothing else in the package is
-allowed to invent its own index order.  Tensors change legs without
-arithmetic: leg_map says where each flat index goes and Matrix.reindex
-moves the entries there.
+Everything that builds tensor-leg maps (kron, face_sum, leg_map, the
+cochain module) cites this convention; nothing else may invent its own
+index order.  Tensors change legs without arithmetic: leg_map says where
+each flat index goes, and Matrix.reindex, or a face of face_sum, moves
+the entries there.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Optional
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -350,6 +352,65 @@ def combination(terms) -> Matrix:
     return Matrix._of(rows, cols, re, im, den)
 
 
+def _legs(index, p: int, q: int, step: int, move):
+    """kron(I_p, m, I_q)'s flat indices i * step + x * q + j of m's indices x, in kron's
+    order (i < p, each x in turn, j < q; step = q * m's dim), through move unless None."""
+    block = list(chain.from_iterable(range(x * q, x * q + q) for x in index))
+    out = chain.from_iterable(map(add, block, repeat(i * step)) for i in range(p))
+    return map(move.__getitem__, out) if move else out
+
+
+def face_sum(faces) -> Matrix:
+    """The sum of the faces (k, p, m, q, row_move, col_move), all of one shape: k kron(I_p, m, I_q)
+    with row r at row_move[r] and column c at col_move[c] (leg_map lists, or None for no move).
+    It is combination's one accumulation on the common denominator, and builds no face: a face
+    meeting an empty sum is copied in kron's order, any other added and a key that cancels
+    deleted, so the entries, den and key order are those of combination of the faces."""
+    _, p, m, q, *_ = faces[0]
+    rows, cols, den = p * m.rows * q, p * m.cols * q, lcm(*(f[2].den for f in faces))
+    re, im = {}, {}
+    for k, p, m, q, row_move, col_move in faces:
+        k *= den // m.den
+        for out, part in ((re, m.re), (im, m.im)) if k else ():
+            r_keys = _legs([r for r, _ in part], p, q, m.rows * q, row_move)
+            keys = zip(r_keys, _legs([c for _, c in part], p, q, m.cols * q, col_move))
+            values = list(chain.from_iterable(map(repeat, [k * v for v in part.values()], repeat(q)))) * p
+            if not out:  # a face's keys are distinct
+                out.update(zip(keys, values))
+                continue
+            for key, v in zip(keys, values):
+                if s := out.get(key, 0) + v:
+                    out[key] = s
+                else:
+                    del out[key]
+    return Matrix._of(rows, cols, re, im, den)
+
+
+def product_is_zero(a: Matrix, b: Matrix) -> bool:
+    """a @ b == 0 with no product built (Kronecker substitution): each row of b packed into
+    one int sum_c b_rc 2^(w c), each output row summed as sum_k a_ik packed_k, real and
+    imaginary parts apart.  Every output entry is below 2^(w-1) in absolute value, so a
+    packed row is 0 exactly when each of its entries is."""
+    if a.cols != b.rows:
+        raise ValueError(f"composition undefined: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    top_a, top_b = ((max(map(abs, m.re.values()), default=0) + max(map(abs, m.im.values()), default=0)) for m in (a, b))
+    w = (a.cols * top_a * top_b).bit_length() + 1
+    re, im = {}, {}
+    for rows, part in ((re, b.re), (im, b.im)):
+        for (r, c), v in part.items():
+            rows[r] = rows.get(r, 0) + (v << w * c)
+    # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
+    for terms in (((a.re, re), (a.im, {r: -v for r, v in im.items()})), ((a.re, im), (a.im, re))):
+        sums: dict = {}
+        for part, rows in terms:
+            for (i, k), u in part.items() if rows else ():
+                if row := rows.get(k):
+                    sums[i] = sums.get(i, 0) + (row if u == 1 else -row if u == -1 else u * row)
+        if any(sums.values()):
+            return False
+    return True
+
+
 def failing_column(terms) -> Optional[int]:
     """The least column where the combination of terms is nonzero; None when it vanishes."""
     return min((c for _, c in combination(terms).support), default=None)
@@ -586,7 +647,7 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     basis must be in RREF (each vector monic at its leading column, leading
     columns increasing and zero in every other vector), hold cols - rank
     vectors and satisfy D K = 0 for K the matrix whose columns they are,
-    one product on integer numerators (none for an empty basis).  This certifies the kernel given
+    one product_is_zero (none for an empty basis).  This certifies the kernel given
     rank: a rank that is too small is caught, one that is too large (a
     spurious pivot) is not, so the rank itself is trusted to the elimination.
     """
@@ -601,7 +662,7 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
     if not basis:
         return True
     k = Matrix(m.cols, len(basis), {(c, j): x for j, v in enumerate(basis) for c, x in v.items()})
-    return (m @ k).is_zero()
+    return product_is_zero(m, k)
 
 
 class Kernel(list):

@@ -24,6 +24,12 @@ tensor legs the long way: entry by entry with `Scalar` sums, or by
 multiplying with `tensor_permutation` and `rotation_sigma` matrices.
 Production code moves them with `Matrix.reindex`.
 
+`combination_natural_coboundary`, `combination_dual_coboundary` and
+`combination_bar_boundary` build every face as its own `Matrix` (`kron`,
+`kron_all`, a full-size `reindex`) and sum the faces with `combination`.
+Production code describes the faces to `linalg.face_sum`, which builds none
+of them; the two must agree in entries, denominator and key order.
+
 `ref_translates_span` and `ref_check_saturated` build each span test the
 long way: one product and one `augment` per basis element t, and the
 product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
@@ -65,9 +71,11 @@ from hopfcoh.linalg import (
     SolveResult,
     SpanTracker,
     certify,
+    combination,
     dense,
     kron,
     kron_all,
+    leg_map,
     rotation_sigma,
     tensor_permutation,
     unit_vec,
@@ -333,6 +341,54 @@ def ref_bar_boundary(b, n: int) -> Matrix:
     rotate = tensor_permutation([s] * n + [x], list(range(1, n + 1)) + [0])
     last = kron(Matrix.identity(s ** (n - 1)), act_r) @ rotate
     return total + last.scale((-1) ** n)
+
+
+# -- the coboundaries face by face: one Matrix per face, then combination ----
+
+
+def combination_natural_coboundary(b, n: int) -> Matrix:
+    h, x, s = b.hopf, b.space_dim, b.hopf.dim
+    i_sn = Matrix.identity(s**n)
+    faces = [(1, kron(b.beta.beta, i_sn))]
+    for k in range(1, n + 1):
+        left = Matrix.identity(x * s ** (k - 1))
+        right = Matrix.identity(s ** (n - k))
+        faces.append(((-1) ** k, kron_all(left, h.comult, right)))
+    last = kron(b.gamma.gamma, i_sn)
+    move = leg_map([s, last.cols], [1, 0])
+    faces.append(((-1) ** (n + 1), last.reindex(last.rows, last.cols, lambda r, c: (move[r], c))))
+    return combination(faces)
+
+
+def combination_dual_coboundary(b, n: int) -> Matrix:
+    h, x, s = b.hopf, b.space_dim, b.hopf.dim
+    sn = s**n
+    rows, cols, i_sn = sn * s * x, sn * x, Matrix.identity(sn)
+
+    def on_gamma(r, c):
+        v, a, y = r // (s * x), r // x % s, r % x
+        return (a * sn + v) * x + c % x, v * x + y
+
+    beta = b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s))
+    faces = [(1, kron(i_sn, beta)), ((-1) ** (n + 1), kron(i_sn, b.gamma.gamma).reindex(rows, cols, on_gamma))]
+    for k in range(1, n + 1):
+        ins = kron_all(Matrix.identity(s ** (n - k)), h.comult, Matrix.identity(s ** (k - 1) * x))
+        faces.append(((-1) ** k, ins))
+    return combination(faces)
+
+
+def combination_bar_boundary(b, n: int) -> Matrix:
+    x, s = b.space_dim, b.hopf.dim
+    mult_b = dual_algebra_mult(b.hopf)
+    act_l, act_r = module_from_coaction(b.beta), module_from_left_coaction(b.gamma)
+    faces = [(1, kron(Matrix.identity(s ** (n - 1)), act_l))]
+    for i in range(1, n):
+        term = kron_all(Matrix.identity(s ** (i - 1)), mult_b, Matrix.identity(s ** (n - i - 1) * x))
+        faces.append(((-1) ** (n - i), term))
+    last = kron(Matrix.identity(s ** (n - 1)), act_r)
+    back = leg_map([last.cols // s, s], [1, 0])
+    faces.append(((-1) ** n, last.reindex(last.rows, last.cols, lambda r, c: (r, back[c]))))
+    return combination(faces)
 
 
 def ref_sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tuple:

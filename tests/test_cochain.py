@@ -129,6 +129,25 @@ def test_complex_constructor_rejects_broken_chain(case):
         CochainComplex("dual", degrees, (d0, d1))
 
 
+@pytest.mark.parametrize("delta", [1, I, Fraction(1, 3)], ids=["one", "imaginary", "third"])
+def test_chain_check_catches_one_changed_entry_at_scale(delta):
+    """function:S3 regular's dual D_2 (1296 x 216) with delta added at (r, k), k a
+    row of D_1 whose least nonzero column is the largest: the broken row r of
+    D_2 D_1 is delta D_1[k, :], zero in its low packed slots of 36."""
+    b = catalog_bicomodules(get_algebra("function:S3"))[0].bicomodule
+    cx = build_complex(b, "dual", 3)
+    d0, d1, d2 = cx.boundaries
+    assert (d2.rows, d2.cols, d1.cols) == (1296, 216, 36)
+    lead = {}
+    for r, c in d1.support:
+        lead[r] = min(c, lead.get(r, c))
+    k = max(lead, key=lead.get)
+    assert lead[k] > 0
+    broken = d2 + Matrix(d2.rows, d2.cols, {(7, k): delta})
+    with pytest.raises(ValueError, match="chain property fails at degree 1"):
+        CochainComplex("dual", cx.degrees, (d0, d1, broken))
+
+
 def test_degree_cap_enforced():
     """The cap's one owner, the built complex, refuses a degree at or past it."""
     h = get_algebra("group:Z2")

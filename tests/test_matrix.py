@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcoh.linalg import Matrix, combination, kron
-from hopfcoh.scalars import Scalar, as_scalar
+from hopfcoh.linalg import Matrix, combination, face_sum, kernel_basis, kron, kron_all, product_is_zero
+from hopfcoh.scalars import I, Scalar, as_scalar
 from reference import (
     ref_augment,
     ref_conj_transpose,
@@ -204,3 +204,84 @@ def test_reindex_matches_reference(a, data):
     if len(ra) > 1:
         with pytest.raises(ValueError):
             ma.reindex(rows, cols, lambda r, c: (0, 0))
+
+
+# (p, q) of a face of the 8 x 4 sum below: p q divides 4, so the face's m is 8/(pq) x 4/(pq)
+LAYOUTS = [(p, q) for p in (1, 2, 4) for q in (1, 2, 4) if 4 % (p * q) == 0]
+
+
+@PROPERTY
+@given(st.data())
+def test_face_sum_matches_combination_of_its_faces(data):
+    """Each face built as a Matrix (kron_all, then reindex by its moves) and summed
+    by combination: the same entries, den and key order.  A face may repeat an
+    earlier one with another k, so keys cancel, are deleted and come back."""
+    faces, built = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if faces and data.draw(st.booleans()):
+            _, p, m, q, row_move, col_move = data.draw(st.sampled_from(faces))
+        else:
+            p, q = data.draw(st.sampled_from(LAYOUTS))
+            m = build(data.draw(matrices(8 // (p * q), 4 // (p * q))))[0]
+            row_move, col_move = (data.draw(st.one_of(st.none(), st.permutations(range(n)))) for n in (8, 4))
+        faces.append((data.draw(st.integers(-2, 2)), p, m, q, row_move, col_move))
+        moved = kron_all(Matrix.identity(p), m, Matrix.identity(q))
+        key = (lambda rm, cm: lambda r, c: (rm[r] if rm else r, cm[c] if cm else c))(row_move, col_move)
+        built.append((faces[-1][0], moved.reindex(8, 4, key)))
+    summed, expected = face_sum(faces), combination(built)
+    assert summed == expected
+    assert (list(summed.re), list(summed.im)) == (list(expected.re), list(expected.im))
+
+
+BIG = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66))
+
+
+@st.composite
+def kernel_products(draw):
+    """(a, b): a with more columns than rows, and b whose columns are combinations
+    of kernel_basis(a), so a @ b vanishes, until one entry of b is changed (about
+    half the draws).  Entries run past 2^64 with denominators, Gaussian in about half."""
+    part = st.one_of(st.just(0), FRACTIONS, BIG)
+    value = st.builds(Scalar, part, part if draw(st.booleans()) else st.just(0))
+    rows = draw(st.integers(1, 4))
+    cols = rows + draw(st.integers(1, 3))
+    a = Matrix(rows, cols, {(r, c): draw(value) for r in range(rows) for c in range(cols)})
+    ker = kernel_basis(a)
+    combos = [[draw(value) for _ in ker] for _ in range(draw(st.integers(1, 3)))]
+    b = Matrix.from_cols(
+        [[sum((k * v[i] for k, v in zip(ks, ker)), Scalar(0)) for i in range(cols)] for ks in combos], rows=cols
+    )
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, cols - 1)), draw(st.integers(0, b.cols - 1))
+        b = b + Matrix(cols, b.cols, {cell: draw(value)})
+    return a, b
+
+
+@PROPERTY
+@given(kernel_products())
+def test_product_is_zero_on_kernel_columns_matches_the_product(pair):
+    a, b = pair
+    assert product_is_zero(a, b) == (a @ b).is_zero()
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_product_is_zero_matches_the_product(a, data):
+    ma, mb = build(a)[0], build(data.draw(matrices(rows=a[1])))[0]
+    assert product_is_zero(ma, mb) == (ma @ mb).is_zero()
+    assert product_is_zero(ma, Matrix.zero(a[1], 3)) and product_is_zero(Matrix.zero(2, a[0]), ma)
+
+
+def test_a_packed_row_carries_no_entry_into_the_next_slot():
+    """a = [[2^k, -1]] and b = I_2 give the row (2^k, -1), packed 2^k - 2^w:
+    a slot of w <= k bits would read it as zero.  The same row times i too."""
+    for k in range(1, 81):
+        a = Matrix.from_rows([[2**k, -1]])
+        assert not product_is_zero(a, Matrix.identity(2))
+        assert not product_is_zero(a.scale(I), Matrix.identity(2))
+        assert not product_is_zero(Matrix.identity(1), a)
+
+
+def test_product_is_zero_checks_the_shapes():
+    with pytest.raises(ValueError, match="composition undefined"):
+        product_is_zero(Matrix.identity(2), Matrix.identity(3))

@@ -103,6 +103,34 @@ def test_dual_coboundaries_match_reference(name):
             assert dual_coboundary(b, n) == ref.ref_dual_coboundary(b, n)
 
 
+def assert_same_sum(m: Matrix, summed: Matrix):
+    """Equal as matrices, and in the key order of their numerator dicts."""
+    assert m == summed
+    assert (list(m.re), list(m.im)) == (list(summed.re), list(summed.im))
+
+
+def assert_builders_sum_their_faces(b: Bicomodule):
+    for n in range(4):
+        assert_same_sum(natural_coboundary(b, n), ref.combination_natural_coboundary(b, n))
+        assert_same_sum(dual_coboundary(b, n), ref.combination_dual_coboundary(b, n))
+        assert_same_sum(bar_boundary(b, n + 1), ref.combination_bar_boundary(b, n + 1))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_builders_match_the_face_by_face_combination(name):
+    """face_sum against one Matrix per face summed by combination, degrees 0-3:
+    kp8's faces have den 2, gaussian:Z2's non-real entries."""
+    for b in bicomodules(name):
+        assert_builders_sum_their_faces(b)
+
+
+def test_builders_match_the_face_by_face_combination_on_order3_monoids():
+    for table in ref.order3_monoid_tables():
+        h = function_algebra(FiniteMonoid(order=3, table=[list(r) for r in table], identity=0))
+        for entry in catalog_bicomodules(h):
+            assert_builders_sum_their_faces(entry.bicomodule)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_codiagonal_contractions_match_reference(name):
     for b in bicomodules(name):
