@@ -72,8 +72,7 @@ def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     """
     if n < 0:
         raise ValueError("negative degree")
-    h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    sn = s**n
+    h, x, s, sn = b.hopf, b.space_dim, b.hopf.dim, b.hopf.dim**n
     beta = b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s))
     gamma = b.gamma.gamma.reindex(s * x, x, lambda r, j: (r // x * x + j, r % x))
     faces = [(1, sn, beta, 1, None, None), ((-1) ** (n + 1), sn, gamma, 1, leg_map([sn, s, x], [1, 0, 2]), None)]

@@ -356,7 +356,8 @@ def _legs(index, p: int, q: int, step: int, move):
     """kron(I_p, m, I_q)'s flat indices i * step + x * q + j of m's indices x, in kron's
     order (i < p, each x in turn, j < q; step = q * m's dim), through move unless None."""
     block = list(chain.from_iterable(range(x * q, x * q + q) for x in index))
-    out = chain.from_iterable(map(add, block, repeat(i * step)) for i in range(p))
+    shifts = chain.from_iterable(map(repeat, range(0, p * step, step), repeat(len(block))))
+    out = map(add, chain.from_iterable(repeat(block, p)), shifts)
     return map(move.__getitem__, out) if move else out
 
 
@@ -371,7 +372,7 @@ def face_sum(faces) -> Matrix:
     re, im = {}, {}
     for k, p, m, q, row_move, col_move in faces:
         k *= den // m.den
-        for out, part in ((re, m.re), (im, m.im)) if k else ():
+        for out, part in ((out, part) for out, part in ((re, m.re), (im, m.im)) if k and part):
             r_keys = _legs([r for r, _ in part], p, q, m.rows * q, row_move)
             keys = zip(r_keys, _legs([c for _, c in part], p, q, m.cols * q, col_move))
             values = list(chain.from_iterable(map(repeat, [k * v for v in part.values()], repeat(q)))) * p
