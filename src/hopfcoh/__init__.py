@@ -11,7 +11,6 @@ from .linalg import (
     Matrix,
     kron,
     leg_map,
-    rotation_sigma,
     kernel_basis,
     image_rank,
     solve,
@@ -23,7 +22,6 @@ from .hopf import (
     check_axioms,
     check_saturated,
     counit_find,
-    dual_hopf,
     function_algebra,
     group_algebra,
     haar_state,
@@ -35,7 +33,6 @@ from .comodule import (
     catalog_bicomodules,
     check_nondegenerate,
     dual_coaction,
-    grade_decomposition,
     quotient_comodule,
     trivial_left_coaction,
 )

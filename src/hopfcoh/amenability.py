@@ -43,6 +43,8 @@ from .linalg import (
     PsdResult,
     Vec,
     certify,
+    combination,
+    failing_column,
     kron,
     psd_check,
     solve,
@@ -95,12 +97,10 @@ def _codiagonal_system(h: HopfStarAlgebra):
 
 def _residuals(h: HopfStarAlgebra, f: Vec):
     d = h.dim
-    f_row = Matrix.row(f)
-    counit_res = f_row @ h.comult - h.counit_row
-    i_s = Matrix.identity(d)
-    lhs = kron(f_row, i_s) @ kron(i_s, h.comult)
-    rhs = kron(i_s, f_row) @ kron(h.comult, i_s)
-    return tuple(counit_res[0, j] for j in range(d)), lhs - rhs
+    f_row, i_s = Matrix.row(f), Matrix.identity(d)
+    counit_res = combination([(1, f_row, h.comult), (-1, h.counit_row)])
+    balance = combination([(1, kron(f_row, i_s), kron(i_s, h.comult)), (-1, kron(i_s, f_row), kron(h.comult, i_s))])
+    return tuple(counit_res[0, j] for j in range(d)), balance
 
 
 def _codiagonal_positivity(h: HopfStarAlgebra, f: Vec):
@@ -393,9 +393,9 @@ def check_graded_cocycles(ws: Workspace) -> CheckOutcome:
     two_term = {
         (w * x + s * n + t, s * n + t): c for s in range(n) for t in range(n) if s != t for w, c in ((s, 1), (t, -1))
     }
-    failing = {j for _, j in (cx.boundary(0) - Matrix(n * x, x, two_term)).support}
-    if failing:
-        details.append("two-term identity fails at ({},{})".format(*divmod(min(failing), n)))
+    failing = failing_column([(1, cx.boundary(0)), (-1, Matrix(n * x, x, two_term))])
+    if failing is not None:
+        details.append("two-term identity fails at ({},{})".format(*divmod(failing, n)))
         return CheckOutcome("graded-cocycles", False, tuple(details))
     pick = Matrix(x, n * x, {(j, (j // n) * x + j): 1 for j in range(x)})
     homotopy_from_codiagonal(bic, 1, _kronecker_functional(n), "beta", cx=cx, k_n=pick)

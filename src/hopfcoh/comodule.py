@@ -11,8 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 from .hopf import HopfStarAlgebra, translates_span
-from .linalg import Matrix, combination, dense, failing_column, kron, rref
-from .monoids import FiniteGroup
+from .linalg import Matrix, combination, failing_column, kron, rref
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,8 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     q = Matrix(len(free), x, q_entries)
     section = Matrix(x, len(free), {(f, i): 1 for i, f in enumerate(free)})
     qs = kron(q, Matrix.identity(s))
-    for k, y in enumerate(subspace):
-        image = qs.apply(c.beta.apply(tuple(y)))
-        if any(image):
-            raise ValueError(f"subspace vector {k} is not killed by (q (x) id) o beta")
+    # (q (x) id) beta - beta_hat q = (q (x) id) beta (id - section q), and id - section q
+    # maps onto span Y, so the identity holds exactly when (q (x) id) beta kills Y
     beta_hat = qs @ c.beta @ section
     if not combination([(1, beta_hat, q), (-1, qs, c.beta)]).is_zero():
         raise ValueError("induced coaction does not factor through the projection")
@@ -183,31 +180,6 @@ def unit_quotient_bicomodule(h: HopfStarAlgebra) -> QuotientData:
 
 # ---------------------------------------------------------------------------
 # gradings over group algebras
-
-
-def grade_decomposition(c: RightCoaction):
-    """Components X_r = {x : beta(x) = x (x) u_r} of a group-algebra coaction.
-
-    Returns {r: RREF basis of X_r}, computed as the image of (id (x) phi_r) o beta
-    and re-verified against the defining equation.
-    """
-    h = c.hopf
-    if not isinstance(h.monoid, FiniteGroup) or h.kind != "group":
-        raise ValueError("grading needs a group algebra")
-    x, s = c.space_dim, h.dim
-    ix = Matrix.identity(x)
-    out = {}
-    for r in range(s):
-        phi_r = Matrix(1, s, {(0, r): 1})
-        proj = kron(ix, phi_r) @ c.beta  # X -> X
-        _, rows = rref(proj.transpose())
-        basis = [dense(row, x) for row in rows]
-        b = Matrix.from_cols(basis, rows=x)
-        # beta(v) = v (x) u_r for every column v of b; phi_r^T is u_r as a column
-        if not combination([(1, c.beta, b), (-1, kron(b, phi_r.transpose()))]).is_zero():
-            raise ValueError(f"grading component {r} fails beta(x) = x (x) u_{r}")
-        out[r] = basis
-    return out
 
 
 def graded_right_coaction(h: HopfStarAlgebra, grades: list) -> RightCoaction:
@@ -265,15 +237,6 @@ def module_from_coaction(c: RightCoaction) -> Matrix:
     """
     x, s = c.space_dim, c.hopf.dim
     return c.beta.reindex(x, s * x, lambda r, j: (r // s, r % s * x + j))
-
-
-def coaction_from_module(h: HopfStarAlgebra, action: Matrix) -> RightCoaction:
-    """Inverse of module_from_coaction (the reshuffle is a bijection)."""
-    x = action.rows
-    s = h.dim
-    if action.cols != s * x:
-        raise ValueError("action must be x x (s*x)")
-    return RightCoaction(x, h, action.reindex(x * s, x, lambda i, col: (i * s + col // x, col % x)))
 
 
 def module_from_left_coaction(c: LeftCoaction) -> Matrix:

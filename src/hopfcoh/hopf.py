@@ -71,16 +71,6 @@ class HopfStarAlgebra:
     def multiply(self, a: Vec, b: Vec) -> Vec:
         return (self.mult @ kron(Matrix.column(a), Matrix.column(b))).col(0)
 
-    def structure_equal(self, other: "HopfStarAlgebra") -> bool:
-        """Equality of product/unit/coproduct/counit tensors (labels, star aside)."""
-        return (
-            self.dim == other.dim
-            and self.mult == other.mult
-            and self.comult == other.comult
-            and self.unit == other.unit
-            and self.counit == other.counit
-        )
-
 
 # ---------------------------------------------------------------------------
 # axiom checking
@@ -218,27 +208,6 @@ def group_algebra(g: FiniteGroup) -> HopfStarAlgebra:
         labels=tuple(f"u_{name}" for name in g.names),
         kind="group",
         monoid=g,
-    )
-
-
-def dual_hopf(h: HopfStarAlgebra) -> HopfStarAlgebra:
-    """The dual algebra: product = comult^T, coproduct = mult^T, unit = counit.
-
-    Needs a counit (it becomes the dual unit).  No involution is attached:
-    defining one in general requires an antipode, which is out of scope.
-    """
-    if h.counit is None:
-        raise ValueError("dual_hopf requires a counital algebra")
-    return HopfStarAlgebra(
-        dim=h.dim,
-        mult=h.comult.transpose(),
-        unit=h.counit,
-        comult=h.mult.transpose(),
-        counit=h.unit,
-        star=None,
-        labels=tuple(f"{name}^" for name in h.labels),
-        kind=None,
-        monoid=None,
     )
 
 

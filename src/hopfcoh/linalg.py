@@ -475,26 +475,6 @@ def tensor_permutation(src_dims, tgt_slot_to_src_slot) -> Matrix:
     return Matrix._of(len(move), len(move), {(t, i): 1 for i, t in enumerate(move)}, {})
 
 
-def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:
-    """The leg rotation from S^k (x) X (x) S^{n-k} onto X (x) S^n.
-
-    The k leading S legs are the final k of the n output legs: the source
-    pure tensor s_{n-k+1} (x) ... (x) s_n (x) x (x) s_1 (x) ... (x) s_{n-k}
-    maps to x (x) s_1 (x) ... (x) s_n.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    src_dims = [s_dim] * k + [x_dim] + [s_dim] * (n - k)
-    # target slot 0 is X (source slot k); output S slot j is s_j
-    tgt_to_src = [k]
-    for j in range(1, n + 1):
-        if j <= n - k:
-            tgt_to_src.append(k + j)  # trailing source legs s_1..s_{n-k}
-        else:
-            tgt_to_src.append(j - (n - k) - 1)  # leading source legs s_{n-k+1}..s_n
-    return tensor_permutation(src_dims, tgt_to_src)
-
-
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -987,10 +967,11 @@ def psd_check(m: Matrix) -> PsdResult:
 
 def _certify_ldl(m: Matrix, steps) -> None:
     """Certify m = V D V* with D = diag(d_k) > 0, so m is PSD, from psd_check's
-    steps (p, d, ratios): the kth column of V is e_p plus the conjugated ratios."""
+    steps (p, d, ratios): the kth column of V is e_p plus the conjugated ratios,
+    and (V D) V* - m is one combination."""
     cols = {(p, k): ONE for k, (p, _, _) in enumerate(steps)}
     cols.update({(j, k): r.conjugate() for k, (_, _, ratios) in enumerate(steps) for j, r in ratios.items()})
     v = Matrix(m.rows, len(steps), cols)
-    d = Matrix(len(steps), len(steps), {(k, k): dk for k, (_, dk, _) in enumerate(steps)})
-    ok = all(dk > 0 for _, dk, _ in steps) and v @ d @ v.conj_transpose() == m
+    vd = Matrix(m.rows, len(steps), {(j, k): x * steps[k][1] for (j, k), x in cols.items()})
+    ok = all(dk > 0 for _, dk, _ in steps) and failing_column([(1, vd, v.conj_transpose()), (-1, m)]) is None
     certify(ok, "PSD decomposition fails m = V D V*")

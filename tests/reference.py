@@ -21,8 +21,9 @@ computes H^n from kernels alone.
 
 The `ref_*` builders of coboundaries, contractions and coactions move
 tensor legs the long way: entry by entry with `Scalar` sums, or by
-multiplying with `tensor_permutation` and `rotation_sigma` matrices.
-Production code moves them with `Matrix.reindex`.
+multiplying with `tensor_permutation` and `rotation_sigma` matrices
+(`rotation_sigma`, defined below, moves S^k (x) X (x) S^{n-k} onto
+X (x) S^n).  Production code moves them with `Matrix.reindex`.
 
 `combination_natural_coboundary`, `combination_dual_coboundary` and
 `combination_bar_boundary` build every face as its own `Matrix` (`kron`,
@@ -76,7 +77,6 @@ from hopfcoh.linalg import (
     kron,
     kron_all,
     leg_map,
-    rotation_sigma,
     tensor_permutation,
     unit_vec,
 )
@@ -290,6 +290,26 @@ def ref_reindex(a: dict, key) -> dict:
 
 
 # -- tensor reshuffles, entry by entry or by permutation products -------------
+
+
+def rotation_sigma(n: int, k: int, x_dim: int, s_dim: int) -> Matrix:
+    """The leg rotation from S^k (x) X (x) S^{n-k} onto X (x) S^n.
+
+    The k leading S legs are the final k of the n output legs: the source
+    pure tensor s_{n-k+1} (x) ... (x) s_n (x) x (x) s_1 (x) ... (x) s_{n-k}
+    maps to x (x) s_1 (x) ... (x) s_n.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    src_dims = [s_dim] * k + [x_dim] + [s_dim] * (n - k)
+    # target slot 0 is X (source slot k); output S slot j is s_j
+    tgt_to_src = [k]
+    for j in range(1, n + 1):
+        if j <= n - k:
+            tgt_to_src.append(k + j)  # trailing source legs s_1..s_{n-k}
+        else:
+            tgt_to_src.append(j - (n - k) - 1)  # leading source legs s_{n-k+1}..s_n
+    return tensor_permutation(src_dims, tgt_to_src)
 
 
 def ref_natural_coboundary(b, n: int) -> Matrix:

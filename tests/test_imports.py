@@ -1,15 +1,24 @@
-"""No module of the package imports a top-level name it never reads.
+"""No module of the package imports a top-level name it never reads, and no
+module defines a top-level function or class that the package never reads.
 
-`__init__.py` is exempt (its imports are the package's re-exports), and so
-is any name imported on a line marked `# noqa: F401`.
+`__init__.py` is exempt from both (its imports are the package's
+re-exports, and a re-export is no reader), and so is any name imported on
+a line marked `# noqa: F401`.  A definition counts as read when another
+top-level statement of any package module reads its name, as a name or as
+an attribute.  The only other exemption is a function that the
+benchmark's tracer wraps by name (bench/tracing.py), which that file reads.
 """
 import ast
+import importlib.util
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcoh"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hopfcoh"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +47,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_top_level_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _names_read(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unreached_definitions(sources: dict, exempt=frozenset()) -> list:
+    """(module, name) of each top-level function or class of the sources ({module: text})
+    whose name no other top-level statement of any of them reads, unless (module, name)
+    is exempt."""
+    statements = [(m, node) for m, text in sorted(sources.items()) for node in ast.parse(text).body]
+    reads = [(node, _names_read(node)) for _, node in statements]
+    return [
+        (m, node.name)
+        for m, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and (m, node.name) not in exempt
+        and not any(node.name in names for other, names in reads if other is not node)
+    ]
+
+
+def tracer_targets() -> set:
+    """(module file, top-level name) of every function bench/tracing.py wraps by name."""
+    spec = importlib.util.spec_from_file_location("hopfcoh_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = chain(chain.from_iterable(tracing.TIME_LAYERS.values()), chain.from_iterable(tracing.CALL_COUNTS.values()))
+    return {(f"{m}.py", qualname.split(".")[0]) for m, qualname in (t.split(":") for t in chain(targets, tracing.ELIMINATIONS))}
+
+
+def test_the_check_sees_an_unreached_definition():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef unused():\n    return used()\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\nclass Traced:\n    pass\n\nclass Method:\n    pass\n",
+        "b.py": "from a import used, unused\nimport a\n\nx = a.Method\n",
+    }
+    assert unreached_definitions(sources) == [("a.py", "unused"), ("a.py", "recursive"), ("a.py", "Traced")]
+    assert unreached_definitions(sources, {("a.py", "Traced")}) == [("a.py", "unused"), ("a.py", "recursive")]
+
+
+def test_every_top_level_definition_is_read():
+    sources = {m: (PACKAGE / m).read_text(encoding="utf-8") for m in MODULES}
+    assert unreached_definitions(sources, tracer_targets()) == []

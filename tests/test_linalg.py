@@ -14,14 +14,13 @@ from hopfcoh.linalg import (
     kron,
     leg_map,
     psd_check,
-    rotation_sigma,
     solve,
     tensor_permutation,
     unit_vec,
     vec_dot,
 )
 from hopfcoh.scalars import ONE, ZERO, Scalar
-from reference import TensorSpace
+from reference import TensorSpace, rotation_sigma
 
 
 def rand_matrix(rng, rows, cols, density=0.7):
