@@ -972,6 +972,6 @@ def _certify_ldl(m: Matrix, steps) -> None:
     cols = {(p, k): ONE for k, (p, _, _) in enumerate(steps)}
     cols.update({(j, k): r.conjugate() for k, (_, _, ratios) in enumerate(steps) for j, r in ratios.items()})
     v = Matrix(m.rows, len(steps), cols)
-    vd = Matrix(m.rows, len(steps), {(j, k): x * steps[k][1] for (j, k), x in cols.items()})
-    ok = all(dk > 0 for _, dk, _ in steps) and failing_column([(1, vd, v.conj_transpose()), (-1, m)]) is None
+    d = Matrix(len(steps), len(steps), {(k, k): dk for k, (_, dk, _) in enumerate(steps)})
+    ok = all(dk > 0 for _, dk, _ in steps) and failing_column([(1, v @ d, v.conj_transpose()), (-1, m)]) is None
     certify(ok, "PSD decomposition fails m = V D V*")
