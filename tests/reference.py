@@ -21,9 +21,8 @@ computes H^n from kernels alone.
 
 The `ref_*` builders of coboundaries, contractions and coactions move
 tensor legs the long way: entry by entry with `Scalar` sums, or by
-multiplying with `tensor_permutation` and `rotation_sigma` matrices
-(`rotation_sigma`, defined below, moves S^k (x) X (x) S^{n-k} onto
-X (x) S^n).  Production code moves them with `Matrix.reindex`.
+multiplying with `tensor_permutation` and `rotation_sigma` matrices.
+Production code moves them with `Matrix.reindex`.
 
 `combination_natural_coboundary`, `combination_dual_coboundary` and
 `combination_bar_boundary` build every face as its own `Matrix` (`kron`,
