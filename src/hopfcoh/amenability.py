@@ -35,7 +35,9 @@ from .hopf import (
     CounitSearch,
     HopfStarAlgebra,
     counit_find,
+    functional_positivity,
     group_algebra,
+    quotient_gram,
 )
 from .linalg import (
     LinearSolver,
@@ -103,27 +105,6 @@ def _residuals(h: HopfStarAlgebra, f: Vec):
     return tuple(counit_res[0, j] for j in range(d)), balance
 
 
-def _codiagonal_positivity(h: HopfStarAlgebra, f: Vec):
-    if h.kind == "function":
-        return None, all(x.is_real and x >= 0 for x in f)
-    if h.kind == "group" and isinstance(h.monoid, FiniteGroup):
-        return psd_check(_pair_gram(h.monoid, f)), None
-    return None, None
-
-
-def _pair_gram(g: FiniteGroup, f: Vec) -> Matrix:
-    """Gram matrix of the functional over all of G x G."""
-    n = g.order
-    pairs = [(r, s) for r in range(n) for s in range(n)]
-    entries = {}
-    for i, (r1, s1) in enumerate(pairs):
-        for j, (r2, s2) in enumerate(pairs):
-            v = f[g.mul(g.inv(r1), r2) * n + g.mul(g.inv(s1), s2)]
-            if v:
-                entries[(i, j)] = v
-    return Matrix(n * n, n * n, entries)
-
-
 def find_codiagonal(h: HopfStarAlgebra) -> CodiagonalSearch:
     """Solve the two defining identities exactly; absence is an answer.
 
@@ -139,7 +120,7 @@ def find_codiagonal(h: HopfStarAlgebra) -> CodiagonalSearch:
         return CodiagonalSearch(None, infeasibility=res.certificate)
     f = res.solution
     counit_res, balance = _residuals(h, f)
-    gram, coords = _codiagonal_positivity(h, f)
+    gram, coords = functional_positivity(h, f)
     cert = CodiagonalCertificate(f, counit_res, balance, gram, coords)
     return CodiagonalSearch(cert, solution_space_dim=system.cols - solver.rank)
 
@@ -171,7 +152,7 @@ def kronecker_codiagonal(g: FiniteGroup) -> KroneckerCodiagonal:
     n = g.order
     f = _kronecker_functional(n)
     counit_res, balance = _residuals(group_algebra(g), f)
-    gram_m = _pair_gram(g, f)
+    gram_m = quotient_gram(g, f)
     gram = psd_check(gram_m)
     # the Gram matrix must be the block-of-ones pattern of the classes
     # (r, s) ~ (u, v) iff s r^{-1} = v u^{-1}
@@ -346,20 +327,17 @@ def check_mean_vs_cohomology(ws: Workspace) -> CheckOutcome:
     bic = catalog["unit-quotient"].bicomodule
     cx = ws.complex_of(bic, "dual")
     t_vec = _quotient_cocycle(h, catalog["unit-quotient"].quotient, cx.boundary(1))
-    d0 = cx.boundary(0)
-    # Im d_0 is a subspace, so t_vec is a coboundary exactly when -t_vec is
-    is_coboundary = solve(d0, t_vec).consistent
-    details.append(f"canonical cocycle is a coboundary: {is_coboundary}")
-    ok = mean.feasible == is_coboundary
     if mean.feasible:
         # the mean is an invariant state; its homotopy raises CertificateError
-        # unless d_0(primitive) = t_vec exactly
+        # unless d_0(primitive) = t_vec exactly, so t_vec is a coboundary
         homotopy_from_haar(bic, 1, [t_vec], tuple(Scalar(w) for w in mean.certificate.weights), cx=cx)
-        details.append("explicit primitive from the mean certified: True")
+        details += ["canonical cocycle is a coboundary: True", "explicit primitive from the mean certified: True"]
+        ok = True
     else:
-        aug_ok = not is_coboundary
-        details.append(f"certified non-exact (augmented rank grows): {aug_ok}")
-        ok = ok and aug_ok
+        # Im d_0 is a subspace, so t_vec is a coboundary exactly when -t_vec is;
+        # an inconsistent solve carries its left-kernel certificate
+        ok = not solve(cx.boundary(0), t_vec).consistent
+        details += [f"canonical cocycle is a coboundary: {not ok}", f"certified non-exact (augmented rank grows): {ok}"]
     h1_all_zero = True
     for name in ("regular", "unit-quotient"):
         h1 = ws.cohomology_of(catalog[name].bicomodule, "restricted", 1).dim

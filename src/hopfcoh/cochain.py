@@ -45,8 +45,8 @@ DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names
 # coboundary matrices
 
 
-def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
-    """Coboundary X (x) S^n -> X (x) S^{n+1} of the natural complex."""
+def _natural_faces(b: Bicomodule, n: int) -> list:
+    """The face_sum faces of the natural coboundary X (x) S^n -> X (x) S^{n+1}; none moves a column."""
     if n < 0:
         raise ValueError("negative degree")
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
@@ -54,7 +54,12 @@ def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
     faces += [((-1) ** k, x * s ** (k - 1), h.comult, s ** (n - k), None, None) for k in range(1, n + 1)]
     # the gamma leg of kron(gamma, id) moves from first to last
     faces.append(((-1) ** (n + 1), 1, b.gamma.gamma, s**n, leg_map([s, x * s**n], [1, 0]), None))
-    return face_sum(faces)
+    return faces
+
+
+def natural_coboundary(b: Bicomodule, n: int) -> Matrix:
+    """Coboundary X (x) S^n -> X (x) S^{n+1} of the natural complex."""
+    return face_sum(_natural_faces(b, n))
 
 
 def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
@@ -279,30 +284,32 @@ class IdentificationReport:
     detail: str
 
 
-def sign_identity_sides(nat: Matrix, dua: Matrix, x: int, s: int, n: int) -> tuple:
-    """(R d_n^{natural-dual}, (-1)^{n+1} d_n^{dual} R) with R the flattening
-    X^* (x) S^n -> Hom(X, S^n), (m, w) -> (w, m), applied by reindexing."""
-    to_hom = leg_map([x, s ** (n + 1)], [1, 0])
-    from_hom = leg_map([s**n, x], [1, 0])
-    lhs = nat.reindex(nat.rows, nat.cols, lambda r, c: (to_hom[r], c))
-    rhs = dua.reindex(dua.rows, dua.cols, lambda r, c: (r, from_hom[c]))
-    return lhs, rhs.scale((-1) ** (n + 1))
+def _flattened_natural(b: Bicomodule, n: int) -> Matrix:
+    """(-1)^{n+1} R d_n^{natural} R^{-1} for b on X^*, R the flattening (m, w) -> (w, m) of
+    X^* (x) S^k onto Hom(X, S^k), as one face_sum: each natural face with R composed into
+    its row move, R as its column move and the sign in its k."""
+    x, s = b.space_dim, b.hopf.dim
+    to_hom, cols = leg_map([x, s ** (n + 1)], [1, 0]), leg_map([x, s**n], [1, 0])
+    faces = [
+        ((-1) ** (n + 1) * k, p, m, q, [to_hom[r] for r in move] if move else to_hom, cols)
+        for k, p, m, q, move, _ in _natural_faces(b, n)
+    ]
+    return face_sum(faces)
 
 
 def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual complex of X vs natural complex of the dual bicomodule on X^*.
 
     Checks  R d_n^{natural-dual} = (-1)^{n+1} d_n^{dual} R  entrywise, R the
-    flattening reshuffle (a bijective reindex).  With the squares of degrees
+    flattening reshuffle (a bijection of basis indices).  With the squares of degrees
     n-1 and n, R carries ker D_n and Im D_{n-1}, so H^n agrees with no
-    elimination.  Each square is checked once per job, from the natural D_m
-    built afresh and ws's dual D_m (so n < ws.degree_cap).
+    elimination.  Each square is checked once per job, as the natural faces
+    of the dual bicomodule moved onto ws's dual D_m (so n < ws.degree_cap)
+    and compared with it by ==.
     """
 
     def square(m):
-        dua = ws.complex_of(b, "dual").boundary(m)
-        lhs, rhs = sign_identity_sides(natural_coboundary(ws.dual(b), m), dua, b.space_dim, b.hopf.dim, m)
-        return lhs == rhs
+        return _flattened_natural(ws.dual(b), m) == ws.complex_of(b, "dual").boundary(m)
 
     if not ws._cached("C10", b, n, partial(square, n)):
         return IdentificationReport(False, "sign identity fails entrywise")

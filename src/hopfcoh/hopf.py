@@ -263,18 +263,27 @@ def haar_state(h: HopfStarAlgebra) -> HaarSearch:
     if not res.consistent:
         return HaarSearch(None, None, res.certificate)
     phi = res.solution
-    return HaarSearch(phi, _functional_positive(h, phi), None)
+    gram, coordinates = functional_positivity(h, phi)
+    return HaarSearch(phi, coordinates if gram is None else bool(gram), None)
 
 
-def _functional_positive(h: HopfStarAlgebra, phi: Vec) -> Optional[bool]:
+def functional_positivity(h: HopfStarAlgebra, phi: Vec) -> tuple:
+    """(Gram certificate, coordinates nonnegative) of a functional phi on S^{(x)k}, k read
+    from len(phi): on a group algebra psd_check of quotient_gram(G, phi) and None, on a
+    function algebra None and whether every coordinate is real and >= 0, else (None, None)."""
     if h.kind == "function":
-        return all(x.is_real and x >= 0 for x in phi)
+        return None, all(x.is_real and x >= 0 for x in phi)
     if h.kind == "group" and isinstance(h.monoid, FiniteGroup):
-        g = h.monoid
-        gram = Matrix(
-            g.order,
-            g.order,
-            {(r, s): phi[g.mul(g.inv(r), s)] for r in range(g.order) for s in range(g.order)},
-        )
-        return bool(psd_check(gram))
-    return None
+        return psd_check(quotient_gram(h.monoid, phi)), None
+    return None, None
+
+
+def quotient_gram(g: FiniteGroup, phi: Vec) -> Matrix:
+    """The Gram matrix [phi(a^{-1} b)] over a, b in G^k, |G|^k = len(phi), in row-major order."""
+    n = g.order
+    quotient = [[g.mul(g.inv(r), s) for s in range(n)] for r in range(n)]
+    table = [[0]]  # table[a][b] = the flat index of a^{-1} b in G^k, here k = 0
+    while len(table) < len(phi):
+        table = [[t * n + q for t in row for q in q_r] for row in table for q_r in quotient]
+    entries = {(a, b): phi[t] for a, row in enumerate(table) for b, t in enumerate(row) if phi[t]}
+    return Matrix(len(table), len(table), entries)

@@ -366,13 +366,14 @@ def face_sum(faces) -> Matrix:
     with row r at row_move[r] and column c at col_move[c] (leg_map lists, or None for no move).
     It is combination's one accumulation on the common denominator, and builds no face: a face
     meeting an empty sum is copied in kron's order, any other added and a key that cancels
-    deleted, so the entries, den and key order are those of combination of the faces."""
+    deleted, so the entries, den and key order are those of combination of the faces.  A face
+    with p q = 0 is the zero matrix and is skipped."""
     _, p, m, q, *_ = faces[0]
     rows, cols, den = p * m.rows * q, p * m.cols * q, lcm(*(f[2].den for f in faces))
     re, im = {}, {}
     for k, p, m, q, row_move, col_move in faces:
         k *= den // m.den
-        for out, part in ((out, part) for out, part in ((re, m.re), (im, m.im)) if k and part):
+        for out, part in ((out, part) for out, part in ((re, m.re), (im, m.im)) if k and p * q and part):
             r_keys = _legs([r for r, _ in part], p, q, m.rows * q, row_move)
             keys = zip(r_keys, _legs([c for _, c in part], p, q, m.cols * q, col_move))
             values = list(chain.from_iterable(map(repeat, [k * v for v in part.values()], repeat(q)))) * p

@@ -144,8 +144,8 @@ def test_kronecker_s3_identities_exact():
 def test_kronecker_block_pattern_rejects_a_scaled_gram(monkeypatch):
     """The block check compares the Gram matrix with the block-of-ones pattern
     of the classes s r^{-1}: a doubled Gram matrix stays PSD but fails it."""
-    original = amenability._pair_gram
-    monkeypatch.setattr(amenability, "_pair_gram", lambda g, f: original(g, f).scale(2))
+    original = amenability.quotient_gram
+    monkeypatch.setattr(amenability, "quotient_gram", lambda g, f: original(g, f).scale(2))
     kc = kronecker_codiagonal(get_group("S3"))
     assert bool(kc.gram)
     assert not kc.block_structure_ok

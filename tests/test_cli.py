@@ -147,6 +147,40 @@ def test_explicit_pair_graded_job_roundtrip():
     assert table["pairs"] == {"0": 3, "1": 0, "2": 0}
 
 
+ZERO_DIM_JOB = """
+algebra = group:Z2
+tasks = cohomology:dual:0-2, cohomology:natural:0-2, cohomology:bar:1-2,
+        cohomology:restricted:0-1, check-C10, check-C15
+begin comodule X
+  dim = 0
+  gamma = trivial
+  begin beta
+  end
+end
+"""
+
+
+def test_zero_dimensional_comodule_job_reports_zero_everywhere(tmp_path, capsys):
+    """Every coboundary of a dim-0 comodule is 0 x 0, each face_sum face padded by an
+    empty identity: every table reads 0 and both identifications hold."""
+    job = tmp_path / "zero.job"
+    job.write_text(ZERO_DIM_JOB)
+    assert main(["--input", str(job), "report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["consistent"] is True
+    tables = {token: entry["X"] for token, entry in report["tasks"].items() if token.startswith("cohomology:")}
+    assert tables == {
+        "cohomology:dual:0-2": {"0": 0, "1": 0, "2": 0},
+        "cohomology:natural:0-2": {"0": 0, "1": 0, "2": 0},
+        "cohomology:bar:1-2": {"1": 0, "2": 0},
+        "cohomology:restricted:0-1": {"0": 0, "1": 0},
+    }
+    for token, detail in (("check-C10", "sign identity and H-dims agree"), ("check-C15", "matrices bit-identical")):
+        entry = report["tasks"][token]
+        assert entry["passed"] is True
+        assert entry["results"]["X"] == {str(n): {"detail": detail, "holds": True} for n in range(3)}
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--catalog", "group:Z2", "check"]) == 0
     capsys.readouterr()

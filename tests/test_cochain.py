@@ -339,7 +339,7 @@ def test_workspace_builds_each_complex_once(monkeypatch):
         return original(b, kind, *args)
 
     monkeypatch.setattr(cochain, "build_complex", counting)
-    monkeypatch.setattr(cochain, "natural_coboundary", _counted(calls, "natural", natural_coboundary))
+    monkeypatch.setattr(cochain, "_natural_faces", _counted(calls, "natural", cochain._natural_faces))
     h = get_algebra("group:Z2")
     ws = Workspace(h, 3)
     for _, b in ws.bicomodules():
@@ -347,8 +347,8 @@ def test_workspace_builds_each_complex_once(monkeypatch):
             assert identify_dual_with_natural(ws, b, n).holds
             assert identify_dual_with_bar(ws, b, n).holds
             assert ws.cohomology_of(b, "dual", n) is ws.cohomology_of(b, "dual", n)
-    # per bicomodule: one dual complex; check-C10 builds one natural coboundary
-    # per degree on the dual bicomodule and no natural complex, and the bar
+    # per bicomodule: one dual complex; check-C10 reads the natural faces once
+    # per degree on the dual bicomodule and builds no natural complex, and the bar
     # side of identify_dual_with_bar is a boundary compared alone
     assert sorted(built) == ["dual"] * len(ws.bicomodules())
     assert set(calls) == {("natural", id(ws.dual(b)), n) for _, b in ws.bicomodules() for n in range(3)}
@@ -381,14 +381,27 @@ def _tampered(builder, degree):
     return wrapper
 
 
+def _tampered_faces(faces_of, degree):
+    """faces_of with a face adding 1 at entry (0, 0) of its degree-`degree` boundary."""
+
+    def wrapper(b, n):
+        faces = faces_of(b, n)
+        _, p, m, q, *_ = faces[0]
+        extra = (1, 1, Matrix(p * m.rows * q, p * m.cols * q, {(0, 0): ONE}), 1, None, None)
+        return faces + [extra] if n == degree else faces
+
+    return wrapper
+
+
 def test_check_c10_fails_in_the_tampered_degree_only(monkeypatch):
     """H^n is transported only when the squares of degrees n-1 and n both
-    commute, so degree 2 keeps its square but not its H-dims; each natural
-    coboundary is still built once."""
+    commute, so degree 2 keeps its square but not its H-dims; each degree's
+    natural faces are still read once."""
     from hopfcoh import cochain
 
     calls = Counter()
-    monkeypatch.setattr(cochain, "natural_coboundary", _counted(calls, "natural", _tampered(natural_coboundary, 1)))
+    tampered = _tampered_faces(cochain._natural_faces, 1)
+    monkeypatch.setattr(cochain, "_natural_faces", _counted(calls, "natural", tampered))
     report = run(JobSpec(algebra="group:Z2", tasks=("check-C10",), degree_cap=3))
     assert report["consistent"] is False and report["tasks"]["check-C10"]["passed"] is False
     for per in report["tasks"]["check-C10"]["results"].values():
@@ -396,6 +409,35 @@ def test_check_c10_fails_in_the_tampered_degree_only(monkeypatch):
         assert per["1"] == {"holds": False, "detail": "sign identity fails entrywise"}
         assert per["2"] == {"holds": True, "detail": "sign identity holds; H-dims not transported: degree 1 fails"}
     assert len(calls) == 3 * len(report["tasks"]["check-C10"]["results"]) and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["function:S3", "kp8"])
+def test_check_c10_moves_no_boundary_sized_matrix(monkeypatch, name):
+    """check-C10's squares move the natural faces by leg_map lists inside face_sum:
+    no Matrix.reindex, scale or transpose runs on, or returns, a matrix of a
+    boundary's shape (x s^{n+1}) x (x s^n)."""
+    ws = Workspace(get_algebra(name), 3)
+    bics = [b for _, b in ws.bicomodules()]
+    for b in bics:  # the dual bicomodules and the dual complexes are built before the guard
+        ws.dual(b)
+        ws.complex_of(b, "dual")
+    s = ws.hopf.dim
+    shapes = {(b.space_dim * s ** (n + 1), b.space_dim * s**n) for b in bics for n in range(3)}
+    moved = []
+    for method in ("reindex", "scale", "transpose"):
+        original = getattr(Matrix, method)
+
+        def guarded(self, *args, _original=original, _method=method):
+            out = _original(self, *args)
+            if {(self.rows, self.cols), (out.rows, out.cols)} & shapes:
+                moved.append((_method, self.rows, self.cols))
+            return out
+
+        monkeypatch.setattr(Matrix, method, guarded)
+    for b in bics:
+        for n in range(3):
+            assert identify_dual_with_natural(ws, b, n).holds
+    assert moved == []
 
 
 def test_check_c15_fails_in_the_tampered_degree_only(monkeypatch):

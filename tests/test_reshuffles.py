@@ -13,11 +13,11 @@ import reference as ref
 from hopfcoh.amenability import find_codiagonal
 from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.cochain import (
+    _flattened_natural,
     bar_boundary,
     codiagonal_contraction,
     dual_coboundary,
     natural_coboundary,
-    sign_identity_sides,
 )
 from hopfcoh.comodule import (
     Bicomodule,
@@ -36,7 +36,7 @@ from hopfcoh.comodule import (
     regular_right_coaction,
 )
 from hopfcoh.hopf import HopfStarAlgebra, check_saturated, function_algebra
-from hopfcoh.linalg import Matrix, kron
+from hopfcoh.linalg import Matrix, kron, tensor_permutation
 from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.scalars import I
 
@@ -146,11 +146,21 @@ def test_permutation_products_match_reference(name):
         for n in range(3):
             assert natural_coboundary(b, n) == ref.ref_natural_coboundary(b, n)
             assert bar_boundary(b, n + 1) == ref.ref_bar_boundary(b, n + 1)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_flattened_natural_matches_the_sign_identity_reference(name):
+    """check-C10's one face build M = (-1)^{n+1} R d^{natural} R^{-1} on X^*, degrees 0-3:
+    M R is the reference's R d^{natural} times the sign, and M is the dual D_n
+    exactly where the reference's two sides agree (on every catalog bicomodule)."""
+    for b in bicomodules(name):
+        dual_b, x, s = dual_bicomodule(b), b.space_dim, b.hopf.dim
+        for n in range(4):
             nat, dua = natural_coboundary(dual_b, n), dual_coboundary(b, n)
-            args = (nat, dua, b.space_dim, b.hopf.dim, n)
-            lhs, rhs = sign_identity_sides(*args)
-            assert (lhs, rhs) == ref.ref_sign_identity_sides(*args)
-            assert lhs == rhs
+            lhs, rhs = ref.ref_sign_identity_sides(nat, dua, x, s, n)
+            moved = _flattened_natural(dual_b, n)
+            assert (moved @ tensor_permutation([x, s**n], [1, 0])).scale((-1) ** (n + 1)) == lhs
+            assert moved == dua and lhs == rhs
 
 
 def assert_spans_match_reference(bics):
