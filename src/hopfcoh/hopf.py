@@ -68,9 +68,6 @@ class HopfStarAlgebra:
             raise ValueError("algebra has no counit")
         return Matrix.row(self.counit)
 
-    def multiply(self, a: Vec, b: Vec) -> Vec:
-        return (self.mult @ kron(Matrix.column(a), Matrix.column(b))).col(0)
-
 
 # ---------------------------------------------------------------------------
 # axiom checking
@@ -90,9 +87,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def check_axioms(h: HopfStarAlgebra) -> AxiomReport:

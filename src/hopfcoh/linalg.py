@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Optional
 
@@ -480,6 +480,78 @@ def tensor_permutation(src_dims, tgt_slot_to_src_slot) -> Matrix:
 # elimination
 
 
+class _GaussInt:
+    """A Gaussian integer real + imag i: an entry of a non-real sweep."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __mul__(self, o):
+        return _GaussInt(self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real)
+
+    def __sub__(self, o):
+        return _GaussInt(self.real - o.real, self.imag - o.imag)
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __floordiv__(self, k: int):  # only ever by an integer dividing both parts
+        return _GaussInt(self.real // k, self.imag // k)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+
+def _int_cells(m: Matrix):
+    """m's nonzero ((r, c), x) cells on its integer numerators, which span the same rows and
+    kernel as m: ints, or _GaussInts when some entry is non-real."""
+    if not m.im:
+        return m.re.items()
+    return ((k, _GaussInt(m.re.get(k, 0), m.im.get(k, 0))) for k in m.support)
+
+
+def _ratio(v, d) -> Scalar:
+    """The Scalar v / d of two entries of one sweep."""
+    if type(v) is int:
+        return Scalar(Fraction(v, d))
+    return Scalar(v.real, v.imag) / Scalar(d.real, d.imag)
+
+
+def _clear(row: dict, prow: dict, col: int, present=None, key=None) -> None:
+    """Make row zero at col with the pivot row prow, fraction-free and in place.
+
+    row becomes (pv/g) row - (f/g) prow, pv = prow[col], f = row[col] and
+    g the gcd of their parts, and when pv/g != 1 is divided by the gcd of
+    its entries' parts: a nonzero multiple of what a field sweep would
+    hold, pv/g > 0 when pv > 0.  With present, present[c] gains or loses
+    key as row's support at c does.
+    """
+    pv, f = prow[col], row[col]
+    gauss = type(pv) is not int
+    g = gcd(pv.real, pv.imag, f.real, f.imag) if gauss else gcd(pv, f)
+    a, f = pv // g, f // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        nv = row[c] - f * v if c in row else -(f * v)
+        if nv:
+            if present is not None and c not in row:
+                present[c].add(key)
+            row[c] = nv
+        else:
+            del row[c]
+            if present is not None:
+                present[c].discard(key)
+    if a != 1:
+        g = gcd(*(p for v in row.values() for p in (v.real, v.imag))) if gauss else gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
+
+
 def _rows_of(cells):
     """The nonzero rows of sparse ((r, c), x) cells, in row order, as {c: x} dicts."""
     rows: dict = {}
@@ -488,34 +560,29 @@ def _rows_of(cells):
     return [rows[r] for r in sorted(rows)]
 
 
-def _rref_rows(row_dicts, cols: int, p: int = 0):
-    """Full RREF of a list of sparse rows over `cols` columns: the package's one elimination.
+def _rref_rows(row_dicts, cols: int):
+    """RREF of a list of sparse rows over `cols` columns, fraction-free: the package's one elimination.
 
-    When p is 0 it is exact over whatever field the entries lie in, and
-    keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
-    Scalar, since the only constant it brings in is 1 / pivot.
-    Otherwise it works over Z/p, and the entries may be any ints: a row
-    is taken mod p once the pivot rows have reduced it, before its pivot
-    is chosen, so the rows it returns hold residues in [1, p).  Mutates nothing
-    passed in.  Returns (pivots, rows, origins) with monic pivots, zero
-    above and below each pivot, rows sorted by pivot column: the RREF.
+    The entries are nonzero ints, or _GaussInts when some entry is
+    non-real.  Mutates nothing passed in.  Returns (pivots, rows, origins),
+    rows sorted by pivot column: each row is a nonzero integer multiple of
+    its RREF row, so zero at every other pivot column, and a real row's
+    pivot is positive.
 
-    It takes the rows one at a time against pivot rows kept fully reduced
-    (monic, zero at every other pivot column): a row is reduced once, by the
-    pivot rows of the pivot columns in its support, and a nonzero remainder
-    becomes the pivot row of its least column, which is then cleared from
-    the earlier pivot rows.  A row that reduces to zero, as most rows of a
-    coboundary do, costs one pass.  A one-entry row {c: x} is neither
-    copied nor reduced: if c's pivot row is the unit row {c: 1}, e_c is in
-    the span of the rows read so far and the row is skipped; if c holds no
-    pivot, a nonzero x makes {c: 1} c's pivot row (x rescaled by 1 / x as
-    any pivot is, so of x's type) and c is deleted from the pivot rows
-    holding it, since their factor times 1 cancels it; a zero x is
-    skipped.  It stops once every column holds a pivot.  origins lists,
-    for each pivot, the index of the input row whose remainder made it:
-    each such row is independent of the rows before it, and together they
-    span all the rows.  Skipping a row already in the span of the rows
-    before it changes none of them.
+    It takes the rows one at a time against pivot rows kept fully reduced:
+    a row is cleared, by _clear, at the pivot columns in its support, and a
+    nonzero remainder becomes the pivot row of its least column (a real one
+    divided by its content, with the pivot's sign), which is then cleared
+    from the earlier pivot rows.  A row that reduces to zero, as most rows
+    of a coboundary do, costs one pass.  A one-entry row {c: x} is neither
+    copied nor reduced: if c's pivot row has the one entry c, e_c is in the
+    span of the rows read so far and the row is skipped; if c holds no
+    pivot, a nonzero x makes the unit row {c: 1} c's pivot row and c is
+    deleted from the pivot rows holding it, since a multiple of e_c clears
+    it; a zero x is skipped.  It stops once every column holds a pivot.
+    origins lists, for each pivot, the index of the input row whose
+    remainder made it: each such row is independent of the rows before it,
+    and together they span all the rows.
     """
     reduced: dict = {}  # pivot column -> its pivot row
     origin: dict = {}  # pivot column -> the input index its row came from
@@ -523,39 +590,26 @@ def _rref_rows(row_dicts, cols: int, p: int = 0):
     for i, row in enumerate(row_dicts):
         if len(row) == 1 and (col := next(iter(row))) not in reduced:
             x = row[col]
-            if not (x % p if p else x):
+            if not x:
                 continue
-            for q in present.pop(col, ()):  # factor * 1 cancels col from pivot row q
+            for q in present.pop(col, ()):
                 del reduced[q][col]
-            row = {col: 1 if p else x if x == 1 else 1 / x * x}
+            row = {col: 1 if type(x) is int else _GaussInt(1, 0)}
         elif len(row) == 1 and len(reduced[col]) == 1:
             continue  # e_col is in the span already
         else:
             row = dict(row)
-            for c in [c for c in row if c in reduced]:
-                f = row[c]  # no other pivot row touches column c; zeros are dropped below
-                for k, v in reduced[c].items():
-                    row[k] = row.get(k, 0) - f * v
-            row = {c: x % p for c, x in row.items() if x % p} if p else {c: x for c, x in row.items() if x}
+            for c in [c for c in row if c in reduced]:  # no other pivot row touches column c
+                _clear(row, reduced[c], c)
             if not row:
                 continue
             col = min(row)
-            inv = pow(row[col], -1, p) if p else 1 / row[col]
-            if inv != 1:
-                row = {c: inv * v % p if p else inv * v for c, v in row.items()}
-            for q in list(present[col]):  # clear col from pivot row q
-                target, factor = reduced[q], reduced[q][col]
-                for c, v in row.items():
-                    nv = target[c] - factor * v if c in target else -(factor * v)
-                    if p:
-                        nv %= p
-                    if nv:
-                        if c not in target:
-                            present[c].add(q)
-                        target[c] = nv
-                    elif c in target:
-                        del target[c]
-                        present[c].discard(q)
+            if type(row[col]) is int:  # divided by its content, the pivot made positive
+                g = gcd(*row.values()) if row[col] > 0 else -gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+            for q in list(present[col]):
+                _clear(reduced[q], row, col, present, q)
         reduced[col], origin[col] = row, i
         for c in row:
             present[c].add(col)
@@ -566,9 +620,9 @@ def _rref_rows(row_dicts, cols: int, p: int = 0):
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form; returns (pivot_cols, rows as sparse dicts)."""
-    pivots, rows, _ = _rref_rows(_rows_of(m.entries.items()), m.cols)
-    return pivots, rows
+    """Reduced row echelon form; returns (pivot_cols, rows as sparse dicts of Scalars)."""
+    pivots, rows, _ = _rref_rows(_rows_of(_int_cells(m)), m.cols)
+    return pivots, [{c: _ratio(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, rows)]
 
 
 def image_rank(m: Matrix) -> int:
@@ -577,15 +631,9 @@ def image_rank(m: Matrix) -> int:
     return len(kernel_basis(m.transpose() if m.rows < m.cols else m).pivot_rows)
 
 
-# kernel_basis eliminates modulo this prime before the exact path
-_P = 2**61 - 1
-_B = isqrt(_P // 2)  # Wang's bound: a residue u <= _B stands for u, one u >= _P - _B for u - _P
-
-
-def _null_space(cells, cols: int, p: int = 0):
-    """(pivot rows, RREF basis of the null space as sparse rows) of D's nonzero
-    ((r, c), x) cells, over Q(i), or Z/p when p (any int x, residues out),
-    from one elimination.
+def _null_space(cells, cols: int):
+    """(pivot rows, RREF basis of the null space as sparse rows of Scalars)
+    of D's nonzero ((r, c), x) cells, x ints or _GaussInts, from one elimination.
 
     The pivot rows are rank-many rows r of D, independent and spanning D's
     rows.  With D's columns numbered right to left, the null vector of free
@@ -596,31 +644,14 @@ def _null_space(cells, cols: int, p: int = 0):
     for (r, c), x in cells:
         rows.setdefault(r, {})[last - c] = x
     ids = sorted(rows)
-    pivots, red, origins = _rref_rows([rows[r] for r in ids], cols, p)
-    taken, one = {last - piv for piv in pivots}, 1 if p else ONE
-    null = {f: {f: one} for f in range(cols) if f not in taken}
+    pivots, red, origins = _rref_rows([rows[r] for r in ids], cols)
+    taken = {last - piv for piv in pivots}
+    null = {f: {f: ONE} for f in range(cols) if f not in taken}
     for piv, row in zip(pivots, red):
         for c, v in row.items():
             if c != piv:
-                null[last - c][last - piv] = p - v if p else -v
+                null[last - c][last - piv] = _ratio(-v, row[piv])
     return [ids[i] for i in origins], list(null.values())
-
-
-def _wang(u: int, p: int):
-    """Wang's rational reconstruction: a/b = u mod p with |a|, b <= isqrt(p // 2), or None."""
-    bound = isqrt(p // 2)
-    r0, r1, t0, t1 = p, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
-        return None
-    return Scalar(Fraction(r1, t1))
-
-
-def _lift(u: int):
-    """_wang(u, _P), skipping Wang's loop for the residues of the integers in [-_B, _B]."""
-    return Scalar(u) if u <= _B else Scalar(u - _P) if u >= _P - _B else _wang(u, _P)
 
 
 def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
@@ -659,22 +690,13 @@ class Kernel(list):
 def kernel_basis(m: Matrix) -> Kernel:
     """Canonical kernel basis: the RREF basis of the null space.
 
-    Eliminates m's integer numerators, unreduced, modulo 2^61 - 1 (the
-    common denominator changes no kernel), rebuilding the entries by
-    rational reconstruction, and returns that basis if it passes _is_kernel_rref;
-    otherwise eliminates exactly, and an exact basis that fails the check
-    raises CertificateError.  The basis is thus checked against D given
-    the elimination's rank, and the same whichever path found it.
-    Idempotent under re-reduction: stacking the output as rows of a matrix
-    and re-running rref reproduces it unchanged.  A modular elimination's
-    pivot rows have a minor nonzero mod p, hence over Q.
+    Eliminates m's integer numerators once (the common denominator changes
+    no kernel) and returns the basis only after _is_kernel_rref certifies
+    it against m given the elimination's rank; a basis that fails raises
+    CertificateError.  Idempotent under re-reduction: stacking the output
+    as rows of a matrix and re-running rref reproduces it unchanged.
     """
-    if not m.im:
-        rows, basis = _null_space(m.re.items(), m.cols, _P)
-        basis = [{c: _lift(u) for c, u in v.items()} for v in basis]
-        if all(None not in v.values() for v in basis) and _is_kernel_rref(m, len(rows), basis):
-            return Kernel(m, rows, basis)
-    rows, basis = _null_space(m.entries.items(), m.cols)
+    rows, basis = _null_space(_int_cells(m), m.cols)
     certify(_is_kernel_rref(m, len(rows), basis), "exact kernel basis fails its certificate")
     return Kernel(m, rows, basis)
 
@@ -689,30 +711,6 @@ class SolveResult:
         return self.solution is not None
 
 
-class _GaussInt:
-    """A Gaussian integer real + imag i: an entry of a non-real column sweep."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real, self.imag = real, imag
-
-    def __mul__(self, o):
-        return _GaussInt(self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real)
-
-    def __sub__(self, o):
-        return _GaussInt(self.real - o.real, self.imag - o.imag)
-
-    def __neg__(self):
-        return _GaussInt(-self.real, -self.imag)
-
-    def __floordiv__(self, k: int):  # only ever by an integer dividing both parts
-        return _GaussInt(self.real // k, self.imag // k)
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-
 class LinearSolver:
     """Exact solutions of m x = rhs, or a left-kernel certificate, by a column sweep.
 
@@ -720,10 +718,9 @@ class LinearSolver:
     integer numerators (Gaussian integers if some entry is non-real): at
     each column of m the shortest row holding it, counting only its entries
     in m (the first of those), becomes the pivot row and clears the column
-    from every other row fraction-free, each new row being
-    (pv/g) row - (f/g) pivot row, g = gcd(pv, f), divided by its content.
-    Every row stays a nonzero multiple of the row a Fraction sweep would
-    hold, so the supports, and with them the pivot rows P, are the same.
+    from every other row fraction-free, by _clear.  Every row stays a
+    nonzero multiple of the row a Fraction sweep would hold, so the
+    supports, and with them the pivot rows P, are the same.
     This is its own sweep, not _rref_rows, because the pivot rows P it
     picks fix the certificates that reports print.  A consistent system
     reads each x_p as its pivot row's rhs entry over its entry at p.
@@ -748,13 +745,8 @@ class LinearSolver:
             raise ValueError("rhs length mismatch")
         rhs = vec(rhs)
         aug, work = m.augment(Matrix.column(rhs)), [{} for _ in rhs]  # aug: [m | rhs] on integer numerators
-        if aug.im:
-            for r, c in aug.support:
-                work[r][c] = _GaussInt(aug.re.get((r, c), 0), aug.im.get((r, c), 0))
-        else:
-            for (r, c), v in aug.re.items():
-                work[r][c] = v
-        content = (lambda vs: gcd(*(p for v in vs for p in (v.real, v.imag)))) if aug.im else (lambda vs: gcd(*vs))
+        for (r, c), v in _int_cells(aug):
+            work[r][c] = v
         present: dict = defaultdict(set)  # column -> the rows with a nonzero there
         for ri, row in enumerate(work):
             for c in row:
@@ -765,26 +757,8 @@ class LinearSolver:
             if not cand:
                 continue
             ri = min(cand, key=lambda r: (len(work[r]) - (end in work[r]), r))
-            prow, pv = work[ri], work[ri][col]
             for other in [r for r in present[col] if r != ri]:
-                row = work[other]
-                g = content((pv, row[col]))
-                a, factor = pv // g, row[col] // g
-                if a != 1:
-                    for c in row:
-                        row[c] *= a
-                for c, v in prow.items():
-                    nv = row[c] - factor * v if c in row else -(factor * v)
-                    if nv:
-                        present[c].add(other)
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-                        present[c].discard(other)
-                g = content(row.values())
-                if g > 1:
-                    for c in row:
-                        row[c] //= g
+                _clear(work[other], work[ri], col, present, other)
             used.add(ri)
             self.pivots.append(col)
             pivot_rows.append(ri)
@@ -793,8 +767,7 @@ class LinearSolver:
             x = {}
             for p, ri in zip(self.pivots, pivot_rows):
                 if end in work[ri]:
-                    v, d = work[ri][end], work[ri][p]
-                    x[p] = Scalar(v.real, v.imag) / Scalar(d.real, d.imag)
+                    x[p] = _ratio(work[ri][end], work[ri][p])
             x = dense(x, m.cols)
             certify(m.apply(x) == rhs, "solution fails m x = rhs")
             return SolveResult(x, None)

@@ -7,7 +7,7 @@ the simplex over Fractions would take.  Infeasibility comes with a
 Farkas certificate y (y^T A <= 0, y^T b > 0) that is re-verified exactly
 before being returned.  A brute-force basic-solution enumeration serves as
 an independent oracle at small sizes; it eliminates with linalg's one
-elimination, `_rref_rows`, on sparse Fraction rows.
+elimination, `_rref_rows`, on sparse rows cleared to integers.
 """
 from __future__ import annotations
 
@@ -43,6 +43,12 @@ def _cleared(row, prow, c):
     out = [a * x - b * y for x, y in zip(row, prow)] + [a * x for x in row[len(prow) :]]
     k = gcd(*out)
     return [x // k for x in out] if k > 1 else out
+
+
+def _integer_row(row: dict) -> dict:
+    """The sparse Fraction row times the lcm of its denominators: nonzero ints, signs kept."""
+    k = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (k // x.denominator) for c, x in row.items()}
 
 
 def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
@@ -141,21 +147,22 @@ def enumerate_feasibility(a_rows, b_col) -> bool:
     A support S of size k carries a basic solution exactly when the RREF of
     the augmented rows [A_S | b] has pivots 0 .. k-1: then A_S has full
     column rank and the rhs column no pivot, so the solution is unique and
-    its coordinates are the reduced rows' rhs entries.
+    its coordinates are the reduced rows' rhs entries over their pivots,
+    which _rref_rows keeps positive on integer rows.
     """
     a = _as_fractions(a_rows)
     b = [Fraction(x) for x in b_col]
     if not any(b):
         return True
     n = len(a[0])
-    rank = len(_rref_rows([{j: x for j, x in enumerate(row) if x} for row in a], n)[0])
+    rank = len(_rref_rows([_integer_row({j: x for j, x in enumerate(row) if x}) for row in a], n)[0])
     for k in range(1, rank + 1):
         for support in combinations(range(n), k):
             rows = [{c: row[j] for c, j in enumerate(support) if row[j]} for row in a]
             for row, rhs in zip(rows, b):
                 if rhs:
                     row[k] = rhs
-            pivots, red, _ = _rref_rows(rows, k + 1)
+            pivots, red, _ = _rref_rows([_integer_row(row) for row in rows], k + 1)
             if pivots == list(range(k)) and all(row.get(k, 0) >= 0 for row in red):
                 return True
     return False

@@ -81,10 +81,6 @@ class Scalar:
     def conjugate(self):
         return Scalar(self.re, -self.im)
 
-    def abs2(self):
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     @property
     def is_real(self):
         return not self.im

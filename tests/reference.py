@@ -3,19 +3,19 @@
 The `ref_*` functions are `Matrix` arithmetic on plain {(r, c): Scalar}
 dicts of the nonzero entries, one Scalar operation at a time.
 
-`reference_rref_rows` is the column sweep: at each column the shortest row
-holding it becomes the pivot row and the column is removed from every
-other row.  Only `linalg.LinearSolver` keeps that sweep; `linalg._rref_rows`
-takes the rows one at a time, so every reference below that eliminates
-(`reference_rref`, `reference_rank`, the kernels and the span tests) runs
-this sweep rather than the code under test.  `reference_solve` reads a
+`reference_rref_rows` is the column sweep over a field: at each column the
+shortest row holding it becomes the monic pivot row and the column is
+removed from every other row.  `linalg.LinearSolver` keeps that pivot rule,
+fraction-free; `linalg._rref_rows` takes integer rows one at a time,
+fraction-free, so every reference below that eliminates (`reference_rref`,
+`reference_rank`, the kernels and the span tests) runs this sweep rather
+than the code under test.  `reference_solve` reads a
 solution or a left-kernel certificate off the sweep's tracks of the unit
 rows; `LinearSolver` sweeps [m | rhs] and keeps no tracks.
 
 `reference_kernel` is the exact two-RREF kernel: RREF of the matrix, then
 RREF of its free-column null vectors; `reference_null_space` is the same
-two passes on sparse rows, over Q(i) or Z/p.  Production code eliminates
-once.  `reference_bookkeeping` is the greedy choice of H^n representatives,
+two passes on sparse rows over Q(i).  Production code eliminates once.  `reference_bookkeeping` is the greedy choice of H^n representatives,
 with a coboundary preimage for every other kernel vector; production code
 computes H^n from kernels alone.
 
@@ -54,7 +54,8 @@ keeps integer rows, each a positive multiple of the exact one.
 
 `TensorSpace` is the row-major flat index of an ordered tensor product,
 written out digit by digit.  `order3_monoid_tables` lists the inputs of the
-random-monoid tests.
+random-monoid tests, and `Z4_CHARACTER_JOB` is a job whose comodule is
+non-real, so its eliminations run on Gaussian integers.
 """
 import importlib.util
 import sys
@@ -83,13 +84,12 @@ from hopfcoh.lp import Feasibility, _as_fractions, _verify_point
 from hopfcoh.scalars import ONE, Scalar, as_scalar
 
 
-def reference_rref_rows(row_dicts, track=None, p: int = 0):
+def reference_rref_rows(row_dicts, track=None):
     """Full RREF of a list of sparse rows by a column sweep.
 
-    When p is 0 it is exact over whatever field the entries lie in, and
-    keeps their type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay
-    Scalar, since the only constant it brings in is 1 / pivot.
-    Otherwise it works over Z/p (int entries in [0, p)).  Mutates nothing
+    It is exact over whatever field the entries lie in, and keeps their
+    type: Fraction rows stay Fraction, Scalar rows (Q(i)) stay Scalar,
+    since the only constant it brings in is 1 / pivot.  Mutates nothing
     passed in.  Returns (pivots, rows, tracks) with monic pivots, zero above
     and below each pivot, rows sorted by pivot column.  If `track` is a
     parallel list of sparse rows, the same row operations are applied to it
@@ -98,14 +98,12 @@ def reference_rref_rows(row_dicts, track=None, p: int = 0):
     """
 
     def scaled(row, k):
-        return {c: k * v % p if p else k * v for c, v in row.items()}
+        return {c: k * v for c, v in row.items()}
 
     def axpy(trow, prow, factor, ri=None):
         """trow -= factor * prow in place; with ri, `present` follows row ri's support."""
         for c, v in prow.items():
             nv = trow[c] - factor * v if c in trow else -(factor * v)
-            if p:
-                nv %= p
             if nv:
                 if ri is not None and c not in trow:
                     present[c].add(ri)
@@ -129,7 +127,7 @@ def reference_rref_rows(row_dicts, track=None, p: int = 0):
         if not cand:
             continue
         ri = min(cand, key=lambda r: (len(work[r]), r))
-        inv = pow(work[ri][col], -1, p) if p else 1 / work[ri][col]
+        inv = 1 / work[ri][col]
         if inv != 1:
             work[ri] = scaled(work[ri], inv)
             if tr is not None:
@@ -199,22 +197,22 @@ def reference_kernel(m: Matrix) -> list:
     return [tuple(row.get(c, Scalar(0)) for c in range(m.cols)) for row in null_rows]
 
 
-def reference_null_space(cells: dict, cols: int, p: int = 0):
+def reference_null_space(cells: dict, cols: int):
     """(rank, RREF basis of the null space as sparse rows) of the {(r, c): x}
-    cells: eliminate the rows, then eliminate the free-column null vectors
-    again, over Q(i), or Z/p when p."""
+    cells over Q(i): eliminate the rows, then eliminate the free-column null
+    vectors again."""
     rows: dict = {}
     for (r, c), x in cells.items():
         rows.setdefault(r, {})[c] = x
-    pivots, red, _ = reference_rref_rows(list(rows.values()), p=p)
-    raw = {f: {f: 1 if p else ONE} for f in range(cols)}
+    pivots, red, _ = reference_rref_rows(list(rows.values()))
+    raw = {f: {f: ONE} for f in range(cols)}
     for piv in pivots:
         del raw[piv]
     for piv, row in zip(pivots, red):
         for c, v in row.items():
             if c != piv:
-                raw[c][piv] = p - v if p else -v
-    _, basis, _ = reference_rref_rows(list(raw.values()), p=p)
+                raw[c][piv] = -v
+    _, basis, _ = reference_rref_rows(list(raw.values()))
     return len(pivots), basis
 
 
@@ -623,6 +621,33 @@ def ref_certify_homotopy(cx, n: int, cocycles, contraction: Matrix) -> tuple:
             sign = -1
         certs.append((dense(p, prims.rows), sign))
     return tuple(certs)
+
+
+# the function algebra of Z/4 with the character comodule x -> x (x) chi,
+# chi = (1, i, -1, -i): a non-real coaction, so the job eliminates over Q(i)
+Z4_CHARACTER_JOB = """
+algebra = inline-function
+tasks = cohomology:dual:0-2, cohomology:natural:0-2, check-C10, check-C15
+
+begin cayley
+  identity = 0
+  row 0 1 2 3
+  row 1 2 3 0
+  row 2 3 0 1
+  row 3 0 1 2
+end
+
+begin comodule chi
+  dim = 1
+  gamma = trivial
+  begin beta
+    row 1
+    row i
+    row -1
+    row -i
+  end
+end
+"""
 
 
 def order3_monoid_tables():

@@ -410,8 +410,8 @@ try:
 except CertificateError as exc:
     print(sys.flags.optimize, exc)
 original = linalg._rref_rows
-def dropping(rows, cols, p=0):  # every elimination loses its last pivot
-    pivots, red, origins = original(rows, cols, p)
+def dropping(rows, cols):  # every elimination loses its last pivot
+    pivots, red, origins = original(rows, cols)
     return pivots[:-1], red[:-1], origins[:-1]
 linalg._rref_rows = dropping
 try:

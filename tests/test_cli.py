@@ -11,7 +11,7 @@ from hopfcoh.jobfile import JobParseError, JobSpec, parse_input, render
 from hopfcoh.report import InputError, render_json, run
 from hopfcoh.scalars import format_scalar
 from hopfcoh.tasks import COHOMOLOGY, KINDS, TASKS
-from reference import bench_workloads
+from reference import Z4_CHARACTER_JOB, bench_workloads
 
 MINIMAL_JOB = """
 # smallest useful job
@@ -324,6 +324,19 @@ def test_report_digests_pinned(capsys):
     assert main(["--catalog", "function:S3", "--degree-cap", "4", "report"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "ac0f768c2a3596d2cc42b704cd43d14b00e53afdd2d9c691aa881fdde20c4e83"
+    )
+
+
+def test_non_real_comodule_job_pinned():
+    """A job whose eliminations run on Gaussian integers: the character
+    comodule has no cohomology in either table, and the bytes are those
+    computed with the modular elimination and its exact fallback."""
+    rep = run(parse_input(Z4_CHARACTER_JOB))
+    assert rep["consistent"]
+    for kind in ("dual", "natural"):
+        assert rep["tasks"][f"cohomology:{kind}:0-2"]["chi"] == {"0": 0, "1": 0, "2": 0}
+    assert hashlib.sha256(render_json(rep).encode()).hexdigest() == (
+        "fdfdb5429370922bcb1664169b4e91ff1afc7245645e60a4d4de4284ac1fec74"
     )
 
 

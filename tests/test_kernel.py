@@ -1,22 +1,27 @@
-"""kernel_basis (modular elimination, exact certificate, exact fallback)
-against the reference exact elimination."""
+"""kernel_basis (one fraction-free elimination, exact certificate) against
+the reference exact elimination."""
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcoh import linalg
+from hopfcoh import linalg, lp
+from hopfcoh.amenability import find_invariant_mean
 from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.cochain import build_complex
-from hopfcoh.comodule import catalog_bicomodules
+from hopfcoh.comodule import catalog_bicomodules, quotient_comodule, regular_right_coaction
 from hopfcoh.hopf import function_algebra
+from hopfcoh.jobfile import parse_input
 from hopfcoh.linalg import CertificateError, LinearSolver, Matrix, image_rank, kernel_basis
 from hopfcoh.monoids import FiniteMonoid
-from hopfcoh.scalars import Scalar
+from hopfcoh.report import run
+from hopfcoh.scalars import Scalar, as_scalar
 from reference import (
+    Z4_CHARACTER_JOB,
+    bench_workloads,
     order3_monoid_tables,
     reference_kernel,
     reference_null_space,
@@ -25,7 +30,7 @@ from reference import (
     reference_solve,
 )
 
-P = linalg._P
+P = 2**61 - 1  # a large prime: inputs that are zero, or drop rank, modulo P stay exact
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
@@ -95,7 +100,7 @@ def test_image_rank_matches_reference(m):
 
 @pytest.mark.parametrize(
     "rows, rank",
-    [
+    [  # each drops rank modulo P or in its real part
         ([[P]], 1),  # zero mod P
         ([[1, 1], [1, 1 + P]], 2),  # rank 1 mod P: determinant P
         ([[1, Scalar(0, 1)], [Scalar(0, 1), -1]], 1),  # its real part has rank 2
@@ -137,14 +142,52 @@ def test_catalog_boundaries_match_reference(name):
 @pytest.mark.parametrize("name", algebra_names())
 def test_catalog_boundaries_take_one_modular_elimination(monkeypatch, name):
     """Every catalog boundary is real, and kernel_basis answers it with one
-    elimination modulo _P: no second pass, no fallback to the exact path."""
+    elimination on its integer numerators."""
     boundaries = catalog_boundaries(name)
-    fields = _counting_fields(monkeypatch, linalg._rref_rows)
+    calls = _counting_calls(monkeypatch, linalg._rref_rows)
     for d in boundaries:
         assert not d.im
-        fields.clear()
+        calls.clear()
         kernel_basis(d)
-        assert fields == [P], d
+        assert len(calls) == 1 and calls[0] <= {int}, d
+
+
+def _counting_calls(monkeypatch, rref_rows):
+    """Install rref_rows as linalg._rref_rows; returns the list of its calls,
+    each the set of the entry types it was given."""
+    calls = []
+
+    def counting(rows, cols):
+        rows = list(rows)
+        calls.append({type(x) for row in rows for x in row.values()})
+        return rref_rows(rows, cols)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counting)
+    return calls
+
+
+def test_every_elimination_takes_ints_or_gaussian_ints(monkeypatch):
+    """The one elimination runs on one number system: every row it is given,
+    from every catalog boundary at cap 3, the non-real Z/4 job, a
+    quotient_comodule's rref and the invariant-mean oracle on every monoid
+    of order 3 and 4, holds ints or _GaussInts, and a non-real input is
+    all _GaussInts."""
+    calls = _counting_calls(monkeypatch, linalg._rref_rows)
+    monkeypatch.setattr(lp, "_rref_rows", linalg._rref_rows)  # lp holds its own reference
+    for name in algebra_names():
+        for d in catalog_boundaries(name):
+            kernel_basis(d)
+    assert calls and all(kinds <= {int} for kinds in calls)
+    calls.clear()
+    assert run(parse_input(Z4_CHARACTER_JOB))["consistent"]
+    assert {linalg._GaussInt} in calls
+    s3 = regular_right_coaction(get_algebra("group:S3"))
+    quotient_comodule(s3, [(Fraction(1, 2), 0, 0, 0, 0, 0), (Fraction(2, 3), Fraction(1, 3), 0, 0, 0, 0)])
+    quotient_comodule(s3, [(0, Scalar(0, 1), 0, 0, 0, 0)])
+    workloads = bench_workloads()
+    for table in workloads.monoid_tables(3) + workloads.monoid_tables(4):
+        find_invariant_mean(FiniteMonoid(len(table), table))
+    assert all(kinds <= {int} or kinds == {linalg._GaussInt} for kinds in calls)
 
 
 @st.composite
@@ -156,46 +199,63 @@ def null_space_inputs(draw, entries):
 
 
 @PROPERTY
-@given(null_space_inputs(st.one_of(st.just(0), st.integers(1, P - 1), st.integers(1, 3))))
-def test_null_space_mod_p_matches_two_pass_reference(spec):
-    assert_null_space_matches_reference(*spec, P)
-
-
-@PROPERTY
 @given(null_space_inputs(st.one_of(st.just(Scalar(0)), fractions())))
 def test_null_space_over_q_matches_two_pass_reference(spec):
     assert_null_space_matches_reference(*spec)
 
 
-def assert_null_space_matches_reference(cells, cols, p=0):
-    """_null_space's basis and rank are the two-pass reference's, and its
-    rank-many pivot rows are distinct rows of the input, independent."""
-    pivot_rows, basis = linalg._null_space(cells.items(), cols, p)
-    assert (len(pivot_rows), basis) == reference_null_space(cells, cols, p)
+def assert_null_space_matches_reference(cells, cols):
+    """_null_space of the rows cleared to integers: its basis and rank are
+    the two-pass reference's over Q, and its rank-many pivot rows are
+    distinct rows of the input, independent."""
+    ids = sorted({r for r, _ in cells})
+    rows = cleared([{c: x for (r, c), x in cells.items() if r == q} for q in ids])
+    int_cells = (((ids[i], c), x) for i, row in enumerate(rows) for c, x in row.items())
+    pivot_rows, basis = linalg._null_space(int_cells, cols)
+    assert (len(pivot_rows), basis) == reference_null_space(cells, cols)
     assert len(set(pivot_rows)) == len(pivot_rows)
     picked = [{c: x for (r, c), x in cells.items() if r == q} for q in pivot_rows]
-    assert len(reference_rref_rows(picked, p=p)[0]) == len(pivot_rows)
+    assert len(reference_rref_rows(picked)[0]) == len(pivot_rows)
 
 
-# -- the modular elimination reads the numerators unreduced --------------------
+def cleared(rows):
+    """Each sparse row of Fractions or Scalars times the lcm of its
+    denominators, as the one elimination takes it: ints, or _GaussInts
+    when some entry of the rows is non-real."""
+    rows = [{c: as_scalar(x) for c, x in row.items()} for row in rows]
+    gaussian = any(x.im for row in rows for x in row.values())
+    out = []
+    for row in rows:
+        k = lcm(*(q.denominator for x in row.values() for q in (x.re, x.im)))
+        ints = {c: ((x.re * k).numerator, (x.im * k).numerator) for c, x in row.items()}
+        out.append({c: linalg._GaussInt(a, b) if gaussian else a for c, (a, b) in ints.items()})
+    return out
+
+
+def monic(pivots, rows):
+    """Each row of _rref_rows divided by its pivot entry, as Scalars: the RREF rows."""
+    return [{c: linalg._ratio(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, rows)]
+
+
+# -- the elimination reads the numerators unreduced ---------------------------
 
 
 @pytest.mark.parametrize(
-    "rows, fields",
+    "rows",
     [
-        ([[P, 2 * P], [1, 2]], [P]),  # a row zero mod p, nonzero over Q
-        ([[-P, 1, P - 1], [1, 2 * P, -1 - 2 * P]], [P]),
-        ([[-(2**80), -3 * 2**80, 0], [-7, -21, -(2**70)]], [P]),  # large negative entries
-        ([[Fraction(1, 3), Fraction(2, 3)], [Fraction(-1, 2), -1]], [P]),  # den != 1
-        ([[Fraction(-5, 6), Fraction(5, 3), 0], [Fraction(1, 7), Fraction(-2, 7), Fraction(3, 7)]], [P]),
-        ([[P, 1], [-P, 1]], [P, 0]),  # rank 2 over Q, 1 mod p: the exact path answers
+        [[P, 2 * P], [1, 2]],  # a row zero mod P, nonzero over Q
+        [[-P, 1, P - 1], [1, 2 * P, -1 - 2 * P]],
+        [[-(2**80), -3 * 2**80, 0], [-7, -21, -(2**70)]],  # large negative entries
+        [[Fraction(1, 3), Fraction(2, 3)], [Fraction(-1, 2), -1]],  # den != 1
+        [[Fraction(-5, 6), Fraction(5, 3), 0], [Fraction(1, 7), Fraction(-2, 7), Fraction(3, 7)]],
+        [[P, 1], [-P, 1]],  # rank 2 over Q, 1 mod P
     ],
 )
-def test_raw_numerators_feed_the_modular_elimination(monkeypatch, rows, fields):
+def test_raw_numerators_feed_the_one_elimination(monkeypatch, rows):
     m = Matrix.from_rows(rows)
-    seen = _counting_fields(monkeypatch, linalg._rref_rows)
+    calls = _counting_calls(monkeypatch, linalg._rref_rows)
     assert kernel_basis(m) == reference_kernel(m)
-    assert seen == fields
+    assert calls == [{int}]
 
 
 # -- tampering: a corrupted result is never returned --------------------------
@@ -210,83 +270,40 @@ def test_tamper_matrix_has_a_kernel():
     assert len(assert_matches_reference(TAMPER)) == 3
 
 
-def _counting_fields(monkeypatch, rref_rows):
-    """Install rref_rows as linalg._rref_rows; returns the list of fields it is called over."""
-    fields = []
-    monkeypatch.setattr(
-        linalg,
-        "_rref_rows",
-        lambda rows, cols, p=0: fields.append(p) or rref_rows(rows, cols, p),
-    )
-    return fields
-
-
-@pytest.mark.parametrize("which", [0, 1, 4, -1])
-def test_perturbed_reconstruction_is_rejected(monkeypatch, which):
-    original = linalg._wang
-    reconstructed = []
-    monkeypatch.setattr(linalg, "_wang", lambda u, p: reconstructed.append(p) or original(u, p))
-    kernel_basis(TAMPER)
-    assert set(reconstructed) == {P}
-    target = range(len(reconstructed))[which]
-    calls = []
-
-    def perturbed(u, p):
-        calls.append(p)
-        q = original(u, p)
-        return q + 1 if len(calls) - 1 == target else q
-
-    expected = reference_kernel(TAMPER)
-    monkeypatch.setattr(linalg, "_wang", perturbed)
-    fields = _counting_fields(monkeypatch, linalg._rref_rows)
-    assert kernel_basis(TAMPER) == expected
-    # one elimination per field: the corrupted modular basis failed its
-    # certificate, and the exact path answered
-    assert fields == [P, 0]
-
-
-def test_every_reconstruction_perturbed_falls_back_to_exact(monkeypatch):
-    original = linalg._wang
-    monkeypatch.setattr(linalg, "_wang", lambda u, p: original(u, p) + 1)
-    assert kernel_basis(TAMPER) == reference_kernel(TAMPER)
-
-
-def _drop_last_pivot(original, fields):
-    def tampered(rows, cols, p=0):
-        pivots, red, origins = original(rows, cols, p)
-        if p in fields and pivots:  # the pivot row's origin goes with it
+def _drop_last_pivot(original):
+    def tampered(rows, cols):
+        pivots, red, origins = original(rows, cols)
+        if pivots:  # the pivot row's origin goes with it
             return pivots[:-1], red[:-1], origins[:-1]
         return pivots, red, origins
 
     return tampered
 
 
-def test_modular_rref_dropping_a_pivot_is_rejected(monkeypatch):
-    expected = reference_kernel(TAMPER)
-    fields = _counting_fields(monkeypatch, _drop_last_pivot(linalg._rref_rows, (P,)))
-    assert kernel_basis(TAMPER) == expected
-    assert fields == [P, 0]  # the modular basis was rejected, the exact path answered
+def test_rref_dropping_a_pivot_is_rejected(monkeypatch):
+    monkeypatch.setattr(linalg, "_rref_rows", _drop_last_pivot(linalg._rref_rows))
+    with pytest.raises(CertificateError, match="exact kernel basis"):
+        kernel_basis(TAMPER)
 
 
 # open: the certificate trusts the elimination's rank, so a spurious pivot
 # drops a kernel vector unseen; a pivot-minor rank check would catch it
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the certificate trusts the elimination's rank")
-def test_modular_rref_adding_a_pivot_is_rejected(monkeypatch):
+def test_rref_adding_a_pivot_is_rejected(monkeypatch):
     expected = reference_kernel(TAMPER)
     original = linalg._rref_rows
 
-    def add_pivot(rows, cols, p=0):
-        pivots, red, origins = original(rows, cols, p)
-        if p:  # the modular elimination
-            f = min(set(range(TAMPER.cols)) - set(pivots))  # a free column made a pivot
-            red = [{c: v for c, v in row.items() if c != f} for row in red]
-            spare = min(set(range(len(rows))) - set(origins))  # the row it claims to come from
-            pivots, red, origins = zip(*sorted(zip(pivots + [f], red + [{f: 1}], origins + [spare])))
+    def add_pivot(rows, cols):
+        rows = list(rows)
+        pivots, red, origins = original(rows, cols)
+        f = min(set(range(TAMPER.cols)) - set(pivots))  # a free column made a pivot
+        red = [{c: v for c, v in row.items() if c != f} for row in red]
+        spare = min(set(range(len(rows))) - set(origins))  # the row it claims to come from
+        pivots, red, origins = zip(*sorted(zip(pivots + [f], red + [{f: 1}], origins + [spare])))
         return list(pivots), list(red), list(origins)
 
-    fields = _counting_fields(monkeypatch, add_pivot)
+    monkeypatch.setattr(linalg, "_rref_rows", add_pivot)
     assert kernel_basis(TAMPER) == expected  # fails: one vector short, and D K = 0 still holds
-    assert fields == [P, 0]
 
 
 # a rank-2 Gaussian matrix whose 2-dimensional kernel has non-real entries
@@ -295,19 +312,15 @@ GAUSSIAN = Matrix.from_rows([[1, Scalar(0, 1), 2, 0], [Scalar(1, 1), 0, 1, Scala
 
 @pytest.mark.parametrize("m", [GAUSSIAN, TAMPER], ids=["gaussian", "real"])
 def test_kernel_with_a_corrupted_imaginary_part_is_rejected(monkeypatch, m):
-    """One entry of the exact kernel basis off its lead gets i added: the
-    RREF shape still holds, so only the product D K = 0 can reject it."""
-    original = linalg._null_space
-    rows, basis = original(m.entries.items(), m.cols)
+    """One entry of the kernel basis off its lead gets i added: the RREF
+    shape still holds, so only the product D K = 0 can reject it."""
+    rows, basis = linalg._null_space(linalg._int_cells(m), m.cols)
     assert linalg._is_kernel_rref(m, len(rows), basis)
     v = basis[0]
     c = next(c for c in v if c != min(v))
     corrupted = [{**v, c: v[c] + Scalar(0, 1)}] + basis[1:]
     assert not linalg._is_kernel_rref(m, len(rows), corrupted)
-    monkeypatch.setattr(linalg, "_lift", lambda u: None)  # a real m's modular basis is refused too
-    monkeypatch.setattr(
-        linalg, "_null_space", lambda cells, cols, p=0: original(cells, cols, p) if p else (rows, corrupted)
-    )
+    monkeypatch.setattr(linalg, "_null_space", lambda cells, cols: (rows, corrupted))
     with pytest.raises(CertificateError, match="exact kernel basis"):
         kernel_basis(m)
 
@@ -326,10 +339,22 @@ def test_an_empty_kernel_basis_is_certified_by_its_count_alone(monkeypatch, m):
     assert not linalg._is_kernel_rref(m, m.cols - 1, [])
 
 
-def test_corrupted_exact_fallback_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "_rref_rows", _drop_last_pivot(linalg._rref_rows, (P, 0)))
+@pytest.mark.parametrize("m", [GAUSSIAN, TAMPER], ids=["gaussian", "real"])
+def test_corrupted_elimination_raises(monkeypatch, m):
+    """An entry off the pivot of the elimination's first pivot row is doubled:
+    the basis keeps its RREF shape, and D K = 0 rejects it."""
+    original = linalg._rref_rows
+
+    def corrupting(rows, cols):
+        pivots, red, origins = original(rows, cols)
+        row = dict(red[0])
+        c = next(c for c in row if c != pivots[0])
+        row[c] = row[c] * 2
+        return pivots, [row, *red[1:]], origins
+
+    monkeypatch.setattr(linalg, "_rref_rows", corrupting)
     with pytest.raises(CertificateError, match="exact kernel basis"):
-        kernel_basis(TAMPER)
+        kernel_basis(m)
 
 
 @st.composite
@@ -338,24 +363,6 @@ def sparse_rows(draw):
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
     return [{c: x for c in range(cols) if (x := draw(entry))} for _ in range(rows)], cols
-
-
-def scalars(rows):
-    return [{c: Scalar(x) for c, x in r.items()} for r in rows]
-
-
-@PROPERTY
-@given(sparse_rows())
-def test_exact_elimination_keeps_the_entry_field(spec):
-    """_rref_rows on Fraction rows and on the same rows as Scalars: the same
-    pivots, rows and origins entry by entry, each in its input's type."""
-    rows, cols = spec
-    fp, frows, forigins = linalg._rref_rows(rows, cols)
-    sp, srows, sorigins = linalg._rref_rows(scalars(rows), cols)
-    assert (fp, forigins) == (sp, sorigins)
-    assert scalars(frows) == srows
-    assert all(type(x) is Fraction for r in frows for x in r.values())
-    assert all(type(x) is Scalar for r in srows for x in r.values())
 
 
 def as_matrix(rows, cols):
@@ -459,20 +466,25 @@ def test_solver_rank_is_known_only_after_solve():
 # -- the row-at-a-time elimination against the column sweep -------------------
 
 
-def assert_rref_matches_sweep(rows, p=0, cols=None):
-    """_rref_rows equals reference_rref_rows: the same pivots and rows entry
-    by entry, each entry of its input's type, the input untouched; cols
-    defaults to the least column count that holds the rows."""
-    before = [dict(r) for r in rows]
+def assert_rref_matches_sweep(rows, cols=None):
+    """_rref_rows on the rows cleared to integers against reference_rref_rows
+    on the rows: the same pivots, and each returned row, divided by its
+    pivot, the reference's row entry by entry; the input untouched, the
+    origins distinct, every entry of the input's number system and a real
+    row's pivot positive.  cols defaults to the least column count that
+    holds the rows."""
+    ints = cleared(rows)
+    before = [dict(r) for r in ints]
     cols = 1 + max((c for r in rows for c in r), default=-1) if cols is None else cols
-    got = linalg._rref_rows(rows, cols, p)
-    assert got[:2] == reference_rref_rows(rows, p=p)[:2]
-    assert rows == before
+    got = linalg._rref_rows(ints, cols)
     pivots, red, origins = got
+    assert (pivots, monic(pivots, red)) == reference_rref_rows(rows)[:2]
+    assert [r.items() for r in ints] == [r.items() for r in before]
     assert len(origins) == len(set(origins)) == len(pivots)
     assert [min(r) for r in red] == pivots == sorted(set(pivots))
-    kinds = {type(x) for r in rows for x in r.values()}
+    kinds = {type(x) for r in ints for x in r.values()}
     assert all(type(x) in kinds for r in red for x in r.values())
+    assert all(row[p] > 0 for p, row in zip(pivots, red) if type(row[p]) is int)
     return got
 
 
@@ -497,7 +509,6 @@ nonzero_fractions = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)).fl
     lambda q: st.sampled_from([q, -q])
 )
 gaussians = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)).filter(bool)
-residues = st.one_of(st.integers(1, 3), st.integers(P - 3, P - 1), st.integers(1, P - 1))
 
 
 @PROPERTY
@@ -510,12 +521,6 @@ def test_row_at_a_time_matches_the_sweep_over_q(rows):
 @given(row_lists(gaussians, lambda x, k: x * k))
 def test_row_at_a_time_matches_the_sweep_over_gaussian_scalars(rows):
     assert_rref_matches_sweep(rows)
-
-
-@PROPERTY
-@given(row_lists(residues, lambda x, k: x * k % P))
-def test_row_at_a_time_matches_the_sweep_mod_p(rows):
-    assert_rref_matches_sweep(rows, P)
 
 
 @pytest.mark.parametrize(
@@ -533,18 +538,20 @@ def test_row_at_a_time_matches_the_sweep_mod_p(rows):
 )
 def test_row_at_a_time_small_cases(rows, pivots, reduced):
     rows = [{c: Fraction(x) for c, x in r.items()} for r in rows]
-    assert assert_rref_matches_sweep(rows)[:2] == (pivots, reduced)
+    got = assert_rref_matches_sweep(rows)
+    assert (got[0], monic(*got[:2])) == (pivots, reduced)
 
 
 @pytest.mark.parametrize("name", algebra_names())
 def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
     """Every catalog boundary at cap 3, with its columns reversed as
-    _null_space numbers them, reduced mod _P as kernel_basis does."""
+    _null_space numbers them, on its integer numerators as kernel_basis
+    hands them over."""
     for d in catalog_boundaries(name):
         assert not d.im
-        last, inv = d.cols - 1, pow(d.den, -1, P)
-        cells = (((r, last - c), x) for (r, c), v in d.re.items() if (x := v * inv % P))
-        assert_rref_matches_sweep(linalg._rows_of(cells), P, d.cols)
+        last = d.cols - 1
+        rows = linalg._rows_of(((r, last - c), Fraction(v)) for (r, c), v in d.re.items())
+        assert_rref_matches_sweep(rows, d.cols)
 
 
 # -- one-entry rows: no copy and no sweep -------------------------------------
@@ -561,48 +568,33 @@ def test_row_at_a_time_matches_the_sweep_on_catalog_boundaries(name):
         ([{0: 1, 1: 1}, {0: 1, 1: -1}, {1: 7}, {0: 1, 2: 1}], [0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [0, 1, 3]),
         # column 0's pivot row is not a unit row: the unit row at 0 takes the sweep
         ([{0: 1, 1: 1}, {0: 2}, {1: 4}], [0, 1], [{0: 1}, {1: 1}], [0, 1]),
+        # unit rows P and 2P, zero mod P: the first makes column 1's pivot, the second is skipped
+        ([{1: P}, {1: 2 * P}, {0: 1, 1: 1}, {1: 3}], [0, 1], [{0: 1}, {1: 1}], [2, 0]),
     ],
 )
-@pytest.mark.parametrize("p", [0, P])
-def test_unit_rows_match_the_sweep(rows, pivots, reduced, origins, p):
-    """The unit-row cases of _rref_rows against reference_rref_rows, over Q and mod p."""
-    rows = [{c: x % p if p else Fraction(x) for c, x in r.items()} for r in rows]
-    assert assert_rref_matches_sweep(rows, p) == (pivots, reduced, origins)
-
-
-def test_a_unit_row_zero_mod_p_marks_nothing():
-    """Unit rows P and 2P are zero mod P: they make no pivot, so the later
-    unit row at their column does, as in the sweep of the rows' residues."""
-    rows = [{1: P}, {1: 2 * P}, {0: 1, 1: 1}, {1: 3}]
-    got = linalg._rref_rows(rows, 2, P)
-    assert got == ([0, 1], [{0: 1}, {1: 1}], [2, 3])
-    residues = [{c: x % P for c, x in r.items() if x % P} for r in rows]
-    assert got[:2] == reference_rref_rows(residues, p=P)[:2]
-
-
-@pytest.mark.parametrize("field", [Fraction, Scalar, lambda x: Scalar(0, x)])
-def test_unit_rows_keep_the_entry_type(field):
-    """Unit pivot rows made from Fraction, real Scalar and imaginary Scalar
-    entries, including the entry 1 itself, hold an entry of the input's type."""
-    rows = [{1: field(3)}, {0: field(2), 1: field(1)}, {0: field(Fraction(1, 2))}, {2: field(1)}]
-    pivots, red, origins = assert_rref_matches_sweep(rows)
-    assert (pivots, red, origins) == ([0, 1, 2], [{0: 1}, {1: 1}, {2: 1}], [1, 0, 3])
-    assert all(type(x) is type(rows[0][1]) for r in red for x in r.values())
+@pytest.mark.parametrize("k", [0, P])
+def test_unit_rows_match_the_sweep(rows, pivots, reduced, origins, k):
+    """The unit-row cases of _rref_rows against reference_rref_rows, with each
+    row times 1 + k, which changes no RREF: a unit pivot row holds the entry 1."""
+    got = assert_rref_matches_sweep([{c: Fraction(x * (1 + k)) for c, x in r.items()} for r in rows])
+    assert (got[0], monic(*got[:2]), got[2]) == (pivots, reduced, origins)
+    assert all(row == {p: 1} for p, row in zip(got[0], got[1]) if len(row) == 1)
 
 
 # -- the full-rank stop and the pivot rows' origins ---------------------------
 
 
-def assert_full_rank_stop(rows, width, p=0):
+def assert_full_rank_stop(rows, width):
     """_rref_rows given the column count: the sweep's pivots and rows; the
     origins are distinct input rows spanning the same rows; and no input row
     after the one that completed the pivots is read."""
     read = []
-    got = linalg._rref_rows((read.append(i) or r for i, r in enumerate(rows)), width, p)
+    ints = cleared(rows)
+    got = linalg._rref_rows((read.append(i) or r for i, r in enumerate(ints)), width)
     pivots, red, origins = got
-    assert (pivots, red) == reference_rref_rows(rows, p=p)[:2]
+    assert (pivots, monic(pivots, red)) == reference_rref_rows(rows)[:2]
     assert len(origins) == len(set(origins)) == len(pivots)
-    assert reference_rref_rows([rows[i] for i in origins], p=p)[:2] == (pivots, red)
+    assert reference_rref_rows([rows[i] for i in origins])[:2] == (pivots, monic(pivots, red))
     assert read == list(range(max(origins) + 1 if len(pivots) == width else len(rows)))
 
 
@@ -624,18 +616,11 @@ def test_full_rank_stop_matches_the_sweep_over_q(spec, short):
     assert_full_rank_stop([{c: Fraction(x) for c, x in r.items()} for r in rows], width + short)
 
 
-@PROPERTY
-@given(completed_rows(residues, lambda x, k: x * k % P), st.booleans())
-def test_full_rank_stop_matches_the_sweep_mod_p(spec, short):
-    rows, width = spec
-    assert_full_rank_stop(rows, width + short, P)
-
-
-def assert_origins_raise_the_rank(rows, cols, p=0):
+def assert_origins_raise_the_rank(rows, cols):
     """Row i is an origin of _rref_rows exactly when it raises the reference
     rank of rows[:i]: the origins are the greedy-first row basis."""
-    origins = linalg._rref_rows(rows, cols, p)[2]
-    ranks = [len(reference_rref_rows(rows[:i], p=p)[0]) for i in range(len(rows) + 1)]
+    origins = linalg._rref_rows(cleared(rows), cols)[2]
+    ranks = [len(reference_rref_rows(rows[:i])[0]) for i in range(len(rows) + 1)]
     assert sorted(origins) == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
 
 
@@ -646,35 +631,7 @@ def test_origins_are_the_rows_that_raise_the_rank_over_q(rows):
 
 
 @PROPERTY
-@given(row_lists(residues, lambda x, k: x * k % P))
-def test_origins_are_the_rows_that_raise_the_rank_mod_p(rows):
-    assert_origins_raise_the_rank(rows, 1 + max((c for r in rows for c in r), default=-1), P)
-
-
-@PROPERTY
 @given(completed_rows(nonzero_fractions, lambda x, k: x * k), st.booleans())
 def test_origins_raise_the_rank_up_to_the_full_rank_stop_over_q(spec, short):
     rows, width = spec
     assert_origins_raise_the_rank([{c: Fraction(x) for c, x in r.items()} for r in rows], width + short)
-
-
-@PROPERTY
-@given(completed_rows(residues, lambda x, k: x * k % P), st.booleans())
-def test_origins_raise_the_rank_up_to_the_full_rank_stop_mod_p(spec, short):
-    rows, width = spec
-    assert_origins_raise_the_rank(rows, width + short, P)
-
-
-def test_small_residues_skip_wangs_loop_with_its_answer(monkeypatch):
-    """_lift takes u <= _B to u and u >= _P - _B to u - _P, as _wang does,
-    and calls _wang for the residues between (_B + 1 and _P - _B - 1 have none)."""
-    b = linalg._B
-    assert b == isqrt(P // 2)
-    wang = linalg._wang
-    called = []
-    monkeypatch.setattr(linalg, "_wang", lambda u, p: called.append(u) or wang(u, p))
-    for u in (1, 2, b - 1, b, b + 1, P - b - 1, P - b, P - b + 1, P - 2, P - 1):
-        lifted, expected = linalg._lift(u), wang(u, P)
-        assert lifted == expected, u
-        assert expected is None or type(lifted.re) is type(expected.re) is Fraction
-    assert called == [b + 1, P - b - 1]
