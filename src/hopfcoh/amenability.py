@@ -268,9 +268,9 @@ def check_codiagonal_vanishing(ws: Workspace) -> CheckOutcome:
     f = search.certificate.functional
     ok = True
     for entry in ws.catalog:
-        if not entry.has_nondegenerate_side:
+        side = entry.nondegenerate_side
+        if side is None:
             continue
-        side = "beta" if any(entry.beta_nondegenerate) else "gamma"
         cx = ws.complex_of(entry.bicomodule, "dual")
         k = None  # K_n, when the previous degree's certificate built it
         for n in range(1, ws.degree_cap):

@@ -64,19 +64,27 @@ class Bicomodule:
         return self.beta.space_dim
 
 
-# each identity check returns the least column where its two sides differ, or None
+# each identity check returns the least column where its two sides differ, or None; on
+# comult itself each is (up to sign) the coassociativity law, whose witness h holds
 def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
+    if beta is h.comult:
+        return h.coassociativity_witness
     ix, i_s = Matrix.identity(beta.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(beta, i_s), beta), (-1, kron(ix, h.comult), beta)])
 
 
 def left_coaction_failure(h: HopfStarAlgebra, gamma: Matrix) -> Optional[int]:
+    if gamma is h.comult:
+        return h.coassociativity_witness
     ix, i_s = Matrix.identity(gamma.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, gamma), gamma), (-1, kron(h.comult, ix), gamma)])
 
 
 def compatibility_failure(beta: RightCoaction, gamma: LeftCoaction) -> Optional[int]:
-    i_s = Matrix.identity(beta.hopf.dim)
+    h = beta.hopf
+    if beta.beta is h.comult and gamma.gamma is h.comult:
+        return h.coassociativity_witness
+    i_s = Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, beta.beta), gamma.gamma), (-1, kron(gamma.gamma, i_s), beta.beta)])
 
 
@@ -255,7 +263,8 @@ CATALOG_NAMES = ("regular", "regular-trivial-left", "unit-quotient", "pair-grade
 
 @dataclass(frozen=True)
 class CatalogBicomodule:
-    """A catalog entry; its non-degeneracy flags are span tests run on first read."""
+    """A catalog entry; its non-degeneracy flags are span tests run on first read, each
+    memoized on the algebra (translates_span)."""
 
     name: str
     bicomodule: Bicomodule
@@ -269,9 +278,19 @@ class CatalogBicomodule:
     def gamma_nondegenerate(self) -> tuple:
         return check_nondegenerate_left(self.bicomodule.gamma)
 
+    @cached_property
+    def nondegenerate_side(self) -> Optional[str]:
+        """The first non-degenerate side, "beta" or "gamma", or None: beta's left flag, then
+        its right flag, then gamma's, tested in that order up to the first that holds."""
+        b = self.bicomodule
+        for side, matrix, s_leg_first in (("beta", b.beta.beta, False), ("gamma", b.gamma.gamma, True)):
+            if any(translates_span(b.hopf, matrix, s_leg_first, right) for right in (False, True)):
+                return side
+        return None
+
     @property
     def has_nondegenerate_side(self) -> bool:
-        return any(self.beta_nondegenerate) or any(self.gamma_nondegenerate)
+        return self.nondegenerate_side is not None
 
 
 def catalog_bicomodules(h: HopfStarAlgebra):

@@ -68,6 +68,19 @@ class HopfStarAlgebra:
             raise ValueError("algebra has no counit")
         return Matrix.row(self.counit)
 
+    @cached_property
+    def coassociativity_witness(self) -> Optional[int]:
+        """The least column where (comult (x) id) comult - (id (x) comult) comult is nonzero,
+        None when comult is coassociative: the axiom gate and every coaction identity whose
+        matrix is comult itself read this one evaluation."""
+        i_s = Matrix.identity(self.dim)
+        return failing_column([(1, kron(self.comult, i_s), self.comult), (-1, kron(i_s, self.comult), self.comult)])
+
+    @cached_property
+    def span_tests(self) -> dict:
+        """translates_span's memo: (id of the coaction, leg, side) -> (the coaction, result)."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # axiom checking
@@ -94,15 +107,17 @@ def check_axioms(h: HopfStarAlgebra) -> AxiomReport:
     i_s = Matrix.identity(d)
     checks = []
 
-    def law(name, *terms):
-        w = failing_column(terms)
+    def record(name, w):
         checks.append(AxiomCheck(name, w is None, w))
+
+    def law(name, *terms):
+        record(name, failing_column(terms))
 
     m, delta = h.mult, h.comult
     law("mult associative", (1, m, kron(m, i_s)), (-1, m, kron(i_s, m)))
     law("unit left", (1, m, kron(h.unit_col, i_s)), (-1, i_s))
     law("unit right", (1, m, kron(i_s, h.unit_col)), (-1, i_s))
-    law("comult coassociative", (1, kron(delta, i_s), delta), (-1, kron(i_s, delta), delta))
+    record("comult coassociative", h.coassociativity_witness)
     law("comult multiplicative", *_multiplicativity(m, delta, d))
     law("comult unital", (1, delta, h.unit_col), (-1, kron(h.unit_col, h.unit_col)))
     if h.star is not None:
@@ -138,9 +153,20 @@ def translates_span(h: HopfStarAlgebra, coaction: Matrix, s_leg_first: bool, rig
     """Do the coaction's columns, their S leg multiplied by every basis element
     t (u -> ut if right, else tu), span X (x) S?
 
-    One product holds every translate: column (j, t) of kron(C, I_s) is
-    C(e_j) (x) e_t, which kron(I_x, mult) sends to C(e_j)(1 (x) t); the S leg
-    first, kron(mult, I_x) @ kron(I_s, C); t from the other side swaps mult's inputs.
+    Memoized on h per (coaction object, leg, side), so the catalog entries that
+    share a coaction, and saturation and the regular coactions (all h.comult),
+    run each test once; the memo holds the coaction, so its id stays its own.
+    """
+    key = (id(coaction), s_leg_first, right)
+    if key not in h.span_tests:
+        h.span_tests[key] = (coaction, _spans(h, coaction, s_leg_first, right))
+    return h.span_tests[key][1]
+
+
+def _spans(h: HopfStarAlgebra, coaction: Matrix, s_leg_first: bool, right: bool) -> bool:
+    """translates_span's test. One product holds every translate: column (j, t) of
+    kron(C, I_s) is C(e_j) (x) e_t, which kron(I_x, mult) sends to C(e_j)(1 (x) t); the
+    S leg first, kron(mult, I_x) @ kron(I_s, C); t from the other side swaps mult's inputs.
     """
     x, d = coaction.cols, h.dim
     m = _opposite(h.mult, d) if right == s_leg_first else h.mult

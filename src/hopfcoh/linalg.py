@@ -93,16 +93,23 @@ def _combine(x: dict, kx: int, y: dict, ky: int) -> dict:
 def _product(terms, cols: int, den: int) -> tuple:
     """(re, im) numerators over den of the sum of k (a @ b) over the terms (k, a, b), b with cols
     columns: every product accumulates on the flat key r * cols + c by Gustavson's row
-    accumulation, and an (r, c) key is made only for a nonzero sum, in first-touch order."""
+    accumulation, and an (r, c) key is made only for a nonzero sum, in first-touch order.
+    A left part with fewer entries than the right buckets only the right rows it reaches."""
     re, im = {}, {}
     for k, a, b in terms:
         k *= den // (a.den * b.den)  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
         for acc, x, y, f in ((re, a.re, b.re, k), (re, a.im, b.im, -k), (im, a.re, b.im, k), (im, a.im, b.re, k)):
             if not (f and x and y):
                 continue
-            right: dict = {}
-            for (kk, j), v in y.items():
-                right.setdefault(kk, []).append((j, f * v))
+            if len(x) < len(y):
+                right = {kk: [] for _, kk in x}
+                for (kk, j), v in y.items():
+                    if (bucket := right.get(kk)) is not None:
+                        bucket.append((j, f * v))
+            else:
+                right = {}
+                for (kk, j), v in y.items():
+                    right.setdefault(kk, []).append((j, f * v))
             for (i, kk), u in x.items():
                 base = i * cols
                 for j, v in right.get(kk, ()):

@@ -7,6 +7,7 @@ is declared in `hopfcoh.tasks`.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -83,8 +84,21 @@ def run(job: JobSpec, log=None) -> dict:
 
     With a log, each task's wall clock goes there and the total also into
     the body as wall_clock_seconds; without one the body holds nothing
-    time-dependent, so the same job always gives the same bytes.
+    time-dependent, so the same job always gives the same bytes.  The
+    cyclic garbage collector is paused for the job and left as it was
+    found: the engine's data are acyclic dicts and tuples, which reference
+    counting frees, so its passes would only re-scan live objects.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(job, log)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(job: JobSpec, log) -> dict:
     t_start = time.monotonic()
     h = resolve_algebra(job)
     explicit = _explicit_bicomodules(job, h)

@@ -1,7 +1,10 @@
 """References that the tests hold the production paths to.
 
 The `ref_*` functions are `Matrix` arithmetic on plain {(r, c): Scalar}
-dicts of the nonzero entries, one Scalar operation at a time.
+dicts of the nonzero entries, one Scalar operation at a time;
+`ref_product_numerators` is the product on a Matrix's integer numerators,
+every entry of the left factor against every entry of the right, for the key
+order that `linalg._product`'s row buckets must keep.
 
 `reference_rref_rows` is the column sweep over a field: at each column the
 shortest row holding it becomes the monic pivot row and the column is
@@ -251,6 +254,20 @@ def ref_product(a: dict, b: dict) -> dict:
             if k == k2:
                 out[(i, j)] = out.get((i, j), Scalar(0)) + x * y
     return _nonzero(out)
+
+
+def ref_product_numerators(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b from its numerators over a.den * b.den without buckets: each part pair of
+    (A + Bi)(C + Di) in turn, every entry of a against every entry of b, keys in
+    first-touch order and zero sums dropped at the end."""
+    re, im = {}, {}
+    for acc, x, y, f in ((re, a.re, b.re, 1), (re, a.im, b.im, -1), (im, a.re, b.im, 1), (im, a.im, b.re, 1)):
+        for (i, k), u in x.items():
+            for (k2, j), v in y.items():
+                if k == k2:
+                    acc[(i, j)] = acc.get((i, j), 0) + f * u * v
+    re, im = ({key: v for key, v in part.items() if v} for part in (re, im))
+    return Matrix._of(a.rows, b.cols, re, im, a.den * b.den)
 
 
 def ref_kron(a: dict, b: dict, b_rows: int, b_cols: int) -> dict:

@@ -618,3 +618,51 @@ def test_check_b20_without_a_declared_counit(tmp_path, capsys, rows):
     assert report["tasks"]["check-B20"]["details"] == [
         "counit found but the algebra declares no counit: no codiagonal search applies"
     ]
+
+
+def test_run_pauses_the_cyclic_collector_and_restores_its_state(monkeypatch):
+    """The collector is off while a job runs, and afterwards as the caller left it: after a
+    normal job, an oversized one (InputError), one whose axioms fail and one that raises."""
+    import gc
+
+    from hopfcoh import tasks
+    from hopfcoh.hopf import AxiomCheck, AxiomReport
+
+    states, check_axioms = [], tasks.check_axioms
+
+    def observed(h):
+        states.append(gc.isenabled())
+        return check_axioms(h)
+
+    def failing(h):
+        states.append(gc.isenabled())
+        return AxiomReport((AxiomCheck("comult coassociative", False, 0),))
+
+    def raising(h):
+        states.append(gc.isenabled())
+        raise RuntimeError("a fault inside the job")
+
+    job = JobSpec(algebra="group:Z2", tasks=("axioms",))
+    caller_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(tasks, "check_axioms", observed)
+            assert run(job)["consistent"]
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr("hopfcoh.report.MAX_COCHAIN_DIM", 3)
+            with pytest.raises(InputError, match="job too large"):
+                run(job)
+            assert gc.isenabled() is enabled
+            monkeypatch.undo()
+            monkeypatch.setattr(tasks, "check_axioms", failing)
+            assert run(job)["aborted"] == "axioms failed"
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(tasks, "check_axioms", raising)
+            with pytest.raises(RuntimeError, match="a fault inside the job"):
+                run(job)
+            assert gc.isenabled() is enabled
+            monkeypatch.undo()
+        assert states == [False] * 6
+    finally:
+        (gc.enable if caller_enabled else gc.disable)()

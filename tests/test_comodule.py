@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hopfcoh.catalog import algebra_names, get_algebra
@@ -232,13 +234,18 @@ def test_catalog_entries_all_valid():
 
 
 def _count_span_tests(monkeypatch) -> list:
-    """Wrap both non-degeneracy tests; each call appends (side, id of the coaction)."""
-    from hopfcoh import comodule
+    """Wrap the span test under translates_span's memo; each run appends (side, id of the
+    coaction matrix, right), side "beta" for the X leg first and "gamma" for the S leg."""
+    from hopfcoh import hopf
 
     calls = []
-    for side, name in (("beta", "check_nondegenerate"), ("gamma", "check_nondegenerate_left")):
-        original = getattr(comodule, name)
-        monkeypatch.setattr(comodule, name, lambda c, side=side, f=original: calls.append((side, id(c))) or f(c))
+    original = hopf._spans
+
+    def counted(h, coaction, s_leg_first, right):
+        calls.append(("gamma" if s_leg_first else "beta", id(coaction), right))
+        return original(h, coaction, s_leg_first, right)
+
+    monkeypatch.setattr(hopf, "_spans", counted)
     return calls
 
 
@@ -276,9 +283,119 @@ def test_check_b20_tests_each_entry_and_side_at_most_once(name, monkeypatch):
     for entry in ws.catalog:  # every flag read again, after the check
         entry.has_nondegenerate_side, entry.beta_nondegenerate, entry.gamma_nondegenerate
     # regular and regular-trivial-left share one right coaction, so count per holder
-    holders = Counter(("beta", id(e.bicomodule.beta)) for e in ws.catalog)
-    holders += Counter(("gamma", id(e.bicomodule.gamma)) for e in ws.catalog)
+    holders = Counter(("beta", id(e.bicomodule.beta.beta), right) for e in ws.catalog for right in (False, True))
+    holders += Counter(("gamma", id(e.bicomodule.gamma.gamma), right) for e in ws.catalog for right in (False, True))
     assert all(holders[call] >= n for call, n in Counter(calls).items())
+
+
+@pytest.mark.parametrize("name", ["group:S3", "kp8", "function:Z3", "function:leftzero2"])
+def test_check_b20_stops_at_the_first_side_that_holds(name, monkeypatch):
+    """check-B20 tests each catalog entry's flags in the order beta left, beta right,
+    gamma left, gamma right up to the first that holds (by the reference), and no
+    (coaction, leg, side) twice; reading every flag afterwards runs only the rest."""
+    from hopfcoh.cochain import Workspace
+    from hopfcoh.tasks import lookup
+    from reference import ref_translates_span
+
+    calls = _count_span_tests(monkeypatch)
+    ws = Workspace(get_algebra(name), 3)
+    assert lookup("check-B20").run(ws, "check-B20")["passed"]
+    sides, flags = {}, {}
+    for entry in ws.catalog:
+        b = entry.bicomodule
+        sides[entry.name] = [("beta", id(b.beta.beta)), ("gamma", id(b.gamma.gamma))]
+        for side, matrix, s_leg_first in (("beta", b.beta.beta, False), ("gamma", b.gamma.gamma, True)):
+            flags[side, id(matrix)] = ref_translates_span(b.hopf, matrix, b.space_dim, s_leg_first)
+    expected = []
+    for entry in ws.catalog if ws.hopf.counit is not None else ():  # without a counit no flag is read
+        for side, right in product(sides[entry.name], (False, True)):
+            if (*side, right) not in expected:
+                expected.append((*side, right))
+            if flags[side][right]:
+                break
+    assert calls == expected
+    calls.clear()
+    for entry in ws.catalog:
+        assert (entry.beta_nondegenerate, entry.gamma_nondegenerate) == tuple(flags[k] for k in sides[entry.name])
+    assert len(set(calls)) == len(calls) and not set(calls) & set(expected)
+
+
+def test_a_vanishing_pass_runs_five_span_tests(monkeypatch):
+    """The benchmark's vanishing jobs (group:S3 and kp8): 8 + 6 span tests before the
+    memo and the lazy side, 3 + 2 now, each run once; saturation reuses the regular ones."""
+    from hopfcoh.cochain import Workspace
+    from hopfcoh.hopf import check_saturated
+    from hopfcoh.jobfile import JobSpec
+    from hopfcoh.report import run
+    from reference import bench_workloads
+
+    calls, counts = _count_span_tests(monkeypatch), {}
+    for algebra, tasks in bench_workloads().VANISHING_JOBS:
+        calls.clear()  # ids are compared within a job, whose coactions are all alive
+        assert run(JobSpec(algebra=algebra, tasks=tasks, degree_cap=3))["consistent"]
+        assert len(calls) == len(set(calls))
+        counts[algebra] = len(calls)
+    assert counts == {"group:S3": 3, "kp8": 2}
+    ws = Workspace(get_algebra("kp8"), 3)
+    regular = ws.catalog[0]
+    flags = regular.beta_nondegenerate, regular.gamma_nondegenerate
+    calls.clear()
+    assert check_saturated(ws.hopf) == (flags[0][1], flags[1][1]) and calls == []
+
+
+@pytest.mark.parametrize("name", ["kp8", "group:S3"])
+def test_a_job_evaluates_the_coassociativity_law_once(name, monkeypatch):
+    """The axiom gate, the regular coactions and the regular bicomodule's compatibility
+    all read one evaluation of (comult (x) id) comult - (id (x) comult) comult: one
+    combination whose terms are all products with comult on the right."""
+    from hopfcoh import linalg, report
+    from hopfcoh.jobfile import JobSpec
+
+    algebras, laws = [], []
+    resolve, combination = report.resolve_algebra, linalg.combination
+
+    def resolved(job):
+        algebras.append(resolve(job))
+        return algebras[-1]
+
+    def counted(terms):
+        if algebras and all(len(t) == 3 and t[2] is algebras[0].comult for t in terms):
+            laws.append(terms)
+        return combination(terms)
+
+    monkeypatch.setattr(report, "resolve_algebra", resolved)
+    monkeypatch.setattr(linalg, "combination", counted)
+    rep = report.run(JobSpec(algebra=name, tasks=("axioms", "cohomology:dual:0-1")))
+    assert rep["consistent"] and set(rep["tasks"]["cohomology:dual:0-1"]) >= {"regular", "regular-trivial-left"}
+    assert len(laws) == 1
+
+
+@pytest.mark.parametrize("name", ["function:Z2", "group:S3", "kp8"])
+def test_a_non_coassociative_comult_names_one_column_everywhere(name, monkeypatch):
+    """The axiom report, the RightCoaction, LeftCoaction and Bicomodule ValueErrors on
+    comult itself, and the right coaction identity on an equal copy of comult all name
+    the least column of (comult (x) id) comult - (id (x) comult) comult."""
+    from hopfcoh import comodule
+    from hopfcoh.comodule import regular_left_coaction, right_coaction_failure
+    from hopfcoh.hopf import HopfStarAlgebra, check_axioms
+
+    g = get_algebra(name)
+    s, i_s = g.dim, Matrix.identity(g.dim)
+    delta = g.comult + Matrix(s * s, s, {(1, s - 1): ONE})
+    h = HopfStarAlgebra(s, g.mult, g.unit, delta, g.counit, g.star, g.labels, g.kind, g.monoid)
+    w = min(c for _, c in (kron(delta, i_s) @ delta - kron(i_s, delta) @ delta).support)
+    assert {c.name: c.witness for c in check_axioms(h).checks}["comult coassociative"] == w
+    assert right_coaction_failure(h, Matrix(s * s, s, delta.entries)) == w
+    with pytest.raises(ValueError, match=f"^right coaction identity fails at column {w}$"):
+        regular_right_coaction(h)
+    with pytest.raises(ValueError, match=f"^left coaction identity fails at column {w}$"):
+        regular_left_coaction(h)
+    with monkeypatch.context() as unchecked:  # coactions built unchecked, so the pair meets its own check
+        unchecked.setattr(comodule, "right_coaction_failure", lambda h, beta: None)
+        unchecked.setattr(comodule, "left_coaction_failure", lambda h, gamma: None)
+        right, left = regular_right_coaction(h), regular_left_coaction(h)
+    with pytest.raises(ValueError, match=f"^bicomodule compatibility fails at column {w}$"):
+        Bicomodule(right, left)
 
 
 def test_regular_bicomodule_reduces_to_coassociativity():

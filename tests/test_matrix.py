@@ -16,6 +16,7 @@ from reference import (
     ref_conj_transpose,
     ref_kron,
     ref_product,
+    ref_product_numerators,
     ref_reindex,
     ref_scale,
     ref_sum,
@@ -56,6 +57,34 @@ def assert_is(m: Matrix, rows: int, cols: int, ref: dict):
     # canonical: no zero numerator, a positive denominator coprime to the numerators
     assert 0 not in m.re.values() and 0 not in m.im.values()
     assert m.den > 0 and gcd(m.den, *m.re.values(), *m.im.values()) == 1
+
+
+@st.composite
+def reaching_factors(draw):
+    """(a, b) with a @ b defined and a sparser than b: a holds one or two entries in each
+    column of a drawn set, all of b's rows or a proper subset, so a reaches only those."""
+    b = draw(matrices())
+    inner, cols = b[0], draw(st.integers(1, 6))
+    reached = draw(st.one_of(st.just(set(range(inner))), st.sets(st.integers(0, inner - 1), max_size=inner - 1)))
+    value = st.one_of(st.integers(-3, 3).filter(bool), FRACTIONS.filter(bool), GAUSSIAN.filter(bool))
+    entries = {}
+    for k in sorted(reached):
+        for r in draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=2)):
+            entries[(r, k)] = draw(value)
+    return (cols, inner, entries), b
+
+
+@PROPERTY
+@given(reaching_factors())
+def test_product_buckets_only_the_reached_rows(factors):
+    """A left factor with fewer entries than the right, reaching a subset of its rows or
+    all of them, over Q and Q(i): the entries, den and key order of the numerators of
+    every product equal the unbucketed reference's."""
+    (ma, ra), (mb, rb) = (build(spec) for spec in factors)
+    product, expected = ma @ mb, ref_product_numerators(ma, mb)
+    assert_is(product, ma.rows, mb.cols, ref_product(ra, rb))
+    assert product.den == expected.den
+    assert (list(product.re), list(product.im)) == (list(expected.re), list(expected.im))
 
 
 @PROPERTY
