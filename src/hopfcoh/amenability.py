@@ -14,6 +14,7 @@ multipliers of a finite-dimensional algebra are the algebra itself.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -40,6 +41,7 @@ from .hopf import (
     quotient_gram,
 )
 from .linalg import (
+    CertificateError,
     LinearSolver,
     Matrix,
     PsdResult,
@@ -189,22 +191,22 @@ class MeanSearch:
 
 
 def _mean_system(m: FiniteMonoid):
-    """Equality system of a left invariant mean: sum_{x: x r = t} w_x = w_t."""
+    """Equality system of a left invariant mean, on integers: sum_{x: x r = t} w_x = w_t."""
     n = m.order
     rows = []
     rhs = []
     for r in range(n):
         for t in range(n):
-            row = [Fraction(0)] * n
+            row = [0] * n
             for x in range(n):
                 if m.mul(x, r) == t:
                     row[x] += 1
             row[t] -= 1
             if any(row):
                 rows.append(row)
-                rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
+                rhs.append(0)
+    rows.append([1] * n)
+    rhs.append(1)
     return rows, rhs
 
 
@@ -240,6 +242,16 @@ class CheckOutcome:
 
     def __bool__(self):
         return self.passed
+
+
+@contextmanager
+def _naming(bicomodule: str):
+    """Name the catalog entry on a CertificateError raised inside, for the exit-1 message."""
+    try:
+        yield
+    except CertificateError as exc:
+        exc.bicomodule = bicomodule
+        raise
 
 
 def check_codiagonal_vanishing(ws: Workspace) -> CheckOutcome:
@@ -281,7 +293,8 @@ def check_codiagonal_vanishing(ws: Workspace) -> CheckOutcome:
                 k = None
                 continue
             # CertificateError unless D_{n-1} K_n + K_{n+1} D_n = id on all of C^n
-            k = homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx, k_n=k)
+            with _naming(entry.name):
+                k = homotopy_from_codiagonal(entry.bicomodule, n, f, side, cx=cx, k_n=k)
             details.append(f"{entry.name}: H^{n}_d = 0, homotopy certified ({result.dim_kernel} cocycles)")
     return CheckOutcome("codiagonal-vanishing", ok, tuple(details))
 
@@ -376,7 +389,8 @@ def check_graded_cocycles(ws: Workspace) -> CheckOutcome:
         details.append("two-term identity fails at ({},{})".format(*divmod(failing, n)))
         return CheckOutcome("graded-cocycles", False, tuple(details))
     pick = Matrix(x, n * x, {(j, (j // n) * x + j): 1 for j in range(x)})
-    homotopy_from_codiagonal(bic, 1, _kronecker_functional(n), "beta", cx=cx, k_n=pick)
+    with _naming("pair-graded"):
+        homotopy_from_codiagonal(bic, 1, _kronecker_functional(n), "beta", cx=cx, k_n=pick)
     ok = h1.dim == 0
     details.append("all cocycles reconstructed exactly" if ok else f"reduction reports H^1_d = {h1.dim} != 0")
     return CheckOutcome("graded-cocycles", ok, tuple(details))

@@ -106,7 +106,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:
-        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        witness = [f"{k} {v}" for k, v in (("bicomodule", exc.bicomodule), ("column", exc.column)) if v is not None]
+        where = f" ({', '.join(witness)})" if witness else ""
+        print(f"error: certificate check failed: {exc}{where}", file=sys.stderr)
         return 1
 
     if args.verb == "list":

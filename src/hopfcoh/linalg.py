@@ -32,11 +32,12 @@ Vec = tuple  # tuple[Scalar, ...]
 
 
 class CertificateError(Exception):
-    """A certificate failed its exact re-check: a bug, never bad input; degree and column locate it when known."""
+    """A certificate failed its exact re-check: a bug, never bad input; degree and column locate
+    it when known, and bicomodule names the catalog entry when a cross-check knows it."""
 
     def __init__(self, what: str, degree: Optional[int] = None, column: Optional[int] = None):
         super().__init__(what)
-        self.degree, self.column = degree, column
+        self.degree, self.column, self.bicomodule = degree, column, None
 
 
 def certify(ok: bool, what: str, degree: Optional[int] = None, column: Optional[int] = None) -> None:
@@ -861,89 +862,65 @@ class PsdResult:
 
 
 def psd_check(m: Matrix) -> PsdResult:
-    """Exact LDL*-with-diagonal-pivoting PSD test for Hermitian m.
+    """Exact LDL*-with-diagonal-pivoting PSD test for Hermitian m, on its rows.
 
-    Zero diagonal pivots are legal only when their whole active row/column
-    vanishes; a negative diagonal or a nonzero off-diagonal entry against a
-    zero diagonal yields an explicit witness v with v* m v < 0.  A PSD answer
-    is certified by m = V D V* with D positive diagonal (_certify_ldl).
+    Each step pivots on the least index p with a positive diagonal and
+    updates only the rows in the support of p's row: the active block stays
+    Hermitian, so those are exactly the rows holding column p.  A negative
+    diagonal, or a nonzero entry left once every diagonal is zero, yields an
+    explicit witness v with v* m v < 0.  A PSD answer is certified by
+    m = V D V* with D positive diagonal (_certify_ldl).
     """
     if not m.is_hermitian():
         raise ValueError("psd_check requires a Hermitian matrix")
-    n = m.rows
-    a = {k: v for k, v in m.entries.items()}
-
-    def get(i, j):
-        return a.get((i, j), Scalar(0))
-
-    active = list(range(n))
+    rows: dict = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
     steps = []  # (pivot index p, pivot d, {j: a[p,j]/d}), for witness lifting and _certify_ldl
-
-    def lift(w: dict) -> Vec:
-        for p, _, ratios in reversed(steps):
-            s = Scalar(0)
-            for j, r in ratios.items():
-                x = w.get(j)
-                if x:
-                    s = s + r * x
-            if s:
-                w[p] = -s
-        return dense(w, n)
-
-    def certified(w: dict) -> PsdResult:
-        v = lift(w)
-        quad = Scalar(0)
-        for (i, j), val in m.entries.items():
-            if v[i] and v[j]:
-                quad = quad + v[i].conjugate() * val * v[j]
-        certify(quad.is_real and quad < 0, "PSD witness failed verification")
-        return PsdResult(False, witness=v)
-
-    while active:
-        diag = {i: get(i, i) for i in active}
-        for i in active:
-            d = diag[i]
-            if d and not d.is_real:
-                raise ValueError("Hermitian matrix with non-real diagonal")
-        neg = [i for i in active if diag[i] and diag[i] < 0]
+    while True:
+        diag = {i: row[i] for i, row in rows.items() if i in row}
+        neg = [i for i, d in diag.items() if d < 0]
         if neg:
-            return certified({neg[0]: ONE})
-        pos = [i for i in active if diag[i]]
-        if not pos:
-            # all active diagonals zero: PSD iff the active block is zero
-            off = [
-                (i, j)
-                for (i, j) in a
-                if i in active and j in active and i != j and a[(i, j)]
-            ]
-            if off:
-                i, j = min(off)
-                return certified({i: -a[(i, j)], j: ONE})
-            break
-        p = pos[0]
-        d = diag[p]
-        row = {j: get(p, j) for j in active if j != p and get(p, j)}
+            return _psd_witness(m, steps, {min(neg): ONE})
+        if not diag:
+            # every active diagonal is zero: PSD iff the active block is zero
+            i = min((i for i, row in rows.items() if row), default=None)
+            if i is None:
+                break
+            j = min(rows[i])
+            return _psd_witness(m, steps, {i: -rows[i][j], j: ONE})
+        p = min(diag)
+        row = rows.pop(p)
+        d = row.pop(p)
         ratios = {j: v / d for j, v in row.items()}
-        for i in active:
-            if i == p:
-                continue
-            api = get(i, p)
-            if not api:
-                continue
+        for i in row:
+            target = rows[i]
+            api = target.pop(p)
             for j, r in ratios.items():
-                key = (i, j)
-                nv = a.get(key, Scalar(0)) - api * r
+                nv = target.get(j, ZERO) - api * r
                 if nv:
-                    a[key] = nv
-                elif key in a:
-                    del a[key]
-        for i in active:
-            a.pop((i, p), None)
-            a.pop((p, i), None)
+                    target[j] = nv
+                else:
+                    target.pop(j, None)
         steps.append((p, d, ratios))
-        active.remove(p)
     _certify_ldl(m, steps)
     return PsdResult(True, pivots=tuple((p, d) for p, d, _ in steps))
+
+
+def _psd_witness(m: Matrix, steps, w: dict) -> PsdResult:
+    """The failed test's witness: w on the active block, lifted back through the
+    steps to v with v* m v < 0, which is certified."""
+    for p, _, ratios in reversed(steps):
+        s = sum((r * w[j] for j, r in ratios.items() if j in w), Scalar(0))
+        if s:
+            w[p] = -s
+    v = dense(w, m.rows)
+    quad = Scalar(0)
+    for (i, j), val in m.entries.items():
+        if v[i] and v[j]:
+            quad = quad + v[i].conjugate() * val * v[j]
+    certify(quad.is_real and quad < 0, "PSD witness failed verification")
+    return PsdResult(False, witness=v)
 
 
 def _certify_ldl(m: Matrix, steps) -> None:

@@ -5,9 +5,10 @@ termination, no tolerances) on an integer tableau: each row is a positive
 multiple of the rational row, so every sign, ratio and pivot is the one
 the simplex over Fractions would take.  Infeasibility comes with a
 Farkas certificate y (y^T A <= 0, y^T b > 0) that is re-verified exactly
-before being returned.  A brute-force basic-solution enumeration serves as
-an independent oracle at small sizes; it eliminates with linalg's one
-elimination, `_rref_rows`, on sparse rows cleared to integers.
+against the input rows before being returned.  A brute-force basic-solution
+enumeration serves as an independent oracle at small sizes; it eliminates
+with linalg's one elimination, `_rref_rows`.  Both read one integer copy of
+[A | b], each row cleared by the lcm of its denominators (`_integer_rows`).
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ class Feasibility:
     farkas: Optional[tuple] = None  # y with y^T A <= 0, y^T b > 0, otherwise
 
 
-def _as_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _cleared(row, prow, c):
     """row minus a multiple of the pivot row prow, zero at column c, on integers.
 
@@ -45,10 +42,14 @@ def _cleared(row, prow, c):
     return [x // k for x in out] if k > 1 else out
 
 
-def _integer_row(row: dict) -> dict:
-    """The sparse Fraction row times the lcm of its denominators: nonzero ints, signs kept."""
-    k = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (k // x.denominator) for c, x in row.items()}
+def _integer_rows(a_rows, b_col) -> list:
+    """Each row [a_i | b_i] of [A | b] times the lcm k_i of its denominators: (k_i, ints)."""
+    out = []
+    for row, rhs in zip(a_rows, b_col):
+        row = (*row, rhs)
+        k = lcm(*(x.denominator for x in row))
+        out.append((k, [x.numerator * (k // x.denominator) for x in row]))
+    return out
 
 
 def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
@@ -59,22 +60,17 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
     positive scale s as one more entry.  Every sign, ratio and choice of
     Bland's rule is the one the exact rational tableau would make.
     """
-    a = _as_fractions(a_rows)
-    b = [Fraction(x) for x in b_col]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
+    rows = _integer_rows(a_rows, b_col)
+    m = len(rows)
+    n = len(rows[0][1]) - 1 if m else 0
     # tableau columns: w_0..w_{n-1}, artificials a_0..a_{m-1}, rhs; row i is
-    # [a_i | e_i | b_i] times the lcm k of its denominators
+    # sign_i [a_i | b_i] cleared to integers by k_i, with k_i e_i between
+    signs = [-1 if row[n] < 0 else 1 for _, row in rows]
     width = n + m
-    tab = []
-    for i in range(m):
-        k = lcm(b[i].denominator, *(x.denominator for x in a[i]))
-        row = [x.numerator * (k // x.denominator) for x in a[i] + [b[i]]]
-        tab.append(row[:n] + [k * (i == j) for j in range(m)] + row[n:])
+    tab = [
+        [sign * x for x in row[:n]] + [k * (i == j) for j in range(m)] + [sign * row[n]]
+        for i, (sign, (k, row)) in enumerate(zip(signs, rows))
+    ]
     basis = [n + i for i in range(m)]
     # objective: minimise sum of artificials; obj[:-1] / s is the row of
     # reduced costs for -z, and obj[-1] = s > 0
@@ -108,21 +104,14 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         pivot(leave, entering)
 
     if obj[width] < 0:  # the optimum -obj[width] / s is positive
-        # simplex multipliers: y_i = 1 - reduced cost of artificial i
-        y = tuple(1 - Fraction(obj[n + i], obj[-1]) for i in range(m))
-        yb = Fraction(0)
-        for i in range(m):
-            yb += y[i] * Fraction(b[i])
-        certify(yb > 0, "Farkas certificate lost its objective value")
+        # simplex multipliers: y_i = 1 - reduced cost of artificial i, times
+        # row i's sign, so y applies to the input rows and is re-verified on them
+        y = tuple((1 - Fraction(obj[n + i], obj[-1])) * signs[i] for i in range(m))
+        certify(sum((yi * x for yi, x in zip(y, b_col)), Fraction(0)) > 0, "Farkas certificate lost its objective value")
         for j in range(n):
-            s = Fraction(0)
-            for i in range(m):
-                s += y[i] * a[i][j]
+            s = sum((yi * row[j] for yi, row in zip(y, a_rows)), Fraction(0))
             certify(s <= 0, "Farkas certificate fails y^T A <= 0")
-        # undo the row sign flips so the certificate applies to the input data
-        signs = [1 if Fraction(x) >= 0 else -1 for x in b_col]
-        y_orig = tuple(y[i] * signs[i] for i in range(m))
-        return Feasibility(False, farkas=y_orig)
+        return Feasibility(False, farkas=y)
     point = [Fraction(0)] * n
     for i, col in enumerate(basis):
         if col < n:
@@ -134,10 +123,7 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
 
 def _verify_point(a_rows, b_col, w):
     for row, rhs in zip(a_rows, b_col):
-        s = Fraction(0)
-        for x, v in zip(row, w):
-            s += Fraction(x) * v
-        certify(s == Fraction(rhs), "feasible point fails equality re-check")
+        certify(sum((x * v for x, v in zip(row, w)), Fraction(0)) == rhs, "feasible point fails equality re-check")
     certify(all(v >= 0 for v in w), "feasible point not nonnegative")
 
 
@@ -150,19 +136,15 @@ def enumerate_feasibility(a_rows, b_col) -> bool:
     its coordinates are the reduced rows' rhs entries over their pivots,
     which _rref_rows keeps positive on integer rows.
     """
-    a = _as_fractions(a_rows)
-    b = [Fraction(x) for x in b_col]
-    if not any(b):
+    rows = [row for _, row in _integer_rows(a_rows, b_col)]
+    if not any(row[-1] for row in rows):
         return True
-    n = len(a[0])
-    rank = len(_rref_rows([_integer_row({j: x for j, x in enumerate(row) if x}) for row in a], n)[0])
+    n = len(rows[0]) - 1
+    rank = len(_rref_rows([{j: x for j, x in enumerate(row[:n]) if x} for row in rows], n)[0])
     for k in range(1, rank + 1):
         for support in combinations(range(n), k):
-            rows = [{c: row[j] for c, j in enumerate(support) if row[j]} for row in a]
-            for row, rhs in zip(rows, b):
-                if rhs:
-                    row[k] = rhs
-            pivots, red, _ = _rref_rows([_integer_row(row) for row in rows], k + 1)
+            sub = [{c: row[j] for c, j in enumerate((*support, n)) if row[j]} for row in rows]
+            pivots, red, _ = _rref_rows(sub, k + 1)
             if pivots == list(range(k)) and all(row.get(k, 0) >= 0 for row in red):
                 return True
     return False

@@ -50,6 +50,8 @@ def resolve_algebra(job: JobSpec):
             return build(monoid(order=len(table), table=table, identity=job.cayley.identity))
         except ValueError as exc:
             raise InputError(f"invalid cayley table: {exc}") from exc
+    if job.cayley is not None:
+        raise InputError(f"algebra {name!r} takes no cayley block (only inline-function and inline-group do)")
     try:
         return catalog.get_algebra(name)
     except KeyError as exc:

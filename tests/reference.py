@@ -55,6 +55,11 @@ codiagonal homotopy by the operator identity D K + K D = id.
 on a tableau of Fractions, every pivot row made monic.  Production code
 keeps integer rows, each a positive multiple of the exact one.
 
+`ref_psd_check` is the LDL* PSD test on an (i, j)-keyed copy of the
+matrix, every active row rescanned at each pivot.  Production code updates
+m's own rows, only those holding the pivot column; both return the same
+verdict, pivots and witness.
+
 `TensorSpace` is the row-major flat index of an ordered tensor product,
 written out digit by digit.  `order3_monoid_tables` lists the inputs of the
 random-monoid tests, and `Z4_CHARACTER_JOB` is a job whose comodule is
@@ -72,8 +77,11 @@ from hopfcoh.hopf import dual_algebra_mult
 from hopfcoh.linalg import (
     LinearSolver,
     Matrix,
+    PsdResult,
     SolveResult,
     SpanTracker,
+    Vec,
+    _certify_ldl,
     certify,
     combination,
     dense,
@@ -83,7 +91,7 @@ from hopfcoh.linalg import (
     tensor_permutation,
     unit_vec,
 )
-from hopfcoh.lp import Feasibility, _as_fractions, _verify_point
+from hopfcoh.lp import Feasibility, _verify_point
 from hopfcoh.scalars import ONE, Scalar, as_scalar
 
 
@@ -682,7 +690,7 @@ def order3_monoid_tables():
 
 def ref_solve_equality_feasibility(a_rows, b_col) -> Feasibility:
     """Phase-1 simplex for {A w = b, w >= 0} in exact rational arithmetic."""
-    a = _as_fractions(a_rows)
+    a = [[Fraction(x) for x in row] for row in a_rows]
     b = [Fraction(x) for x in b_col]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -756,3 +764,92 @@ def ref_solve_equality_feasibility(a_rows, b_col) -> Feasibility:
     w = tuple(point)
     _verify_point(a_rows, b_col, w)
     return Feasibility(True, point=w)
+
+
+# -- the PSD test on an (i, j)-keyed copy --------------------------------------
+
+
+def ref_psd_check(m: Matrix) -> PsdResult:
+    """Exact LDL*-with-diagonal-pivoting PSD test for Hermitian m.
+
+    Zero diagonal pivots are legal only when their whole active row/column
+    vanishes; a negative diagonal or a nonzero off-diagonal entry against a
+    zero diagonal yields an explicit witness v with v* m v < 0.  A PSD answer
+    is certified by m = V D V* with D positive diagonal (_certify_ldl).
+    """
+    if not m.is_hermitian():
+        raise ValueError("psd_check requires a Hermitian matrix")
+    n = m.rows
+    a = {k: v for k, v in m.entries.items()}
+
+    def get(i, j):
+        return a.get((i, j), Scalar(0))
+
+    active = list(range(n))
+    steps = []  # (pivot index p, pivot d, {j: a[p,j]/d}), for witness lifting and _certify_ldl
+
+    def lift(w: dict) -> Vec:
+        for p, _, ratios in reversed(steps):
+            s = Scalar(0)
+            for j, r in ratios.items():
+                x = w.get(j)
+                if x:
+                    s = s + r * x
+            if s:
+                w[p] = -s
+        return dense(w, n)
+
+    def certified(w: dict) -> PsdResult:
+        v = lift(w)
+        quad = Scalar(0)
+        for (i, j), val in m.entries.items():
+            if v[i] and v[j]:
+                quad = quad + v[i].conjugate() * val * v[j]
+        certify(quad.is_real and quad < 0, "PSD witness failed verification")
+        return PsdResult(False, witness=v)
+
+    while active:
+        diag = {i: get(i, i) for i in active}
+        for i in active:
+            d = diag[i]
+            if d and not d.is_real:
+                raise ValueError("Hermitian matrix with non-real diagonal")
+        neg = [i for i in active if diag[i] and diag[i] < 0]
+        if neg:
+            return certified({neg[0]: ONE})
+        pos = [i for i in active if diag[i]]
+        if not pos:
+            # all active diagonals zero: PSD iff the active block is zero
+            off = [
+                (i, j)
+                for (i, j) in a
+                if i in active and j in active and i != j and a[(i, j)]
+            ]
+            if off:
+                i, j = min(off)
+                return certified({i: -a[(i, j)], j: ONE})
+            break
+        p = pos[0]
+        d = diag[p]
+        row = {j: get(p, j) for j in active if j != p and get(p, j)}
+        ratios = {j: v / d for j, v in row.items()}
+        for i in active:
+            if i == p:
+                continue
+            api = get(i, p)
+            if not api:
+                continue
+            for j, r in ratios.items():
+                key = (i, j)
+                nv = a.get(key, Scalar(0)) - api * r
+                if nv:
+                    a[key] = nv
+                elif key in a:
+                    del a[key]
+        for i in active:
+            a.pop((i, p), None)
+            a.pop((p, i), None)
+        steps.append((p, d, ratios))
+        active.remove(p)
+    _certify_ldl(m, steps)
+    return PsdResult(True, pivots=tuple((p, d) for p, d, _ in steps))

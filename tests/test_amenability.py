@@ -341,12 +341,38 @@ def test_graded_cocycles_reject_a_tampered_contraction(monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(cochain, "codiagonal_contraction", tampered)
     message = "codiagonal homotopy fails D K + K D = id in degree 1"
-    with pytest.raises(CertificateError, match=re.escape(message)):
+    with pytest.raises(CertificateError, match=re.escape(message)) as err:
         check_graded_cocycles(Workspace(h, 3))
+    assert (err.value.bicomodule, err.value.degree, err.value.column) == ("pair-graded", 1, 0)
     job = tmp_path / "b18.job"
     job.write_text("algebra = group:Z3\ntasks = check-B18\n")
     assert main(["--input", str(job), "verify"]) == 1
-    assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
+    assert capsys.readouterr().err == f"error: certificate check failed: {message} (bicomodule pair-graded, column 0)\n"
+
+
+def test_check_b20_names_the_bicomodule_of_a_failed_contraction(monkeypatch, tmp_path, capsys):
+    """K_3 + e_0 e_0^T changes K_3 D_2 by row 0 of D_2, which on group:Z2 is zero
+    for every entry but unit-quotient: check-B20 fails in degree 2 there, and the
+    exit-1 message names that entry and the column."""
+    from hopfcoh import cochain
+    from hopfcoh.cli import main
+
+    original = cochain.codiagonal_contraction
+
+    def corrupt_k3(b, n, f, side):
+        k = original(b, n, f, side)
+        return k + Matrix(k.rows, k.cols, {(0, 0): 1}) if n == 3 else k
+
+    monkeypatch.setattr(cochain, "codiagonal_contraction", corrupt_k3)
+    with pytest.raises(CertificateError, match="in degree 2$") as err:
+        check_codiagonal_vanishing(Workspace(get_algebra("group:Z2"), 3))
+    assert (err.value.bicomodule, err.value.degree) == ("unit-quotient", 2)
+    job = tmp_path / "b20.job"
+    job.write_text("algebra = group:Z2\ntasks = check-B20\n")
+    assert main(["--input", str(job), "verify"]) == 1
+    message = "codiagonal homotopy fails D K + K D = id in degree 2"
+    witness = f"(bicomodule unit-quotient, column {err.value.column})"
+    assert capsys.readouterr().err == f"error: certificate check failed: {message} {witness}\n"
 
 
 def test_graded_cocycles_name_the_first_failing_component(monkeypatch):

@@ -202,6 +202,17 @@ def test_unknown_algebra_exits_two_with_its_message(algebra, message, tmp_path, 
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_a_cayley_block_beside_a_catalog_algebra_exits_two(tmp_path, capsys):
+    """Only the inline algebras read a cayley block; next to a catalog name it
+    would be ignored, so it is refused, naming the algebra."""
+    job = tmp_path / "z2.job"
+    job.write_text("algebra = group:Z2\ntasks = axioms\nbegin cayley\n  identity = 0\n  row 0 1\n  row 1 0\nend\n")
+    assert main(["--input", str(job), "check"]) == 2
+    captured = capsys.readouterr()
+    message = "algebra 'group:Z2' takes no cayley block (only inline-function and inline-group do)"
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_cli_verify_small(capsys):
     assert main(["--catalog", "function:Z2", "verify"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcoh import linalg
 from hopfcoh.linalg import (
@@ -20,7 +22,7 @@ from hopfcoh.linalg import (
     vec_dot,
 )
 from hopfcoh.scalars import ONE, ZERO, Scalar
-from reference import TensorSpace, rotation_sigma
+from reference import TensorSpace, ref_psd_check, rotation_sigma
 
 
 def rand_matrix(rng, rows, cols, density=0.7):
@@ -340,6 +342,37 @@ def test_psd_answer_is_certified_by_its_steps(monkeypatch):
         monkeypatch.setattr(linalg, "_certify_ldl", lambda m, steps: original(m, [corrupt(*steps[0]), *steps[1:]]))
         with pytest.raises(CertificateError, match="PSD decomposition"):
             psd_check(m)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian n x n over Q, or over Q(i) about a quarter of the time: either
+    arbitrary sparse entries (negative and zero diagonals, zero diagonals on
+    nonzero rows) or a Gram matrix b b* of an n x k b, PSD and often rank-deficient."""
+    n = draw(st.integers(1, 6))
+    part = st.one_of(st.just(0), st.just(0), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    gaussian = draw(st.integers(0, 3)) == 0
+    entry = st.builds(Scalar, part, part if gaussian else st.just(0))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        b = Matrix(n, k, {(i, j): x for i in range(n) for j in range(k) if (x := draw(entry))})
+        return b @ b.conj_transpose()
+    entries = {}
+    for i in range(n):
+        if d := draw(part):
+            entries[(i, i)] = Scalar(d)
+        for j in range(i + 1, n):
+            if x := draw(entry):
+                entries[(i, j)], entries[(j, i)] = x, x.conjugate()
+    return Matrix(n, n, entries)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(hermitian_matrices())
+def test_psd_check_on_rows_matches_the_keyed_copy(m):
+    """The row version returns the reference's verdict, pivots and witness."""
+    got, expected = psd_check(m), ref_psd_check(m)
+    assert (got.ok, got.pivots, got.witness) == (expected.ok, expected.pivots, expected.witness)
 
 
 def test_matmul_dimension_check():
