@@ -107,7 +107,8 @@ def solve_equality_feasibility(a_rows, b_col) -> Feasibility:
         # simplex multipliers: y_i = 1 - reduced cost of artificial i, times
         # row i's sign, so y applies to the input rows and is re-verified on them
         y = tuple((1 - Fraction(obj[n + i], obj[-1])) * signs[i] for i in range(m))
-        certify(sum((yi * x for yi, x in zip(y, b_col)), Fraction(0)) > 0, "Farkas certificate lost its objective value")
+        yb = sum((yi * x for yi, x in zip(y, b_col)), Fraction(0))
+        certify(yb > 0, "Farkas certificate lost its objective value")
         for j in range(n):
             s = sum((yi * row[j] for yi, row in zip(y, a_rows)), Fraction(0))
             certify(s <= 0, "Farkas certificate fails y^T A <= 0")
