@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import gcd, lcm
 from operator import add
 from typing import Optional
@@ -92,32 +92,39 @@ def _combine(x: dict, kx: int, y: dict, ky: int) -> dict:
 
 
 def _product(terms, cols: int, den: int) -> tuple:
-    """(re, im) numerators over den of the sum of k (a @ b) over the terms (k, a, b), b with cols
-    columns: every product accumulates on the flat key r * cols + c by Gustavson's row
-    accumulation, and an (r, c) key is made only for a nonzero sum, in first-touch order.
-    A left part with fewer entries than the right buckets only the right rows it reaches."""
+    """(re, im) nonzero numerators over den, on flat keys r * cols + c in first-touch order, of
+    the sum of k (a @ b) over the terms (k, a, b), b with cols columns, by Gustavson's row
+    accumulation on b's rows bucketed in a list indexed by row.  A left part with fewer
+    entries than the right buckets only the right rows it reaches."""
     re, im = {}, {}
     for k, a, b in terms:
         k *= den // (a.den * b.den)  # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
         for acc, x, y, f in ((re, a.re, b.re, k), (re, a.im, b.im, -k), (im, a.re, b.im, k), (im, a.im, b.re, k)):
             if not (f and x and y):
                 continue
+            right = [None] * b.rows
             if len(x) < len(y):
-                right = {kk: [] for _, kk in x}
+                for _, kk in x:
+                    right[kk] = []
                 for (kk, j), v in y.items():
-                    if (bucket := right.get(kk)) is not None:
+                    if (bucket := right[kk]) is not None:
                         bucket.append((j, f * v))
             else:
-                right = {}
                 for (kk, j), v in y.items():
-                    right.setdefault(kk, []).append((j, f * v))
+                    if (bucket := right[kk]) is None:
+                        right[kk] = bucket = []
+                    bucket.append((j, f * v))
             for (i, kk), u in x.items():
                 base = i * cols
-                for j, v in right.get(kk, ()):
+                for j, v in right[kk] or ():
                     key = base + j
                     acc[key] = acc.get(key, 0) + u * v
-    re = {divmod(key, cols): v for key, v in re.items() if v}
-    return re, im and {divmod(key, cols): v for key, v in im.items() if v}
+    return tuple({key: v for key, v in acc.items() if v} for acc in (re, im))
+
+
+def _cells(flat: dict, cols: int) -> dict:
+    """The (r, c)-keyed copy of numerators on flat keys r * cols + c, in their order."""
+    return {divmod(key, cols): v for key, v in flat.items()}
 
 
 def _parts(v):
@@ -277,8 +284,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"composition undefined: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        den = self.den * other.den
-        return Matrix._of(self.rows, other.cols, *_product([(1, self, other)], other.cols, den), den)
+        den, cols = self.den * other.den, other.cols
+        re, im = _product([(1, self, other)], cols, den)
+        return Matrix._of(self.rows, cols, _cells(re, cols), _cells(im, cols), den)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -315,9 +323,10 @@ class Matrix:
 
     def drop_cols(self, drop) -> "Matrix":
         """self without the columns in drop, the others renumbered in order."""
-        new = dict(zip(sorted(set(range(self.cols)).difference(drop)), range(self.cols)))
-        re, im = ({(r, new[c]): v for (r, c), v in d.items() if c in new} for d in (self.re, self.im))
-        return Matrix._of(self.rows, len(new), re, im, self.den)
+        kept, renumber = set(range(self.cols)).difference(drop), count()
+        new = [next(renumber) if c in kept else None for c in range(self.cols)]
+        re, im = ({(r, j): v for (r, c), v in d.items() if (j := new[c]) is not None} for d in (self.re, self.im))
+        return Matrix._of(self.rows, len(kept), re, im, self.den)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -330,11 +339,10 @@ class Matrix:
         return Matrix._of(self.rows, shift + other.cols, re, im, den)
 
 
-def combination(terms) -> Matrix:
-    """The sum of the terms, integers k and matrices of one shape: k m for a term
-    (k, m), k (a @ b) for a product term (k, a, b), in one pass over the numerators
-    on their common denominator: the products together by _product, then the plain
-    terms on (r, c) keys, the first copied unless a product sum came first."""
+def _accumulate(terms) -> tuple:
+    """(rows, cols, den, re, im): the sum of combination's terms as nonzero numerators over
+    den on the flat keys r * cols + c, in combination's key order: the products together by
+    _product, then the plain terms, the first copied unless a product sum came first."""
     if not terms:
         raise ValueError("combination of no terms")
     for _, a, *b in terms:
@@ -349,15 +357,23 @@ def combination(terms) -> Matrix:
         re, im = _product([t for t in terms if len(t) == 3], cols, den)
     else:
         (k, re, im), *plain = plain
-        re, im = ({key: k * v for key, v in part.items()} if k else {} for part in (re, im))
+        re, im = ({r * cols + c: k * v for (r, c), v in part.items()} if k else {} for part in (re, im))
     for k, *pair in plain:
         for out, part in zip((re, im), pair):
-            for key, v in part.items():
+            for (r, c), v in part.items():
+                key = r * cols + c
                 if s := out.get(key, 0) + k * v:
                     out[key] = s
                 elif key in out:
                     del out[key]
-    return Matrix._of(rows, cols, re, im, den)
+    return rows, cols, den, re, im
+
+
+def combination(terms) -> Matrix:
+    """The sum of the terms, integers k and matrices of one shape: k m for a term (k, m),
+    k (a @ b) for a product term (k, a, b), in one pass over the numerators (_accumulate)."""
+    rows, cols, den, re, im = _accumulate(terms)
+    return Matrix._of(rows, cols, _cells(re, cols), _cells(im, cols), den)
 
 
 def _legs(index, p: int, q: int, step: int, move):
@@ -396,34 +412,49 @@ def face_sum(faces) -> Matrix:
     return Matrix._of(rows, cols, re, im, den)
 
 
+CHUNK_ROWS = 16384  # output rows product_is_zero sums at a time; no workload's chain check has more
+
+
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
     """a @ b == 0 with no product built (Kronecker substitution): each row of b packed into
     one int sum_c b_rc 2^(w c), each output row summed as sum_k a_ik packed_k, real and
-    imaginary parts apart.  Every output entry is below 2^(w-1) in absolute value, so a
-    packed row is 0 exactly when each of its entries is."""
+    imaginary parts apart, in lists indexed by row.  Every output entry is below 2^(w-1) in
+    absolute value, so a packed row is 0 exactly when each of its entries is.  Above
+    CHUNK_ROWS rows, a's entries are bucketed by chunks of that many output rows, each tested
+    once summed, so only one chunk's sums are alive at a time (a passing chunk holds zeros)."""
     if a.cols != b.rows:
         raise ValueError(f"composition undefined: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     top_a, top_b = ((max(map(abs, m.re.values()), default=0) + max(map(abs, m.im.values()), default=0)) for m in (a, b))
     w = (a.cols * top_a * top_b).bit_length() + 1
-    re, im = {}, {}
+    re, im = ([0] * b.rows if part else None for part in (b.re, b.im))
     for rows, part in ((re, b.re), (im, b.im)):
         for (r, c), v in part.items():
-            rows[r] = rows.get(r, 0) + (v << w * c)
-    # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
-    for terms in (((a.re, re), (a.im, {r: -v for r, v in im.items()})), ((a.re, im), (a.im, re))):
-        sums: dict = {}
-        for part, rows in terms:
-            for (i, k), u in part.items() if rows else ():
-                if row := rows.get(k):
-                    sums[i] = sums.get(i, 0) + (row if u == 1 else -row if u == -1 else u * row)
-        if any(sums.values()):
-            return False
+            rows[r] += v << w * c
+    chunks = [(a.re.items(), a.im.items())]
+    if a.rows > CHUNK_ROWS:
+        chunks = [([], []) for _ in range(0, a.rows, CHUNK_ROWS)]
+        for j, part in enumerate((a.re, a.im)):
+            for item in part.items():
+                chunks[item[0][0] // CHUNK_ROWS][j].append(item)
+    sums = [0] * a.rows
+    neg_im = im and [-v for v in im]
+    for n, (a_re, a_im) in enumerate(chunks):
+        # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
+        for terms in (((a_re, re), (a_im, neg_im)), ((a_re, im), (a_im, re))):
+            for part, rows in terms:
+                for (i, k), u in part if rows else ():
+                    if row := rows[k]:
+                        sums[i] += row if u == 1 else -row if u == -1 else u * row
+            if any(sums[n * CHUNK_ROWS:(n + 1) * CHUNK_ROWS]):
+                return False
     return True
 
 
 def failing_column(terms) -> Optional[int]:
-    """The least column where the combination of terms is nonzero; None when it vanishes."""
-    return min((c for _, c in combination(terms).support), default=None)
+    """The least column where the combination of terms is nonzero, read off _accumulate's
+    flat keys; None when it vanishes."""
+    _, cols, _, re, im = _accumulate(terms)
+    return min((key % cols for key in chain(re, im)), default=None)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -564,7 +595,9 @@ def _rows_of(cells):
     """The nonzero rows of sparse ((r, c), x) cells, in row order, as {c: x} dicts."""
     rows: dict = {}
     for (r, c), v in cells:
-        rows.setdefault(r, {})[c] = v
+        if (row := rows.get(r)) is None:
+            rows[r] = row = {}
+        row[c] = v
     return [rows[r] for r in sorted(rows)]
 
 
@@ -578,19 +611,20 @@ def _rref_rows(row_dicts, cols: int):
     pivot is positive.
 
     It takes the rows one at a time against pivot rows kept fully reduced:
-    a row is cleared, by _clear, at the pivot columns in its support, and a
-    nonzero remainder becomes the pivot row of its least column (a real one
-    divided by its content, with the pivot's sign), which is then cleared
-    from the earlier pivot rows.  A row that reduces to zero, as most rows
-    of a coboundary do, costs one pass.  A one-entry row {c: x} is neither
-    copied nor reduced: if c's pivot row has the one entry c, e_c is in the
-    span of the rows read so far and the row is skipped; if c holds no
-    pivot, a nonzero x makes the unit row {c: 1} c's pivot row and c is
-    deleted from the pivot rows holding it, since a multiple of e_c clears
-    it; a zero x is skipped.  It stops once every column holds a pivot.
-    origins lists, for each pivot, the index of the input row whose
-    remainder made it: each such row is independent of the rows before it,
-    and together they span all the rows.
+    a row is cleared, by _clear, at the pivot columns in its support (by a
+    unit pivot row {c: 1}, that is deleting c), and a nonzero remainder
+    becomes the pivot row of its least column (a real one divided by its
+    content, with the pivot's sign), which is then cleared from the earlier
+    pivot rows.  A row that reduces to zero, as most rows of a coboundary
+    do, costs one pass.  A one-entry row {c: x} is neither copied nor
+    reduced: if c's pivot row has the one entry c, e_c is in the span of
+    the rows read so far and the row is skipped; if c holds no pivot, a
+    nonzero x makes the unit row {c: 1} c's pivot row and c is deleted from
+    the pivot rows holding it, since a multiple of e_c clears it; a zero x
+    is skipped.  It stops once every column holds a pivot.  origins lists,
+    for each pivot, the index of the input row whose remainder made it:
+    each such row is independent of the rows before it, and together they
+    span all the rows.
     """
     reduced: dict = {}  # pivot column -> its pivot row
     origin: dict = {}  # pivot column -> the input index its row came from
@@ -608,7 +642,10 @@ def _rref_rows(row_dicts, cols: int):
         else:
             row = dict(row)
             for c in [c for c in row if c in reduced]:  # no other pivot row touches column c
-                _clear(row, reduced[c], c)
+                if len(prow := reduced[c]) == 1 and prow[c] == 1:
+                    del row[c]  # _clear by the unit row {c: 1}
+                else:
+                    _clear(row, prow, c)
             if not row:
                 continue
             col = min(row)
@@ -650,7 +687,9 @@ def _null_space(cells, cols: int):
     """
     last, rows = cols - 1, {}
     for (r, c), x in cells:
-        rows.setdefault(r, {})[last - c] = x
+        if (row := rows.get(r)) is None:
+            rows[r] = row = {}
+        row[last - c] = x
     ids = sorted(rows)
     pivots, red, origins = _rref_rows([rows[r] for r in ids], cols)
     taken = {last - piv for piv in pivots}

@@ -33,6 +33,9 @@ Production code moves them with `Matrix.reindex`.
 Production code describes the faces to `linalg.face_sum`, which builds none
 of them; the two must agree in entries, denominator and key order.
 
+`ref_drop_cols` renumbers the kept columns through a dict; production code
+reads a list indexed by column.
+
 `ref_translates_span` and `ref_check_saturated` build each span test the
 long way: one product and one `augment` per basis element t, and the
 product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
@@ -309,6 +312,14 @@ def ref_augment(a: dict, b: dict, a_cols: int) -> dict:
 
 def ref_reindex(a: dict, key) -> dict:
     return {key(r, c): x for (r, c), x in a.items()}
+
+
+def ref_drop_cols(m: Matrix, drop) -> Matrix:
+    """m without the columns in drop, the others renumbered in order, through a dict
+    from each kept column to its new number."""
+    new = dict(zip(sorted(set(range(m.cols)).difference(drop)), range(m.cols)))
+    re, im = ({(r, new[c]): v for (r, c), v in d.items() if c in new} for d in (m.re, m.im))
+    return Matrix._of(m.rows, len(new), re, im, m.den)
 
 
 # -- tensor reshuffles, entry by entry or by permutation products -------------

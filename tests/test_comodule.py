@@ -347,12 +347,13 @@ def test_a_vanishing_pass_runs_five_span_tests(monkeypatch):
 def test_a_job_evaluates_the_coassociativity_law_once(name, monkeypatch):
     """The axiom gate, the regular coactions and the regular bicomodule's compatibility
     all read one evaluation of (comult (x) id) comult - (id (x) comult) comult: one
-    combination whose terms are all products with comult on the right."""
+    accumulation, the one under combination and failing_column, whose terms are all
+    products with comult on the right."""
     from hopfcoh import linalg, report
     from hopfcoh.jobfile import JobSpec
 
     algebras, laws = [], []
-    resolve, combination = report.resolve_algebra, linalg.combination
+    resolve, accumulate = report.resolve_algebra, linalg._accumulate
 
     def resolved(job):
         algebras.append(resolve(job))
@@ -361,10 +362,10 @@ def test_a_job_evaluates_the_coassociativity_law_once(name, monkeypatch):
     def counted(terms):
         if algebras and all(len(t) == 3 and t[2] is algebras[0].comult for t in terms):
             laws.append(terms)
-        return combination(terms)
+        return accumulate(terms)
 
     monkeypatch.setattr(report, "resolve_algebra", resolved)
-    monkeypatch.setattr(linalg, "combination", counted)
+    monkeypatch.setattr(linalg, "_accumulate", counted)
     rep = report.run(JobSpec(algebra=name, tasks=("axioms", "cohomology:dual:0-1")))
     assert rep["consistent"] and set(rep["tasks"]["cohomology:dual:0-1"]) >= {"regular", "regular-trivial-left"}
     assert len(laws) == 1

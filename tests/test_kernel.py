@@ -581,6 +581,42 @@ def test_unit_rows_match_the_sweep(rows, pivots, reduced, origins, k):
     assert all(row == {p: 1} for p, row in zip(got[0], got[1]) if len(row) == 1)
 
 
+@st.composite
+def unit_rich_rows(draw, entries, times):
+    """row_lists with one-entry rows {c: x} put in at random places, at least as many
+    as the other rows, on their columns and the one past them: most pivot rows become
+    the unit row {c: 1}, by which a later row is cleared at c by deleting c."""
+    rows = draw(row_lists(entries, times))
+    width = 1 + max((c for r in rows for c in r), default=0)
+    for _ in range(draw(st.integers(len(rows), len(rows) + 3))):
+        rows.insert(draw(st.integers(0, len(rows))), {draw(st.integers(0, width)): draw(entries)})
+    return rows
+
+
+@PROPERTY
+@given(unit_rich_rows(nonzero_fractions, lambda x, k: x * k))
+def test_rows_rich_in_unit_rows_match_the_sweep_over_q(rows):
+    assert_rref_matches_sweep(rows)
+    assert_origins_raise_the_rank(rows, 1 + max((c for r in rows for c in r), default=-1))
+
+
+@PROPERTY
+@given(unit_rich_rows(gaussians, lambda x, k: x * k))
+def test_rows_rich_in_unit_rows_match_the_sweep_over_gaussian_scalars(rows):
+    assert_rref_matches_sweep(rows)
+    assert_origins_raise_the_rank(rows, 1 + max((c for r in rows for c in r), default=-1))
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(0, 6), st.integers(-9, 9).filter(bool), min_size=1), st.data())
+def test_clearing_by_the_unit_row_deletes_the_column(row, data):
+    """_clear by the pivot row {c: 1} leaves row without c, the rest unchanged and in order."""
+    c = data.draw(st.sampled_from(sorted(row)))
+    got = dict(row)
+    linalg._clear(got, {c: 1}, c)
+    assert list(got.items()) == [(k, v) for k, v in row.items() if k != c]
+
+
 # -- the full-rank stop and the pivot rows' origins ---------------------------
 
 

@@ -47,7 +47,7 @@ def conjugacy_classes(g) -> int:
     return len({frozenset(g.mul(g.mul(x, a), g.inv(x)) for x in range(g.order)) for a in range(g.order)})
 
 
-@pytest.mark.parametrize("m, cap", [(2, 6), (3, 4), (4, 3), (5, 3)])
+@pytest.mark.parametrize("m, cap", [(2, 6), (3, 4), (4, 3), (5, 3), (4, 4), (5, 4)])
 def test_nilpotent_monoid_is_periodic_in_every_degree(m, cap):
     expected = {str(n): m + 1 if n == 0 else m - 1 for n in range(cap)}
     assert regular_tables(nilpotent_table(m), cap) == {"dual": expected, "natural": expected}

@@ -4,16 +4,19 @@ independent of how a matrix was built."""
 import pickle
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcoh.linalg import Matrix, combination, face_sum, kernel_basis, kron, kron_all, product_is_zero
+from hopfcoh import linalg
+from hopfcoh.linalg import Matrix, combination, face_sum, failing_column, kernel_basis, kron, kron_all, product_is_zero
 from hopfcoh.scalars import I, Scalar, as_scalar
 from reference import (
     ref_augment,
     ref_conj_transpose,
+    ref_drop_cols,
     ref_kron,
     ref_product,
     ref_product_numerators,
@@ -150,6 +153,52 @@ def test_combination_with_product_terms_matches_ref_product_and_a_fold_of_ref_su
     terms.reverse()  # the term (1, a) last, so the second sum leaves it out
     assert_is(combination(terms), rows, cols, expected)
     assert_is(combination(terms[:-1]), rows, cols, ref_sum(expected, build(a)[1], -1))
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_failing_column_is_the_least_column_of_the_combination(a, data):
+    """Plain and product terms over Q and Q(i), with denominators 1-6, and in about half
+    the draws a term cancelled by its negative, so the sum may vanish: failing_column
+    reads the least column of combination's support, or None."""
+    rows, cols, _ = a
+    terms = [(data.draw(st.sampled_from([-2, -1, 1, 3])), build(a)[0])]
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            left = data.draw(matrices(rows=rows))
+            term = (data.draw(st.sampled_from([-1, 0, 2])), build(left)[0], build(data.draw(matrices(rows=left[1], cols=cols)))[0])
+        else:
+            term = (data.draw(st.sampled_from([-1, 0, 2])), build(data.draw(matrices(rows, cols)))[0])
+        terms.append(term)
+    if data.draw(st.booleans()):
+        terms += [(-k, *rest) for k, *rest in terms]
+    terms = data.draw(st.permutations(terms))
+    assert failing_column(terms) == min((c for _, c in combination(terms).support), default=None)
+
+
+def test_failing_column_refuses_what_combination_refuses():
+    for terms, message in (
+        ([(1, Matrix.identity(2)), (-1, Matrix.zero(2, 3))], "shape mismatch"),
+        ([(1, Matrix.identity(2), Matrix.zero(2, 3)), (-1, Matrix.identity(2))], "shape mismatch"),
+        ([(1, Matrix.identity(2)), (1, Matrix.identity(2), Matrix.zero(3, 2))], "composition undefined: 2x2 @ 3x2"),
+        ([], "^combination of no terms$"),
+    ):
+        for f in (combination, failing_column):
+            with pytest.raises(ValueError, match=message):
+                f(terms)
+
+
+@PROPERTY
+@given(matrices(), st.lists(st.integers(-3, 9), max_size=8))
+def test_drop_cols_matches_the_reference(a, drop):
+    """Unsorted, repeated, negative and out-of-range indices: the same shape, entries,
+    den and key order as the reference's renumbering, each index outside the columns
+    ignored."""
+    ma = build(a)[0]
+    got, expected = ma.drop_cols(drop), ref_drop_cols(ma, drop)
+    assert got == expected and (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert (list(got.re), list(got.im)) == (list(expected.re), list(expected.im))
+    assert ma.drop_cols(iter(drop)) == expected
 
 
 def test_combination_of_two_shapes_raises():
@@ -299,6 +348,28 @@ def test_product_is_zero_matches_the_product(a, data):
     ma, mb = build(a)[0], build(data.draw(matrices(rows=a[1])))[0]
     assert product_is_zero(ma, mb) == (ma @ mb).is_zero()
     assert product_is_zero(ma, Matrix.zero(a[1], 3)) and product_is_zero(Matrix.zero(2, a[0]), ma)
+
+
+@PROPERTY
+@given(st.one_of(kernel_products(), matrices().flatmap(lambda a: st.tuples(st.just(a), matrices(rows=a[1])))), st.integers(1, 3))
+def test_product_is_zero_by_row_chunks_matches_the_product(pair, chunk):
+    """With chunks of 1-3 output rows, so that most products cross a chunk boundary,
+    the chunked test agrees with the product, over Q and Q(i)."""
+    a, b = (m if isinstance(m, Matrix) else build(m)[0] for m in pair)
+    with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+        assert product_is_zero(a, b) == (a @ b).is_zero()
+        assert product_is_zero(Matrix.zero(a.rows, a.cols), b)
+
+
+def test_only_the_last_chunk_fails():
+    """A nonzero output entry in the last row alone is found after every earlier chunk
+    has passed, at every chunk size."""
+    a = Matrix.identity(7)
+    b = Matrix(7, 2, {(6, 1): Fraction(1, 3), (0, 0): 0})
+    for chunk in range(1, 9):
+        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+            assert not product_is_zero(a, b) and not product_is_zero(a.scale(I), b)
+            assert product_is_zero(a, Matrix.zero(7, 2))
 
 
 def test_a_packed_row_carries_no_entry_into_the_next_slot():
