@@ -412,16 +412,11 @@ def face_sum(faces) -> Matrix:
     return Matrix._of(rows, cols, re, im, den)
 
 
-CHUNK_ROWS = 16384  # output rows product_is_zero sums at a time; no workload's chain check has more
-
-
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
     """a @ b == 0 with no product built (Kronecker substitution): each row of b packed into
     one int sum_c b_rc 2^(w c), each output row summed as sum_k a_ik packed_k, real and
     imaginary parts apart, in lists indexed by row.  Every output entry is below 2^(w-1) in
-    absolute value, so a packed row is 0 exactly when each of its entries is.  Above
-    CHUNK_ROWS rows, a's entries are bucketed by chunks of that many output rows, each tested
-    once summed, so only one chunk's sums are alive at a time (a passing chunk holds zeros)."""
+    absolute value, so a packed row is 0 exactly when each of its entries is."""
     if a.cols != b.rows:
         raise ValueError(f"composition undefined: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     top_a, top_b = ((max(map(abs, m.re.values()), default=0) + max(map(abs, m.im.values()), default=0)) for m in (a, b))
@@ -430,23 +425,15 @@ def product_is_zero(a: Matrix, b: Matrix) -> bool:
     for rows, part in ((re, b.re), (im, b.im)):
         for (r, c), v in part.items():
             rows[r] += v << w * c
-    chunks = [(a.re.items(), a.im.items())]
-    if a.rows > CHUNK_ROWS:
-        chunks = [([], []) for _ in range(0, a.rows, CHUNK_ROWS)]
-        for j, part in enumerate((a.re, a.im)):
-            for item in part.items():
-                chunks[item[0][0] // CHUNK_ROWS][j].append(item)
-    sums = [0] * a.rows
-    neg_im = im and [-v for v in im]
-    for n, (a_re, a_im) in enumerate(chunks):
-        # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
-        for terms in (((a_re, re), (a_im, neg_im)), ((a_re, im), (a_im, re))):
-            for part, rows in terms:
-                for (i, k), u in part if rows else ():
-                    if row := rows[k]:
-                        sums[i] += row if u == 1 else -row if u == -1 else u * row
-            if any(sums[n * CHUNK_ROWS:(n + 1) * CHUNK_ROWS]):
-                return False
+    sums = [0] * a.rows  # a passing real part leaves them all zero for the imaginary part
+    # (A + Bi)(C + Di) = (AC - BD) + (AD + BC)i
+    for terms in (((a.re, re), (a.im, im and [-v for v in im])), ((a.re, im), (a.im, re))):
+        for part, rows in terms:
+            for (i, k), u in part.items() if rows else ():
+                if row := rows[k]:
+                    sums[i] += row if u == 1 else -row if u == -1 else u * row
+        if any(sums):
+            return False
     return True
 
 
@@ -565,9 +552,15 @@ def _clear(row: dict, prow: dict, col: int, present=None, key=None) -> None:
     g the gcd of their parts, and when pv/g != 1 is divided by the gcd of
     its entries' parts: a nonzero multiple of what a field sweep would
     hold, pv/g > 0 when pv > 0.  With present, present[c] gains or loses
-    key as row's support at c does.
+    key as row's support at c does.  Clearing by the unit row {col: 1} is
+    deleting col, done directly.
     """
     pv, f = prow[col], row[col]
+    if pv == 1 and len(prow) == 1:
+        del row[col]
+        if present is not None:
+            present[col].discard(key)
+        return
     gauss = type(pv) is not int
     g = gcd(pv.real, pv.imag, f.real, f.imag) if gauss else gcd(pv, f)
     a, f = pv // g, f // g
@@ -642,10 +635,7 @@ def _rref_rows(row_dicts, cols: int):
         else:
             row = dict(row)
             for c in [c for c in row if c in reduced]:  # no other pivot row touches column c
-                if len(prow := reduced[c]) == 1 and prow[c] == 1:
-                    del row[c]  # _clear by the unit row {c: 1}
-                else:
-                    _clear(row, prow, c)
+                _clear(row, reduced[c], c)
             if not row:
                 continue
             col = min(row)

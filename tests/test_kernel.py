@@ -610,11 +610,13 @@ def test_rows_rich_in_unit_rows_match_the_sweep_over_gaussian_scalars(rows):
 @PROPERTY
 @given(st.dictionaries(st.integers(0, 6), st.integers(-9, 9).filter(bool), min_size=1), st.data())
 def test_clearing_by_the_unit_row_deletes_the_column(row, data):
-    """_clear by the pivot row {c: 1} leaves row without c, the rest unchanged and in order."""
+    """_clear by the pivot row {c: 1} leaves row without c, the rest unchanged and in order,
+    and takes the row's key out of present[c] alone."""
     c = data.draw(st.sampled_from(sorted(row)))
-    got = dict(row)
-    linalg._clear(got, {c: 1}, c)
+    got, present = dict(row), {k: {"key", "other"} for k in row}
+    linalg._clear(got, {c: 1}, c, present, "key")
     assert list(got.items()) == [(k, v) for k, v in row.items() if k != c]
+    assert present == {k: {"other"} if k == c else {"key", "other"} for k in row}
 
 
 # -- the full-rank stop and the pivot rows' origins ---------------------------

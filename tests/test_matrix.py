@@ -4,13 +4,11 @@ independent of how a matrix was built."""
 import pickle
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcoh import linalg
 from hopfcoh.linalg import Matrix, combination, face_sum, failing_column, kernel_basis, kron, kron_all, product_is_zero
 from hopfcoh.scalars import I, Scalar, as_scalar
 from reference import (
@@ -348,28 +346,6 @@ def test_product_is_zero_matches_the_product(a, data):
     ma, mb = build(a)[0], build(data.draw(matrices(rows=a[1])))[0]
     assert product_is_zero(ma, mb) == (ma @ mb).is_zero()
     assert product_is_zero(ma, Matrix.zero(a[1], 3)) and product_is_zero(Matrix.zero(2, a[0]), ma)
-
-
-@PROPERTY
-@given(st.one_of(kernel_products(), matrices().flatmap(lambda a: st.tuples(st.just(a), matrices(rows=a[1])))), st.integers(1, 3))
-def test_product_is_zero_by_row_chunks_matches_the_product(pair, chunk):
-    """With chunks of 1-3 output rows, so that most products cross a chunk boundary,
-    the chunked test agrees with the product, over Q and Q(i)."""
-    a, b = (m if isinstance(m, Matrix) else build(m)[0] for m in pair)
-    with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
-        assert product_is_zero(a, b) == (a @ b).is_zero()
-        assert product_is_zero(Matrix.zero(a.rows, a.cols), b)
-
-
-def test_only_the_last_chunk_fails():
-    """A nonzero output entry in the last row alone is found after every earlier chunk
-    has passed, at every chunk size."""
-    a = Matrix.identity(7)
-    b = Matrix(7, 2, {(6, 1): Fraction(1, 3), (0, 0): 0})
-    for chunk in range(1, 9):
-        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
-            assert not product_is_zero(a, b) and not product_is_zero(a.scale(I), b)
-            assert product_is_zero(a, Matrix.zero(7, 2))
 
 
 def test_a_packed_row_carries_no_entry_into_the_next_slot():
