@@ -263,20 +263,12 @@ CATALOG_NAMES = ("regular", "regular-trivial-left", "unit-quotient", "pair-grade
 
 @dataclass(frozen=True)
 class CatalogBicomodule:
-    """A catalog entry; its non-degeneracy flags are span tests run on first read, each
-    memoized on the algebra (translates_span)."""
+    """A catalog entry; its non-degenerate side is found by span tests run on first read,
+    each memoized on the algebra (translates_span)."""
 
     name: str
     bicomodule: Bicomodule
     quotient: Optional[QuotientData] = None  # the unit-quotient entry's projection and section
-
-    @cached_property
-    def beta_nondegenerate(self) -> tuple:  # (left, right)
-        return check_nondegenerate(self.bicomodule.beta)
-
-    @cached_property
-    def gamma_nondegenerate(self) -> tuple:
-        return check_nondegenerate_left(self.bicomodule.gamma)
 
     @cached_property
     def nondegenerate_side(self) -> Optional[str]:

@@ -529,6 +529,9 @@ class _GaussInt:
     def __bool__(self):
         return bool(self.real or self.imag)
 
+    def __eq__(self, o):  # with an int or a _GaussInt, so pv == 1 and a != 1 hold in _clear
+        return (self.real, self.imag) == ((o, 0) if type(o) is int else (o.real, o.imag))
+
 
 def _int_cells(m: Matrix):
     """m's nonzero ((r, c), x) cells on its integer numerators, which span the same rows and

@@ -24,6 +24,8 @@ from hopfcoh.cochain import (
 from hopfcoh.comodule import (
     Bicomodule,
     catalog_bicomodules,
+    check_nondegenerate,
+    check_nondegenerate_left,
     one_sided,
     pair_graded_bicomodule,
     regular_left_coaction,
@@ -720,7 +722,8 @@ def test_codiagonal_operator_matches_per_vector_formula():
     for entry in catalog_bicomodules(h):
         b = entry.bicomodule
         cx = build_complex(b, "dual", 3)
-        for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+        sides = ("beta", check_nondegenerate(b.beta)), ("gamma", check_nondegenerate_left(b.gamma))
+        for side, nondegenerate in sides:
             for n in (1, 2):
                 cocycles = kernel_basis(cx.boundary(n))
                 for g in (f, skew):
@@ -758,7 +761,8 @@ def test_codiagonal_contraction_is_a_chain_homotopy(name):
     for entry in catalog_bicomodules(h):
         b = entry.bicomodule
         cx = build_complex(b, "dual", cap)
-        for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+        sides = ("beta", check_nondegenerate(b.beta)), ("gamma", check_nondegenerate_left(b.gamma))
+        for side, nondegenerate in sides:
             if not any(nondegenerate):
                 continue
             k = {m: codiagonal_contraction(b, m, f, side) for m in range(1, cap + 1)}
@@ -804,7 +808,9 @@ def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
     if name not in NO_CODIAGONAL:
         f = find_codiagonal(h).certificate.functional
         for entry in ws.catalog:
-            for side, nondegenerate in (("beta", entry.beta_nondegenerate), ("gamma", entry.gamma_nondegenerate)):
+            b = entry.bicomodule
+            sides = ("beta", check_nondegenerate(b.beta)), ("gamma", check_nondegenerate_left(b.gamma))
+            for side, nondegenerate in sides:
                 if not any(nondegenerate):
                     continue
                 cx = ws.complex_of(entry.bicomodule, "dual")

@@ -230,7 +230,7 @@ def test_catalog_entries_all_valid():
         h = get_algebra(name)
         for entry in catalog_bicomodules(h):
             assert entry.bicomodule.space_dim >= 0
-            assert isinstance(entry.beta_nondegenerate, tuple)
+            assert isinstance(check_nondegenerate(entry.bicomodule.beta), tuple)
 
 
 def _count_span_tests(monkeypatch) -> list:
@@ -263,9 +263,9 @@ def test_cohomology_table_jobs_run_no_span_test(monkeypatch):
 @pytest.mark.parametrize("name", algebra_names())
 def test_lazy_flags_equal_the_span_tests(name):
     for entry in catalog_bicomodules(get_algebra(name)):
-        assert "beta_nondegenerate" not in vars(entry) and "gamma_nondegenerate" not in vars(entry)
+        assert "nondegenerate_side" not in vars(entry)
         beta, gamma = check_nondegenerate(entry.bicomodule.beta), check_nondegenerate_left(entry.bicomodule.gamma)
-        assert (entry.beta_nondegenerate, entry.gamma_nondegenerate) == (beta, gamma)
+        assert entry.nondegenerate_side == ("beta" if any(beta) else "gamma" if any(gamma) else None)
         assert entry.has_nondegenerate_side == any(beta + gamma)
 
 
@@ -281,7 +281,8 @@ def test_check_b20_tests_each_entry_and_side_at_most_once(name, monkeypatch):
     assert lookup("check-B20").run(ws, "check-B20")["passed"]
     assert calls
     for entry in ws.catalog:  # every flag read again, after the check
-        entry.has_nondegenerate_side, entry.beta_nondegenerate, entry.gamma_nondegenerate
+        b = entry.bicomodule
+        entry.has_nondegenerate_side, check_nondegenerate(b.beta), check_nondegenerate_left(b.gamma)
     # regular and regular-trivial-left share one right coaction, so count per holder
     holders = Counter(("beta", id(e.bicomodule.beta.beta), right) for e in ws.catalog for right in (False, True))
     holders += Counter(("gamma", id(e.bicomodule.gamma.gamma), right) for e in ws.catalog for right in (False, True))
@@ -316,7 +317,9 @@ def test_check_b20_stops_at_the_first_side_that_holds(name, monkeypatch):
     assert calls == expected
     calls.clear()
     for entry in ws.catalog:
-        assert (entry.beta_nondegenerate, entry.gamma_nondegenerate) == tuple(flags[k] for k in sides[entry.name])
+        b = entry.bicomodule
+        read = check_nondegenerate(b.beta), check_nondegenerate_left(b.gamma)
+        assert read == tuple(flags[k] for k in sides[entry.name])
     assert len(set(calls)) == len(calls) and not set(calls) & set(expected)
 
 
@@ -338,7 +341,7 @@ def test_a_vanishing_pass_runs_five_span_tests(monkeypatch):
     assert counts == {"group:S3": 3, "kp8": 2}
     ws = Workspace(get_algebra("kp8"), 3)
     regular = ws.catalog[0]
-    flags = regular.beta_nondegenerate, regular.gamma_nondegenerate
+    flags = check_nondegenerate(regular.bicomodule.beta), check_nondegenerate_left(regular.bicomodule.gamma)
     calls.clear()
     assert check_saturated(ws.hopf) == (flags[0][1], flags[1][1]) and calls == []
 

@@ -619,6 +619,21 @@ def test_clearing_by_the_unit_row_deletes_the_column(row, data):
     assert present == {k: {"other"} if k == c else {"key", "other"} for k in row}
 
 
+@pytest.mark.parametrize("with_present", [False, True])
+def test_clearing_a_gaussian_row_by_a_unit_pivot_keeps_its_scale(with_present):
+    """A Gaussian pivot 1 + 0i is a unit: clearing by the row {0: 1} deletes column 0, and
+    clearing by {0: 1, 1: 1 + i} subtracts without scaling or dividing by the content."""
+    g = linalg._GaussInt
+    assert g(1, 0) == 1 and g(1, 0) != g(1, 1) and g(2, 0) != 1
+    for prow, expected in (({0: g(1, 0)}, {1: (4, 2), 2: (6, 0)}), ({0: g(1, 0), 1: g(1, 1)}, {1: (2, 0), 2: (6, 0)})):
+        row = {0: g(2, 0), 1: g(4, 2), 2: g(6, 0)}
+        present = {c: {"key"} for c in (*row, *prow)} if with_present else None
+        linalg._clear(row, prow, 0, present, "key")
+        assert {c: (v.real, v.imag) for c, v in row.items()} == expected
+        if with_present:
+            assert present == {0: set(), 1: {"key"}, 2: {"key"}}
+
+
 # -- the full-rank stop and the pivot rows' origins ---------------------------
 
 

@@ -106,7 +106,7 @@ def lp_systems(draw):
 def assert_simplex_matches_reference(a, b):
     got, expected = solve_equality_feasibility(a, b), ref_solve_equality_feasibility(a, b)
     assert (got.feasible, got.point, got.farkas) == (expected.feasible, expected.point, expected.farkas)
-    assert all(type(x) is Fraction for x in got.point or got.farkas)
+    assert all(type(x) is Fraction for x in (got.point if got.feasible else got.farkas))
     return got
 
 
@@ -119,15 +119,23 @@ def test_integer_tableau_matches_the_fraction_simplex(spec):
 
 
 def test_integer_tableau_matches_on_the_sign_flip_and_ties():
-    """Negative right-hand sides and duplicated rows, feasible and not."""
+    """Negative right-hand sides and duplicated rows, feasible and not; and the sparse
+    rows' edge cases: no rows, zero rows, a variable in no row, fractional b only."""
     cases = [
         ([[1, 1], [1, 1]], [-1, -1]),
         ([[-1, 2], [-1, 2], [1, 0]], [-1, -1, 1]),
         ([[1, 0, 1], [1, 0, 1], [0, 1, 1]], [1, 1, 1]),
         ([[Fraction(1, 2), 1], [1, 2]], [1, 3]),
+        ([], []),
+        ([[0, 0]], [1]),
+        ([[0, 0], [1, 1], [0, 0]], [0, 1, 0]),
+        ([[0, 0], [0, 0]], [-1, 2]),
+        ([[1, 0, -1], [0, 0, 1]], [2, 1]),
+        ([[1, 2], [3, 1]], [Fraction(1, 3), Fraction(2, 5)]),
     ]
     answers = [assert_simplex_matches_reference(a, b).feasible for a, b in cases]
-    assert answers == [False, True, True, False]
+    assert answers == [enumerate_feasibility(a, b) for a, b in cases]
+    assert answers == [False, True, True, False, True, False, True, False, True, True]
 
 
 def test_integer_tableau_matches_on_every_small_mean_system():
