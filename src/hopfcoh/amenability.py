@@ -15,7 +15,6 @@ multipliers of a finite-dimensional algebra are the algebra itself.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -55,6 +54,7 @@ from .linalg import (
 )
 from .lp import enumerate_feasibility, solve_equality_feasibility
 from .monoids import FiniteGroup, FiniteMonoid
+from .records import record
 from .scalars import ONE, Scalar
 
 
@@ -62,7 +62,7 @@ from .scalars import ONE, Scalar
 # codiagonals
 
 
-@dataclass(frozen=True)
+@record
 class CodiagonalCertificate:
     functional: Vec  # on S (x) S
     counit_residual: Vec  # F o delta - eps, exactly zero
@@ -75,7 +75,7 @@ class CodiagonalCertificate:
         certify(self.balance_residual.is_zero(), "codiagonal fails the balance identity")
 
 
-@dataclass(frozen=True)
+@record
 class CodiagonalSearch:
     certificate: Optional[CodiagonalCertificate]
     solution_space_dim: Optional[int] = None
@@ -137,7 +137,7 @@ def job_codiagonal(ws: Workspace) -> CodiagonalSearch:
     return ws.once("codiagonal", lambda: find_codiagonal(ws.hopf))
 
 
-@dataclass(frozen=True)
+@record
 class KroneckerCodiagonal:
     certificate: CodiagonalCertificate
     gram: PsdResult
@@ -168,7 +168,7 @@ def kronecker_codiagonal(g: FiniteGroup) -> KroneckerCodiagonal:
 # invariant means
 
 
-@dataclass(frozen=True)
+@record
 class MeanCertificate:
     weights: tuple  # nonnegative Fractions over the monoid elements
     normalization: Fraction
@@ -180,7 +180,7 @@ class MeanCertificate:
         certify(not any(self.invariance_residuals), "mean fails an invariance equality")
 
 
-@dataclass(frozen=True)
+@record
 class MeanSearch:
     certificate: Optional[MeanCertificate]
     farkas: Optional[tuple] = None  # verified infeasibility certificate
@@ -234,7 +234,7 @@ def find_invariant_mean(m: FiniteMonoid) -> MeanSearch:
 # cross-checks
 
 
-@dataclass(frozen=True)
+@record
 class CheckOutcome:
     name: str
     passed: bool

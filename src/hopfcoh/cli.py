@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import catalog
 from .cochain import DEFAULT_DEGREE_CAP
 from .jobfile import JobParseError, JobSpec, parse_input
 from .linalg import CertificateError
+from .records import replace
 from .report import InputError, render_json, render_markdown, run, run_suite
 from .tasks import KINDS, for_verb
 

@@ -14,7 +14,6 @@ complex and the transpose of the bar boundary agree entrywise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .comodule import (
@@ -37,6 +36,7 @@ from .linalg import (
     leg_map,
     product_is_zero,
 )
+from .records import field, record
 
 DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names no cap
 
@@ -124,12 +124,12 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CochainComplex:
     kind: str
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
-    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for n, d in enumerate(self.boundaries):
@@ -176,7 +176,7 @@ def _gamma_is_trivial(b: Bicomodule) -> bool:
 # cohomology
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyResult:
     dim_kernel: int  # dim ker D_n
     dim_image_prev: int  # rank D_{n-1}
@@ -278,7 +278,7 @@ class Workspace:
 # the two identifications
 
 
-@dataclass(frozen=True)
+@record
 class IdentificationReport:
     holds: bool
     detail: str

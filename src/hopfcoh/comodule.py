@@ -6,15 +6,15 @@ the pivot-complement section, so every derived object is canonical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .hopf import HopfStarAlgebra, translates_span
 from .linalg import Matrix, combination, failing_column, kron, rref
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class RightCoaction:
     space_dim: int
     hopf: HopfStarAlgebra
@@ -28,7 +28,7 @@ class RightCoaction:
             raise ValueError(f"right coaction identity fails at column {w}")
 
 
-@dataclass(frozen=True)
+@record
 class LeftCoaction:
     space_dim: int
     hopf: HopfStarAlgebra
@@ -42,7 +42,7 @@ class LeftCoaction:
             raise ValueError(f"left coaction identity fails at column {w}")
 
 
-@dataclass(frozen=True)
+@record
 class Bicomodule:
     beta: RightCoaction
     gamma: LeftCoaction
@@ -142,7 +142,7 @@ def check_nondegenerate_left(c: LeftCoaction):
 # quotients
 
 
-@dataclass(frozen=True)
+@record
 class QuotientData:
     coaction: RightCoaction
     projection: Matrix  # q: X -> X/Y
@@ -261,7 +261,7 @@ def module_from_left_coaction(c: LeftCoaction) -> Matrix:
 CATALOG_NAMES = ("regular", "regular-trivial-left", "unit-quotient", "pair-graded")
 
 
-@dataclass(frozen=True)
+@record
 class CatalogBicomodule:
     """A catalog entry; its non-degenerate side is found by span tests run on first read,
     each memoized on the algebra (translates_span)."""

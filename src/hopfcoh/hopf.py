@@ -10,7 +10,6 @@ The involution is encoded as a plain matrix M acting by v -> M * conj(v).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -27,9 +26,10 @@ from .linalg import (
     vec,
 )
 from .monoids import FiniteGroup, FiniteMonoid
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class HopfStarAlgebra:
     dim: int
     mult: Matrix  # S (x) S -> S
@@ -86,14 +86,14 @@ class HopfStarAlgebra:
 # axiom checking
 
 
-@dataclass(frozen=True)
+@record
 class AxiomCheck:
     name: str
     passed: bool
     witness: Optional[int] = None  # input basis (column) index of first failure
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     checks: tuple
 
@@ -240,7 +240,7 @@ def dual_algebra_mult(h: HopfStarAlgebra) -> Matrix:
 # distinguished functionals
 
 
-@dataclass(frozen=True)
+@record
 class CounitSearch:
     functional: Optional[Vec]
     two_sided: Optional[bool]  # right law verified (left law held by construction)
@@ -260,7 +260,7 @@ def counit_find(h: HopfStarAlgebra) -> CounitSearch:
     return CounitSearch(eps, right, None)
 
 
-@dataclass(frozen=True)
+@record
 class HaarSearch:
     state: Optional[Vec]
     positive: Optional[bool]

@@ -27,28 +27,30 @@ parse o render o parse is the identity on JobSpec.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cochain import DEFAULT_DEGREE_CAP
 from .comodule import CATALOG_NAMES
+from .records import record
 from .scalars import format_scalar, parse_scalar
 from .tasks import lookup, task_degrees  # noqa: F401  (bench/checks.py imports task_degrees from here)
 
 
 class JobParseError(ValueError):
+    """A job-file error at line line_no, counted from 1; line_no is None for a whole-file error."""
+
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@record
 class CayleySpec:
     identity: Optional[int]
     table: tuple  # tuple of row tuples
 
 
-@dataclass(frozen=True)
+@record
 class ComoduleSpec:
     name: str
     dim: int
@@ -56,7 +58,7 @@ class ComoduleSpec:
     gamma: object  # "trivial" | "zero" | tuple of rows
 
 
-@dataclass(frozen=True)
+@record
 class JobSpec:
     algebra: str
     tasks: tuple
@@ -130,23 +132,23 @@ def parse_input(text: str) -> JobSpec:
         top[key] = (value, no)
     keyed = dict(top)
     if "algebra" not in keyed:
-        raise JobParseError(0, "missing required key 'algebra'")
+        raise JobParseError(None, "missing required key 'algebra'")
     algebra = keyed.pop("algebra")[0]
-    tasks_value, tasks_line = keyed.pop("tasks", ("axioms", 0))
+    tasks_value, tasks_line = keyed.pop("tasks", ("axioms", None))
     tasks = tuple(t.strip() for t in tasks_value.split(",") if t.strip())
     for t in tasks:
         try:
             lookup(t)
         except ValueError as exc:
             raise JobParseError(tasks_line, str(exc)) from None
-    cap_value, cap_line = keyed.pop("degree-cap", (str(DEFAULT_DEGREE_CAP), 0))
+    cap_value, cap_line = keyed.pop("degree-cap", (str(DEFAULT_DEGREE_CAP), None))
     try:
         degree_cap = int(cap_value)
     except ValueError:
         raise JobParseError(cap_line, f"degree-cap must be an integer, got {cap_value!r}") from None
     if degree_cap < 1:
         raise JobParseError(cap_line, "degree-cap must be >= 1")
-    fmt_value, fmt_line = keyed.pop("format", ("json", 0))
+    fmt_value, fmt_line = keyed.pop("format", ("json", None))
     if fmt_value not in ("json", "markdown"):
         raise JobParseError(fmt_line, f"format must be json or markdown, got {fmt_value!r}")
     if keyed:

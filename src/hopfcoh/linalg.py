@@ -19,13 +19,13 @@ the entries there.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, repeat
 from math import gcd, lcm
 from operator import add
 from typing import Optional
 
+from .records import record
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vec = tuple  # tuple[Scalar, ...]
@@ -741,7 +741,7 @@ def kernel_basis(m: Matrix) -> Kernel:
     return Kernel(m, rows, basis)
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     solution: Optional[Vec]
     certificate: Optional[Vec]  # y with y^T m = 0, y^T rhs != 0 when no solution
@@ -883,7 +883,7 @@ class SpanTracker:
 # exact positive-semidefiniteness
 
 
-@dataclass(frozen=True)
+@record
 class PsdResult:
     ok: bool
     pivots: Optional[tuple] = None  # pivot (index, value) sequence when PSD

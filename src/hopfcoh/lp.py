@@ -9,16 +9,16 @@ small sizes.  Both read the same integer rows of [A | b] (`_integer_rows`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Optional
 
 from .linalg import _clear, _rref_rows, certify
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Feasibility:
     feasible: bool
     point: Optional[tuple] = None  # Fractions, when feasible

@@ -1,12 +1,13 @@
 """Finite monoids, semigroups and groups as Cayley tables."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class FiniteMonoid:
     """A finite semigroup; identity (when present) must sit at index 0."""
 
@@ -47,7 +48,7 @@ class FiniteMonoid:
         return self.identity is not None
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGroup(FiniteMonoid):
     """A finite group: a monoid with an inverse permutation."""
 

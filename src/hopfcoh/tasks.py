@@ -9,7 +9,6 @@ entry, so a replacement installed on this module is what runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .amenability import (
@@ -22,12 +21,13 @@ from .amenability import (
 )
 from .cochain import _BUILDERS, identify_dual_with_bar, identify_dual_with_natural
 from .hopf import check_axioms, check_saturated, haar_state
+from .records import record
 from .scalars import as_scalar, format_scalar
 
 KINDS = tuple(_BUILDERS)  # the complexes a cohomology task can name
 
 
-@dataclass(frozen=True)
+@record
 class Task:
     name: str
     verbs: tuple  # the CLI verbs that run it

@@ -202,6 +202,19 @@ def test_unknown_algebra_exits_two_with_its_message(algebra, message, tmp_path, 
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["tasks = axioms\n", "", "# only a comment\n"])
+def test_a_job_without_an_algebra_exits_two_with_no_line_number(text, tmp_path, capsys):
+    """Job lines count from 1; a whole-file error names no line."""
+    with pytest.raises(JobParseError) as err:
+        parse_input(text)
+    assert err.value.line_no is None
+    job = tmp_path / "no-algebra.job"
+    job.write_text(text)
+    assert main(["--input", str(job), "check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: missing required key 'algebra'\n"
+
+
 def test_a_cayley_block_beside_a_catalog_algebra_exits_two(tmp_path, capsys):
     """Only the inline algebras read a cayley block; next to a catalog name it
     would be ignored, so it is refused, naming the algebra."""

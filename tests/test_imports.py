@@ -7,9 +7,16 @@ a line marked `# noqa: F401`.  A definition counts as read when another
 top-level statement of any package module reads its name, as a name or as
 an attribute.  The only other exemption is a function that the
 benchmark's tracer wraps by name (bench/tracing.py), which that file reads.
+
+A cold start of the package imports neither `dataclasses` nor `inspect`:
+their imports and the code a dataclass decoration generates and compiles
+cost every fresh start tens of milliseconds.
 """
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -92,3 +99,11 @@ def test_the_check_sees_an_unreached_definition():
 def test_every_top_level_definition_is_read():
     sources = {m: (PACKAGE / m).read_text(encoding="utf-8") for m in MODULES}
     assert unreached_definitions(sources, tracer_targets()) == []
+
+
+def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
+    code = "import sys, hopfcoh, hopfcoh.report, hopfcoh.jobfile, hopfcoh.cli\n"
+    code += "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
