@@ -36,7 +36,7 @@ from .linalg import (
     leg_map,
     product_is_zero,
 )
-from .records import field, record
+from .records import record
 
 DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names no cap
 
@@ -129,7 +129,6 @@ class CochainComplex:
     kind: str
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
-    _reduced: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for n, d in enumerate(self.boundaries):
@@ -138,6 +137,11 @@ class CochainComplex:
         for n in range(len(self.boundaries) - 1):
             if not product_is_zero(self.boundaries[n + 1], self.boundaries[n]):
                 raise ValueError(f"chain property fails at degree {n}")
+
+    @cached_property
+    def _reduced(self) -> dict:
+        """reduction(n) by n, filled as the degrees are reduced."""
+        return {}
 
     def boundary(self, n: int) -> Matrix:
         if not 0 <= n < len(self.boundaries):

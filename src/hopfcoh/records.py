@@ -13,28 +13,18 @@ from closures, so that no method source is generated and compiled at import:
 - `__init__(*fields, **fields)`, which then calls `self.__post_init__()`
   when the class has one, looked up on the instance at each construction;
 - `__setattr__` and `__delattr__` that refuse every change;
-- `__eq__` and `__hash__` over the compared fields, equal only within one
-  class;
+- `__eq__` and `__hash__` over the fields, equal only within one class;
 - `__repr__` as `Name(field=value, ...)`.
 
-A field declared as `field(default_factory=f, ...)` takes no `__init__`
-argument: each instance gets its own `f()`.  `replace` copies a record with
-some fields changed, and re-runs its `__post_init__`.
+A per-instance cache that is no field (not an `__init__` argument, not
+compared, hashed or printed) is a `functools.cached_property`, which writes
+to the instance's `__dict__` past the frozen `__setattr__`.  `replace`
+copies a record with some fields changed, and re-runs its `__post_init__`.
 """
 from operator import attrgetter
 
 _MISSING = object()
 _set = object.__setattr__
-
-
-class _Field:
-    def __init__(self, default_factory, compare, repr):
-        self.default_factory, self.compare, self.repr = default_factory, compare, repr
-
-
-def field(*, default_factory, compare=True, repr=True):
-    """A field made by default_factory() for each instance, not an __init__ argument."""
-    return _Field(default_factory, compare, repr)
 
 
 def record(cls):
@@ -43,10 +33,9 @@ def record(cls):
     for klass in reversed(cls.__mro__):
         for name in klass.__dict__.get("__annotations__", {}):
             defaults[name] = klass.__dict__.get(name, _MISSING)
-    names = tuple(n for n, d in defaults.items() if not isinstance(d, _Field))
+    names = tuple(defaults)
     keys, size = set(names), len(names)
-    factories = tuple((n, d.default_factory) for n, d in defaults.items() if isinstance(d, _Field))
-    optional = {n: d for n, d in defaults.items() if n in keys and d is not _MISSING}
+    optional = {n: d for n, d in defaults.items() if d is not _MISSING}
     post_init = hasattr(cls, "__post_init__")
 
     def bind(args, kwargs):
@@ -62,8 +51,6 @@ def record(cls):
         # instance a dict of its own, and every later attribute read would be slower
         for name, value in zip(names, args):
             _set(self, name, value)
-        for name, make in factories:
-            _set(self, name, make())
         if post_init:
             self.__post_init__()
 
@@ -73,9 +60,8 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    compared = [n for n, d in defaults.items() if not isinstance(d, _Field) or d.compare]
-    fields_of = attrgetter(*compared)
-    key = fields_of if len(compared) > 1 else lambda self: (fields_of(self),)
+    fields_of = attrgetter(*names)
+    key = fields_of if size > 1 else lambda self: (fields_of(self),)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -85,10 +71,8 @@ def record(cls):
     def __hash__(self):
         return hash(key(self))
 
-    shown = [n for n, d in defaults.items() if not isinstance(d, _Field) or d.repr]
-
     def __repr__(self):
-        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
