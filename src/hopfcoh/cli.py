@@ -2,7 +2,8 @@
 
 Verbs: check, cohomology, codiagonal, mean, verify, report.
 Exit codes: 0 all checks consistent, 1 a theorem cross-check or a
-certificate check failed, 2 input error.
+certificate check failed, 2 input error or an output file that cannot be
+written.
 """
 from __future__ import annotations
 
@@ -67,6 +68,16 @@ def _markdown(report: dict) -> str:
     return "\n".join(render_markdown(r) for r in reports)
 
 
+def _read_text(path: str) -> str:
+    """The job file's text; a leading byte-order mark is dropped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     log = sys.stderr if args.timing else None
@@ -82,8 +93,7 @@ def main(argv=None) -> int:
             body = "\n".join(catalog.algebra_names()) + "\n"
             fmt = "text"
         elif args.input:
-            with open(args.input, encoding="utf-8") as fh:
-                job = parse_input(fh.read())
+            job = parse_input(_read_text(args.input))
             job = replace(job, degree_cap=cap or job.degree_cap, format=args.format or job.format)
             report = run(job, log=log)
             fmt = job.format
@@ -118,12 +128,16 @@ def main(argv=None) -> int:
     else:
         out_text = render_json(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
-        # the report verb dual-emits: JSON body plus a markdown summary
-        if args.verb == "report" and fmt == "json":
-            with open(args.output + ".md", "w", encoding="utf-8") as fh:
-                fh.write(_markdown(report))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out_text)
+            # the report verb dual-emits: JSON body plus a markdown summary
+            if args.verb == "report" and fmt == "json":
+                with open(args.output + ".md", "w", encoding="utf-8") as fh:
+                    fh.write(_markdown(report))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out_text)
     if args.verb == "list":

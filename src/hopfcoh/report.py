@@ -8,8 +8,8 @@ is declared in `hopfcoh.tasks`.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
+import sys
 import time
 
 from . import catalog
@@ -27,6 +27,11 @@ from .jobfile import JobSpec, render
 from .linalg import Matrix
 from .monoids import FiniteGroup, FiniteMonoid
 from .tasks import for_verb, lookup
+
+try:  # the interpreter's builtin SHA-256: importing hashlib would map OpenSSL's libcrypto
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # an interpreter built without it; the same digests
+    from hashlib import sha256
 
 
 class InputError(ValueError):
@@ -111,7 +116,7 @@ def _run(job: JobSpec, log) -> dict:
     report = {
         "algebra": {"name": job.algebra, "dim": h.dim, "labels": list(h.labels)},
         "degree_cap": job.degree_cap,
-        "input_digest": hashlib.sha256(render(job).encode()).hexdigest(),
+        "input_digest": sha256(render(job).encode()).hexdigest(),
         "tasks": {},
         "consistent": True,
     }
@@ -199,5 +204,5 @@ def run_suite(names, degree_cap: int = DEFAULT_DEGREE_CAP, tasks=None, log=None)
         combined["suite"][name] = rep
         combined["consistent"] = combined["consistent"] and rep["consistent"]
     suite_json = json.dumps(combined["suite"], sort_keys=True)
-    combined["suite_digest"] = hashlib.sha256(suite_json.encode()).hexdigest()
+    combined["suite_digest"] = sha256(suite_json.encode()).hexdigest()
     return combined

@@ -226,6 +226,29 @@ def test_a_cayley_block_beside_a_catalog_algebra_exits_two(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_a_job_file_that_is_not_utf8_exits_two_naming_the_byte(tmp_path, capsys):
+    job = tmp_path / "utf16.job"
+    job.write_bytes("algebra = group:Z2\ntasks = axioms\n".encode("utf-16"))
+    assert job.read_bytes()[:2] == b"\xff\xfe"
+    assert main(["--input", str(job), "check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {job}: not UTF-8 text (invalid start byte at byte offset 0)\n"
+    # the offset counts bytes of the file, a byte-order mark included
+    job.write_bytes(b"\xef\xbb\xbfalgebra = group:Z2\n# \xff\ntasks = axioms\n")
+    assert main(["--input", str(job), "check"]) == 2
+    assert capsys.readouterr().err == f"error: {job}: not UTF-8 text (invalid start byte at byte offset 24)\n"
+
+
+def test_a_job_file_with_a_byte_order_mark_runs_as_without(tmp_path, capsys):
+    job = tmp_path / "bom.job"
+    job.write_bytes(b"\xef\xbb\xbf" + SAMPLE_JOB.read_bytes())
+    assert main(["--input", str(job), "report"]) == 0
+    with_mark = capsys.readouterr().out
+    assert main(["--input", str(SAMPLE_JOB), "report"]) == 0
+    assert with_mark == capsys.readouterr().out
+
+
 def test_cli_verify_small(capsys):
     assert main(["--catalog", "function:Z2", "verify"]) == 0
     out = capsys.readouterr().out
@@ -246,6 +269,14 @@ def test_cli_output_file(tmp_path):
     assert main(["--catalog", "group:Z2", "--output", str(target), "check"]) == 0
     data = json.loads(target.read_text())
     assert data["algebra"]["name"] == "group:Z2"
+
+
+def test_an_output_path_that_cannot_be_opened_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["--catalog", "function:Z2", "--output", str(target), "report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.parent.exists()
 
 
 def test_cli_flags_accepted_after_verb(tmp_path):

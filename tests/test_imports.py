@@ -10,10 +10,15 @@ benchmark's tracer wraps by name (bench/tracing.py), which that file reads.
 
 A cold start of the package imports neither `dataclasses` nor `inspect`:
 their imports and the code a dataclass decoration generates and compiles
-cost every fresh start tens of milliseconds.
+cost every fresh start tens of milliseconds.  Nor does it import `hashlib`,
+whose OpenSSL backend adds about 3 MB to every process: the report digests
+come from the interpreter's builtin SHA-256, and where an interpreter lacks
+it, from hashlib with the same bytes.
 """
 import ast
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +26,9 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+
+from hopfcoh.jobfile import JobSpec, render
+from hopfcoh.report import run, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hopfcoh"
@@ -101,9 +109,43 @@ def test_every_top_level_definition_is_read():
     assert unreached_definitions(sources, tracer_targets()) == []
 
 
-def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
-    code = "import sys, hopfcoh, hopfcoh.report, hopfcoh.jobfile, hopfcoh.cli\n"
-    code += "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def fresh_interpreter(code: str) -> str:
+    """What a new interpreter that imports the package from src/ prints running code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+COLD_START = "import sys, hopfcoh, hopfcoh.report, hopfcoh.jobfile, hopfcoh.cli\n"
+
+
+def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
+    assert fresh_interpreter(COLD_START + "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == "[]\n"
+
+
+def test_a_cold_start_loads_no_openssl():
+    assert fresh_interpreter(COLD_START + "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))") == "[]\n"
+
+
+DIGESTS = """
+import json, sys
+from hopfcoh import report
+from hopfcoh.jobfile import JobSpec
+job = JobSpec(algebra="group:Z3", tasks=("axioms", "saturation"))
+suite = report.run_suite(["group:Z2", "function:Z2"], tasks=("axioms", "counit"))
+print(json.dumps([report.run(job)["input_digest"], suite["suite_digest"], "_hashlib" in sys.modules]))
+"""
+# hides the builtin SHA-256 modules, so report falls back to hashlib
+NO_BUILTIN_SHA256 = "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+
+
+def test_every_digest_path_gives_the_same_bytes():
+    builtin = json.loads(fresh_interpreter(DIGESTS))
+    fallback = json.loads(fresh_interpreter(NO_BUILTIN_SHA256 + DIGESTS))
+    assert builtin[2] is False and fallback[2] is True
+    job = JobSpec(algebra="group:Z3", tasks=("axioms", "saturation"))
+    suite = run_suite(["group:Z2", "function:Z2"], tasks=("axioms", "counit"))
+    expected = [
+        hashlib.sha256(render(job).encode()).hexdigest(),
+        hashlib.sha256(json.dumps(suite["suite"], sort_keys=True).encode()).hexdigest(),
+    ]
+    assert builtin[:2] == fallback[:2] == expected == [run(job)["input_digest"], suite["suite_digest"]]
