@@ -32,6 +32,7 @@ from .linalg import (
     face_sum,
     failing_column,
     kernel_basis,
+    kernel_basis_without,
     kron,
     leg_map,
     product_is_zero,
@@ -149,13 +150,14 @@ class CochainComplex:
         return self.boundaries[n]
 
     def reduction(self, n: int) -> tuple:
-        """(Q_{n+1}, dim ker A_n), eliminated once per complex: A_n is D_n
-        without the columns Q_n (Q_0 is empty), and Q_{n+1} holds the rows
-        of D_n that kernel_basis(A_n) took as pivot rows."""
+        """(Q_{n+1}, dim ker A_n), eliminated once per complex: A_n is D_n without
+        the columns Q_n (Q_0 is empty), read off D_n's cells with no copy built,
+        its certificate D_n Z = 0 for Z its kernel vectors padded with zeros on
+        Q_n, and Q_{n+1} holds the rows of D_n its elimination took as pivots."""
         if n not in self._reduced:
             q_n = self.reduction(n - 1)[0] if n else ()
             d = self.boundary(n)
-            basis = kernel_basis(d.drop_cols(q_n) if q_n else d)
+            basis = kernel_basis_without(d, q_n) if q_n else kernel_basis(d)
             self._reduced[n] = (tuple(basis.pivot_rows), len(basis))
         return self._reduced[n]
 
@@ -196,10 +198,10 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     The rows Q_n of D_{n-1}'s pivots meet the columns A_{n-1} kept in a
     nonsingular minor, so Im D_{n-1} projects onto the coordinates Q_n and,
     with D_n D_{n-1} = 0, ker D_n = Im D_{n-1} (+) ker A_n: rank D_{n-1} =
-    |Q_n| and dim ker D_n = |Q_n| + dim ker A_n.  kernel_basis certifies
-    ker A_n.  Any |Q_n| <= rank D_{n-1} gives dim ker A_n >= dim ker D_n -
-    |Q_n| >= dim H^n, so a wrong Q_n can only over-report; a nonzero answer
-    is checked against kernel_basis of D_n unless Q_n is empty (A_n = D_n).
+    |Q_n| and dim ker D_n = |Q_n| + dim ker A_n, ker A_n certified by D_n Z = 0,
+    Z its vectors padded with zeros on Q_n.  Any |Q_n| <= rank D_{n-1} gives dim
+    ker A_n >= dim ker D_n - |Q_n| >= dim H^n, so a wrong Q_n can only over-report;
+    a nonzero answer is checked against kernel_basis of D_n unless Q_n is empty.
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add
 from typing import Optional
@@ -320,13 +320,6 @@ class Matrix:
         if not all(0 <= r < rows and 0 <= c < cols for r, c in cells):
             raise ValueError(f"reindex sends an entry outside {rows}x{cols}")
         return Matrix._of(rows, cols, re, im, self.den)
-
-    def drop_cols(self, drop) -> "Matrix":
-        """self without the columns in drop, the others renumbered in order."""
-        kept, renumber = set(range(self.cols)).difference(drop), count()
-        new = [next(renumber) if c in kept else None for c in range(self.cols)]
-        re, im = ({(r, j): v for (r, c), v in d.items() if (j := new[c]) is not None} for d in (self.re, self.im))
-        return Matrix._of(self.rows, len(kept), re, im, self.den)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -669,42 +662,49 @@ def image_rank(m: Matrix) -> int:
     return len(kernel_basis(m.transpose() if m.rows < m.cols else m).pivot_rows)
 
 
-def _null_space(cells, cols: int):
-    """(pivot rows, RREF basis of the null space as sparse rows of Scalars)
-    of D's nonzero ((r, c), x) cells, x ints or _GaussInts, from one elimination.
+def _null_space(cells, height: int, cols: int, drop=frozenset()):
+    """(pivot rows, RREF basis of the null space as sparse rows of Scalars) of A,
+    D (height x cols) without the columns in drop, from one pass over D's nonzero
+    ((r, c), x) cells, x ints or _GaussInts, into rows indexed by position that
+    skips drop (A is never built), and one elimination.
 
-    The pivot rows are rank-many rows r of D, independent and spanning D's
-    rows.  With D's columns numbered right to left, the null vector of free
+    The pivot rows are rank-many rows r of D, independent and spanning A's
+    rows.  With A's columns numbered right to left, the null vector of free
     column f is monic at f, zero at every other free column and otherwise
-    supported on pivot columns right of f: in increasing f, already the RREF basis.
+    supported on pivot columns right of f: in increasing f, already the RREF
+    basis, each vector keyed by D's columns.
     """
-    last, rows = cols - 1, {}
+    back = [c for c in reversed(range(cols)) if c not in drop]  # A's columns right to left, as D's
+    at, rows = [None] * cols, [{} for _ in range(height)]  # at: D's column -> A's, None when dropped
+    for j, c in enumerate(back):
+        at[c] = j
     for (r, c), x in cells:
-        if (row := rows.get(r)) is None:
-            rows[r] = row = {}
-        row[last - c] = x
-    ids = sorted(rows)
-    pivots, red, origins = _rref_rows([rows[r] for r in ids], cols)
-    taken = {last - piv for piv in pivots}
-    null = {f: {f: ONE} for f in range(cols) if f not in taken}
+        if (j := at[c]) is not None:
+            rows[r][j] = x
+    ids = [r for r, row in enumerate(rows) if row]
+    pivots, red, origins = _rref_rows([rows[r] for r in ids], len(back))
+    taken = {back[piv] for piv in pivots}
+    null = {f: {f: ONE} for f in reversed(back) if f not in taken}
     for piv, row in zip(pivots, red):
         for c, v in row.items():
             if c != piv:
-                null[last - c][last - piv] = _ratio(-v, row[piv])
+                null[back[c]][back[piv]] = _ratio(-v, row[piv])
     return [ids[i] for i in origins], list(null.values())
 
 
-def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
-    """The exact certificate that basis is the canonical kernel basis of D = m.
+def _is_kernel_rref(m: Matrix, rank: int, basis, drop=frozenset()) -> bool:
+    """The exact certificate that basis, keyed by m's columns, is the canonical
+    kernel basis of A, m without the columns in drop.
 
     basis must be in RREF (each vector monic at its leading column, leading
-    columns increasing and zero in every other vector), hold cols - rank
-    vectors and satisfy D K = 0 for K the matrix whose columns they are,
-    one product_is_zero (none for an empty basis).  This certifies the kernel given
-    rank: a rank that is too small is caught, one that is too large (a
-    spurious pivot) is not, so the rank itself is trusted to the elimination.
+    columns increasing and zero in every other vector), hold cols - |drop| -
+    rank vectors, each zero on drop, and satisfy m Z = 0 for Z the matrix whose
+    columns they are, one product_is_zero (none for an empty basis).  This
+    certifies the kernel given rank: a rank that is too small is caught, one
+    that is too large (a spurious pivot) is not, so the rank itself is trusted
+    to the elimination.
     """
-    if len(basis) != m.cols - rank or not all(basis):
+    if len(basis) != m.cols - len(drop) - rank or not all(basis) or not all(map(drop.isdisjoint, basis)):
         return False
     leads = [min(v) for v in basis]
     lead_set = set(leads)
@@ -719,26 +719,32 @@ def _is_kernel_rref(m: Matrix, rank: int, basis) -> bool:
 
 
 class Kernel(list):
-    """kernel_basis's dense basis vectors of ker m, and in `pivot_rows` the
-    rows of m its elimination took as pivot rows (see _null_space)."""
+    """kernel_basis_without's dense basis vectors of ker A, on A's columns, and in
+    `pivot_rows` the rows of m its elimination took as pivot rows (see _null_space)."""
 
-    def __init__(self, m: Matrix, pivot_rows, basis):
-        super().__init__(dense(v, m.cols) for v in basis)
+    def __init__(self, m: Matrix, pivot_rows, basis, drop):
+        keep = [c not in drop for c in range(m.cols)] if drop else None
+        super().__init__(tuple(compress(dense(v, m.cols), keep)) if drop else dense(v, m.cols) for v in basis)
         self.pivot_rows = pivot_rows
 
 
-def kernel_basis(m: Matrix) -> Kernel:
-    """Canonical kernel basis: the RREF basis of the null space.
+def kernel_basis_without(m: Matrix, drop) -> Kernel:
+    """kernel_basis of A, m without the columns in drop (some of m's columns), the
+    others renumbered in order, with no A built: m's integer numerators (the common
+    denominator changes no kernel) eliminated once, skipping drop, and the basis
+    returned only after _is_kernel_rref certifies it on m itself, given the
+    elimination's rank, by m Z = 0 for Z the basis padded with zeros on drop.  A
+    basis that fails raises CertificateError."""
+    drop = frozenset(drop)
+    rows, basis = _null_space(_int_cells(m), m.rows, m.cols, drop)
+    certify(_is_kernel_rref(m, len(rows), basis, drop), "exact kernel basis fails its certificate")
+    return Kernel(m, rows, basis, drop)
 
-    Eliminates m's integer numerators once (the common denominator changes
-    no kernel) and returns the basis only after _is_kernel_rref certifies
-    it against m given the elimination's rank; a basis that fails raises
-    CertificateError.  Idempotent under re-reduction: stacking the output
-    as rows of a matrix and re-running rref reproduces it unchanged.
-    """
-    rows, basis = _null_space(_int_cells(m), m.cols)
-    certify(_is_kernel_rref(m, len(rows), basis), "exact kernel basis fails its certificate")
-    return Kernel(m, rows, basis)
+
+def kernel_basis(m: Matrix) -> Kernel:
+    """Canonical kernel basis, certified: kernel_basis_without of no column.  Idempotent:
+    the output stacked as rows and re-run through rref reproduces it unchanged."""
+    return kernel_basis_without(m, ())
 
 
 @record

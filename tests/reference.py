@@ -33,8 +33,9 @@ Production code moves them with `Matrix.reindex`.
 Production code describes the faces to `linalg.face_sum`, which builds none
 of them; the two must agree in entries, denominator and key order.
 
-`ref_drop_cols` renumbers the kept columns through a dict; production code
-reads a list indexed by column.
+`ref_drop_cols` builds D without some columns, the kept ones renumbered
+through a dict.  Production code builds no such copy: `kernel_basis_without`
+skips the dropped columns while it groups D's cells into rows.
 
 `ref_translates_span` and `ref_check_saturated` build each span test the
 long way: one product and one `augment` per basis element t, and the

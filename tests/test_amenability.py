@@ -398,17 +398,22 @@ def test_graded_cocycles_refuse_a_nonzero_h1_beside_the_identity(monkeypatch):
 
 
 def test_graded_cocycles_eliminate_nothing_beyond_the_table(monkeypatch):
-    """check-B18 reads the table's dim ker D_1 and no kernel basis of its own."""
+    """check-B18 reads the table's dim ker D_1 and no kernel basis of its own,
+    through kernel_basis or kernel_basis_without."""
     import hopfcoh
     from hopfcoh import linalg
     from hopfcoh.jobfile import JobSpec
     from hopfcoh.report import run
 
-    calls, original = [], linalg.kernel_basis
+    calls, original, without = [], linalg.kernel_basis, linalg.kernel_basis_without
     for name in dir(hopfcoh):
         module = getattr(hopfcoh, name)
         if getattr(module, "kernel_basis", None) is original:
             monkeypatch.setattr(module, "kernel_basis", lambda m: calls.append(m.cols) or original(m))
+        if module is not linalg and getattr(module, "kernel_basis_without", None) is without:  # kernel_basis's own call
+            monkeypatch.setattr(
+                module, "kernel_basis_without", lambda m, drop: calls.append(m.cols) or without(m, drop)
+            )
     counts = []
     for tasks in (("axioms", "cohomology:dual:0-2"), ("axioms", "cohomology:dual:0-2", "check-B18")):
         calls.clear()

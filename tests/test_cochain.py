@@ -46,7 +46,7 @@ from hopfcoh.linalg import (
 )
 from hopfcoh.report import run
 from hopfcoh.scalars import I, ONE, Scalar
-from reference import ref_certify_homotopy, reference_bookkeeping, reference_kernel
+from reference import ref_certify_homotopy, ref_drop_cols, reference_bookkeeping, reference_kernel
 
 
 def unit_leg_bicomodule(h, x_dim):
@@ -262,15 +262,23 @@ def test_cohomology_matches_reference_eliminations(name):
                     assert reps_span.contains(rest)
 
 
+def _watch_eliminations(monkeypatch, cochain) -> list:
+    """Spy on both of cochain's entry points into the one elimination; returns the
+    list of their calls, each (matrix, dropped columns), () for kernel_basis."""
+    seen, kernel_basis, without = [], cochain.kernel_basis, cochain.kernel_basis_without
+    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append((m, ())) or kernel_basis(m))
+    monkeypatch.setattr(cochain, "kernel_basis_without", lambda m, drop: seen.append((m, drop)) or without(m, drop))
+    return seen
+
+
 def test_cohomology_eliminates_each_boundary_once(monkeypatch):
     """Each boundary D_n is eliminated once, as A_n: D_n without the columns
-    Q_n, the rows of D_{n-1}'s pivots.  Only a nonzero H^n with Q_n nonempty
-    also eliminates the full D_n, for its cross-check."""
+    Q_n, the rows of D_{n-1}'s pivots, all distinct columns of D_n.  Only a
+    nonzero H^n with Q_n nonempty also eliminates the full D_n, for its
+    cross-check."""
     from hopfcoh import cochain, linalg
 
-    seen = []
-    original = cochain.kernel_basis
-    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append(m) or original(m))
+    seen = _watch_eliminations(monkeypatch, cochain)
     monkeypatch.setattr(linalg, "rref", lambda m: pytest.fail("cohomology called rref"))
     assert not hasattr(cochain, "rref")
     ws = Workspace(get_algebra("group:Z2"), 3)
@@ -280,28 +288,29 @@ def test_cohomology_eliminates_each_boundary_once(monkeypatch):
             cx = ws.complex_of(b, kind)
             for n in range(3):
                 q_n = cx.reduction(n - 1)[0] if n else ()
-                expected.append(cx.boundary(n).drop_cols(q_n))
-                assert expected[-1].rows == cx.degrees[n + 1] and expected[-1].cols == cx.degrees[n] - len(q_n)
+                expected.append((cx.boundary(n), q_n))
+                a_n = ref_drop_cols(cx.boundary(n), q_n)
+                assert a_n.rows == cx.degrees[n + 1] and a_n.cols == cx.degrees[n] - len(q_n)
+                assert len(set(q_n)) == len(q_n) and set(q_n) <= set(range(cx.degrees[n]))
                 if q_n and ws.cohomology_of(b, kind, n).dim:
-                    expected.append(cx.boundary(n))
+                    expected.append((cx.boundary(n), ()))
     assert len(expected) >= len(ws.bicomodules()) * 3 * 3
     assert Counter(seen) == Counter(expected)
 
 
 def test_reduction_eliminates_the_boundary_itself_when_q_n_is_empty(monkeypatch):
     """Q_0 is empty, so A_0 is D_0 itself: reduction hands kernel_basis the
-    boundary object, not a copy, and drops the columns Q_1 from D_1."""
+    boundary object, not a copy, and hands kernel_basis_without D_1 itself
+    with the columns Q_1 to skip."""
     from hopfcoh import cochain
 
-    seen = []
-    original = cochain.kernel_basis
-    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append(m) or original(m))
+    seen = _watch_eliminations(monkeypatch, cochain)
     cx = build_complex(pair_graded_bicomodule(get_algebra("group:S3")), "dual", 2)
     cx.reduction(1)
     q_1 = cx.reduction(0)[0]
     assert q_1 and len(seen) == 2
-    assert seen[0] is cx.boundary(0)
-    assert seen[1] == cx.boundary(1).drop_cols(q_1)
+    assert seen[0][0] is cx.boundary(0) and seen[0][1] == ()
+    assert seen[1][0] is cx.boundary(1) and seen[1][1] == q_1
 
 
 def test_cohomology_runs_no_cross_check_when_q_n_is_empty(monkeypatch):
@@ -311,8 +320,7 @@ def test_cohomology_runs_no_cross_check_when_q_n_is_empty(monkeypatch):
     from hopfcoh import cochain
     from hopfcoh.jobfile import CayleySpec
 
-    calls, original = [], cochain.kernel_basis
-    monkeypatch.setattr(cochain, "kernel_basis", lambda m: calls.append(m) or original(m))
+    calls = _watch_eliminations(monkeypatch, cochain)
     cayley = CayleySpec(identity=0, table=((0, 1, 2), (1, 2, 2), (2, 2, 2)))
     job = JobSpec(algebra="inline-function", tasks=("cohomology:dual:0-1",), degree_cap=2, cayley=cayley)
     table = run(job)["tasks"]["cohomology:dual:0-1"]
@@ -458,17 +466,20 @@ def test_check_c15_fails_in_the_tampered_degree_only(monkeypatch):
 
 def test_check_c10_eliminates_nothing(monkeypatch):
     """check-C10 alone builds each dual complex, chain-checked, and no natural
-    complex, and calls kernel_basis nowhere."""
+    complex, and calls kernel_basis and kernel_basis_without nowhere."""
     import hopfcoh
     from hopfcoh import cochain, linalg
 
     built = []
     original = cochain.build_complex
     monkeypatch.setattr(cochain, "build_complex", lambda b, kind, *a: built.append(kind) or original(b, kind, *a))
+    kernel_basis, without = linalg.kernel_basis, linalg.kernel_basis_without
     for name in dir(hopfcoh):
         module = getattr(hopfcoh, name)
-        if getattr(module, "kernel_basis", None) is linalg.kernel_basis:
+        if getattr(module, "kernel_basis", None) is kernel_basis:
             monkeypatch.setattr(module, "kernel_basis", lambda m: pytest.fail("kernel_basis ran"))
+        if getattr(module, "kernel_basis_without", None) is without:
+            monkeypatch.setattr(module, "kernel_basis_without", lambda m, drop: pytest.fail("kernel_basis_without ran"))
     report = run(JobSpec(algebra="function:S3", tasks=("check-C10",), degree_cap=3))
     assert report["consistent"] is True
     assert built and set(built) == {"dual"}

@@ -21,6 +21,7 @@ from hopfcoh.report import run
 from hopfcoh.scalars import Scalar, as_scalar
 from reference import (
     Z4_CHARACTER_JOB,
+    ref_drop_cols,
     bench_workloads,
     order3_monoid_tables,
     reference_kernel,
@@ -211,7 +212,7 @@ def assert_null_space_matches_reference(cells, cols):
     ids = sorted({r for r, _ in cells})
     rows = cleared([{c: x for (r, c), x in cells.items() if r == q} for q in ids])
     int_cells = (((ids[i], c), x) for i, row in enumerate(rows) for c, x in row.items())
-    pivot_rows, basis = linalg._null_space(int_cells, cols)
+    pivot_rows, basis = linalg._null_space(int_cells, max(ids, default=-1) + 1, cols)
     assert (len(pivot_rows), basis) == reference_null_space(cells, cols)
     assert len(set(pivot_rows)) == len(pivot_rows)
     picked = [{c: x for (r, c), x in cells.items() if r == q} for q in pivot_rows]
@@ -314,13 +315,13 @@ GAUSSIAN = Matrix.from_rows([[1, Scalar(0, 1), 2, 0], [Scalar(1, 1), 0, 1, Scala
 def test_kernel_with_a_corrupted_imaginary_part_is_rejected(monkeypatch, m):
     """One entry of the kernel basis off its lead gets i added: the RREF
     shape still holds, so only the product D K = 0 can reject it."""
-    rows, basis = linalg._null_space(linalg._int_cells(m), m.cols)
+    rows, basis = linalg._null_space(linalg._int_cells(m), m.rows, m.cols)
     assert linalg._is_kernel_rref(m, len(rows), basis)
     v = basis[0]
     c = next(c for c in v if c != min(v))
     corrupted = [{**v, c: v[c] + Scalar(0, 1)}] + basis[1:]
     assert not linalg._is_kernel_rref(m, len(rows), corrupted)
-    monkeypatch.setattr(linalg, "_null_space", lambda cells, cols: (rows, corrupted))
+    monkeypatch.setattr(linalg, "_null_space", lambda cells, height, cols, drop: (rows, corrupted))
     with pytest.raises(CertificateError, match="exact kernel basis"):
         kernel_basis(m)
 
@@ -355,6 +356,64 @@ def test_corrupted_elimination_raises(monkeypatch, m):
     monkeypatch.setattr(linalg, "_rref_rows", corrupting)
     with pytest.raises(CertificateError, match="exact kernel basis"):
         kernel_basis(m)
+
+
+# -- kernel_basis_without: A = D without some columns, from D's own cells ------
+
+
+@st.composite
+def sparse_with_drop(draw):
+    """A random sparse integer or Gaussian matrix D, or a product L R with a large
+    kernel, and columns of D to drop: none, all of them, or a random set."""
+    ints = st.builds(Scalar, st.integers(-4, 4))
+    entries = draw(st.sampled_from([ints, gaussian_entries]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    sparse = Matrix(rows, cols, {(r, c): x for r in range(rows) for c in range(cols) if (x := draw(entries))})
+    m = draw(st.one_of(st.just(sparse), matrices(entries)))
+    columns = range(m.cols)
+    drop = draw(st.one_of(st.just([]), st.just(list(columns)), st.lists(st.sampled_from(columns), unique=True)))
+    return m, drop
+
+
+@PROPERTY
+@given(sparse_with_drop())
+def test_kernel_without_columns_matches_the_dropped_copy(spec):
+    """The pivot rows and the basis, in the kept columns' order, are kernel_basis's
+    of the reference's copy of D without the columns."""
+    m, drop = spec
+    got, expected = linalg.kernel_basis_without(m, drop), kernel_basis(ref_drop_cols(m, drop))
+    assert (got.pivot_rows, got) == (expected.pivot_rows, expected)
+    assert all(len(v) == m.cols - len(drop) for v in got)
+
+
+def test_kernel_lifted_onto_a_dropped_column_is_rejected(monkeypatch):
+    """A = [1 0], D = [1 0 -1] without column 2, has the kernel e_1.  The lifted
+    vector e_0 + e_2 is in RREF, of the right count and in ker D, so only its
+    entry on the dropped column rejects it: read on A's columns it is e_0."""
+    m, rows = Matrix.from_rows([[1, 0, -1]]), [0]
+    assert linalg._null_space(linalg._int_cells(m), m.rows, m.cols, frozenset({2})) == (rows, [{1: 1}])
+    lifted = [{0: Scalar(1), 2: Scalar(1)}]
+    assert linalg._is_kernel_rref(m, 1, lifted, frozenset({1}))
+    assert not linalg._is_kernel_rref(m, 1, lifted, frozenset({2}))
+    monkeypatch.setattr(linalg, "_null_space", lambda cells, height, cols, drop: (rows, lifted))
+    with pytest.raises(CertificateError, match="exact kernel basis"):
+        linalg.kernel_basis_without(m, [2])
+
+
+@pytest.mark.parametrize("m", [GAUSSIAN, TAMPER], ids=["gaussian", "real"])
+def test_kernel_without_columns_with_a_corrupted_entry_is_rejected(monkeypatch, m):
+    """One entry of A's kernel basis off its lead is doubled: the RREF shape
+    still holds, and only D Z = 0, on D itself, rejects it."""
+    drop = frozenset({0})
+    rows, basis = linalg._null_space(linalg._int_cells(m), m.rows, m.cols, drop)
+    assert linalg._is_kernel_rref(m, len(rows), basis, drop)
+    v = basis[0]
+    c = next(c for c in v if c != min(v))
+    corrupted = [{**v, c: v[c] * 2}] + basis[1:]
+    assert not linalg._is_kernel_rref(m, len(rows), corrupted, drop)
+    monkeypatch.setattr(linalg, "_null_space", lambda cells, height, cols, drop: (rows, corrupted))
+    with pytest.raises(CertificateError, match="exact kernel basis"):
+        linalg.kernel_basis_without(m, drop)
 
 
 @st.composite

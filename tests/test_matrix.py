@@ -14,7 +14,6 @@ from hopfcoh.scalars import I, Scalar, as_scalar
 from reference import (
     ref_augment,
     ref_conj_transpose,
-    ref_drop_cols,
     ref_kron,
     ref_product,
     ref_product_numerators,
@@ -184,19 +183,6 @@ def test_failing_column_refuses_what_combination_refuses():
         for f in (combination, failing_column):
             with pytest.raises(ValueError, match=message):
                 f(terms)
-
-
-@PROPERTY
-@given(matrices(), st.lists(st.integers(-3, 9), max_size=8))
-def test_drop_cols_matches_the_reference(a, drop):
-    """Unsorted, repeated, negative and out-of-range indices: the same shape, entries,
-    den and key order as the reference's renumbering, each index outside the columns
-    ignored."""
-    ma = build(a)[0]
-    got, expected = ma.drop_cols(drop), ref_drop_cols(ma, drop)
-    assert got == expected and (got.rows, got.cols) == (expected.rows, expected.cols)
-    assert (list(got.re), list(got.im)) == (list(expected.re), list(expected.im))
-    assert ma.drop_cols(iter(drop)) == expected
 
 
 def test_combination_of_two_shapes_raises():
