@@ -341,9 +341,9 @@ def check_mean_vs_cohomology(ws: Workspace) -> CheckOutcome:
     cx = ws.complex_of(bic, "dual")
     t_vec = _quotient_cocycle(h, catalog["unit-quotient"].quotient, cx.boundary(1))
     if mean.feasible:
-        # the mean is an invariant state; its homotopy raises CertificateError
-        # unless d_0(primitive) = t_vec exactly, so t_vec is a coboundary
-        homotopy_from_haar(bic, 1, [t_vec], tuple(Scalar(w) for w in mean.certificate.weights), cx=cx)
+        # the mean is an invariant state; its homotopy raises CertificateError unless
+        # D_0 K_1 + K_2 D_1 = id on C^1, so with D_1 t_vec = 0, t_vec = D_0(K_1 t_vec)
+        homotopy_from_haar(bic, 1, tuple(Scalar(w) for w in mean.certificate.weights), cx=cx)
         details += ["canonical cocycle is a coboundary: True", "explicit primitive from the mean certified: True"]
         ok = True
     else:

@@ -344,19 +344,19 @@ def _hom_to_vec(m: Matrix) -> Vec:
     return m.reindex(m.rows * m.cols, 1, lambda w, j: (w * m.cols + j, 0)).col(0)
 
 
-def _certify_homotopy(cx: CochainComplex, n: int, cocycles, contraction: Matrix) -> Matrix:
-    """The primitives P = K_n Z of the cocycle columns Z, from a contraction K_n: C^n -> C^{n-1}.
+def _certify_contraction(cx: CochainComplex, n: int, what: str, contraction, k_n=None) -> Matrix:
+    """Certify D_{n-1} K_n + K_{n+1} D_n = id on C^n for the contraction m -> K_m: C^m -> C^{m-1},
+    so every n-cocycle z is D_{n-1}(K_n z).
 
-    D_n Z = 0 is required (ValueError otherwise) and D_{n-1} P = Z is
-    certified exactly, for all columns at once; a failure's witness is the degree and least failing column.
+    A given k_n is used as K_n; returns K_{n+1}, the next degree's k_n.  A
+    failure's witness is the degree and the least failing column.
     """
-    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
-    if not product_is_zero(cx.boundary(n), z):
-        raise ValueError("input is not a cocycle")
-    prims = contraction @ z
-    w = failing_column([(1, cx.boundary(n - 1), prims), (-1, z)])
-    certify(w is None, f"homotopy primitives fail D_{n - 1} P = Z in degree {n}", n, w)
-    return prims
+    k_n = contraction(n) if k_n is None else k_n
+    k_next = contraction(n + 1)
+    d_prev, d_n = cx.boundary(n - 1), cx.boundary(n)
+    w = failing_column([(1, d_prev, k_n), (1, k_next, d_n), (-1, Matrix.identity(cx.degrees[n]))])
+    certify(w is None, f"{what} homotopy fails D K + K D = id in degree {n}", n, w)
+    return k_next
 
 
 def _require(cx: CochainComplex, n: int, kinds=("dual", "restricted")) -> None:
@@ -366,14 +366,16 @@ def _require(cx: CochainComplex, n: int, kinds=("dual", "restricted")) -> None:
         raise ValueError("needs degree >= 1")
 
 
-def homotopy_from_counit_natural(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
-    """Primitives of natural n-cocycles from the counit: (-1)^{n-1} (id (x) eps) on the last leg."""
+def homotopy_from_counit_natural(b: Bicomodule, n: int, *, cx: CochainComplex) -> Matrix:
+    """The counit contraction (-1)^{m-1} (id (x) eps) on the last leg of the natural complex,
+    certified in degree n; returns K_{n+1}."""
     h, x, s = b.hopf, b.space_dim, b.hopf.dim
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n, ("natural",))
-    k_n = face_sum([((-1) ** (n - 1), x * s ** (n - 1), h.counit_row, 1, None, None)])
-    return _certify_homotopy(cx, n, cocycles, k_n)
+    return _certify_contraction(
+        cx, n, "counit", lambda m: face_sum([((-1) ** (m - 1), x * s ** (m - 1), h.counit_row, 1, None, None)])
+    )
 
 
 def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matrix:
@@ -381,46 +383,37 @@ def _post_compose(functional: Matrix, x: int, s: int, n: int, sign: int) -> Matr
     return face_sum([(sign, 1, functional, s ** (n - 1) * x, None, None)])
 
 
-def homotopy_from_counit_dual(b: Bicomodule, n: int, cocycles, *, cx: CochainComplex) -> Matrix:
-    """Primitives of dual n-cocycles from the counit: post-compose (-1)^{n-1} eps (x) id^{n-1}."""
-    h = b.hopf
+def homotopy_from_counit_dual(b: Bicomodule, n: int, *, cx: CochainComplex) -> Matrix:
+    """The counit contraction, post-composing (-1)^{m-1} eps (x) id^{m-1} on the dual complex,
+    certified in degree n; returns K_{n+1}."""
+    h, x, s = b.hopf, b.space_dim, b.hopf.dim
     if h.counit is None:
         raise ValueError("needs a counit")
     _require(cx, n)
-    k_n = _post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1))
-    return _certify_homotopy(cx, n, cocycles, k_n)
+    return _certify_contraction(cx, n, "counit", lambda m: _post_compose(h.counit_row, x, s, m, (-1) ** (m - 1)))
 
 
-def homotopy_from_haar(b: Bicomodule, n: int, cocycles, phi: Vec, *, cx: CochainComplex) -> Matrix:
-    """Primitives of dual n-cocycles from a left-invariant state phi (gamma trivial).
-
-    Post-composes (-1)^n phi (x) id^{n-1}.
-    """
+def homotopy_from_haar(b: Bicomodule, n: int, phi: Vec, *, cx: CochainComplex) -> Matrix:
+    """The contraction of a left-invariant state phi (gamma trivial), post-composing
+    (-1)^m phi (x) id^{m-1}, certified in degree n; returns K_{n+1}."""
     if not _gamma_is_trivial(b):
         raise ValueError("the invariant-state homotopy needs gamma = 1 (x) id")
     _require(cx, n)
-    k_n = _post_compose(Matrix.row(phi), b.space_dim, b.hopf.dim, n, (-1) ** n)
-    return _certify_homotopy(cx, n, cocycles, k_n)
+    functional, x, s = Matrix.row(phi), b.space_dim, b.hopf.dim
+    return _certify_contraction(cx, n, "invariant-state", lambda m: _post_compose(functional, x, s, m, (-1) ** m))
 
 
 def homotopy_from_codiagonal(
     b: Bicomodule, n: int, f_functional: Vec, side: str = "beta", *, cx: CochainComplex, k_n=None
 ) -> Matrix:
-    """Certify D_{n-1} K_n + K_{n+1} D_n = id on C^n for the codiagonal contraction K
-    (see codiagonal_contraction), so every n-cocycle z is D_{n-1}(K_n z).
-
-    Returns K_{n+1}, the next degree's k_n.  A given k_n (such as check-B18's
-    pick) is used as K_n, so every n-cocycle z is D_{n-1}(k_n z); None builds K_n.
+    """The codiagonal contraction K (see codiagonal_contraction), certified in degree n;
+    returns K_{n+1}.  A given k_n (such as check-B18's pick) is used as K_n, so
+    every n-cocycle z is D_{n-1}(k_n z); None builds K_n.
     """
     if side not in ("beta", "gamma"):
         raise ValueError("side must be 'beta' or 'gamma'")
     _require(cx, n)
-    k_n = codiagonal_contraction(b, n, f_functional, side) if k_n is None else k_n
-    k_next = codiagonal_contraction(b, n + 1, f_functional, side)
-    d_prev, d_n = cx.boundary(n - 1), cx.boundary(n)
-    w = failing_column([(1, d_prev, k_n), (1, k_next, d_n), (-1, Matrix.identity(cx.degrees[n]))])
-    certify(w is None, f"codiagonal homotopy fails D K + K D = id in degree {n}", n, w)
-    return k_next
+    return _certify_contraction(cx, n, "codiagonal", lambda m: codiagonal_contraction(b, m, f_functional, side), k_n)
 
 
 def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) -> Matrix:

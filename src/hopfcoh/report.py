@@ -63,22 +63,28 @@ def resolve_algebra(job: JobSpec):
         raise InputError(exc.args[0]) from exc
 
 
+def _require_rows(what: str, rows, count: int, width: int) -> None:
+    """ValueError unless rows is count rows of width entries; names the first bad row, counting from 1."""
+    got = [f"{len(rows)} rows"] if len(rows) != count else []
+    got += [f"row {i} of length {len(row)}" for i, row in enumerate(rows, 1) if len(row) != width][:1]
+    if got:
+        raise ValueError(f"{what} must be {count} rows of {width} entries, got {', '.join(got)}")
+
+
 def _explicit_bicomodules(job: JobSpec, h):
     out = []
     s = h.dim
     for com in job.comodules:
         x = com.dim
         try:
-            if len(com.beta) != x * s or any(len(row) != x for row in com.beta):
-                raise ValueError(f"beta must be {x * s} rows of {x} entries, got {len(com.beta)} rows")
+            _require_rows("beta", com.beta, x * s, x)
             right = RightCoaction(x, h, Matrix.from_rows(com.beta))
             if com.gamma == "trivial":
                 left = trivial_left_coaction(h, x)
             elif com.gamma == "zero":
                 left = zero_left_coaction(h, x)
-            elif len(com.gamma) != s * x or any(len(row) != x for row in com.gamma):
-                raise ValueError(f"gamma must be {s * x} rows of {x} entries")
             else:
+                _require_rows("gamma", com.gamma, s * x, x)
                 left = LeftCoaction(x, h, Matrix.from_rows(com.gamma))
             out.append((com.name, Bicomodule(right, left)))
         except ValueError as exc:

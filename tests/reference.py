@@ -52,8 +52,10 @@ by leg.  Production code reindexes kron(I, delta) and kron(delta, I).
 
 `ref_certify_homotopy` is the signed column-by-column homotopy certificate:
 each cocycle z gets its own primitive p and a sign with D p = +-z.
-Production code certifies D P = Z for all columns at once, and the
-codiagonal homotopy by the operator identity D K + K D = id.
+Production code certifies every contraction by the operator identity
+D K + K D = id on all of C^n, with no cocycle in it.  `ref_contraction`
+builds the counit and invariant-state contractions with `kron`; production
+code describes them to `face_sum`.
 
 `ref_solve_equality_feasibility` is the phase-1 simplex with Bland's rule
 on a tableau of Fractions, every pivot row made monic.  Production code
@@ -631,6 +633,13 @@ def ref_codiagonal_system(h):
                 rhs.append(Scalar(0))
                 row += 1
     return Matrix(row, d * d, rows_entries), tuple(rhs)
+
+
+def ref_contraction(b, kind: str, functional: Matrix, n: int, sign: int) -> Matrix:
+    """K_n = sign (functional (x) id) on the first S leg of Hom(X, S^n), or on the
+    last leg of X (x) S^n for the natural complex, as a kron product."""
+    rest = Matrix.identity(b.space_dim * b.hopf.dim ** (n - 1))
+    return (kron(rest, functional) if kind == "natural" else kron(functional, rest)).scale(sign)
 
 
 def ref_certify_homotopy(cx, n: int, cocycles, contraction: Matrix) -> tuple:

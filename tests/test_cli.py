@@ -105,6 +105,37 @@ def test_missized_coaction_is_input_error_before_tasks():
     assert "beta must be" in str(err.value)
 
 
+ONE_DIM_COMODULE = "algebra = group:Z2\ntasks = axioms\nbegin comodule X\n  dim = 1\n{blocks}end\n"
+GOOD_BETA = "  begin beta\n    row 1\n    row 0\n  end\n"
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("  begin beta\n    row 1\n    row 0 1\n  end\n", "beta must be 2 rows of 1 entries, got row 2 of length 2"),
+        ("  begin beta\n    row 1\n  end\n", "beta must be 2 rows of 1 entries, got 1 rows"),
+        ("  begin beta\n    row 1 0\n  end\n", "beta must be 2 rows of 1 entries, got 1 rows, row 1 of length 2"),
+        (
+            GOOD_BETA + "  begin gamma\n    row 1 0\n    row 0\n  end\n",
+            "gamma must be 2 rows of 1 entries, got row 1 of length 2",
+        ),
+        (
+            GOOD_BETA + "  begin gamma\n    row 1\n    row 0\n    row 0\n  end\n",
+            "gamma must be 2 rows of 1 entries, got 3 rows",
+        ),
+    ],
+    ids=["beta-row", "beta-count", "beta-count-and-row", "gamma-row", "gamma-count"],
+)
+def test_a_missized_coaction_row_exits_two_naming_it(blocks, message, tmp_path, capsys):
+    """A beta or gamma block of the wrong shape names the row count it got and its
+    first row, counting from 1, of another length."""
+    job = tmp_path / "missized.job"
+    job.write_text(ONE_DIM_COMODULE.format(blocks=blocks))
+    assert main(["--input", str(job), "check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: comodule 'X': {message}\n"
+
+
 def test_inline_function_algebra_mean_infeasible():
     job = parse_input(INLINE_RZID)
     report = run(job)

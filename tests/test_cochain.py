@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcoh.amenability import find_invariant_mean
 from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.cochain import (
     CochainComplex,
@@ -32,7 +33,7 @@ from hopfcoh.comodule import (
     regular_right_coaction,
     with_trivial_gamma,
 )
-from hopfcoh.hopf import haar_state
+from hopfcoh.hopf import function_algebra, haar_state
 from hopfcoh.jobfile import JobSpec
 from hopfcoh.linalg import (
     CertificateError,
@@ -42,11 +43,18 @@ from hopfcoh.linalg import (
     kernel_basis,
     kron,
     tensor_permutation,
-    unit_vec,
 )
+from hopfcoh.monoids import FiniteMonoid
 from hopfcoh.report import run
 from hopfcoh.scalars import I, ONE, Scalar
-from reference import ref_certify_homotopy, ref_drop_cols, reference_bookkeeping, reference_kernel
+from reference import (
+    order3_monoid_tables,
+    ref_certify_homotopy,
+    ref_contraction,
+    ref_drop_cols,
+    reference_bookkeeping,
+    reference_kernel,
+)
 
 
 def unit_leg_bicomodule(h, x_dim):
@@ -562,28 +570,32 @@ def test_restricted_complexes_reuse_the_dual_ones(monkeypatch):
 # -- homotopies --------------------------------------------------------------
 
 
+def _assert_contracts(cx, n, k_n, k_next):
+    """D_{n-1} K_n + K_{n+1} D_n = id on C^n by plain products, and so
+    D_{n-1}(K_n z) = z for every n-cocycle z."""
+    assert cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n) == Matrix.identity(cx.degrees[n])
+    for t in kernel_basis(cx.boundary(n)):
+        assert cx.boundary(n - 1).apply(k_n.apply(t)) == t
+
+
 def test_counit_homotopy_dual_group_z3():
     h = get_algebra("group:Z3")
     b = one_sided(regular_right_coaction(h))
     cx = build_complex(b, "dual", 3)
+    k = {m: ref_contraction(b, "dual", h.counit_row, m, (-1) ** (m - 1)) for m in (1, 2, 3)}
     for n in (1, 2):
-        cocycles = kernel_basis(cx.boundary(n))
-        prims = homotopy_from_counit_dual(b, n, cocycles, cx=cx)
-        assert prims.cols == len(cocycles)
-        for j, t in enumerate(cocycles):
-            assert cx.boundary(n - 1).apply(prims.col(j)) == t
+        assert homotopy_from_counit_dual(b, n, cx=cx) == k[n + 1]
+        _assert_contracts(cx, n, k[n], k[n + 1])
 
 
 def test_counit_homotopy_natural_certifies():
     h = get_algebra("function:Z2")
     b = one_sided(regular_right_coaction(h))
     cx = build_complex(b, "natural", 3)
+    k = {m: ref_contraction(b, "natural", h.counit_row, m, (-1) ** (m - 1)) for m in (1, 2, 3)}
     for n in (1, 2):
-        cocycles = kernel_basis(cx.boundary(n))
-        prims = homotopy_from_counit_natural(b, n, cocycles, cx=cx)
-        assert prims.cols == len(cocycles)
-        for j, m_vec in enumerate(cocycles):
-            assert cx.boundary(n - 1).apply(prims.col(j)) == m_vec
+        assert homotopy_from_counit_natural(b, n, cx=cx) == k[n + 1]
+        _assert_contracts(cx, n, k[n], k[n + 1])
 
 
 def test_haar_homotopy_function_z2():
@@ -591,10 +603,10 @@ def test_haar_homotopy_function_z2():
     b = with_trivial_gamma(regular_right_coaction(h))
     phi = haar_state(h).state
     cx = build_complex(b, "dual", 3)
+    k = {m: ref_contraction(b, "dual", Matrix.row(phi), m, (-1) ** m) for m in (1, 2, 3)}
     for n in (1, 2):
-        cocycles = kernel_basis(cx.boundary(n))
-        prims = homotopy_from_haar(b, n, cocycles, phi, cx=cx)
-        assert cx.boundary(n - 1) @ prims == Matrix.from_cols(cocycles, rows=cx.degrees[n])
+        assert homotopy_from_haar(b, n, phi, cx=cx) == k[n + 1]
+        _assert_contracts(cx, n, k[n], k[n + 1])
 
 
 def test_haar_homotopy_rejects_the_negated_state():
@@ -603,11 +615,12 @@ def test_haar_homotopy_rejects_the_negated_state():
     minus_phi = tuple(-v for v in haar_state(h).state)
     cx = build_complex(b, "dual", 3)
     for n in (1, 2):
-        cocycles = kernel_basis(cx.boundary(n))
-        assert cocycles
-        # the primitives of -phi are the negated ones, D P = -Z, and no sign is forgiven
-        with pytest.raises(CertificateError, match=f"in degree {n}"):
-            homotopy_from_haar(b, n, cocycles, minus_phi, cx=cx)
+        assert kernel_basis(cx.boundary(n))
+        # the contraction of -phi is the negated one, D K + K D = -id, and no sign is forgiven
+        message = f"^invariant-state homotopy fails D K \\+ K D = id in degree {n}$"
+        with pytest.raises(CertificateError, match=message) as err:
+            homotopy_from_haar(b, n, minus_phi, cx=cx)
+        assert (err.value.degree, err.value.column) == (n, 0)
 
 
 def test_codiagonal_homotopy_pair_graded_z2():
@@ -624,21 +637,6 @@ def test_codiagonal_homotopy_pair_graded_z2():
     for n, side in ((0, "beta"), (3, "beta"), (1, "delta")):  # no K_0, no D_3, no such side
         with pytest.raises(ValueError):
             homotopy_from_codiagonal(b, n, f, side, cx=cx)
-
-
-def test_homotopy_rejects_non_cocycle():
-    h = get_algebra("group:Z3")
-    b = one_sided(regular_right_coaction(h))
-    cx = build_complex(b, "dual", 3)
-    bad = unit_vec(h.dim * h.dim, 1)  # not a cocycle of the dual complex
-    d1 = dual_coboundary(b, 1)
-    assert any(d1.apply(bad))
-    with pytest.raises(ValueError):
-        homotopy_from_counit_dual(b, 1, [bad], cx=cx)
-    # one non-cocycle refuses the whole batch
-    good = kernel_basis(cx.boundary(1))[0]
-    with pytest.raises(ValueError):
-        homotopy_from_counit_dual(b, 1, [good, bad], cx=cx)
 
 
 def test_zero_functional_is_no_codiagonal():
@@ -685,24 +683,31 @@ def test_a_corrupted_next_contraction_is_named_by_degree_and_column(monkeypatch,
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_corrupted_primitive_is_named_by_degree_and_column(monkeypatch, n):
-    """One entry added to the counit contraction K_n corrupts the primitives
-    P = K_n Z of the cocycles with a nonzero entry in that column; the
-    certificate names degree n and the least column where D P != Z."""
+    """One entry added to the counit contraction K_n, in a column where an
+    n-cocycle is nonzero and on a row where D_{n-1} is not zero, corrupts that
+    cocycle's primitive K_n z; the certificate names degree n and the least
+    column where D K + K D - id is nonzero, as the plain products find it."""
     from hopfcoh import cochain
 
     h = get_algebra("group:Z3")
     b = one_sided(regular_right_coaction(h))
     cx = build_complex(b, "dual", 3)
-    cocycles = kernel_basis(cx.boundary(n))
-    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
+    z = Matrix.from_cols(kernel_basis(cx.boundary(n)), rows=cx.degrees[n])
     source = min(r for r, c in z.support if c == z.cols - 1)  # a coordinate where the last cocycle is nonzero
     target = min(c for _, c in cx.boundary(n - 1).support)  # D_{n-1} is nonzero on this coordinate
     original = cochain._post_compose
-    monkeypatch.setattr(cochain, "_post_compose", lambda *args: _plus_one_at(original(*args), (target, source)))
-    prims = cochain._post_compose(h.counit_row, b.space_dim, h.dim, n, (-1) ** (n - 1)) @ z
-    with pytest.raises(CertificateError, match=f"^homotopy primitives fail D_{n - 1} P = Z in degree {n}$") as err:
-        homotopy_from_counit_dual(b, n, cocycles, cx=cx)
-    assert (err.value.degree, err.value.column) == (n, _least_failing_column(cx.boundary(n - 1) @ prims - z))
+
+    def tampered(functional, x, s, m, sign):
+        k = original(functional, x, s, m, sign)
+        return _plus_one_at(k, (target, source)) if m == n else k
+
+    monkeypatch.setattr(cochain, "_post_compose", tampered)
+    k_n, k_next = (tampered(h.counit_row, b.space_dim, h.dim, m, (-1) ** (m - 1)) for m in (n, n + 1))
+    lhs = cx.boundary(n - 1) @ k_n + k_next @ cx.boundary(n)
+    assert cx.boundary(n - 1) @ k_n @ z != z
+    with pytest.raises(CertificateError, match=f"^counit homotopy fails D K \\+ K D = id in degree {n}$") as err:
+        homotopy_from_counit_dual(b, n, cx=cx)
+    assert (err.value.degree, err.value.column) == (n, _least_failing_column(lhs - Matrix.identity(cx.degrees[n])))
 
 
 def _codiagonal_primitive_reference(b, n, t_vec, f, side):
@@ -784,23 +789,87 @@ def test_codiagonal_contraction_is_a_chain_homotopy(name):
     assert checked or name in ("function:trivial", "group:trivial")
 
 
+def _assert_mean_contracts(h, cap=3):
+    """The contraction of h's invariant mean on the restricted complex of every
+    catalog entry: certified in degrees 1 to cap-1, and equal to the kron-built
+    one, which satisfies D K + K D = id by plain products."""
+    phi = tuple(Scalar(w) for w in find_invariant_mean(h.monoid).certificate.weights)
+    for entry in catalog_bicomodules(h):
+        b = with_trivial_gamma(entry.bicomodule.beta)
+        cx = build_complex(b, "restricted", cap)
+        k = {m: ref_contraction(b, "dual", Matrix.row(phi), m, (-1) ** m) for m in range(1, cap + 1)}
+        for n in range(1, cap):
+            assert homotopy_from_haar(b, n, phi, cx=cx) == k[n + 1], (entry.name, n)
+            _assert_contracts(cx, n, k[n], k[n + 1])
+
+
+@pytest.mark.parametrize("name", [n for n in algebra_names() if n.startswith("function:") and n != "function:rzid3"])
+def test_mean_contraction_certifies_on_every_restricted_catalog_complex(name):
+    h = get_algebra(name)
+    assert find_invariant_mean(h.monoid).feasible  # rzid3 is the catalog's only function algebra with no mean
+    _assert_mean_contracts(h)
+
+
+def test_mean_contraction_certifies_on_the_order3_monoids():
+    with_mean = 0
+    for table in order3_monoid_tables():
+        h = function_algebra(FiniteMonoid(order=3, table=[list(r) for r in table], identity=0))
+        if find_invariant_mean(h.monoid).feasible:
+            _assert_mean_contracts(h)
+            with_mean += 1
+    assert with_mean == len(order3_monoid_tables()) - 1  # all but the right-zero table with identity
+
+
+def test_every_homotopy_reaches_the_one_certifier(monkeypatch):
+    from hopfcoh import cochain
+    from hopfcoh.amenability import find_codiagonal
+
+    calls = []  # (label, complex, degree, returned K_{n+1}) per certification
+    original = cochain._certify_contraction
+
+    def spy(cx, n, what, contraction, k_n=None):
+        k_next = original(cx, n, what, contraction, k_n)
+        calls.append((what, cx, n, k_next))
+        return k_next
+
+    monkeypatch.setattr(cochain, "_certify_contraction", spy)
+    h = get_algebra("group:Z2")
+    coaction = regular_right_coaction(h)
+    counit_side, haar_side = one_sided(coaction), with_trivial_gamma(coaction)
+    f = find_codiagonal(h).certificate.functional
+    homotopies = (
+        ("counit", homotopy_from_counit_dual, counit_side, "dual", ()),
+        ("counit", homotopy_from_counit_natural, counit_side, "natural", ()),
+        ("invariant-state", homotopy_from_haar, haar_side, "dual", (haar_state(h).state,)),
+        ("codiagonal", homotopy_from_codiagonal, pair_graded_bicomodule(h), "dual", (f,)),
+    )
+    for what, homotopy, b, kind, args in homotopies:
+        cx = build_complex(b, kind, 3)
+        for n in (1, 2):
+            calls.clear()
+            k_next = homotopy(b, n, *args, cx=cx)
+            assert calls == [(what, cx, n, k_next)], (homotopy.__name__, n)
+
+
 @pytest.mark.parametrize("name", algebra_names())
 def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
     """The signed column-by-column certificate, on every contraction the catalog
-    certifies, finds sign +1 and the columns of the one-equality primitives P."""
+    certifies, finds sign +1 and the columns of the primitives K_n Z."""
     from hopfcoh import cochain
     from hopfcoh.amenability import check_mean_vs_cohomology, find_codiagonal
     from hopfcoh.comodule import catalog_right_comodules
 
-    pairs = []  # (P, the signed reference's (primitive, sign) per column)
-    original = cochain._certify_homotopy
+    pairs = []  # (K_n Z, the signed reference's (primitive, sign) per column)
+    original = cochain._certify_contraction
 
-    def both(cx, n, cocycles, contraction):
-        prims = original(cx, n, cocycles, contraction)
-        pairs.append((prims, ref_certify_homotopy(cx, n, cocycles, contraction)))
-        return prims
+    def both(cx, n, what, contraction, k_n=None):
+        k_next = original(cx, n, what, contraction, k_n)
+        k_n = contraction(n) if k_n is None else k_n
+        cocycles = kernel_basis(cx.boundary(n))
+        pairs.append((k_n @ Matrix.from_cols(cocycles, rows=cx.degrees[n]), ref_certify_homotopy(cx, n, cocycles, k_n)))
+        return k_next
 
-    monkeypatch.setattr(cochain, "_certify_homotopy", both)
+    monkeypatch.setattr(cochain, "_certify_contraction", both)
     h = get_algebra(name)
     ws = Workspace(h, 3)
     phi = haar_state(h).state
@@ -809,27 +878,20 @@ def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
         for n in (1, 2):
             if h.counit is not None:
                 for kind, homotopy in (("dual", homotopy_from_counit_dual), ("natural", homotopy_from_counit_natural)):
-                    cx = ws.complex_of(counit_side, kind)
-                    homotopy(counit_side, n, kernel_basis(cx.boundary(n)), cx=cx)
+                    homotopy(counit_side, n, cx=ws.complex_of(counit_side, kind))
             if phi is not None:
-                cx = ws.complex_of(haar_side, "dual")
-                homotopy_from_haar(haar_side, n, kernel_basis(cx.boundary(n)), phi, cx=cx)
+                homotopy_from_haar(haar_side, n, phi, cx=ws.complex_of(haar_side, "dual"))
     if h.kind == "function" and h.monoid.has_identity:
-        check_mean_vs_cohomology(ws)  # the mean's primitive, where a mean exists
+        check_mean_vs_cohomology(ws)  # the mean's contraction, where a mean exists
     if name not in NO_CODIAGONAL:
         f = find_codiagonal(h).certificate.functional
         for entry in ws.catalog:
             b = entry.bicomodule
             sides = ("beta", check_nondegenerate(b.beta)), ("gamma", check_nondegenerate_left(b.gamma))
             for side, nondegenerate in sides:
-                if not any(nondegenerate):
-                    continue
-                cx = ws.complex_of(entry.bicomodule, "dual")
-                for n in (1, 2):
-                    cocycles = kernel_basis(cx.boundary(n))
-                    k_n = codiagonal_contraction(entry.bicomodule, n, f, side)
-                    z = Matrix.from_cols(cocycles, rows=cx.degrees[n])
-                    pairs.append((k_n @ z, ref_certify_homotopy(cx, n, cocycles, k_n)))
+                if any(nondegenerate):
+                    for n in (1, 2):
+                        homotopy_from_codiagonal(b, n, f, side, cx=ws.complex_of(b, "dual"))
     assert pairs
     for prims, signed in pairs:
         assert [sign for _, sign in signed] == [1] * prims.cols
