@@ -15,40 +15,36 @@ from .monoids import (
 )
 
 
-def _groups():
-    return {
-        "trivial": trivial_monoid(),
-        "Z2": cyclic_group(2),
-        "Z3": cyclic_group(3),
-        "Z2xZ2": direct_product(cyclic_group(2), cyclic_group(2)),
-        "S3": symmetric_group(3),
-    }
+# name -> constructor, each reading the module global at call time: a lookup builds only
+# the monoid it names
+_GROUPS = {
+    "trivial": lambda: trivial_monoid(),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "S3": lambda: symmetric_group(3),
+}
+_MONOIDS = {
+    **_GROUPS,
+    "leftzero2": lambda: left_zero_semigroup(2),
+    "rzid3": lambda: right_zero_with_identity(3),
+    "mult01": lambda: mult01_monoid(),
+}
 
-
-def _monoids():
-    out = dict(_groups())
-    out["leftzero2"] = left_zero_semigroup(2)
-    out["rzid3"] = right_zero_with_identity(3)
-    out["mult01"] = mult01_monoid()
-    return out
-
-
-GROUP_NAMES = tuple(sorted(_groups()))
-MONOID_NAMES = tuple(sorted(_monoids()))
+GROUP_NAMES = tuple(sorted(_GROUPS))
+MONOID_NAMES = tuple(sorted(_MONOIDS))
 
 
 def get_monoid(name: str) -> FiniteMonoid:
-    table = _monoids()
-    if name not in table:
+    if name not in _MONOIDS:
         raise KeyError(f"unknown monoid {name!r}")
-    return table[name]
+    return _MONOIDS[name]()
 
 
 def get_group(name: str) -> FiniteGroup:
-    table = _groups()
-    if name not in table:
+    if name not in _GROUPS:
         raise KeyError(f"unknown group {name!r}")
-    return table[name]
+    return _GROUPS[name]()
 
 
 def algebra_names():

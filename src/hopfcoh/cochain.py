@@ -33,7 +33,6 @@ from .linalg import (
     failing_column,
     kernel_basis,
     kernel_basis_without,
-    kron,
     leg_map,
     product_is_zero,
 )
@@ -174,8 +173,7 @@ def build_complex(b: Bicomodule, kind: str, degree_cap: int = DEFAULT_DEGREE_CAP
 
 
 def _gamma_is_trivial(b: Bicomodule) -> bool:
-    h = b.hopf
-    return b.gamma.gamma == kron(h.unit_col, Matrix.identity(b.space_dim))
+    return b.gamma.gamma == b.hopf.trivial_gamma(b.space_dim)
 
 
 # ---------------------------------------------------------------------------

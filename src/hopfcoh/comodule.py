@@ -65,7 +65,8 @@ class Bicomodule:
 
 
 # each identity check returns the least column where its two sides differ, or None; on
-# comult itself each is (up to sign) the coassociativity law, whose witness h holds
+# comult itself each is (up to sign) the coassociativity law, whose witness h holds, and
+# on h's memoized trivial gamma = 1 (x) id the left identity is kron(comult(1) - 1 (x) 1, I_x)
 def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
     if beta is h.comult:
         return h.coassociativity_witness
@@ -76,6 +77,8 @@ def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
 def left_coaction_failure(h: HopfStarAlgebra, gamma: Matrix) -> Optional[int]:
     if gamma is h.comult:
         return h.coassociativity_witness
+    if _is_trivial_gamma(h, gamma):
+        return 0 if h.unitality_witness is not None and gamma.cols else None
     ix, i_s = Matrix.identity(gamma.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, gamma), gamma), (-1, kron(h.comult, ix), gamma)])
 
@@ -84,8 +87,15 @@ def compatibility_failure(beta: RightCoaction, gamma: LeftCoaction) -> Optional[
     h = beta.hopf
     if beta.beta is h.comult and gamma.gamma is h.comult:
         return h.coassociativity_witness
+    if _is_trivial_gamma(gamma.hopf, gamma.gamma):  # both sides are 1 (x) beta
+        return None
     i_s = Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, beta.beta), gamma.gamma), (-1, kron(gamma.gamma, i_s), beta.beta)])
+
+
+def _is_trivial_gamma(h: HopfStarAlgebra, gamma: Matrix) -> bool:
+    """Is gamma the very matrix h.trivial_gamma built? An equal copy takes the full checks."""
+    return h.trivial_gammas.get(gamma.cols) is gamma
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def trivial_left_coaction(h: HopfStarAlgebra, x_dim: int) -> LeftCoaction:
     """gamma(x) = 1 (x) x."""
     if not any(h.unit):
         raise ValueError("trivial left coaction needs a unital algebra")
-    return LeftCoaction(x_dim, h, kron(h.unit_col, Matrix.identity(x_dim)))
+    return LeftCoaction(x_dim, h, h.trivial_gamma(x_dim))
 
 
 def one_sided(beta: RightCoaction) -> Bicomodule:

@@ -16,111 +16,106 @@ each job, and tests/test_kacpaljutkin.py holds the builder to the axioms.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .hopf import HopfStarAlgebra
 from .linalg import Matrix
 from .scalars import Scalar
 
 _NAMES = ("1", "x", "y", "xy", "z", "xz", "yz", "xyz")
 _ORDER = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-_HALF = Fraction(1, 2)
 
 
 def _idx(a, b, c):
     return (a * 2 + b) * 2 + c
 
 
-# z^2 = (1 + x + y - xy)/2
-_U = {
-    _idx(0, 0, 0): _HALF,
-    _idx(1, 0, 0): _HALF,
-    _idx(0, 1, 0): _HALF,
-    _idx(1, 1, 0): -_HALF,
-}
+# z^2 = (1 + x + y - xy)/2, as numerators over 2 of the words x^a y^b
+_U = (((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), -1))
+
+# An element is (numerators, den): {basis index: int} on S, {(index, index): int} on
+# S (x) S, each numerator over the power of two den.
 
 
-def _word_mul(w1, w2):
-    """Product of two basis words in normal form, as {basis index: Fraction}."""
-    (a, b, c), (d, e, f) = w1, w2
-    if c == 1:  # z x^d y^e = x^e y^d z
-        d, e = e, d
-    a2, b2 = (a + d) % 2, (b + e) % 2
-    if c + f < 2:
-        return {_idx(a2, b2, c + f): Fraction(1)}
+def _word_table():
+    """The products of the basis words on integer numerators over 2:
+    table[i][j] = [(k, n), ...] with e_i e_j = sum n/2 e_k, the k distinct."""
+    table = []
+    for a, b, c in _ORDER:
+        row = []
+        for d, e, f in _ORDER:
+            if c == 1:  # z x^d y^e = x^e y^d z
+                d, e = e, d
+            a2, b2 = (a + d) % 2, (b + e) % 2
+            if c + f < 2:
+                row.append([(_idx(a2, b2, c + f), 2)])
+            else:
+                row.append([(_idx((a2 + p) % 2, (b2 + q) % 2, 0), n) for (p, q), n in _U])
+        table.append(row)
+    return table
+
+
+def _mul(table, u, v):
+    """The product of two elements of S."""
+    (x, dx), (y, dy) = u, v
     out = {}
-    for k, v in _U.items():
-        p, q, r = _ORDER[k]
-        key = _idx((a2 + p) % 2, (b2 + q) % 2, r)
-        out[key] = out.get(key, Fraction(0)) + v
-    return out
+    for i, p in x.items():
+        for j, q in y.items():
+            for k, n in table[i][j]:
+                out[k] = out.get(k, 0) + p * q * n
+    return {k: n for k, n in out.items() if n}, dx * dy * 2
 
 
-def _lin_mul(v1, v2):
+def _tensor_mul(table, u, v):
+    """The product of two elements of S (x) S, leg by leg."""
+    (x, dx), (y, dy) = u, v
     out = {}
-    for k1, c1 in v1.items():
-        for k2, c2 in v2.items():
-            for k3, c3 in _word_mul(_ORDER[k1], _ORDER[k2]).items():
-                out[k3] = out.get(k3, Fraction(0)) + c1 * c2 * c3
-    return {k: v for k, v in out.items() if v}
+    for (i1, j1), p in x.items():
+        for (i2, j2), q in y.items():
+            for k1, n1 in table[i1][i2]:
+                for k2, n2 in table[j1][j2]:
+                    out[(k1, k2)] = out.get((k1, k2), 0) + p * q * n1 * n2
+    return {k: n for k, n in out.items() if n}, dx * dy * 4
 
 
-def _tensor_mul(p1, p2):
-    out = {}
-    for (i1, j1), c1 in p1.items():
-        for (i2, j2), c2 in p2.items():
-            for k1, v1 in _lin_mul({i1: Fraction(1)}, {i2: Fraction(1)}).items():
-                for k2, v2 in _lin_mul({j1: Fraction(1)}, {j2: Fraction(1)}).items():
-                    key = (k1, k2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2 * v1 * v2
-    return {k: v for k, v in out.items() if v}
+def _matrix(rows, columns):
+    """The matrix whose column j holds the element columns[j], keyed by row."""
+    den = max(d for _, d in columns)  # the dens are powers of two
+    re = {(r, j): n * (den // d) for j, (col, d) in enumerate(columns) for r, n in col.items()}
+    return Matrix._of(rows, len(columns), re, {}, den)
 
 
 def kac_paljutkin() -> HopfStarAlgebra:
-    mult_entries = {}
-    for i in range(8):
-        for j in range(8):
-            for k, v in _lin_mul({i: Fraction(1)}, {j: Fraction(1)}).items():
-                mult_entries[(k, i * 8 + j)] = Scalar(v)
-    mult = Matrix(8, 64, mult_entries)
+    table = _word_table()
+    mult = _matrix(8, [(dict(table[i][j]), 2) for i in range(8) for j in range(8)])
 
-    dx = {(_idx(1, 0, 0), _idx(1, 0, 0)): Fraction(1)}
-    dy = {(_idx(0, 1, 0), _idx(0, 1, 0)): Fraction(1)}
+    dx = ({(_idx(1, 0, 0), _idx(1, 0, 0)): 1}, 1)
+    dy = ({(_idx(0, 1, 0), _idx(0, 1, 0)): 1}, 1)
     j_factor = {
-        (_idx(0, 0, 0), _idx(0, 0, 0)): _HALF,
-        (_idx(0, 0, 0), _idx(1, 0, 0)): _HALF,
-        (_idx(0, 1, 0), _idx(0, 0, 0)): _HALF,
-        (_idx(0, 1, 0), _idx(1, 0, 0)): -_HALF,
+        (_idx(0, 0, 0), _idx(0, 0, 0)): 1,
+        (_idx(0, 0, 0), _idx(1, 0, 0)): 1,
+        (_idx(0, 1, 0), _idx(0, 0, 0)): 1,
+        (_idx(0, 1, 0), _idx(1, 0, 0)): -1,
     }
-    dz = _tensor_mul(j_factor, {(_idx(0, 0, 1), _idx(0, 0, 1)): Fraction(1)})
+    dz = _tensor_mul(table, (j_factor, 2), ({(_idx(0, 0, 1), _idx(0, 0, 1)): 1}, 1))
 
-    com_entries = {}
-    for col, (a, b, c) in enumerate(_ORDER):
-        word = {(0, 0): Fraction(1)}
-        for _ in range(a):
-            word = _tensor_mul(word, dx)
-        for _ in range(b):
-            word = _tensor_mul(word, dy)
-        for _ in range(c):
-            word = _tensor_mul(word, dz)
-        for (k1, k2), v in word.items():
-            com_entries[(k1 * 8 + k2, col)] = Scalar(v)
-    comult = Matrix(64, 8, com_entries)
+    words = []
+    for a, b, c in _ORDER:
+        word = ({(0, 0): 1}, 1)
+        for factor, power in ((dx, a), (dy, b), (dz, c)):
+            for _ in range(power):
+                word = _tensor_mul(table, word, factor)
+        words.append(({k1 * 8 + k2: n for (k1, k2), n in word[0].items()}, word[1]))
+    comult = _matrix(64, words)
 
     # star is the conjugate-linear antihomomorphism fixing x, y with z* = u z
-    sz = _lin_mul(dict(_U), {_idx(0, 0, 1): Fraction(1)})
-    star_entries = {}
-    for col, (a, b, c) in enumerate(_ORDER):
-        word = {0: Fraction(1)}
-        for _ in range(c):
-            word = _lin_mul(word, sz)
-        for _ in range(b):
-            word = _lin_mul(word, {_idx(0, 1, 0): Fraction(1)})
-        for _ in range(a):
-            word = _lin_mul(word, {_idx(1, 0, 0): Fraction(1)})
-        for k, v in word.items():
-            star_entries[(k, col)] = Scalar(v)
-    star = Matrix(8, 8, star_entries)
+    sz = _mul(table, ({_idx(p, q, 0): n for (p, q), n in _U}, 2), ({_idx(0, 0, 1): 1}, 1))
+    images = []
+    for a, b, c in _ORDER:
+        word = ({0: 1}, 1)
+        for factor, power in ((sz, c), (({_idx(0, 1, 0): 1}, 1), b), (({_idx(1, 0, 0): 1}, 1), a)):
+            for _ in range(power):
+                word = _mul(table, word, factor)
+        images.append(word)
+    star = _matrix(8, images)
 
     return HopfStarAlgebra(
         dim=8,

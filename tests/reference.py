@@ -43,8 +43,14 @@ product on S (x) S applied to delta(s) (x) (1 (x) t).  Production code takes
 every translate from one product.
 
 `ref_multiplicativity` is the law Delta(ab) = Delta(a)Delta(b) through
-kron(m, m), the product on S (x) S.  Production code multiplies the legs of
-kron(delta, delta) by two reshaped products of m.
+kron(m, m), the product on S (x) S, applied to kron(delta, delta).
+Production code builds neither: it accumulates delta m less
+Delta(e_a)Delta(e_b) over the basis pairs (a, b) in one pass, multiplying
+each pair's legs by m's columns.
+
+`ref_kac_paljutkin` derives kp8's tensors from its relations on `Fraction`
+coefficients, one word product at a time.  Production code derives them
+from one table of the word products on integer numerators over 2.
 
 `ref_codiagonal_system` is the codiagonal system the long way: a triple
 loop over (p, q, c) with the coproduct's entries sorted into index tables
@@ -546,6 +552,56 @@ def ref_multiplicativity(m: Matrix, delta: Matrix, d: int) -> Matrix:
     the product on S (x) S built whole."""
     mult2 = kron(m, m) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
     return delta @ m - mult2 @ kron(delta, delta)
+
+
+def ref_kac_paljutkin() -> tuple:
+    """(mult, comult, star) of kp8 (hopfcoh.kacpaljutkin's presentation) on Fractions."""
+    order = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    one, x, y, z = (order.index(w) for w in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    half = Fraction(1, 2)
+    u = {one: half, x: half, y: half, order.index((1, 1, 0)): -half}  # z^2
+
+    def word_mul(i, j):
+        (a, b, c), (d, e, f) = order[i], order[j]
+        if c:  # z x^d y^e = x^e y^d z
+            d, e = e, d
+        a2, b2 = (a + d) % 2, (b + e) % 2
+        if c + f < 2:
+            return {order.index((a2, b2, c + f)): Fraction(1)}
+        return {order.index(((a2 + p) % 2, (b2 + q) % 2, 0)): v for k, v in u.items() for p, q, _ in [order[k]]}
+
+    def mul(v1, v2):
+        out = {}
+        for i, s in v1.items():
+            for j, t in v2.items():
+                for k, w in word_mul(i, j).items():
+                    out[k] = out.get(k, 0) + s * t * w
+        return out
+
+    def tensor_mul(p1, p2):
+        out = {}
+        for (i1, j1), s in p1.items():
+            for (i2, j2), t in p2.items():
+                for k1, w1 in word_mul(i1, i2).items():
+                    for k2, w2 in word_mul(j1, j2).items():
+                        out[(k1, k2)] = out.get((k1, k2), 0) + s * t * w1 * w2
+        return out
+
+    dz = tensor_mul({(one, one): half, (one, x): half, (y, one): half, (y, x): -half}, {(z, z): 1})
+    comult, star = {}, {}
+    for col, (a, b, c) in enumerate(order):
+        word = {(one, one): 1}
+        for factor, power in (({(x, x): 1}, a), ({(y, y): 1}, b), (dz, c)):
+            for _ in range(power):
+                word = tensor_mul(word, factor)
+        comult.update({(k1 * 8 + k2, col): v for (k1, k2), v in word.items()})
+        image = {one: 1}  # star reverses the word and sends z to u z
+        for factor, power in ((mul(u, {z: 1}), c), ({y: 1}, b), ({x: 1}, a)):
+            for _ in range(power):
+                image = mul(image, factor)
+        star.update({(k, col): v for k, v in image.items()})
+    mult = {(k, i * 8 + j): v for i in range(8) for j in range(8) for k, v in word_mul(i, j).items()}
+    return Matrix(8, 64, mult), Matrix(64, 8, comult), Matrix(8, 8, star)
 
 
 def bench_workloads():

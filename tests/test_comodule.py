@@ -1,17 +1,24 @@
+from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.comodule import (
     Bicomodule,
     RightCoaction,
     catalog_bicomodules,
+    catalog_right_comodules,
     check_nondegenerate,
+    compatibility_failure,
     check_nondegenerate_left,
     dual_coaction,
     dual_coaction_left,
     graded_right_coaction,
+    left_coaction_failure,
     module_from_coaction,
     pair_graded_bicomodule,
     quotient_comodule,
@@ -20,7 +27,7 @@ from hopfcoh.comodule import (
     unit_quotient_bicomodule,
     widest_catalog_space,
 )
-from hopfcoh.linalg import Matrix, kron, unit_vec
+from hopfcoh.linalg import Matrix, combination, failing_column, kron, unit_vec
 from hopfcoh.scalars import ONE, Scalar
 from reference import ref_coaction_from_module
 
@@ -456,3 +463,131 @@ def test_incompatible_coactions_name_the_least_failing_column():
     w = _least_failing_column(kron(i_s, beta) @ gamma, kron(gamma, i_s) @ beta)
     with pytest.raises(ValueError, match=f"^bicomodule compatibility fails at column {w}$"):
         Bicomodule(right, left)
+
+
+def _unit_law_broken(name: str):
+    """The catalog algebra with comult(e_0), and so comult(1), moved off 1 (x) 1 at row 1."""
+    from hopfcoh.hopf import HopfStarAlgebra
+
+    g = get_algebra(name)
+    s = g.dim
+    delta = g.comult + Matrix(s * s, s, {(1, 0): ONE})
+    return HopfStarAlgebra(s, g.mult, g.unit, delta, g.counit, g.star, g.labels, g.kind, g.monoid)
+
+
+def _left_identity(h, gamma: Matrix):
+    """The left coaction identity's witness by its two products."""
+    ix, i_s = Matrix.identity(gamma.cols), Matrix.identity(h.dim)
+    return failing_column([(1, kron(i_s, gamma), gamma), (-1, kron(h.comult, ix), gamma)])
+
+
+@pytest.mark.parametrize("name", ["function:Z3", "group:S3", "kp8"])
+def test_a_broken_unit_law_fails_every_trivial_gamma_at_column_zero(name):
+    """trivial_left_coaction reads the unit law's witness and names the column the full
+    two-product identity names: 0 on a nonzero space, none on the zero space."""
+    from hopfcoh.hopf import check_axioms
+
+    h = _unit_law_broken(name)
+    assert h.unitality_witness == 0
+    assert {c.name: c.witness for c in check_axioms(h).checks}["comult unital"] == 0
+    for x in (0, 1, 3):
+        w = _left_identity(h, kron(h.unit_col, Matrix.identity(x)))
+        assert w == (0 if x else None)
+        if x:
+            with pytest.raises(ValueError, match=f"^left coaction identity fails at column {w}$"):
+                trivial_left_coaction(h, x)
+        else:
+            assert trivial_left_coaction(h, x).gamma is h.trivial_gamma(0)
+
+
+@pytest.mark.parametrize("name", ["function:S3", "kp8"])
+def test_an_equal_copy_of_the_trivial_gamma_runs_the_full_checks(name, monkeypatch):
+    """Only the memoized object is read off the unit law: an equal copy runs the
+    two-product identity and compatibility, with the same witnesses."""
+    from hopfcoh import comodule
+
+    calls = []
+    monkeypatch.setattr(comodule, "failing_column", lambda terms: calls.append(terms) or failing_column(terms))
+    for h in (get_algebra(name), _unit_law_broken(name)):
+        beta = SimpleNamespace(hopf=h, beta=Matrix.zero(2 * h.dim, 2))
+        for x in (1, 2):
+            memo = h.trivial_gamma(x)
+            copy = Matrix(memo.rows, memo.cols, memo.entries)
+            assert copy == memo and copy is not memo and h.trivial_gamma(x) is memo
+            calls.clear()
+            fast = left_coaction_failure(h, memo)
+            assert calls == []
+            assert left_coaction_failure(h, copy) == fast == _left_identity(h, memo) and len(calls) == 1
+            if x == 2:
+                calls.clear()
+                assert compatibility_failure(beta, SimpleNamespace(hopf=h, gamma=memo)) is None and calls == []
+                assert compatibility_failure(beta, SimpleNamespace(hopf=h, gamma=copy)) is None and len(calls) == 1
+
+
+def _compatibility_terms(h, beta: Matrix, gamma: Matrix):
+    i_s = Matrix.identity(h.dim)
+    return combination([(1, kron(i_s, beta), gamma), (-1, kron(gamma, i_s), beta)])
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_the_trivial_gamma_is_compatible_with_every_catalog_beta(name):
+    h = get_algebra(name)
+    betas = [c for _, c in catalog_right_comodules(h)] + [e.bicomodule.beta for e in catalog_bicomodules(h)]
+    for beta in betas:
+        gamma = trivial_left_coaction(h, beta.space_dim)
+        assert compatibility_failure(beta, gamma) is None
+        assert _compatibility_terms(h, beta.beta, gamma.gamma).is_zero()
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.sampled_from(["function:Z3", "group:Z2", "kp8"]), st.integers(1, 3), st.data())
+def test_the_trivial_gamma_is_compatible_with_any_beta(name, x, data):
+    """kron(I_s, beta)(1 (x) id) = 1 (x) beta = kron(1 (x) id, I_s) beta for every beta, a
+    coaction or not: the shortcut's premise, and the shortcut's answer."""
+    h = get_algebra(name)
+    gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    value = gaussian | st.builds(Fraction, st.integers(-2, 2), st.just(3))
+    cells = st.tuples(st.integers(0, x * h.dim - 1), st.integers(0, x - 1))
+    beta = Matrix(x * h.dim, x, data.draw(st.dictionaries(cells, value, max_size=8)))
+    gamma = trivial_left_coaction(h, x)
+    assert _compatibility_terms(h, beta, gamma.gamma).is_zero()
+    assert compatibility_failure(SimpleNamespace(hopf=h, beta=beta), gamma) is None
+
+
+@pytest.mark.parametrize("name", ["function:S3", "kp8"])
+def test_a_job_evaluates_the_unit_law_once(name, monkeypatch):
+    """The axiom gate and every trivial gamma of the catalog, its coaction identity and
+    its compatibility, read one evaluation of comult(1) - 1 (x) 1: no identity check of
+    comodule runs on a trivial gamma."""
+    from hopfcoh import comodule, hopf, report
+    from hopfcoh.jobfile import JobSpec
+
+    algebras, laws = [], []
+    resolve = report.resolve_algebra
+
+    def resolved(job):
+        algebras.append(resolve(job))
+        return algebras[-1]
+
+    def unit_law(terms) -> bool:
+        return terms[0][1] is algebras[0].comult and terms[0][-1] is algebras[0].unit_col
+
+    def on_trivial_gamma(terms) -> bool:  # the left identity and compatibility: gamma on the right
+        m, u = terms[0][-1], algebras[0].unit_col
+        return m.rows == u.rows * m.cols > 0 and m == kron(u, Matrix.identity(m.cols))
+
+    def spy(module, law):
+        def counted(terms):
+            if algebras and law(terms):
+                laws.append(terms)
+            return failing_column(terms)
+
+        monkeypatch.setattr(module, "failing_column", counted)
+
+    monkeypatch.setattr(report, "resolve_algebra", resolved)
+    spy(hopf, unit_law)
+    spy(comodule, on_trivial_gamma)
+    tasks = ("axioms", "cohomology:dual:0-1", "cohomology:restricted:0-1")
+    rep = report.run(JobSpec(algebra=name, tasks=tasks, degree_cap=2))
+    assert rep["consistent"] and set(rep["tasks"]["cohomology:dual:0-1"]) >= {"regular-trivial-left", "unit-quotient"}
+    assert len(laws) == 1

@@ -286,34 +286,37 @@ def test_haar_on_corrupted_comult_inconsistent():
 
 def test_a_job_forms_the_product_on_s_tensor_s_once(monkeypatch):
     """A job forms kron(mult, mult), the product on S (x) S, at most once,
-    and never on group:S3: the axiom gate multiplies the legs of
-    kron(comult, comult), and saturation takes its translates from
-    kron(I_s, mult)."""
+    and never on group:S3, and kron(comult, comult) never: the axiom gate
+    accumulates the multiplicativity law over basis pairs in one pass, and
+    saturation takes its translates from kron(I_s, mult)."""
     from hopfcoh import hopf
     from hopfcoh.jobfile import parse_input
     from hopfcoh.linalg import kron
     from hopfcoh.report import run
 
-    products = []
+    products, coproducts = [], []
 
     def counting_kron(a, b):
         if a is b and a.cols == a.rows**2 > 1:  # kron(mult, mult)
             products.append(a)
+        if a is b and a.rows == a.cols**2 > 1:  # kron(comult, comult)
+            coproducts.append(a)
         return kron(a, b)
 
     monkeypatch.setattr(hopf, "kron", counting_kron)
-    for name, most in (("function:S3", 1), ("group:S3", 0)):
+    for name, most in (("function:S3", 1), ("group:S3", 0), ("kp8", 1)):
         products.clear()
         run(parse_input(f"algebra = {name}\ntasks = axioms, saturation\n"))
         assert len(products) <= most, name
+        assert not coproducts, name
 
 
 def _multiplicativity_both_ways(m, delta, d):
-    """delta m - (m (x) m) swap (delta (x) delta), legwise and through kron(m, m)."""
-    from hopfcoh.hopf import _multiplicativity
-    from hopfcoh.linalg import combination
+    """delta m - (m (x) m) swap (delta (x) delta), by the gate's one-pass accumulation and
+    through kron(m, m)."""
+    from hopfcoh.hopf import _multiplicativity_defect
 
-    return combination(_multiplicativity(m, delta, d)), ref_multiplicativity(m, delta, d)
+    return _multiplicativity_defect(m, delta, d), ref_multiplicativity(m, delta, d)
 
 
 @pytest.mark.parametrize("name", algebra_names())
@@ -353,3 +356,50 @@ def test_corrupted_comult_has_the_same_witness_either_way():
     h = corrupt_comult(get_algebra("function:Z2"))
     for diff in _multiplicativity_both_ways(h.mult, h.comult, h.dim):
         assert min(c for _, c in diff.support) == 1
+
+
+@pytest.mark.parametrize("name, own", [("function:S3", "symmetric_group"), ("group:Z3", "cyclic_group")])
+def test_a_catalog_lookup_builds_only_its_own_monoid(name, own, monkeypatch):
+    """Every other monoid constructor raises, and cyclic_group for any order but 3."""
+    from hopfcoh import catalog, monoids
+
+    expected = get_algebra(name)
+    constructors = (
+        "trivial_monoid",
+        "cyclic_group",
+        "direct_product",
+        "symmetric_group",
+        "left_zero_semigroup",
+        "right_zero_with_identity",
+        "mult01_monoid",
+    )
+
+    def refusing(constructor, allowed=None):
+        def build(*args):
+            if allowed is None or args != allowed:
+                raise AssertionError(f"{constructor}{args} was built")
+            return getattr(monoids, constructor)(*args)
+
+        return build
+
+    for constructor in constructors:
+        monkeypatch.setattr(catalog, constructor, refusing(constructor, (3,) if constructor == own else None))
+    assert get_algebra(name) == expected
+
+
+def test_catalog_names_and_unknown_names():
+    from hopfcoh.catalog import GROUP_NAMES, MONOID_NAMES, get_group, get_monoid
+
+    assert GROUP_NAMES == ("S3", "Z2", "Z2xZ2", "Z3", "trivial")
+    assert MONOID_NAMES == ("S3", "Z2", "Z2xZ2", "Z3", "leftzero2", "mult01", "rzid3", "trivial")
+    kinds = [f"function:{n}" for n in MONOID_NAMES] + [f"group:{n}" for n in GROUP_NAMES]
+    assert algebra_names() == tuple(sorted(kinds + ["kp8"]))
+    for lookup, name, message in (
+        (get_monoid, "nope", "unknown monoid 'nope'"),
+        (get_group, "rzid3", "unknown group 'rzid3'"),
+        (get_algebra, "function:nope", "unknown monoid 'nope'"),
+        (get_algebra, "group:mult01", "unknown group 'mult01'"),
+    ):
+        with pytest.raises(KeyError) as raised:
+            lookup(name)
+        assert raised.value.args == (message,)

@@ -10,12 +10,19 @@ from hopfcoh.catalog import get_algebra
 from hopfcoh.hopf import check_axioms, check_saturated, counit_find
 from hopfcoh.kacpaljutkin import kac_paljutkin
 from hopfcoh.linalg import tensor_permutation
+from reference import ref_kac_paljutkin
 
 
 def test_kp8_axioms_exact():
     h = kac_paljutkin()
     report = check_axioms(h)
     assert report.ok, [c.name for c in report.checks if not c.passed]
+
+
+def test_kp8_tensors_equal_the_fraction_derivation():
+    """The integer word table gives the same mult, comult and star, numerators and den."""
+    h = kac_paljutkin()
+    assert (h.mult, h.comult, h.star) == ref_kac_paljutkin()
 
 
 def test_kp8_saturated():
