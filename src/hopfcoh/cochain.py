@@ -36,7 +36,7 @@ from .linalg import (
     leg_map,
     product_is_zero,
 )
-from .records import record
+from .records import Memo, record
 
 DEFAULT_DEGREE_CAP = 3  # cochain spaces C^0 .. C^cap are built when a job names no cap
 
@@ -78,8 +78,10 @@ def dual_coboundary(b: Bicomodule, n: int) -> Matrix:
     if n < 0:
         raise ValueError("negative degree")
     h, x, s, sn = b.hopf, b.space_dim, b.hopf.dim, b.hopf.dim**n
-    beta = b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s))
-    gamma = b.gamma.gamma.reindex(s * x, x, lambda r, j: (r // x * x + j, r % x))
+    beta, gamma = b.once("dual", lambda: (
+        b.beta.beta.reindex(s * x, x, lambda r, j: (r % s * x + j, r // s)),
+        b.gamma.gamma.reindex(s * x, x, lambda r, j: (r // x * x + j, r % x)),
+    ))
     faces = [(1, sn, beta, 1, None, None), ((-1) ** (n + 1), sn, gamma, 1, leg_map([sn, s, x], [1, 0, 2]), None)]
     faces += [((-1) ** k, s ** (n - k), h.comult, s ** (k - 1) * x, None, None) for k in range(1, n + 1)]
     return face_sum(faces)
@@ -95,10 +97,11 @@ def bar_boundary(b: Bicomodule, n: int) -> Matrix:
     """
     if n < 1:
         raise ValueError("bar boundary needs n >= 1")
-    h, x, s = b.hopf, b.space_dim, b.hopf.dim
-    mult_b = dual_algebra_mult(h)
-    act_l = module_from_coaction(b.beta)  # B (x) X -> X
-    act_r = module_from_left_coaction(b.gamma)  # X (x) B -> X
+    x, s = b.space_dim, b.hopf.dim
+    # B's product and the actions B (x) X -> X and X (x) B -> X
+    mult_b, act_l, act_r = b.once(
+        "bar", lambda: (dual_algebra_mult(b.hopf), module_from_coaction(b.beta), module_from_left_coaction(b.gamma))
+    )
     faces = [(1, s ** (n - 1), act_l, 1, None, None)]
     faces += [((-1) ** (n - i), s ** (i - 1), mult_b, s ** (n - i - 1) * x, None, None) for i in range(1, n)]
     # precompose the rotation B^n (x) X -> B^{n-1} (x) X (x) B: a column of
@@ -215,7 +218,7 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
 # the per-job workspace
 
 
-class Workspace:
+class Workspace(Memo):
     """What one job computes once and shares between its tasks.
 
     Holds the bicomodule catalog, one complex per (bicomodule, kind), one
@@ -228,13 +231,6 @@ class Workspace:
         self.hopf = h
         self.degree_cap = degree_cap
         self.explicit = tuple(explicit)  # (name, Bicomodule) pairs from the job file
-        self._memo: dict = {}
-
-    def once(self, key, make):
-        """make() the first time key is asked for, the same object after that."""
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
 
     def _cached(self, what: str, b: Bicomodule, arg, make):
         return self.once((what, id(b), arg), lambda: (b, make()))[1]
@@ -429,14 +425,19 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     row (u, j), column ((u, c), y) is that number, so K_n = kron(id^{n-1}, L)
     for the block L[j, (c, y)] = (F C)[c, (y, j)].  The gamma side takes
     C[a, (y, j)] = gamma[(a, y), j] and (-1)^n F^T for F, and moves column
-    (u, c, y) of kron(id^{n-1}, L) to ((c, u), y).
+    (u, c, y) of kron(id^{n-1}, L) to ((c, u), y).  L, with no sign, is built once per
+    (bicomodule, functional object, side), and held with the functional so its id stays its own.
     """
     x, s, sp = b.space_dim, b.hopf.dim, b.hopf.dim ** (n - 1)
-    f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
-    if side == "beta":
-        coaction, move = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j)), None
-    else:
-        coaction = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j))
-        f, move = f.transpose().scale((-1) ** n), leg_map([sp, s, x], [1, 0, 2])
-    block = (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
-    return face_sum([(1, sp, block, 1, None, move)])
+
+    def block():
+        f = Matrix.row(f_functional).reindex(s, s, lambda _, k: divmod(k, s))
+        if side == "beta":
+            coaction = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j))
+        else:
+            coaction, f = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j)), f.transpose()
+        return f_functional, (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
+
+    sign, move = (1, None) if side == "beta" else ((-1) ** n, leg_map([sp, s, x], [1, 0, 2]))
+    _, l_block = b.once(("codiagonal", id(f_functional), side), block)
+    return face_sum([(sign, sp, l_block, 1, None, move)])

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .hopf import HopfStarAlgebra, translates_span
 from .linalg import Matrix, combination, failing_column, kron, rref
-from .records import record
+from .records import Memo, record
 
 
 @record
@@ -43,7 +43,9 @@ class LeftCoaction:
 
 
 @record
-class Bicomodule:
+class Bicomodule(Memo):
+    """once holds what the coboundary builders derive from the bicomodule alone, whatever the degree."""
+
     beta: RightCoaction
     gamma: LeftCoaction
 
@@ -65,11 +67,14 @@ class Bicomodule:
 
 
 # each identity check returns the least column where its two sides differ, or None; on
-# comult itself each is (up to sign) the coassociativity law, whose witness h holds, and
-# on h's memoized trivial gamma = 1 (x) id the left identity is kron(comult(1) - 1 (x) 1, I_x)
+# comult itself each is (up to sign) the coassociativity law, whose witness h holds, on
+# h's memoized trivial gamma = 1 (x) id the left identity is kron(comult(1) - 1 (x) 1, I_x),
+# and a quotient coaction of h's memo holds by quotient_comodule's factorization check
 def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
     if beta is h.comult:
         return h.coassociativity_witness
+    if h.quotient_coactions.get(id(beta)) is beta:
+        return None
     ix, i_s = Matrix.identity(beta.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(beta, i_s), beta), (-1, kron(ix, h.comult), beta)])
 
@@ -163,7 +168,12 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     """Quotient coaction on X/Y when (q (x) id) beta kills Y.
 
     The complement is the pivot-column complement of the RREF of Y, so the
-    projection and section are canonical.
+    projection and section are canonical.  The factorization check
+    (q (x) id) beta = beta_hat q certifies beta_hat as a coaction: beta's own
+    identity gives (beta_hat (x) id) beta_hat q = (q (x) id (x) id)(beta (x) id) beta
+    = (q (x) id (x) id)(id (x) comult) beta = (id (x) comult) beta_hat q, and q s = id
+    cancels q.  So beta_hat goes to the algebra's memo (quotient_coactions), whose
+    coactions right_coaction_failure passes with no check of its own.
     """
     x, s = c.space_dim, c.hopf.dim
     for y in subspace:
@@ -187,6 +197,7 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     beta_hat = qs @ c.beta @ section
     if not combination([(1, beta_hat, q), (-1, qs, c.beta)]).is_zero():
         raise ValueError("induced coaction does not factor through the projection")
+    c.hopf.quotient_coactions[id(beta_hat)] = beta_hat
     return QuotientData(RightCoaction(len(free), c.hopf, beta_hat), q, section)
 
 

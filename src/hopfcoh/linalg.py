@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import add
 from typing import Optional
 
 from .records import record
@@ -372,9 +371,8 @@ def combination(terms) -> Matrix:
 def _legs(index, p: int, q: int, step: int, move):
     """kron(I_p, m, I_q)'s flat indices i * step + x * q + j of m's indices x, in kron's
     order (i < p, each x in turn, j < q; step = q * m's dim), through move unless None."""
-    block = list(chain.from_iterable(range(x * q, x * q + q) for x in index))
-    shifts = chain.from_iterable(map(repeat, range(0, p * step, step), repeat(len(block))))
-    out = map(add, chain.from_iterable(repeat(block, p)), shifts)
+    block = index if q == 1 else [x * q + j for x in index for j in range(q)]
+    out = block if p == 1 else [i + x for i in range(0, p * step, step) for x in block]
     return map(move.__getitem__, out) if move else out
 
 
@@ -391,9 +389,11 @@ def face_sum(faces) -> Matrix:
     for k, p, m, q, row_move, col_move in faces:
         k *= den // m.den
         for out, part in ((out, part) for out, part in ((re, m.re), (im, m.im)) if k and p * q and part):
-            r_keys = _legs([r for r, _ in part], p, q, m.rows * q, row_move)
-            keys = zip(r_keys, _legs([c for _, c in part], p, q, m.cols * q, col_move))
-            values = list(chain.from_iterable(map(repeat, [k * v for v in part.values()], repeat(q)))) * p
+            r_index, c_index = zip(*part)
+            keys = zip(_legs(r_index, p, q, m.rows * q, row_move), _legs(c_index, p, q, m.cols * q, col_move))
+            values = part.values() if k == 1 else [k * v for v in part.values()]
+            values = [v for v in values for _ in range(q)] if q > 1 else values
+            values = list(values) * p if p > 1 else values
             if not out:  # a face's keys are distinct
                 out.update(zip(keys, values))
                 continue

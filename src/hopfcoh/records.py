@@ -18,9 +18,11 @@ from closures, so that no method source is generated and compiled at import:
 
 A per-instance cache that is no field (not an `__init__` argument, not
 compared, hashed or printed) is a `functools.cached_property`, which writes
-to the instance's `__dict__` past the frozen `__setattr__`.  `replace`
+to the instance's `__dict__` past the frozen `__setattr__`; a class that
+caches many things by key takes `Memo`'s `once(key, make)`.  `replace`
 copies a record with some fields changed, and re-runs its `__post_init__`.
 """
+from functools import cached_property
 from operator import attrgetter
 
 _MISSING = object()
@@ -34,15 +36,19 @@ def record(cls):
         for name in klass.__dict__.get("__annotations__", {}):
             defaults[name] = klass.__dict__.get(name, _MISSING)
     names = tuple(defaults)
-    keys, size = set(names), len(names)
-    optional = {n: d for n, d in defaults.items() if d is not _MISSING}
+    size = len(names)
     post_init = hasattr(cls, "__post_init__")
 
     def bind(args, kwargs):
-        values = {**optional, **dict(zip(names, args)), **kwargs}
-        if len(args) > size or values.keys() != keys or not kwargs.keys().isdisjoint(names[: len(args)]):
+        # one pass over the fields past args, each popped from kwargs (the call's own dict) or defaulted
+        values = list(args)
+        for name in names[len(args) :]:
+            if (value := kwargs.pop(name, defaults[name])) is _MISSING:
+                break
+            values.append(value)
+        if kwargs or len(values) != size:
             raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}; got {args!r}, {kwargs!r}")
-        return map(values.__getitem__, names)
+        return values
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != size:
@@ -79,6 +85,19 @@ def record(cls):
         setattr(cls, method.__name__, method)
     cls.__record_fields__ = names
     return cls
+
+
+class Memo:
+    """once(key, make): make() the first time key is asked for, the same object after that."""
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
 
 def replace(obj, **changes):

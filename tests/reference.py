@@ -48,6 +48,11 @@ Production code builds neither: it accumulates delta m less
 Delta(e_a)Delta(e_b) over the basis pairs (a, b) in one pass, multiplying
 each pair's legs by m's columns.
 
+`ref_associativity_witness` is the least failing column of the law
+(ab)c = a(bc) through kron(m, I_s) and kron(I_s, m).  Production code builds
+neither: it accumulates (e_a e_b) e_c - e_a (e_b e_c) over the basis triples
+in one pass, multiplying by m's columns.
+
 `ref_kac_paljutkin` derives kp8's tensors from its relations on `Fraction`
 coefficients, one word product at a time.  Production code derives them
 from one table of the word products on integer numerators over 2.
@@ -552,6 +557,12 @@ def ref_multiplicativity(m: Matrix, delta: Matrix, d: int) -> Matrix:
     the product on S (x) S built whole."""
     mult2 = kron(m, m) @ tensor_permutation([d] * 4, [0, 2, 1, 3])
     return delta @ m - mult2 @ kron(delta, delta)
+
+
+def ref_associativity_witness(m: Matrix, d: int):
+    """The least nonzero column of m kron(m, I_s) - m kron(I_s, m), None if there is none."""
+    i_s = Matrix.identity(d)
+    return min((c for _, c in (m @ kron(m, i_s) - m @ kron(i_s, m)).support), default=None)
 
 
 def ref_kac_paljutkin() -> tuple:

@@ -896,3 +896,46 @@ def test_signed_reference_certificates_have_sign_plus_one(name, monkeypatch):
     for prims, signed in pairs:
         assert [sign for _, sign in signed] == [1] * prims.cols
         assert [p for p, _ in signed] == [prims.col(j) for j in range(prims.cols)]
+
+
+@pytest.mark.parametrize("name", ["group:Z3", "function:S3", "kp8"])
+def test_a_job_moves_each_bicomodules_coactions_once(name, monkeypatch):
+    """A cap-3 job enters the dual and bar builders once per degree, and the codiagonal
+    contraction once per degree, functional and side; every leg move made inside them
+    (Matrix.reindex, told apart by its key's code) and dual_algebra_mult run once per
+    bicomodule, functional and side: what does not depend on the degree is built once."""
+    from hopfcoh import cochain
+    from hopfcoh.jobfile import parse_input
+
+    entered, made, inside = Counter(), Counter(), []
+
+    def entering(builder):
+        def wrapped(b, n, *args):
+            key = (builder.__name__, id(b), *args)
+            entered[key] += 1
+            inside.append(key)
+            try:
+                return builder(b, n, *args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counted(original, what):
+        def wrapped(*args):
+            if inside:
+                made[inside[-1], what(*args)] += 1
+            return original(*args)
+
+        return wrapped
+
+    for builder in ("dual_coboundary", "bar_boundary", "codiagonal_contraction"):
+        monkeypatch.setattr(cochain, builder, entering(getattr(cochain, builder)))
+    monkeypatch.setitem(cochain._BUILDERS, "dual", cochain.dual_coboundary)
+    monkeypatch.setattr(Matrix, "reindex", counted(Matrix.reindex, lambda m, rows, cols, key: key.__code__))
+    monkeypatch.setattr(cochain, "dual_algebra_mult", counted(cochain.dual_algebra_mult, lambda h: "mult"))
+    tasks = "cohomology:dual:0-2, cohomology:bar:1-2, check-B20, check-C15"
+    assert run(parse_input(f"algebra = {name}\ndegree-cap = 3\ntasks = {tasks}\n"))["consistent"]
+    assert {key[0] for key in entered} == {"dual_coboundary", "bar_boundary", "codiagonal_contraction"}
+    assert min(entered.values()) == 3, entered
+    assert {what for _, what in made} > {"mult"} and set(made.values()) == {1}, made

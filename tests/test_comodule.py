@@ -23,6 +23,7 @@ from hopfcoh.comodule import (
     pair_graded_bicomodule,
     quotient_comodule,
     regular_right_coaction,
+    right_coaction_failure,
     trivial_left_coaction,
     unit_quotient_bicomodule,
     widest_catalog_space,
@@ -123,6 +124,36 @@ def test_quotient_checks_every_vector_of_the_subspace():
     q = quotient_comodule(c, [u[1], u[0]])
     # X/Y keeps u_2..u_5 with their grades
     assert q.coaction.beta == graded_right_coaction(h, [2, 3, 4, 5]).beta
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_a_quotient_coaction_is_certified_by_its_factorization(name, monkeypatch):
+    """quotient_comodule evaluates no coaction identity for the quotient (its factorization
+    check implies it), and an equal copy of the quotient coaction passes the full check."""
+    from hopfcoh import comodule
+
+    h = get_algebra(name)
+    reg = regular_right_coaction(h)
+    calls = []
+    monkeypatch.setattr(comodule, "failing_column", lambda terms: calls.append(terms) or failing_column(terms))
+    quot = quotient_comodule(reg, [list(h.unit)])
+    assert calls == [] and h.quotient_coactions[id(quot.coaction.beta)] is quot.coaction.beta
+    beta_hat = quot.coaction.beta
+    copy = Matrix(beta_hat.rows, beta_hat.cols, beta_hat.entries)
+    assert right_coaction_failure(h, copy) is None and len(calls) == 1
+    assert RightCoaction(quot.coaction.space_dim, h, copy) == quot.coaction
+
+
+def test_a_subspace_whose_quotient_does_not_factor_is_still_refused():
+    """Refused before any coaction is built: nothing enters the algebra's quotient memo."""
+    h = get_algebra("function:S3")
+    c = regular_right_coaction(h)
+    u = [unit_vec(6, r) for r in range(6)]
+    for subspace in ([u[1]], [tuple(a + b for a, b in zip(u[0], u[2]))], [u[3], list(h.unit)]):
+        with pytest.raises(ValueError, match="does not factor through the projection"):
+            quotient_comodule(c, subspace)
+    assert h.quotient_coactions == {}
+    assert quotient_comodule(c, [list(h.unit)]).coaction.space_dim == 5
 
 
 def test_unit_quotient_over_function_z3():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopfcoh.catalog import algebra_names, get_algebra
 from hopfcoh.hopf import (
+    AxiomCheck,
     HopfStarAlgebra,
     check_axioms,
     check_saturated,
@@ -25,7 +26,8 @@ from hopfcoh.monoids import (
     trivial_monoid,
 )
 from hopfcoh.scalars import ONE, Scalar
-from reference import order3_monoid_tables, ref_multiplicativity
+from hopfcoh.records import replace
+from reference import order3_monoid_tables, ref_associativity_witness, ref_multiplicativity
 
 
 def corrupt_comult(h: HopfStarAlgebra) -> HopfStarAlgebra:
@@ -349,6 +351,90 @@ def test_legwise_multiplicativity_on_monoid_algebras_and_any_tensors(table, data
 
     legwise, square = _multiplicativity_both_ways(tensor(d, d * d), tensor(d * d, d), d)
     assert legwise == square
+
+
+def _mult_associative(h: HopfStarAlgebra):
+    """The gate's "mult associative" check of h."""
+    return next(c for c in check_axioms(h).checks if c.name == "mult associative")
+
+
+@pytest.mark.parametrize("name", algebra_names())
+def test_associativity_law_equals_the_kron_form(name):
+    h = get_algebra(name)
+    assert ref_associativity_witness(h.mult, h.dim) is None
+    assert _mult_associative(h) == AxiomCheck("mult associative", True, None)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(algebra_names()), st.data())
+def test_a_corrupted_mult_has_the_same_associativity_witness_either_way(name, data):
+    """One to three structure constants of a catalog product changed (to zero, a rational or a
+    Gaussian rational): the gate's witness is the kron form's least failing column."""
+    h = get_algebra(name)
+    entries = dict(h.mult.entries)
+    gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    change = gaussian | st.builds(Fraction, st.integers(1, 3), st.just(2))
+    for _ in range(data.draw(st.integers(1, 3))):
+        cell = data.draw(st.integers(0, h.dim - 1)), data.draw(st.integers(0, h.dim**2 - 1))
+        entries[cell] = entries.get(cell, Scalar(0)) + data.draw(change)
+    bad = replace(h, mult=Matrix(h.dim, h.dim**2, entries))
+    witness = ref_associativity_witness(bad.mult, bad.dim)
+    assert _mult_associative(bad) == AxiomCheck("mult associative", witness is None, witness)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_associativity_witness_on_any_tensor(data):
+    """Random Q(i) products m: S (x) S -> S, d <= 3, where the law need not hold."""
+    from hopfcoh.hopf import _associativity_witness
+
+    d = data.draw(st.integers(1, 3))
+    gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    value = gaussian | st.builds(Fraction, st.integers(-2, 2), st.just(3))
+    cells = st.tuples(st.integers(0, d - 1), st.integers(0, d * d - 1))
+    m = Matrix(d, d * d, data.draw(st.dictionaries(cells, value)))
+    assert _associativity_witness(m, d) == ref_associativity_witness(m, d)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from([n for n in algebra_names() if get_algebra(n).dim <= 4]), st.data())
+def test_associativity_holds_in_a_gaussian_basis(name, data):
+    """A catalog product in the basis of the columns of P = I + N, N strictly upper triangular
+    with Gaussian entries, is associative and non-real, so products of two imaginary parts
+    count; one entry changed, the witness is the kron form's."""
+    from hopfcoh.hopf import _associativity_witness
+
+    h = get_algebra(name)
+    d = h.dim
+    gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+    n = Matrix(d, d, {(r, c): data.draw(gaussian) for r in range(d) for c in range(r + 1, d)})
+    p_inv, power = Matrix.identity(d), Matrix.identity(d)
+    for _ in range(d - 1):  # (I + N)^-1 = sum (-N)^k, N^d = 0
+        power = -(power @ n)
+        p_inv = p_inv + power
+    m = p_inv @ h.mult @ kron(Matrix.identity(d) + n, Matrix.identity(d) + n)
+    assert _associativity_witness(m, d) is None
+    cell = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d * d - 1))
+    bad = m + Matrix(d, d * d, {cell: data.draw(gaussian)})
+    assert _associativity_witness(bad, d) == ref_associativity_witness(bad, d)
+
+
+def test_the_gate_builds_no_kron_of_mult_and_the_identity(monkeypatch):
+    from hopfcoh import hopf
+
+    seen = []
+
+    def counting_kron(a, b):
+        seen.append((a.rows, a.cols, b.rows, b.cols))
+        return kron(a, b)
+
+    monkeypatch.setattr(hopf, "kron", counting_kron)
+    for name in ("function:S3", "group:S3", "kp8"):
+        h = get_algebra(name)
+        seen.clear()
+        assert check_axioms(h).ok
+        d = h.dim
+        assert (d, d * d, d, d) not in seen and (d, d, d, d * d) not in seen, name
 
 
 def test_corrupted_comult_has_the_same_witness_either_way():

@@ -295,6 +295,40 @@ def test_face_sum_matches_combination_of_its_faces(data):
     assert (list(summed.re), list(summed.im)) == (list(expected.re), list(expected.im))
 
 
+# (p, q) of a face of the 16a x 16c sums below: 4 <= p q <= 16, so m is at most 8 x 8
+WIDE_LAYOUTS = [(p, q) for p in (1, 2, 4, 8, 16) for q in (1, 2, 4, 8, 16) if p * q in (4, 8, 16)]
+
+
+@PROPERTY
+@given(st.data())
+def test_face_sum_matches_combination_with_wide_identity_legs(data):
+    """As test_face_sum_matches_combination_of_its_faces on a 16a x 16c sum (a, c <= 2), with
+    p q from 4 to 16, every face's m Gaussian, and both its rows and its columns moved
+    in about half the faces."""
+    a, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    rows, cols = 16 * a, 16 * c
+    value = st.one_of(st.just(0), GAUSSIAN, st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3)))
+    faces, built = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if faces and data.draw(st.booleans()):
+            _, p, m, q, row_move, col_move = data.draw(st.sampled_from(faces))
+        else:
+            p, q = data.draw(st.sampled_from(WIDE_LAYOUTS))
+            shape = rows // (p * q), cols // (p * q)
+            m = Matrix(*shape, {(r, k): data.draw(value) for r in range(shape[0]) for k in range(shape[1])})
+            if data.draw(st.booleans()):
+                row_move, col_move = data.draw(st.permutations(range(rows))), data.draw(st.permutations(range(cols)))
+            else:
+                row_move, col_move = (data.draw(st.one_of(st.none(), st.permutations(range(n)))) for n in (rows, cols))
+        faces.append((data.draw(st.integers(-2, 2)), p, m, q, row_move, col_move))
+        moved = kron_all(Matrix.identity(p), m, Matrix.identity(q))
+        key = (lambda rm, cm: lambda r, c: (rm[r] if rm else r, cm[c] if cm else c))(row_move, col_move)
+        built.append((faces[-1][0], moved.reindex(rows, cols, key)))
+    summed, expected = face_sum(faces), combination(built)
+    assert summed == expected
+    assert (list(summed.re), list(summed.im)) == (list(expected.re), list(expected.im))
+
+
 BIG = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66))
 
 

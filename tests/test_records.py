@@ -80,6 +80,23 @@ def test_bad_arguments_are_refused():
         replace(CohomologyResult(3, 1), dim=2)
 
 
+def test_keyword_calls_fill_the_fields_in_order_with_defaults():
+    """Keywords in any order, mixed with positional fields, give the positional record; a
+    missing field, a repeated positional one and an unknown name are each refused."""
+    full = JobSpec("group:Z2", ("axioms",), 3, "json", None, ())
+    assert JobSpec(tasks=("axioms",), algebra="group:Z2") == full
+    assert JobSpec("group:Z2", format="json", tasks=("axioms",)) == full
+    assert CohomologyResult(dim_image_prev=1, dim_kernel=3) == CohomologyResult(3, 1)
+    for args, kwargs in (
+        ((), {"algebra": "group:Z2"}),  # tasks missing
+        (("group:Z2",), {"algebra": "group:Z2", "tasks": ()}),  # algebra twice
+        (("group:Z2", ()), {"colour": 1}),  # unknown
+        (("group:Z2", (), 3, "json", None, (), 0), {}),  # one field too many
+    ):
+        with pytest.raises(TypeError, match=r"JobSpec\(\) takes the fields algebra, tasks, degree_cap"):
+            JobSpec(*args, **kwargs)
+
+
 def test_repr_is_unchanged():
     assert repr(CohomologyResult(dim_kernel=3, dim_image_prev=1)) == "CohomologyResult(dim_kernel=3, dim_image_prev=1)"
     job = JobSpec(algebra="group:Z2", tasks=("axioms",))
