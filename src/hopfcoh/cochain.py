@@ -128,7 +128,7 @@ _BUILDERS = {
 
 
 @record
-class CochainComplex:
+class CochainComplex(Memo):
     kind: str
     degrees: tuple  # dims of C^0 .. C^cap
     boundaries: tuple  # D_n: C^n -> C^{n+1}, n = 0 .. cap-1
@@ -141,11 +141,6 @@ class CochainComplex:
             if not product_is_zero(self.boundaries[n + 1], self.boundaries[n]):
                 raise ValueError(f"chain property fails at degree {n}")
 
-    @cached_property
-    def _reduced(self) -> dict:
-        """reduction(n) by n, filled as the degrees are reduced."""
-        return {}
-
     def boundary(self, n: int) -> Matrix:
         if not 0 <= n < len(self.boundaries):
             raise ValueError(f"boundary D_{n} is not built below the degree cap")
@@ -156,12 +151,14 @@ class CochainComplex:
         the columns Q_n (Q_0 is empty), read off D_n's cells with no copy built,
         its certificate D_n Z = 0 for Z its kernel vectors padded with zeros on
         Q_n, and Q_{n+1} holds the rows of D_n its elimination took as pivots."""
-        if n not in self._reduced:
+
+        def reduce():
             q_n = self.reduction(n - 1)[0] if n else ()
             d = self.boundary(n)
             basis = kernel_basis_without(d, q_n) if q_n else kernel_basis(d)
-            self._reduced[n] = (tuple(basis.pivot_rows), len(basis))
-        return self._reduced[n]
+            return tuple(basis.pivot_rows), len(basis)
+
+        return self.once(("reduction", n), reduce)
 
 
 def build_complex(b: Bicomodule, kind: str, degree_cap: int = DEFAULT_DEGREE_CAP, boundary=None) -> CochainComplex:
@@ -223,17 +220,14 @@ class Workspace(Memo):
 
     Holds the bicomodule catalog, one complex per (bicomodule, kind), one
     boundary and one H^n per (bicomodule, kind, degree), check-C10's squares
-    and what tasks share through `once` (counit, codiagonal, mean).  Entries are keyed by the bicomodule
-    object and keep it alive, so a key never passes to another bicomodule.
+    and what tasks share through `once` (counit, codiagonal, mean); what
+    belongs to one bicomodule is kept per bicomodule object by `once_for`.
     """
 
     def __init__(self, h, degree_cap: int = DEFAULT_DEGREE_CAP, explicit=()):
         self.hopf = h
         self.degree_cap = degree_cap
         self.explicit = tuple(explicit)  # (name, Bicomodule) pairs from the job file
-
-    def _cached(self, what: str, b: Bicomodule, arg, make):
-        return self.once((what, id(b), arg), lambda: (b, make()))[1]
 
     @cached_property
     def catalog(self):
@@ -244,7 +238,7 @@ class Workspace(Memo):
         return [(e.name, e.bicomodule) for e in self.catalog] + list(self.explicit)
 
     def dual(self, b: Bicomodule) -> Bicomodule:
-        return self._cached("dual", b, None, lambda: dual_bicomodule(b))
+        return self.once_for(b, "dual", lambda: dual_bicomodule(b))
 
     def _restriction(self, b: Bicomodule) -> Bicomodule:
         """A bicomodule with b's right coaction and gamma = 1 (x) id, whose dual
@@ -256,22 +250,22 @@ class Workspace(Memo):
             same = (c for _, c in self.bicomodules() if c.beta == b.beta and _gamma_is_trivial(c))
             return next(same, None) or with_trivial_gamma(b.beta)
 
-        return self._cached("restricted", b, None, find)
+        return self.once_for(b, "restricted", find)
 
     def boundary(self, b: Bicomodule, kind: str, n: int) -> Matrix:
         """D_n of b's complex of this kind, built once: the complex and check-C15 read it."""
-        return self._cached("D", b, (kind, n), lambda: _BUILDERS[kind](b, n))
+        return self.once_for(b, ("D", kind, n), lambda: _BUILDERS[kind](b, n))
 
     def complex_of(self, b: Bicomodule, kind: str) -> CochainComplex:
         if kind == "restricted":
             return self.complex_of(self._restriction(b), "dual")
         boundary = partial(self.boundary, b, kind)
-        return self._cached("complex", b, kind, lambda: build_complex(b, kind, self.degree_cap, boundary))
+        return self.once_for(b, ("complex", kind), lambda: build_complex(b, kind, self.degree_cap, boundary))
 
     def cohomology_of(self, b: Bicomodule, kind: str, n: int) -> CohomologyResult:
         if kind == "restricted":
             return self.cohomology_of(self._restriction(b), "dual", n)
-        return self._cached("H", b, (kind, n), lambda: cohomology(self.complex_of(b, kind), n))
+        return self.once_for(b, ("H", kind, n), lambda: cohomology(self.complex_of(b, kind), n))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +305,9 @@ def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> Identifi
     def square(m):
         return _flattened_natural(ws.dual(b), m) == ws.complex_of(b, "dual").boundary(m)
 
-    if not ws._cached("C10", b, n, partial(square, n)):
+    if not ws.once_for(b, ("C10", n), partial(square, n)):
         return IdentificationReport(False, "sign identity fails entrywise")
-    if n and not ws._cached("C10", b, n - 1, partial(square, n - 1)):
+    if n and not ws.once_for(b, ("C10", n - 1), partial(square, n - 1)):
         return IdentificationReport(True, f"sign identity holds; H-dims not transported: degree {n - 1} fails")
     return IdentificationReport(True, "sign identity and H-dims agree")
 
@@ -426,7 +420,7 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
     for the block L[j, (c, y)] = (F C)[c, (y, j)].  The gamma side takes
     C[a, (y, j)] = gamma[(a, y), j] and (-1)^n F^T for F, and moves column
     (u, c, y) of kron(id^{n-1}, L) to ((c, u), y).  L, with no sign, is built once per
-    (bicomodule, functional object, side), and held with the functional so its id stays its own.
+    (bicomodule, functional object, side).
     """
     x, s, sp = b.space_dim, b.hopf.dim, b.hopf.dim ** (n - 1)
 
@@ -436,8 +430,7 @@ def codiagonal_contraction(b: Bicomodule, n: int, f_functional: Vec, side: str) 
             coaction = b.beta.beta.reindex(s, x * x, lambda r, j: (r % s, r // s * x + j))
         else:
             coaction, f = b.gamma.gamma.reindex(s, x * x, lambda r, j: (r // x, r % x * x + j)), f.transpose()
-        return f_functional, (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
+        return (f @ coaction).reindex(x, s * x, lambda c, k: (k % x, c * x + k // x))
 
     sign, move = (1, None) if side == "beta" else ((-1) ** n, leg_map([sp, s, x], [1, 0, 2]))
-    _, l_block = b.once(("codiagonal", id(f_functional), side), block)
-    return face_sum([(sign, sp, l_block, 1, None, move)])
+    return face_sum([(sign, sp, b.once_for(f_functional, ("codiagonal", side), block), 1, None, move)])

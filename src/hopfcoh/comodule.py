@@ -69,11 +69,11 @@ class Bicomodule(Memo):
 # each identity check returns the least column where its two sides differ, or None; on
 # comult itself each is (up to sign) the coassociativity law, whose witness h holds, on
 # h's memoized trivial gamma = 1 (x) id the left identity is kron(comult(1) - 1 (x) 1, I_x),
-# and a quotient coaction of h's memo holds by quotient_comodule's factorization check
+# and a quotient coaction h holds passed quotient_comodule's factorization check
 def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
     if beta is h.comult:
         return h.coassociativity_witness
-    if h.quotient_coactions.get(id(beta)) is beta:
+    if h.holds(beta, "quotient"):
         return None
     ix, i_s = Matrix.identity(beta.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(beta, i_s), beta), (-1, kron(ix, h.comult), beta)])
@@ -82,7 +82,7 @@ def right_coaction_failure(h: HopfStarAlgebra, beta: Matrix) -> Optional[int]:
 def left_coaction_failure(h: HopfStarAlgebra, gamma: Matrix) -> Optional[int]:
     if gamma is h.comult:
         return h.coassociativity_witness
-    if _is_trivial_gamma(h, gamma):
+    if h.is_trivial_gamma(gamma):
         return 0 if h.unitality_witness is not None and gamma.cols else None
     ix, i_s = Matrix.identity(gamma.cols), Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, gamma), gamma), (-1, kron(h.comult, ix), gamma)])
@@ -92,15 +92,10 @@ def compatibility_failure(beta: RightCoaction, gamma: LeftCoaction) -> Optional[
     h = beta.hopf
     if beta.beta is h.comult and gamma.gamma is h.comult:
         return h.coassociativity_witness
-    if _is_trivial_gamma(gamma.hopf, gamma.gamma):  # both sides are 1 (x) beta
+    if gamma.hopf.is_trivial_gamma(gamma.gamma):  # both sides are 1 (x) beta
         return None
     i_s = Matrix.identity(h.dim)
     return failing_column([(1, kron(i_s, beta.beta), gamma.gamma), (-1, kron(gamma.gamma, i_s), beta.beta)])
-
-
-def _is_trivial_gamma(h: HopfStarAlgebra, gamma: Matrix) -> bool:
-    """Is gamma the very matrix h.trivial_gamma built? An equal copy takes the full checks."""
-    return h.trivial_gammas.get(gamma.cols) is gamma
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +167,8 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     (q (x) id) beta = beta_hat q certifies beta_hat as a coaction: beta's own
     identity gives (beta_hat (x) id) beta_hat q = (q (x) id (x) id)(beta (x) id) beta
     = (q (x) id (x) id)(id (x) comult) beta = (id (x) comult) beta_hat q, and q s = id
-    cancels q.  So beta_hat goes to the algebra's memo (quotient_coactions), whose
-    coactions right_coaction_failure passes with no check of its own.
+    cancels q.  So the algebra's memo holds beta_hat as a quotient, and
+    right_coaction_failure passes it with no check of its own.
     """
     x, s = c.space_dim, c.hopf.dim
     for y in subspace:
@@ -197,7 +192,7 @@ def quotient_comodule(c: RightCoaction, subspace: list) -> QuotientData:
     beta_hat = qs @ c.beta @ section
     if not combination([(1, beta_hat, q), (-1, qs, c.beta)]).is_zero():
         raise ValueError("induced coaction does not factor through the projection")
-    c.hopf.quotient_coactions[id(beta_hat)] = beta_hat
+    c.hopf.once_for(beta_hat, "quotient", lambda: q)
     return QuotientData(RightCoaction(len(free), c.hopf, beta_hat), q, section)
 
 

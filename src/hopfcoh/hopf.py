@@ -29,11 +29,11 @@ from .linalg import (
     vec,
 )
 from .monoids import FiniteGroup, FiniteMonoid
-from .records import record
+from .records import Memo, record
 
 
 @record
-class HopfStarAlgebra:
+class HopfStarAlgebra(Memo):
     dim: int
     mult: Matrix  # S (x) S -> S
     unit: Vec
@@ -85,27 +85,14 @@ class HopfStarAlgebra:
         identity of every trivial left coaction (trivial_gamma) read this one evaluation."""
         return failing_column([(1, self.comult, self.unit_col), (-1, kron(self.unit_col, self.unit_col))])
 
-    @cached_property
-    def span_tests(self) -> dict:
-        """translates_span's memo: (id of the coaction, leg, side) -> (the coaction, result)."""
-        return {}
-
-    @cached_property
-    def quotient_coactions(self) -> dict:
-        """quotient_comodule's memo: id -> each quotient coaction it built, held so its id stays its own."""
-        return {}
-
-    @cached_property
-    def trivial_gammas(self) -> dict:
-        """trivial_gamma's memo: x -> kron(unit_col, I_x)."""
-        return {}
-
     def trivial_gamma(self, x: int) -> Matrix:
         """gamma = 1 (x) id on a space of dimension x, built once per x: its coaction identity
         is kron(comult(1) - 1 (x) 1, I_x), and it is compatible with every right coaction."""
-        if x not in self.trivial_gammas:
-            self.trivial_gammas[x] = kron(self.unit_col, Matrix.identity(x))
-        return self.trivial_gammas[x]
+        return self.once(("trivial gamma", x), lambda: kron(self.unit_col, Matrix.identity(x)))
+
+    def is_trivial_gamma(self, gamma: Matrix) -> bool:
+        """Is gamma the very matrix trivial_gamma built? An equal copy takes the full checks."""
+        return self.holds(gamma, ("trivial gamma", gamma.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +225,9 @@ def translates_span(h: HopfStarAlgebra, coaction: Matrix, s_leg_first: bool, rig
 
     Memoized on h per (coaction object, leg, side), so the catalog entries that
     share a coaction, and saturation and the regular coactions (all h.comult),
-    run each test once; the memo holds the coaction, so its id stays its own.
+    run each test once.
     """
-    key = (id(coaction), s_leg_first, right)
-    if key not in h.span_tests:
-        h.span_tests[key] = (coaction, _spans(h, coaction, s_leg_first, right))
-    return h.span_tests[key][1]
+    return h.once_for(coaction, ("span", s_leg_first, right), lambda: _spans(h, coaction, s_leg_first, right))
 
 
 def _spans(h: HopfStarAlgebra, coaction: Matrix, s_leg_first: bool, right: bool) -> bool:

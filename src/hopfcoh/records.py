@@ -18,9 +18,9 @@ from closures, so that no method source is generated and compiled at import:
 
 A per-instance cache that is no field (not an `__init__` argument, not
 compared, hashed or printed) is a `functools.cached_property`, which writes
-to the instance's `__dict__` past the frozen `__setattr__`; a class that
-caches many things by key takes `Memo`'s `once(key, make)`.  `replace`
-copies a record with some fields changed, and re-runs its `__post_init__`.
+to the instance's `__dict__` past the frozen `__setattr__`; every keyed
+cache is a `Memo`, which a class inherits.  `replace` copies a record with
+some fields changed, an empty memo and its `__post_init__` re-run.
 """
 from functools import cached_property
 from operator import attrgetter
@@ -88,7 +88,13 @@ def record(cls):
 
 
 class Memo:
-    """once(key, make): make() the first time key is asked for, the same object after that."""
+    """The package's one keyed cache, per instance of the class that inherits it.
+
+    once(key, make): make() the first time key is asked for, the same object after that.
+    once_for(obj, key, make): once per object, keyed on (id(obj), key); the entry holds obj,
+    so its id stays its own (a freed object's id may go to a new one).  holds(obj, key) makes
+    nothing: is obj the value once(key, ...) made, or has once_for(obj, key, ...) made an entry?
+    """
 
     @cached_property
     def _memo(self) -> dict:
@@ -98,6 +104,12 @@ class Memo:
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
+
+    def once_for(self, obj, key, make):
+        return self.once((id(obj), key), lambda: (obj, make()))[1]
+
+    def holds(self, obj, key) -> bool:
+        return self._memo.get(key) is obj or (id(obj), key) in self._memo
 
 
 def replace(obj, **changes):

@@ -29,6 +29,7 @@ from hopfcoh.comodule import (
     widest_catalog_space,
 )
 from hopfcoh.linalg import Matrix, combination, failing_column, kron, unit_vec
+from hopfcoh.records import Memo
 from hopfcoh.scalars import ONE, Scalar
 from reference import ref_coaction_from_module
 
@@ -137,23 +138,28 @@ def test_a_quotient_coaction_is_certified_by_its_factorization(name, monkeypatch
     calls = []
     monkeypatch.setattr(comodule, "failing_column", lambda terms: calls.append(terms) or failing_column(terms))
     quot = quotient_comodule(reg, [list(h.unit)])
-    assert calls == [] and h.quotient_coactions[id(quot.coaction.beta)] is quot.coaction.beta
+    assert calls == [] and h.holds(quot.coaction.beta, "quotient")
     beta_hat = quot.coaction.beta
     copy = Matrix(beta_hat.rows, beta_hat.cols, beta_hat.entries)
+    assert not h.holds(copy, "quotient")
     assert right_coaction_failure(h, copy) is None and len(calls) == 1
     assert RightCoaction(quot.coaction.space_dim, h, copy) == quot.coaction
 
 
-def test_a_subspace_whose_quotient_does_not_factor_is_still_refused():
-    """Refused before any coaction is built: nothing enters the algebra's quotient memo."""
+def test_a_subspace_whose_quotient_does_not_factor_is_still_refused(monkeypatch):
+    """Refused before any coaction is built: nothing enters the algebra's memo."""
     h = get_algebra("function:S3")
     c = regular_right_coaction(h)
     u = [unit_vec(6, r) for r in range(6)]
+    made, once, once_for = [], Memo.once, Memo.once_for
+    monkeypatch.setattr(Memo, "once", lambda memo, key, make: made.append(key) or once(memo, key, make))
+    monkeypatch.setattr(Memo, "once_for", lambda memo, o, key, make: made.append(key) or once_for(memo, o, key, make))
     for subspace in ([u[1]], [tuple(a + b for a, b in zip(u[0], u[2]))], [u[3], list(h.unit)]):
         with pytest.raises(ValueError, match="does not factor through the projection"):
             quotient_comodule(c, subspace)
-    assert h.quotient_coactions == {}
-    assert quotient_comodule(c, [list(h.unit)]).coaction.space_dim == 5
+    assert made == []
+    quot = quotient_comodule(c, [list(h.unit)])
+    assert quot.coaction.space_dim == 5 and "quotient" in made and h.holds(quot.coaction.beta, "quotient")
 
 
 def test_unit_quotient_over_function_z3():

@@ -14,6 +14,10 @@ cost every fresh start tens of milliseconds.  Nor does it import `hashlib`,
 whose OpenSSL backend adds about 3 MB to every process: the report digests
 come from the interpreter's builtin SHA-256, and where an interpreter lacks
 it, from hashlib with the same bytes.
+
+Every keyed cache is `records.Memo`: outside `records.py` no module defines
+a `cached_property` that returns an empty dict, calls `id(...)` or reads
+`._memo`.
 """
 import ast
 import hashlib
@@ -107,6 +111,44 @@ def test_the_check_sees_an_unreached_definition():
 def test_every_top_level_definition_is_read():
     sources = {m: (PACKAGE / m).read_text(encoding="utf-8") for m in MODULES}
     assert unreached_definitions(sources, tracer_targets()) == []
+
+
+def hand_made_caches(source: str) -> list:
+    """(line, what) of each keyed cache in source that is not records.Memo's: a cached_property
+    returning an empty dict, a call of id(...) and a read of ._memo."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "cached_property"
+            for d in node.decorator_list
+        ):
+            returns = [n.value for n in ast.walk(node) if isinstance(n, ast.Return)]
+            if any(isinstance(v, ast.Dict) and not v.keys for v in returns):
+                found.append((node.lineno, "cached_property dict"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id":
+            found.append((node.lineno, "id("))
+        elif isinstance(node, ast.Attribute) and node.attr == "_memo":
+            found.append((node.lineno, "._memo"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_hand_made_cache():
+    source = (
+        "from functools import cached_property\nimport functools\n\nclass A:\n"
+        "    @cached_property\n    def tests(self) -> dict:\n        return {}\n\n"
+        "    @functools.cached_property\n    def more(self):\n        return {}\n\n"
+        "    @cached_property\n    def unit(self):\n        return {0: 1}\n\n"
+        "    def span(self, c):\n        return self.tests.setdefault((id(c), 1), c)\n\n"
+        "    def read(self, k):\n        return self._memo.get(k), identity(k)\n"
+    )
+    assert hand_made_caches(source) == [
+        (6, "cached_property dict"), (10, "cached_property dict"), (18, "id("), (21, "._memo")
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "records.py"])
+def test_every_keyed_cache_is_the_memo(module):
+    assert hand_made_caches((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def fresh_interpreter(code: str) -> str:

@@ -80,8 +80,7 @@ def test_a_swapped_pivot_row_is_caught():
     )
     tampered = next(q for q in swaps if image_rank(ref_drop_cols(d_2, q)) < d_2.cols - len(q))
     fresh = build_complex(b, "dual", 3)
-    fresh.reduction(1)
-    fresh._reduced[1] = (tampered, dim)
+    assert fresh.once(("reduction", 1), lambda: (tampered, dim)) == fresh.reduction(1) == (tampered, dim)
     with pytest.raises(CertificateError, match="degree 2"):
         cohomology(fresh, 2)
 
