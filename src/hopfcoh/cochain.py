@@ -14,7 +14,7 @@ complex and the transpose of the bar boundary agree entrywise.
 """
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 
 from .comodule import (
     Bicomodule,
@@ -161,15 +161,19 @@ class CochainComplex(Memo):
         return self.once(("reduction", n), reduce)
 
 
-def build_complex(b: Bicomodule, kind: str, degree_cap: int = DEFAULT_DEGREE_CAP, boundary=None) -> CochainComplex:
-    """Assemble D_n = boundary(n) (default: the kind's builder), n < cap; the chain property is re-verified."""
+def boundary_of(b: Bicomodule, kind: str, n: int) -> Matrix:
+    """D_n of b's complex of this kind, built once per bicomodule: b's complexes and check-C15 read it."""
+    return b.once(("D", kind, n), lambda: _BUILDERS[kind](b, n))
+
+
+def build_complex(b: Bicomodule, kind: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> CochainComplex:
+    """Assemble D_n = boundary_of(b, kind, n), n < cap; the chain property is re-verified."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown complex kind {kind!r}")
     if kind == "restricted" and not _gamma_is_trivial(b):
         raise ValueError("restricted complex needs gamma = 1 (x) id")
-    boundary = boundary or (lambda n: _BUILDERS[kind](b, n))
     degrees = tuple(b.space_dim * b.hopf.dim**n for n in range(degree_cap + 1))
-    return CochainComplex(kind, degrees, tuple(boundary(n) for n in range(degree_cap)))
+    return CochainComplex(kind, degrees, tuple(boundary_of(b, kind, n) for n in range(degree_cap)))
 
 
 def _gamma_is_trivial(b: Bicomodule) -> bool:
@@ -203,12 +207,16 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     """
     if n < 0 or n >= len(cx.boundaries):
         raise ValueError("degree out of built range")
-    rank_prev = len(cx.reduction(n - 1)[0]) if n else 0
-    dim = cx.reduction(n)[1]
-    if rank_prev and dim:
-        full = len(kernel_basis(cx.boundary(n)))
-        certify(rank_prev + dim == full, f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
-    return CohomologyResult(rank_prev + dim, rank_prev)
+
+    def reduce():  # held by cx, so each degree is reduced once per complex
+        rank_prev = len(cx.reduction(n - 1)[0]) if n else 0
+        dim = cx.reduction(n)[1]
+        if rank_prev and dim:
+            full = len(kernel_basis(cx.boundary(n)))
+            certify(rank_prev + dim == full, f"reduced H^{n} disagrees with dim ker D_{n} in degree {n}")
+        return CohomologyResult(rank_prev + dim, rank_prev)
+
+    return cx.once(("H", n), reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +226,10 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
 class Workspace(Memo):
     """What one job computes once and shares between its tasks.
 
-    Holds the bicomodule catalog, one complex per (bicomodule, kind), one
-    boundary and one H^n per (bicomodule, kind, degree), check-C10's squares
-    and what tasks share through `once` (counit, codiagonal, mean); what
-    belongs to one bicomodule is kept per bicomodule object by `once_for`.
+    One owner per cached object, the object it derives from: a bicomodule holds its
+    boundaries (boundary_of) and its dual, a complex its reductions, H^n and check-C10's
+    squares.  The workspace holds what depends on the job: the catalog, each restriction
+    and one complex per (bicomodule, kind) by `once_for`, the counit, codiagonal and mean by `once`.
     """
 
     def __init__(self, h, degree_cap: int = DEFAULT_DEGREE_CAP, explicit=()):
@@ -237,9 +245,6 @@ class Workspace(Memo):
         """(name, Bicomodule): the catalog, then the job's own comodules."""
         return [(e.name, e.bicomodule) for e in self.catalog] + list(self.explicit)
 
-    def dual(self, b: Bicomodule) -> Bicomodule:
-        return self.once_for(b, "dual", lambda: dual_bicomodule(b))
-
     def _restriction(self, b: Bicomodule) -> Bicomodule:
         """A bicomodule with b's right coaction and gamma = 1 (x) id, whose dual
         complex is b's restricted one: b itself, else one of the job's, else a new one."""
@@ -252,20 +257,13 @@ class Workspace(Memo):
 
         return self.once_for(b, "restricted", find)
 
-    def boundary(self, b: Bicomodule, kind: str, n: int) -> Matrix:
-        """D_n of b's complex of this kind, built once: the complex and check-C15 read it."""
-        return self.once_for(b, ("D", kind, n), lambda: _BUILDERS[kind](b, n))
-
     def complex_of(self, b: Bicomodule, kind: str) -> CochainComplex:
         if kind == "restricted":
             return self.complex_of(self._restriction(b), "dual")
-        boundary = partial(self.boundary, b, kind)
-        return self.once_for(b, ("complex", kind), lambda: build_complex(b, kind, self.degree_cap, boundary))
+        return self.once_for(b, ("complex", kind), lambda: build_complex(b, kind, self.degree_cap))
 
     def cohomology_of(self, b: Bicomodule, kind: str, n: int) -> CohomologyResult:
-        if kind == "restricted":
-            return self.cohomology_of(self._restriction(b), "dual", n)
-        return self.once_for(b, ("H", kind, n), lambda: cohomology(self.complex_of(b, kind), n))
+        return cohomology(self.complex_of(b, kind), n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +295,18 @@ def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> Identifi
     Checks  R d_n^{natural-dual} = (-1)^{n+1} d_n^{dual} R  entrywise, R the
     flattening reshuffle (a bijection of basis indices).  With the squares of degrees
     n-1 and n, R carries ker D_n and Im D_{n-1}, so H^n agrees with no
-    elimination.  Each square is checked once per job, as the natural faces
-    of the dual bicomodule moved onto ws's dual D_m (so n < ws.degree_cap)
-    and compared with it by ==.
+    elimination.  Each square is checked once per job and held by ws's dual
+    complex, as the natural faces of the dual bicomodule moved onto its D_m (so
+    n < ws.degree_cap) and compared with it by ==.
     """
+    cx = ws.complex_of(b, "dual")
 
     def square(m):
-        return _flattened_natural(ws.dual(b), m) == ws.complex_of(b, "dual").boundary(m)
+        return cx.once(("C10", m), lambda: _flattened_natural(dual_bicomodule(b), m) == cx.boundary(m))
 
-    if not ws.once_for(b, ("C10", n), partial(square, n)):
+    if not square(n):
         return IdentificationReport(False, "sign identity fails entrywise")
-    if n and not ws.once_for(b, ("C10", n - 1), partial(square, n - 1)):
+    if n and not square(n - 1):
         return IdentificationReport(True, f"sign identity holds; H-dims not transported: degree {n - 1} fails")
     return IdentificationReport(True, "sign identity and H-dims agree")
 
@@ -315,10 +314,10 @@ def identify_dual_with_natural(ws: Workspace, b: Bicomodule, n: int) -> Identifi
 def identify_dual_with_bar(ws: Workspace, b: Bicomodule, n: int) -> IdentificationReport:
     """Dual coboundary vs transpose of the bar boundary: must be bit-identical.
 
-    Both sides are the workspace's (so n < ws.degree_cap), and a bar complex
-    reads the same boundary.  Equal to the chain-checked dual boundary, the
-    bar side needs no complex or chain check of its own."""
-    if ws.complex_of(b, "dual").boundary(n) != ws.boundary(b, "bar", n):
+    The dual side is the workspace's complex (so n < ws.degree_cap), the bar side b's
+    boundary_of, which b's bar complex reads too.  Equal to the chain-checked dual
+    boundary, the bar side needs no complex or chain check of its own."""
+    if ws.complex_of(b, "dual").boundary(n) != boundary_of(b, "bar", n):
         return IdentificationReport(False, "matrices differ")
     return IdentificationReport(True, "matrices bit-identical")
 

@@ -44,7 +44,7 @@ class LeftCoaction:
 
 @record
 class Bicomodule(Memo):
-    """once holds what the coboundary builders derive from the bicomodule alone, whatever the degree."""
+    """once holds what derives from the bicomodule alone: its dual, its boundaries and the builders' moves."""
 
     beta: RightCoaction
     gamma: LeftCoaction
@@ -250,8 +250,8 @@ def dual_coaction_left(c: LeftCoaction) -> RightCoaction:
 
 
 def dual_bicomodule(b: Bicomodule) -> Bicomodule:
-    """(X^*, gamma-dual as right coaction, beta-dual as left coaction)."""
-    return Bicomodule(dual_coaction_left(b.gamma), dual_coaction(b.beta))
+    """(X^*, gamma-dual as right coaction, beta-dual as left coaction), built once per b."""
+    return b.once("dual bicomodule", lambda: Bicomodule(dual_coaction_left(b.gamma), dual_coaction(b.beta)))
 
 
 def module_from_coaction(c: RightCoaction) -> Matrix:

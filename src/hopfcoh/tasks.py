@@ -115,8 +115,8 @@ def _mean(ws, token):
 
 
 def _cohomology(ws, token):
-    kind = token.split(":")[1]
-    degrees = [n for n in task_degrees(token) if n < ws.degree_cap]
+    kind, span = token.split(":")[1], task_degrees(token)
+    degrees = range(span.start, min(span.stop, ws.degree_cap))  # the span's stop may be any integer
     return {
         name: {str(n): ws.cohomology_of(bic, kind, n).dim for n in degrees}
         for name, bic in ws.bicomodules()

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -686,6 +689,32 @@ def test_huge_degree_caps_refused_up_front(monkeypatch, tmp_path, capsys):
     assert get_algebra("function:trivial").dim == 1
     assert exit_code("function:trivial", 50) == 0
     assert exit_code("function:trivial", 51) == 2
+
+
+def _cli_in_subprocess(args, cwd):
+    """The tasks of the report a new interpreter prints for hopfcoh's args; a run past 60 s fails."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-m", "hopfcoh.cli", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)["tasks"]
+
+
+def test_an_unbounded_degree_span_runs_only_the_degrees_below_the_cap(tmp_path):
+    """A span whose end is far past any int that a loop could walk reports the degrees
+    below the cap, as 0-2 does, both from a job file and from --degrees."""
+    huge = "0-99999999999999999999"
+    tables = []
+    for span in (huge, "0-2"):
+        job = tmp_path / f"{span}.job"
+        job.write_text(f"algebra = function:Z2\ndegree-cap = 3\ntasks = cohomology:dual:{span}\n")
+        tables.append(_cli_in_subprocess(["--input", job.name, "report"], tmp_path)[f"cohomology:dual:{span}"])
+        verb = ["--catalog", "function:Z2", "cohomology", "--kind", "dual", "--degrees", span]
+        tables.append(_cli_in_subprocess(verb, tmp_path)[f"cohomology:dual:{span}"])
+    assert tables[0] == tables[1] == tables[2] == tables[3]
+    assert all(sorted(dims) == ["0", "1", "2"] for dims in tables[0].values())
 
 
 @pytest.mark.parametrize("rows", [("0 1", "0 1"), ("1 0", "0 1")])  # right-zero semigroup; Z2, identity 1

@@ -27,6 +27,7 @@ from hopfcoh.comodule import (
     catalog_bicomodules,
     check_nondegenerate,
     check_nondegenerate_left,
+    dual_bicomodule,
     one_sided,
     pair_graded_bicomodule,
     regular_left_coaction,
@@ -45,8 +46,10 @@ from hopfcoh.linalg import (
     tensor_permutation,
 )
 from hopfcoh.monoids import FiniteMonoid
+from hopfcoh.records import Memo
 from hopfcoh.report import run
 from hopfcoh.scalars import I, ONE, Scalar
+from hopfcoh.tasks import KINDS, for_verb
 from reference import (
     order3_monoid_tables,
     ref_certify_homotopy,
@@ -369,8 +372,43 @@ def test_workspace_builds_each_complex_once(monkeypatch):
     # per degree on the dual bicomodule and builds no natural complex, and the bar
     # side of identify_dual_with_bar is a boundary compared alone
     assert sorted(built) == ["dual"] * len(ws.bicomodules())
-    assert set(calls) == {("natural", id(ws.dual(b)), n) for _, b in ws.bicomodules() for n in range(3)}
+    assert set(calls) == {("natural", id(dual_bicomodule(b)), n) for _, b in ws.bicomodules() for n in range(3)}
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("kind", ["dual", "natural", "bar"])
+def test_a_bicomodule_owns_its_boundaries_and_its_dual(kind):
+    """Two complexes of one bicomodule, at caps 2 and 3, hold the same D_0 and D_1; its dual is built once."""
+    h = get_algebra("function:S3")
+    b = Bicomodule(regular_right_coaction(h), regular_left_coaction(h))
+    two, three = build_complex(b, kind, 2), build_complex(b, kind, 3)
+    assert two is not three and all(two.boundary(n) is three.boundary(n) for n in range(2))
+    assert dual_bicomodule(b) is dual_bicomodule(b)
+
+
+def test_a_complex_owns_its_cohomology():
+    """H^n is reduced once per complex: a second complex of the same bicomodule has its own."""
+    h = get_algebra("group:S3")
+    b = Bicomodule(regular_right_coaction(h), regular_left_coaction(h))
+    cx, other = build_complex(b, "dual", 3), build_complex(b, "dual", 3)
+    for n in range(3):
+        assert cohomology(cx, n) is cohomology(cx, n)
+        assert cohomology(other, n) == cohomology(cx, n) and cohomology(other, n) is not cohomology(cx, n)
+
+
+def test_the_workspace_holds_only_restrictions_and_complexes(monkeypatch):
+    """Every per-bicomodule entry of a job's workspace is a restriction or a complex: the
+    boundaries, the dual bicomodule, H^n and check-C10's squares live on their owners."""
+    keys, once_for = set(), Memo.once_for
+
+    def recording(memo, obj, key, make):
+        if isinstance(memo, Workspace):
+            keys.add(key)
+        return once_for(memo, obj, key, make)
+
+    monkeypatch.setattr(Memo, "once_for", recording)
+    assert run(JobSpec(algebra="group:Z2", tasks=for_verb("report", kinds=KINDS), degree_cap=3))["consistent"]
+    assert keys == {"restricted", ("complex", "dual"), ("complex", "natural"), ("complex", "bar")}
 
 
 @pytest.mark.parametrize("tasks", [("cohomology:bar:0-2", "check-C15"), ("check-C15", "cohomology:bar:0-2")])
@@ -437,7 +475,7 @@ def test_check_c10_moves_no_boundary_sized_matrix(monkeypatch, name):
     ws = Workspace(get_algebra(name), 3)
     bics = [b for _, b in ws.bicomodules()]
     for b in bics:  # the dual bicomodules and the dual complexes are built before the guard
-        ws.dual(b)
+        dual_bicomodule(b)
         ws.complex_of(b, "dual")
     s = ws.hopf.dim
     shapes = {(b.space_dim * s ** (n + 1), b.space_dim * s**n) for b in bics for n in range(3)}
